@@ -20,7 +20,6 @@ from .emdriver import (
 from .evaluation import accuracy, hamming_distance, ratio_sweep, reuse_run
 from .knowledge import (
     CondensedSet,
-    KnowledgePoint,
     KnowledgeStore,
     LabelStreamError,
     ValueLabeling,

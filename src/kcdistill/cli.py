@@ -4,6 +4,7 @@ variants, reuse, sweeps, and report aggregation."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,8 +18,7 @@ from . import emdriver, evaluation, knowledge, nn
 from .ogve import OgveConfig
 
 CLI_METHODS = ("full-kd", "kcd", "random", "ogve-only", "no-ovr", "no-car", "fixed-eps")
-_METHOD_MAP = {name: name for name in emdriver.ALL_METHODS}
-_METHOD_MAP["random"] = emdriver.METHOD_RANDOM
+_METHOD_ALIASES = {"random": emdriver.METHOD_RANDOM}
 
 OUT_DIR_ENV = "KCDISTILL_OUT_DIR"
 
@@ -38,11 +38,18 @@ def _seed_list(text: str) -> list[int]:
 
 
 def _run_dir(tag: str) -> Path:
+    """A directory no other call has returned: <stamp>-<tag>, suffixed -1, -2,
+    ... when runs with the same tag start within the same second."""
     root = Path(os.environ.get(OUT_DIR_ENV, "runs"))
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    path = root / f"{stamp}-{tag}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    root.mkdir(parents=True, exist_ok=True)
+    stem = f"{time.strftime('%Y%m%d-%H%M%S')}-{tag}"
+    for k in itertools.count():
+        path = root / (f"{stem}-{k}" if k else stem)
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            continue
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
@@ -97,6 +104,11 @@ def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConf
 def _load_run_inputs(args):
     dataset = datamod.load_split_dir(args.data)
     teacher_probs = np.load(args.teacher_probs)
+    if teacher_probs.shape[1:] != (dataset.class_count,):
+        raise ValueError(
+            f"teacher probs {args.teacher_probs} have shape {teacher_probs.shape}, "
+            f"but the dataset in {args.data} has {dataset.class_count} classes"
+        )
     store = knowledge.build_store(dataset.train_features, teacher_probs,
                                   dataset.train_labels)
     return dataset, store
@@ -151,7 +163,7 @@ def cmd_train_teacher(args) -> int:
 def cmd_distill(args, parser) -> int:
     config = _build_config(args, parser)
     dataset, store = _load_run_inputs(args)
-    method = _METHOD_MAP[args.method]
+    method = _METHOD_ALIASES.get(args.method, args.method)
     student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
                                     store.num_classes, args.seed)
     student, record = emdriver.run_baseline(config, store, student, dataset, method)
@@ -180,8 +192,11 @@ def cmd_reuse(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     base = _build_config(args, parser)
+    methods = [_METHOD_ALIASES.get(m, m) for m in args.methods.split(",")]
+    unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
+    if unknown:
+        raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
     dataset, store = _load_run_inputs(args)
-    methods = [_METHOD_MAP[m] for m in args.methods.split(",")]
     rows = evaluation.ratio_sweep(
         store, dataset, base, _int_list(args.student_hidden),
         rho_grid=_float_list(args.rho_grid), seeds=_seed_list(args.seeds),

@@ -147,6 +147,10 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
     if not rows:
         raise DataFormatError(f"{path}: empty dataset")
     features = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise DataFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
     labels = np.array(labels, dtype=np.int64)
     c = class_count if class_count is not None else int(labels.max()) + 1
     return Dataset(features, labels, c, np.arange(labels.size), np.empty(0, dtype=np.int64))

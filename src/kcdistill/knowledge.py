@@ -3,8 +3,10 @@
 The store is the immutable record of what the teacher says about each training
 sample, plus the mutable bookkeeping (running value estimate plus training
 frequency) that the condensation loop maintains. Features and teacher soft
-labels never change after construction; augmented soft labels live in
-CondensedSet and never overwrite the store.
+labels never change after construction; a stage's blended soft labels live in
+CondensedSet as one matrix with a row per augmented sample and never overwrite
+the store. Every check runs over whole arrays at once and names the first
+offending sample or record.
 
 Single-writer model: value-state updates are expected to come from one training
 loop at a time. Read-only access to features and soft labels is safe to share.
@@ -19,13 +21,11 @@ import numpy as np
 
 SIMPLEX_ATOL = 1e-6
 
-PROV_HIGH = "HIGH"
-PROV_AUGMENTED = "AUGMENTED"
-
 LABEL_MAGIC = b"KCL1"
 LABEL_VERSION = 1
 _LABEL_HEADER = struct.Struct("<4sIQ")
-_LABEL_RECORD = struct.Struct("<IIB")
+# packed, 9 bytes per record: the byte layout of struct format "<IIB"
+_LABEL_RECORD = np.dtype([("sample_id", "<u4"), ("rank", "<u4"), ("label", "u1")])
 
 
 class LabelStreamError(ValueError):
@@ -52,14 +52,12 @@ def check_simplex(probs: np.ndarray, *, context: str = "probability vector") -> 
         )
 
 
-@dataclass(frozen=True)
-class KnowledgePoint:
-    """One unit of transferable knowledge: a sample and the teacher's soft label."""
-
-    sample_id: int
-    features: np.ndarray
-    teacher_probs: np.ndarray
-    hard_label: int | None = None
+def _first_off_simplex(probs: np.ndarray) -> int:
+    """Index of the first row of a 2-d array that check_simplex would reject,
+    or -1. A NaN or inf entry makes the row sum fail the tolerance test."""
+    ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else -1
 
 
 @dataclass(frozen=True)
@@ -131,35 +129,36 @@ class ValueLabeling:
 class CondensedSet:
     """The active knowledge encoding for one stage.
 
-    member_ids lists the kept sample ids; members tagged AUGMENTED carry a
-    replacement soft label in aug_probs, members tagged HIGH distill against
-    the store's original teacher probs.
+    member_ids lists the kept sample ids. aug_ids, a subset of the members,
+    lists the borderline samples whose soft labels were blended, and row j of
+    the len(aug_ids) x C matrix aug_probs is the blended label of aug_ids[j].
+    Every other member distills against the store's original teacher probs.
     """
 
     member_ids: np.ndarray
-    aug_probs: dict[int, np.ndarray] = field(default_factory=dict)
-    provenance: np.ndarray = None
+    aug_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    # one column broadcasts to any class count when no row is blended
+    aug_probs: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
 
     def __post_init__(self):
         self.member_ids = np.asarray(self.member_ids, dtype=np.int64)
-        if self.provenance is None:
-            self.provenance = np.array(
-                [PROV_AUGMENTED if int(i) in self.aug_probs else PROV_HIGH for i in self.member_ids],
-                dtype="<U9",
-            )
-        self.provenance = np.asarray(self.provenance, dtype="<U9")
-        if self.provenance.size != self.member_ids.size:
-            raise ValueError("provenance length does not match member_ids")
+        self.aug_ids = np.asarray(self.aug_ids, dtype=np.int64)
+        self.aug_probs = np.asarray(self.aug_probs, dtype=np.float64)
         if np.unique(self.member_ids).size != self.member_ids.size:
             raise ValueError("condensed set has duplicate member ids")
-        valid = {PROV_HIGH, PROV_AUGMENTED}
-        if not set(self.provenance.tolist()) <= valid:
-            raise ValueError(f"provenance tags must be in {valid}")
-        tagged_aug = {int(i) for i, tag in zip(self.member_ids, self.provenance) if tag == PROV_AUGMENTED}
-        if tagged_aug != set(self.aug_probs):
-            raise ValueError("aug_probs keys do not match AUGMENTED members")
-        for sid, row in self.aug_probs.items():
-            check_simplex(row, context=f"aug_probs for sample {sid}")
+        if self.aug_probs.ndim != 2 or self.aug_probs.shape[0] != self.aug_ids.size:
+            raise ValueError(
+                f"aug_probs of shape {self.aug_probs.shape} needs one row per "
+                f"aug id ({self.aug_ids.size})"
+            )
+        outside = np.flatnonzero(~np.isin(self.aug_ids, self.member_ids))
+        if outside.size:
+            raise ValueError(f"aug id {self.aug_ids[outside[0]]} is not a member")
+        if np.unique(self.aug_ids).size != self.aug_ids.size:
+            raise ValueError("condensed set has duplicate aug ids")
+        j = _first_off_simplex(self.aug_probs)
+        if j >= 0:
+            check_simplex(self.aug_probs[j], context=f"aug_probs for sample {self.aug_ids[j]}")
 
     @property
     def size(self) -> int:
@@ -173,26 +172,30 @@ class KnowledgeStore:
                  hard_labels: np.ndarray | None = None):
         features = np.array(features, dtype=np.float64)
         teacher_probs = np.array(teacher_probs, dtype=np.float64)
+        if features.size == 0:
+            raise ValueError("empty knowledge set")
         if features.ndim != 2:
             raise ValueError("features must be a 2-d array (N x D)")
         if teacher_probs.ndim != 2:
             raise ValueError("teacher_probs must be a 2-d array (N x C)")
-        if features.shape[0] == 0:
-            raise ValueError("empty knowledge set")
         if features.shape[0] != teacher_probs.shape[0]:
             raise ValueError(
                 f"dataset and teacher_probs lengths differ: "
                 f"{features.shape[0]} vs {teacher_probs.shape[0]}"
             )
-        for i in range(teacher_probs.shape[0]):
-            try:
-                check_simplex(teacher_probs[i], context="teacher_probs")
-            except ValueError as exc:
-                raise ValueError(f"sample {i}: {exc}") from None
+        i = _first_off_simplex(teacher_probs)
+        if i >= 0:
+            check_simplex(teacher_probs[i], context=f"sample {i}: teacher_probs")
         if hard_labels is not None:
             hard_labels = np.array(hard_labels, dtype=np.int64)
             if hard_labels.shape != (features.shape[0],):
                 raise ValueError("hard_labels length does not match features")
+            classes = teacher_probs.shape[1]
+            bad = np.flatnonzero((hard_labels < 0) | (hard_labels >= classes))
+            if bad.size:
+                raise ValueError(
+                    f"sample {bad[0]}: hard label {hard_labels[bad[0]]} is outside [0, {classes})"
+                )
         features.setflags(write=False)
         teacher_probs.setflags(write=False)
         if hard_labels is not None:
@@ -220,15 +223,6 @@ class KnowledgeStore:
     def num_classes(self) -> int:
         return int(self.teacher_probs.shape[1])
 
-    def point(self, sample_id: int) -> KnowledgePoint:
-        i = int(sample_id)
-        hard = None if self.hard_labels is None else int(self.hard_labels[i])
-        return KnowledgePoint(i, self.features[i], self.teacher_probs[i], hard)
-
-    def record(self, sample_id: int) -> ValueRecord:
-        i = int(sample_id)
-        return ValueRecord(value=float(self.values[i]), frequency=int(self.frequencies[i]))
-
     def reset_value_state(self) -> None:
         """Forget all observations; every sample returns to the unobserved state."""
         self.values.fill(np.nan)
@@ -237,30 +231,18 @@ class KnowledgeStore:
 
 
 def build_store(dataset, teacher_probs, hard_labels=None) -> KnowledgeStore:
-    """Materialize the knowledge set from features and cached teacher outputs.
-
-    dataset may be an (N, D) array or a list of (features, hard_label) pairs;
-    in the latter case hard labels are taken from the pairs.
-    """
-    if isinstance(dataset, (list, tuple)) and dataset and isinstance(dataset[0], (list, tuple)) \
-            and len(dataset[0]) == 2 and np.ndim(dataset[0][0]) == 1:
-        features = np.array([np.asarray(f, dtype=np.float64) for f, _ in dataset])
-        hard_labels = np.array([lab for _, lab in dataset], dtype=np.int64)
-    else:
-        features = np.asarray(dataset, dtype=np.float64)
-    if features.size == 0:
-        raise ValueError("empty knowledge set")
-    return KnowledgeStore(features, np.asarray(teacher_probs, dtype=np.float64), hard_labels)
+    """Materialize the knowledge set from (N, D) features and cached teacher outputs."""
+    return KnowledgeStore(dataset, teacher_probs, hard_labels)
 
 
 def export_labels(labeling: ValueLabeling) -> bytes:
     """Serialize a labeling to bytes: header (magic, version, N) then one
     (sample_id, rank, label) record per sample in sample-id order."""
-    out = bytearray()
-    out += _LABEL_HEADER.pack(LABEL_MAGIC, LABEL_VERSION, labeling.n)
-    for i in range(labeling.n):
-        out += _LABEL_RECORD.pack(i, int(labeling.ranks[i]), int(labeling.labels[i]))
-    return bytes(out)
+    records = np.empty(labeling.n, dtype=_LABEL_RECORD)
+    records["sample_id"] = np.arange(labeling.n)
+    records["rank"] = labeling.ranks
+    records["label"] = labeling.labels
+    return _LABEL_HEADER.pack(LABEL_MAGIC, LABEL_VERSION, labeling.n) + records.tobytes()
 
 
 def import_labels(stream: bytes) -> ValueLabeling:
@@ -275,27 +257,26 @@ def import_labels(stream: bytes) -> ValueLabeling:
         raise LabelStreamError(f"bad magic {magic!r}", 0)
     if version != LABEL_VERSION:
         raise LabelStreamError(f"unsupported version {version}", 4)
-    expected = _LABEL_HEADER.size + n * _LABEL_RECORD.size
+    expected = _LABEL_HEADER.size + n * _LABEL_RECORD.itemsize
     if len(data) != expected:
         raise LabelStreamError(
             f"stream length {len(data)} does not match header (expected {expected})",
             min(len(data), expected),
         )
-    ranks = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.uint8)
-    offset = _LABEL_HEADER.size
-    for i in range(n):
-        sid, rank, label = _LABEL_RECORD.unpack_from(data, offset)
-        if sid != i:
-            raise LabelStreamError(f"record {i} has out-of-order sample_id {sid}", offset)
-        if label > 1:
-            raise LabelStreamError(f"record {i} has non-binary label {label}", offset)
-        ranks[i] = rank
-        labels[i] = label
-        offset += _LABEL_RECORD.size
+    records = np.frombuffer(data, dtype=_LABEL_RECORD, count=n, offset=_LABEL_HEADER.size)
+    sids, labels = records["sample_id"], records["label"]
+    out_of_order = sids != np.arange(n)
+    bad = np.flatnonzero(out_of_order | (labels > 1))
+    if bad.size:
+        i = int(bad[0])
+        offset = _LABEL_HEADER.size + i * _LABEL_RECORD.itemsize
+        if out_of_order[i]:
+            raise LabelStreamError(f"record {i} has out-of-order sample_id {sids[i]}", offset)
+        raise LabelStreamError(f"record {i} has non-binary label {labels[i]}", offset)
+    ranks = records["rank"].astype(np.int64)
     probs = 1.0 - ranks / float(n)
     try:
-        return ValueLabeling(ranks=ranks, probs=probs, labels=labels)
+        return ValueLabeling(ranks=ranks, probs=probs, labels=labels.copy())
     except ValueError as exc:
         raise LabelStreamError(f"invalid labeling content: {exc}", _LABEL_HEADER.size) from None
 

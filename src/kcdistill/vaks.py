@@ -6,7 +6,9 @@ match the discarded set (clamped when the discarded set is larger). Each
 borderline soft label is blended with the soft label of its rank-aligned
 discarded partner under a linearly growing blend ratio, so the borderline
 samples nearest the cut absorb the most outside knowledge. The condensed set
-is the safe slice plus the blended slice.
+is the safe slice plus the blended slice: its members are both slices, its
+aug_ids the blended slice and its aug_probs the blended matrix, one row per
+borderline sample.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knowledge import (
-    PROV_AUGMENTED,
-    PROV_HIGH,
-    CondensedSet,
-    KnowledgeStore,
-    ValueLabeling,
-)
+from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling
 
 
 @dataclass(frozen=True)
@@ -67,13 +63,13 @@ def epsilon_schedule(n: int, eps_m: float) -> np.ndarray:
     return np.linspace(eps_m / n, eps_m, n)
 
 
-def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> list[tuple[int, np.ndarray]]:
+def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
     """Blend each borderline soft label with its rank-aligned discarded partner.
 
     The j-th borderline sample (descending by score) pairs with the j-th
-    discarded sample (descending by score) and blend ratio schedule[j]; the
-    result (p_a + eps * p_b) / (1 + eps) stays on the probability simplex.
-    The store itself is never touched.
+    discarded sample (descending by score) and blend ratio schedule[j]; row j
+    of the returned len(k1l_ids) x C matrix, (p_a + eps * p_b) / (1 + eps),
+    stays on the probability simplex. The store itself is never touched.
     """
     k1l = np.asarray(k1l_ids, dtype=np.int64)
     k0 = np.asarray(k0_ids, dtype=np.int64)
@@ -82,33 +78,16 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> list[tuple[int,
         raise ValueError(
             f"augment inputs must be equal length, got {k1l.size}, {k0.size}, {eps.size}"
         )
-    if k1l.size == 0:
-        return []
     p_a = store.teacher_probs[k1l]
     p_b = store.teacher_probs[k0]
-    blended = (p_a + eps[:, None] * p_b) / (1.0 + eps)[:, None]
-    return [(int(sid), blended[j].copy()) for j, sid in enumerate(k1l)]
+    return (p_a + eps[:, None] * p_b) / (1.0 + eps)[:, None]
 
 
-def summarize(part: Partition, augmented: list[tuple[int, np.ndarray]]) -> CondensedSet:
-    """Union of the safe slice (original soft labels) and the blended slice."""
-    aug_ids = np.array([sid for sid, _ in augmented], dtype=np.int64)
-    if np.intersect1d(part.k1h_ids, aug_ids).size:
-        raise ValueError("augmented members overlap the kept-high slice")
-    member_ids = np.concatenate([part.k1h_ids, aug_ids])
-    provenance = np.array(
-        [PROV_HIGH] * part.k1h_ids.size + [PROV_AUGMENTED] * aug_ids.size, dtype="<U9"
-    )
-    condensed = CondensedSet(
-        member_ids=member_ids,
-        aug_probs={sid: row for sid, row in augmented},
-        provenance=provenance,
-    )
-    if condensed.size != part.k1_size:
-        raise ValueError(
-            f"condensed size {condensed.size} does not equal kept size {part.k1_size}"
-        )
-    return condensed
+def summarize(part: Partition, blended: np.ndarray) -> CondensedSet:
+    """Union of the safe slice (original soft labels) and the borderline slice,
+    whose row j of blended replaces the soft label of part.k1l_ids[j]."""
+    return CondensedSet(member_ids=np.concatenate([part.k1h_ids, part.k1l_ids]),
+                        aug_ids=part.k1l_ids, aug_probs=blended)
 
 
 def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
@@ -124,13 +103,14 @@ def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
         schedule = np.full(n_low, float(eps_m))
     else:
         schedule = epsilon_schedule(n_low, eps_m)
-    augmented = augment(part.k1l_ids, part.k0_ids[:n_low], schedule, store)
-    return summarize(part, augmented)
+    condensed = summarize(part, augment(part.k1l_ids, part.k0_ids[:n_low], schedule, store))
+    kept = int(np.count_nonzero(labeling.labels))
+    if condensed.size != kept:
+        raise ValueError(f"condensed size {condensed.size} does not equal kept size {kept}")
+    return condensed
 
 
 def direct_selection(labeling: ValueLabeling) -> CondensedSet:
     """Kept samples only, original soft labels, no blending."""
     order = np.argsort(labeling.ranks)
-    k1 = order[labeling.labels[order] == 1]
-    return CondensedSet(member_ids=k1.astype(np.int64), aug_probs={},
-                        provenance=np.array([PROV_HIGH] * k1.size, dtype="<U9"))
+    return CondensedSet(member_ids=order[labeling.labels[order] == 1])

@@ -185,8 +185,8 @@ def test_criterion_5_summary_property_suite():
     store = build_store(np.zeros((2 * pairs, 1)), np.concatenate([left, right]))
     eps = rng.uniform(0.0, 1.0, size=pairs)
     blended = augment(np.arange(pairs), np.arange(pairs, 2 * pairs), eps, store)
-    assert len(blended) == pairs
-    for _, row in blended:
+    assert blended.shape == (pairs, 6)
+    for row in blended:
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) <= 1e-9
 

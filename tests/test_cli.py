@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kcdistill.cli import main
+from kcdistill.cli import _run_dir, main
 from kcdistill.data import load_split_dir
 from kcdistill.emdriver import RunRecord
 from kcdistill.knowledge import load_labels
@@ -100,6 +100,17 @@ class TestDistill:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_teacher_probs_class_count_mismatch(self, workdir, tmp_path, capsys):
+        probs = np.load(workdir / "teacher_probs.npy")
+        wide = tmp_path / "wide.npy"
+        np.save(wide, np.hstack([probs, np.zeros((probs.shape[0], 1))]))
+        code = main(["distill", "--data", str(workdir / "data"), "--teacher-probs", str(wide),
+                     "--out-record", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{wide} have shape (48, 4)" in err
+        assert f"{workdir / 'data'} has 3 classes" in err
+
     def test_method_alias_random(self, workdir, tmp_path):
         out = tmp_path / "rand.json"
         main(distill_args(workdir, out, ["--method", "random", "--seed", "7"]))
@@ -142,6 +153,13 @@ class TestDistill:
         records = list((tmp_path / "envruns").glob("*/record.json"))
         assert len(records) == 1
 
+    def test_run_dir_is_fresh_per_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KCDISTILL_OUT_DIR", str(tmp_path))
+        first, second = _run_dir("kcd-s0"), _run_dir("kcd-s0")
+        assert first != second
+        assert first.is_dir() and second.is_dir()
+        assert first.parent == second.parent == tmp_path
+
 
 class TestReuseAndSweep:
     def test_export_then_reuse(self, workdir, tmp_path):
@@ -174,6 +192,14 @@ class TestReuseAndSweep:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
         assert lines[0].startswith("rho,seed,method")
+
+    def test_sweep_rejects_unknown_method_before_running(self, workdir, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--methods", "kcd,kcdd", "--data", str(workdir / "data"),
+                     "--teacher-probs", str(workdir / "teacher_probs.npy"), "--out", str(out)])
+        assert code == 1
+        assert "unknown --methods ['kcdd']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

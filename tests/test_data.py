@@ -84,6 +84,13 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 2.*non-numeric"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_carries_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n\n3.0,{cell},1\n{cell},1.0,0\n")
+        with pytest.raises(DataFormatError, match="line 4: non-finite feature cell"):
+            load_csv(path)
+
     def test_non_integer_label(self, tmp_path):
         path = tmp_path / "badlabel.csv"
         path.write_text("f0,label\n1.0,zebra\n")

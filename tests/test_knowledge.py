@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -27,18 +29,6 @@ def test_build_store_basic():
     assert store.num_classes == 2
     assert np.all(store.frequencies == 0)
     assert np.all(np.isnan(store.values))
-    point = store.point(1)
-    assert point.sample_id == 1
-    assert point.hard_label == 1
-
-
-def test_build_store_accepts_pair_list():
-    dataset = [(np.array([0.0, 1.0]), 0), (np.array([2.0, 3.0]), 1)]
-    probs = [[0.7, 0.3], [0.1, 0.9]]
-    store = build_store(dataset, probs)
-    assert store.n == 2
-    assert store.hard_labels is not None
-    assert store.hard_labels[1] == 1
 
 
 def test_build_store_rejects_bad_simplex():
@@ -52,6 +42,21 @@ def test_build_store_rejects_negative_entry():
     probs = np.array([[1.2, -0.2]])
     with pytest.raises(ValueError, match="not a probability simplex"):
         build_store(np.zeros((1, 2)), probs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_store_names_first_non_finite_row(bad):
+    probs = np.full((4, 2), 0.5)
+    probs[2, 0] = bad
+    probs[3, 0] = 0.9
+    with pytest.raises(ValueError, match="sample 2: teacher_probs .*non-finite entry"):
+        build_store(np.zeros((4, 3)), probs)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_build_store_rejects_hard_label_out_of_range(label):
+    with pytest.raises(ValueError, match=f"sample 1: hard label {label} is outside \\[0, 2\\)"):
+        build_store(np.zeros((3, 4)), np.full((3, 2), 0.5), [0, label, 1])
 
 
 def test_build_store_rejects_empty():
@@ -143,6 +148,40 @@ class TestLabelSerialization:
         with pytest.raises(LabelStreamError, match="unsupported version"):
             import_labels(bytes(blob))
 
+    def test_bytes_match_struct_layout(self):
+        labeling = make_labeling(n=7, kept=3, seed=2)
+        expected = struct.pack("<4sIQ", b"KCL1", 1, 7) + b"".join(
+            struct.pack("<IIB", i, int(labeling.ranks[i]), int(labeling.labels[i]))
+            for i in range(7))
+        assert export_labels(labeling) == expected
+
+    @pytest.mark.parametrize("record", [0, 3, 5])
+    def test_out_of_order_sample_id(self, record):
+        blob = bytearray(export_labels(make_labeling()))
+        start = 16 + 9 * record
+        blob[start:start + 4] = (7).to_bytes(4, "little")
+        with pytest.raises(LabelStreamError,
+                           match=f"record {record} has out-of-order sample_id 7 "
+                                 f"\\(byte offset {start}\\)"):
+            import_labels(bytes(blob))
+
+    @pytest.mark.parametrize("record", [0, 3, 5])
+    def test_non_binary_label(self, record):
+        blob = bytearray(export_labels(make_labeling()))
+        start = 16 + 9 * record
+        blob[start + 8] = 2
+        with pytest.raises(LabelStreamError,
+                           match=f"record {record} has non-binary label 2 "
+                                 f"\\(byte offset {start}\\)"):
+            import_labels(bytes(blob))
+
+    def test_first_faulty_record_is_reported(self):
+        blob = bytearray(export_labels(make_labeling()))
+        blob[16 + 9 * 4:16 + 9 * 4 + 4] = (0).to_bytes(4, "little")
+        blob[16 + 9 * 2 + 8] = 3
+        with pytest.raises(LabelStreamError, match="record 2 has non-binary label 3"):
+            import_labels(bytes(blob))
+
     def test_corrupt_rank_content(self):
         labeling = make_labeling()
         blob = bytearray(export_labels(labeling))
@@ -159,8 +198,30 @@ class TestCondensedSet:
 
     def test_rejects_bad_aug_simplex(self):
         with pytest.raises(ValueError, match="simplex"):
-            CondensedSet(member_ids=[0], aug_probs={0: np.array([0.7, 0.7])})
+            CondensedSet(member_ids=[0], aug_ids=[0], aug_probs=[[0.7, 0.7]])
+
+    def test_names_first_off_simplex_row(self):
+        rows = [[0.5, 0.5], [0.6, 0.6], [0.9, 0.9]]
+        with pytest.raises(ValueError,
+                           match="aug_probs for sample 4 is not a probability simplex"):
+            CondensedSet(member_ids=[2, 4, 6], aug_ids=[2, 4, 6], aug_probs=rows)
+
+    def test_rejects_non_member_aug_id(self):
+        with pytest.raises(ValueError, match="aug id 9 is not a member"):
+            CondensedSet(member_ids=[3, 5], aug_ids=[5, 9], aug_probs=np.full((2, 2), 0.5))
+
+    def test_rejects_duplicate_aug_ids(self):
+        with pytest.raises(ValueError, match="duplicate aug ids"):
+            CondensedSet(member_ids=[3, 5], aug_ids=[5, 5], aug_probs=np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rejects_aug_row_count_mismatch(self, rows):
+        with pytest.raises(ValueError, match="one row per aug id"):
+            CondensedSet(member_ids=[3, 5], aug_ids=[3, 5], aug_probs=np.full((rows, 2), 0.5))
 
     def test_provenance_derived_from_aug(self):
-        cs = CondensedSet(member_ids=[3, 5], aug_probs={5: np.array([0.5, 0.5])})
-        assert list(cs.provenance) == ["HIGH", "AUGMENTED"]
+        cs = CondensedSet(member_ids=[3, 5], aug_ids=[5], aug_probs=[[0.5, 0.5]])
+        assert cs.size == 2
+        assert list(np.setdiff1d(cs.member_ids, cs.aug_ids)) == [3]
+        assert list(cs.aug_ids) == [5]
+        assert cs.aug_probs.shape == (1, 2)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kcdistill import vaks
 from kcdistill.knowledge import build_store
 from kcdistill.ogve import labeling_from_ranks
 from kcdistill.vaks import (
+    Partition,
     augment,
     condense,
     direct_selection,
@@ -106,24 +108,23 @@ class TestAugment:
         store = build_store(np.zeros((2, 2)),
                             np.array([[1.0, 0.0], [0.0, 1.0]]))
         out = augment([0], [1], [0.3], store)
-        assert out[0][0] == 0
+        assert out.shape == (1, 2)
         oracle = (np.array([1.0, 0.0]) + 0.3 * np.array([0.0, 1.0])) / 1.3
         np.testing.assert_allclose(oracle, [0.769231, 0.230769], atol=1e-6)
-        np.testing.assert_allclose(out[0][1], oracle, rtol=1e-12)
+        np.testing.assert_allclose(out[0], oracle, rtol=1e-12)
 
     def test_zero_blend_is_identity(self):
         store, labeling = labeled_store(8, 0.5, seed=6)
         part = partition(labeling)
         out = augment(part.k1l_ids, part.k0_ids[:part.k1l_ids.size],
                       np.zeros(part.k1l_ids.size), store)
-        for sid, row in out:
-            np.testing.assert_array_equal(row, store.teacher_probs[sid])
+        np.testing.assert_array_equal(out, store.teacher_probs[part.k1l_ids])
 
     def test_uniform_is_fixed_point(self):
         store = build_store(np.zeros((2, 3)), np.full((2, 3), 1 / 3))
         for eps in (0.0, 0.3, 1.0):
             out = augment([0], [1], [eps], store)
-            np.testing.assert_allclose(out[0][1], 1 / 3, rtol=1e-12)
+            np.testing.assert_allclose(out[0], 1 / 3, rtol=1e-12)
 
     def test_rejects_length_mismatch(self):
         store, _ = labeled_store(4, 0.5)
@@ -144,7 +145,7 @@ class TestAugment:
             p_b = rng.dirichlet(np.ones(c))
             eps = float(rng.uniform(0.0, 1.0))
             store = build_store(np.zeros((2, 2)), np.stack([p_a, p_b]))
-            _, blended = augment([0], [1], [eps], store)[0]
+            blended = augment([0], [1], [eps], store)[0]
             assert np.all(blended >= 0.0)
             assert abs(blended.sum() - 1.0) <= 1e-9
 
@@ -158,7 +159,7 @@ class TestAugment:
             eps_grid = np.sort(rng.uniform(0.0, 1.0, size=5))
             tv = []
             for eps in eps_grid:
-                _, blended = augment([0], [1], [float(eps)], store)[0]
+                blended = augment([0], [1], [float(eps)], store)[0]
                 tv.append(0.5 * np.abs(blended - p_a).sum())
             assert np.all(np.diff(tv) >= -1e-12)
 
@@ -168,29 +169,40 @@ class TestSummarize:
         store, labeling = labeled_store(10, 0.7, seed=10)
         condensed = condense(labeling, store, 0.3)
         assert condensed.size == 7
-        assert int(np.sum(condensed.provenance == "HIGH")) == 4
-        assert int(np.sum(condensed.provenance == "AUGMENTED")) == 3
+        assert condensed.size - condensed.aug_ids.size == 4
+        assert condensed.aug_ids.size == 3
+        assert condensed.aug_probs.shape == (3, 4)
+        assert np.isin(condensed.aug_ids, condensed.member_ids).all()
 
     def test_empty_borderline_keeps_originals(self):
         store, labeling = labeled_store(10, 1.0)
         condensed = condense(labeling, store, 0.3)
         assert condensed.size == 10
-        assert not condensed.aug_probs
+        assert condensed.aug_ids.size == 0
+        assert condensed.aug_probs.shape[0] == 0
 
     def test_clamped_case_all_augmented(self):
         store, labeling = labeled_store(10, 0.4, seed=11)
         condensed = condense(labeling, store, 0.3)
         assert condensed.size == 4
-        assert np.all(condensed.provenance == "AUGMENTED")
+        assert np.array_equal(np.sort(condensed.aug_ids), np.sort(condensed.member_ids))
 
     def test_overlap_rejected(self):
         store, labeling = labeled_store(10, 0.7, seed=12)
         part = partition(labeling)
         sched = epsilon_schedule(part.k1l_ids.size, 0.3)
-        augmented = augment(part.k1l_ids, part.k0_ids[:part.k1l_ids.size], sched, store)
-        bad = [(int(part.k1h_ids[0]), augmented[0][1])] + augmented[1:]
-        with pytest.raises(ValueError, match="overlap"):
-            summarize(part, bad)
+        blended = augment(part.k1l_ids, part.k0_ids[:part.k1l_ids.size], sched, store)
+        bad = Partition(part.k1h_ids, np.r_[part.k1h_ids[0], part.k1l_ids[1:]], part.k0_ids)
+        with pytest.raises(ValueError, match="duplicate member ids"):
+            summarize(bad, blended)
+
+    def test_condense_checks_size_against_kept_count(self, monkeypatch):
+        store, labeling = labeled_store(10, 0.7, seed=12)
+        part = partition(labeling)
+        short = Partition(part.k1h_ids[1:], part.k1l_ids, part.k0_ids)
+        monkeypatch.setattr(vaks, "partition", lambda _: short)
+        with pytest.raises(ValueError, match="condensed size 6 does not equal kept size 7"):
+            condense(labeling, store, 0.3)
 
     def test_size_equals_kept_count_across_grid(self):
         rng = np.random.default_rng(13)
@@ -206,24 +218,24 @@ class TestSummarize:
         a = condense(labeling, store, 0.3)
         b = condense(labeling, store, 0.3)
         assert np.array_equal(a.member_ids, b.member_ids)
-        assert np.array_equal(a.provenance, b.provenance)
-        for sid in a.aug_probs:
-            assert np.array_equal(a.aug_probs[sid], b.aug_probs[sid])
+        assert np.array_equal(a.aug_ids, b.aug_ids)
+        assert np.array_equal(a.aug_probs, b.aug_probs)
 
     def test_constant_eps_variant(self):
         store, labeling = labeled_store(10, 0.7, seed=15)
         part = partition(labeling)
         condensed = condense(labeling, store, 0.3, constant_eps=True)
-        for sid in part.k1l_ids:
-            paired = part.k0_ids[list(part.k1l_ids).index(sid)]
+        assert np.array_equal(condensed.aug_ids, part.k1l_ids)
+        for j, sid in enumerate(part.k1l_ids):
+            paired = part.k0_ids[j]
             oracle = (store.teacher_probs[sid] + 0.3 * store.teacher_probs[paired]) / 1.3
-            np.testing.assert_allclose(condensed.aug_probs[int(sid)], oracle, rtol=1e-12)
+            np.testing.assert_allclose(condensed.aug_probs[j], oracle, rtol=1e-12)
 
     def test_direct_selection_keeps_originals(self):
         _, labeling = labeled_store(10, 0.7, seed=16)
         condensed = direct_selection(labeling)
         assert condensed.size == 7
-        assert not condensed.aug_probs
-        assert np.all(condensed.provenance == "HIGH")
+        assert condensed.aug_ids.size == 0
+        assert condensed.aug_probs.shape[0] == 0
         kept_ranks = labeling.ranks[condensed.member_ids]
         assert np.all(np.diff(kept_ranks) > 0)
