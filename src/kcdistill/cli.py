@@ -213,11 +213,15 @@ def cmd_report(args) -> int:
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
     records = []
+    skipped = 0
     for p in paths:
         try:
             records.append((p, emdriver.RunRecord.load(p)))
-        except (KeyError, TypeError, ValueError):
-            continue  # not a run record
+        except (KeyError, TypeError, ValueError) as exc:
+            skipped += 1
+            print(f"skipped {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if skipped:
+        print(f"skipped {skipped} files", file=sys.stderr)
     if not records:
         raise ValueError(f"no run records found under {records_dir}")
     lines = ["record,method,rho,seed,final_accuracy,relative_cost,"

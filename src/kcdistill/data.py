@@ -36,6 +36,9 @@ class Dataset:
         self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValueError("features must be N x D with one label per row")
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}: non-finite feature value")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise ValueError("labels must lie in [0, class_count)")
         if np.intersect1d(self.train_indices, self.test_indices).size:

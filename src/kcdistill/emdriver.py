@@ -265,9 +265,17 @@ def _labels_digest(labels: np.ndarray) -> str:
 def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state,
                  stage: int, epoch: int) -> float:
     """One epoch over the active set: shuffle sorted ids, step per batch,
-    record each trained sample's prediction entropy."""
+    record each trained sample's prediction entropy.
+
+    The entropies are folded into the value state once, after the last
+    batch. That gives the same values as folding after every batch: an id
+    occurs at most once per epoch, so each sample's running-mean update sees
+    the same prior state either way, and values are read only at stage
+    boundaries, never inside an epoch.
+    """
     ids = np.sort(np.asarray(active_ids, dtype=np.int64))
     order = ids[rng.permutation(ids.size)]
+    entropies = np.empty(order.size)
     total = 0.0
     hard_all = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
     for start in range(0, order.size, tcfg.batch_size):
@@ -283,14 +291,18 @@ def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state,
             nn.sgd_step(model, gw, gb, state, lr, tcfg)
         except FloatingPointError as exc:
             raise DistillationError(f"stage {stage}, epoch {epoch}: {exc}") from None
-        ogve.observe_batch(store, batch, ogve.entropy_rows(probs_1))
+        entropies[start:start + batch.size] = ogve.entropy_rows(probs_1)
         total += loss * batch.size
+    ogve.observe_batch(store, order, entropies)
     return total / order.size
 
 
 def _stage_targets(store: KnowledgeStore, condensed) -> np.ndarray:
     """Per-sample distillation targets for a stage: original teacher probs
-    with augmented rows replaced."""
+    with augmented rows replaced. With nothing blended this is the store's
+    own read-only matrix, not a copy."""
+    if condensed.aug_ids.size == 0:
+        return store.teacher_probs
     targets = store.teacher_probs.copy()
     targets[condensed.aug_ids] = condensed.aug_probs
     return targets

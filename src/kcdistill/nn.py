@@ -3,6 +3,13 @@
 Teacher and student are plain MLPs (ReLU hidden layers, linear output). The
 distillation loss is the batch-mean cross-entropy between target soft labels
 and the student's softmax output, with an optional hard-label term.
+
+A model's parameters live in one contiguous float64 vector, all weight
+matrices first and then all biases, and ``weights[i]``/``biases[i]`` are
+reshaped views into it. That lets one SGD step update every layer with a few
+whole-vector operations. Write through the views (``w[...] = ...``,
+``w -= ...``); rebinding ``weights[i]`` to a new array detaches it from the
+vector and the optimizer would no longer see it.
 """
 
 from __future__ import annotations
@@ -66,9 +73,32 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class MlpModel:
+    """Dense ReLU network whose parameters live in one flat vector.
+
+    ``params`` holds every weight matrix (row-major, layer order) and then
+    every bias; ``n_weight`` is the length of the weight part. The matrices
+    passed in are copied into ``params`` and ``weights``/``biases`` are
+    replaced by views of it, so in-place writes such as
+    ``model.weights[0][:] = 0`` change the model. Never rebind
+    ``weights[i]`` or ``biases[i]``: the new array would not be trained.
+    """
+
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray] = field(default_factory=list)
     biases: list[np.ndarray] = field(default_factory=list)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    n_weight: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
+        self.params = np.concatenate(arrays, axis=None) if arrays else np.empty(0)
+        self.n_weight = int(sum(w.size for w in arrays[:len(self.weights)]))
+        views, offset = [], 0
+        for a in arrays:
+            views.append(self.params[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
+        self.weights = views[:len(self.weights)]
+        self.biases = views[len(self.weights):]
 
     @property
     def num_classes(self) -> int:
@@ -79,13 +109,13 @@ class MlpModel:
         return int(self.layer_dims[0])
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_dims=tuple(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        # __post_init__ copies the arrays into a fresh parameter vector
+        return MlpModel(layer_dims=tuple(self.layer_dims),
+                        weights=list(self.weights), biases=list(self.biases))
 
     def param_bytes(self) -> bytes:
+        """Parameters as little-endian float64, weight then bias per layer
+        (the checkpoint layout, also hashed into a run's param_digest)."""
         chunks = []
         for w, b in zip(self.weights, self.biases):
             chunks.append(w.astype("<f8").tobytes())
@@ -122,9 +152,9 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
     z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def kd_loss(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
@@ -132,10 +162,15 @@ def kd_loss(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     at 1e-12 before the log."""
     t = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
     s = np.atleast_2d(np.asarray(student_probs, dtype=np.float64))
+    return _kd_loss(t, s)
+
+
+def _kd_loss(t: np.ndarray, s: np.ndarray) -> float:
+    """kd_loss on 2-d float64 arrays; np.add.reduce(x) / n is bitwise np.mean."""
     if t.shape != s.shape:
         raise ValueError(f"shape mismatch: {t.shape} vs {s.shape}")
     log_s = np.log(np.maximum(s, PROB_FLOOR))
-    return float(np.mean(-np.sum(t * log_s, axis=1)))
+    return float(np.add.reduce(-np.add.reduce(t * log_s, axis=1)) / t.shape[0])
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
@@ -163,7 +198,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
 
     probs_t = softmax(logits, temperature)
     probs_1 = probs_t if temperature == 1.0 else softmax(logits, 1.0)
-    loss = kd_loss(targets, probs_t)
+    loss = _kd_loss(targets, probs_t)
     dlogits = (probs_t - targets) / (temperature * batch)
     if hard_label_weight > 0.0:
         if hard_labels is None:
@@ -179,41 +214,49 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     grads_b = [None] * len(model.biases)
     delta = dlogits
     grads_w[-1] = acts[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
+    grads_b[-1] = np.add.reduce(delta, axis=0)
     for layer in range(len(model.weights) - 2, -1, -1):
         delta = (delta @ model.weights[layer + 1].T) * (pre[layer] > 0.0)
         grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        grads_b[layer] = np.add.reduce(delta, axis=0)
     return loss, grads_w, grads_b, probs_1
 
 
 @dataclass
 class SgdState:
-    vel_w: list[np.ndarray]
-    vel_b: list[np.ndarray]
+    """Momentum buffer laid out like MlpModel.params."""
+
+    vel: np.ndarray
 
     @classmethod
     def zeros_like(cls, model: MlpModel) -> "SgdState":
-        return cls(
-            vel_w=[np.zeros_like(w) for w in model.weights],
-            vel_b=[np.zeros_like(b) for b in model.biases],
-        )
+        return cls(vel=np.zeros_like(model.params))
 
 
 def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float,
              cfg: TrainConfig) -> None:
-    """Momentum SGD update with decoupled-from-loss weight decay on weights."""
-    for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise FloatingPointError(
-                f"non-finite gradient in layer {i} "
-                f"(|grad| max {np.max(np.abs(gw[np.isfinite(gw)])) if np.any(np.isfinite(gw)) else 'n/a'})"
-            )
-        g = gw + cfg.weight_decay * model.weights[i]
-        state.vel_w[i] = cfg.momentum * state.vel_w[i] + g
-        model.weights[i] -= lr * state.vel_w[i]
-        state.vel_b[i] = cfg.momentum * state.vel_b[i] + gb
-        model.biases[i] -= lr * state.vel_b[i]
+    """Momentum SGD update with decoupled-from-loss weight decay on weights.
+
+    Per element this is the per-layer rule vel = momentum * vel + (g + wd * w)
+    for weights and vel = momentum * vel + g for biases, then p -= lr * vel,
+    applied to the whole parameter vector at once. A non-finite gradient
+    raises, naming the first bad layer, before any parameter changes.
+    """
+    g = np.concatenate((*grads_w, *grads_b), axis=None)
+    if not np.isfinite(g).all():
+        for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
+            if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+                raise FloatingPointError(
+                    f"non-finite gradient in layer {i} "
+                    f"(|grad| max {np.max(np.abs(gw[np.isfinite(gw)])) if np.any(np.isfinite(gw)) else 'n/a'})"
+                )
+    nw = model.n_weight
+    # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
+    g[:nw] += cfg.weight_decay * model.params[:nw]
+    vel = state.vel
+    vel *= cfg.momentum
+    vel += g
+    model.params -= lr * vel
 
 
 def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
@@ -303,8 +346,8 @@ def load_model(path) -> MlpModel:
         offset += 8 * fan_in * fan_out
         b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
         offset += 8 * fan_out
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
+        weights.append(w)
+        biases.append(b)
     if offset != len(data):
         raise ValueError("model file has trailing bytes")
     return MlpModel(layer_dims=tuple(int(d) for d in dims), weights=weights, biases=biases)

@@ -42,8 +42,9 @@ def prediction_entropy(student_probs) -> float:
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Row-wise prediction entropy of a batch of probability vectors."""
     p = np.asarray(probs, dtype=np.float64)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
+    pos = p > 0.0
+    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
+    return -np.add.reduce(terms, axis=1)
 
 
 def record_value(record: ValueRecord, new_value: float) -> ValueRecord:

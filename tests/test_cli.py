@@ -224,3 +224,22 @@ class TestReport:
         assert main(["report", "--records", str(empty), "--out-csv",
                      str(tmp_path / "o.csv")]) == 1
         assert "no run records" in capsys.readouterr().err
+
+    def test_names_skipped_records(self, workdir, tmp_path, capsys):
+        records_dir = tmp_path / "records"
+        (records_dir / "good").mkdir(parents=True)
+        (records_dir / "bad").mkdir()
+        assert main(distill_args(workdir, records_dir / "good" / "record.json",
+                                 ["--method", "kcd"])) == 0
+        good = (records_dir / "good" / "record.json").read_text()
+        bad_path = records_dir / "bad" / "record.json"
+        bad_path.write_text(good[:len(good) // 2])
+        capsys.readouterr()
+        out = tmp_path / "summary.csv"
+        assert main(["report", "--records", str(records_dir), "--out-csv", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and "good" in lines[1]
+        err = capsys.readouterr().err
+        assert f"skipped {bad_path}" in err
+        assert "skipped 1 files" in err
+

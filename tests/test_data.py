@@ -130,3 +130,12 @@ class TestSplitDir:
         with pytest.raises(ValueError, match="overlap"):
             Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 2,
                     train_indices=[0, 1, 2], test_indices=[2, 3])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_dataset_rejects_non_finite_features(self, value):
+        features = np.zeros((4, 2))
+        features[2, 1] = value
+        features[3, 0] = value
+        with pytest.raises(ValueError, match="row 2: non-finite"):
+            Dataset(features, np.zeros(4, dtype=int), 2,
+                    train_indices=[0, 1], test_indices=[2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kcdistill import emdriver, nn, ogve, vaks
 from kcdistill.emdriver import (
     ALL_METHODS,
     DistillConfig,
@@ -333,3 +334,59 @@ class TestRunRecord:
         assert 0.0 < record.cost.relative_cost <= 1.0
         assert record.cost.absolute_cost == pytest.approx(
             record.cost.realized_relative_cost * store.n * 12, rel=1e-12)
+
+
+class TestTrainEpoch:
+    def test_per_epoch_observe_equals_per_batch_loop(self, small_task):
+        _, store = small_task
+        tcfg = TrainConfig(batch_size=7)
+        active = np.arange(0, store.n, 2)
+        targets = np.asarray(store.teacher_probs)
+
+        def fresh():
+            student = init_student(store.dim, (8,), store.num_classes, 3)
+            return student, nn.SgdState.zeros_like(student), np.random.default_rng(4)
+
+        # reference: the old loop, folding every batch's entropies as it goes
+        store.reset_value_state()
+        student, state, rng = fresh()
+        for _ in range(2):
+            ids = np.sort(active)
+            order = ids[rng.permutation(ids.size)]
+            for start in range(0, order.size, tcfg.batch_size):
+                batch = order[start:start + tcfg.batch_size]
+                _, gw, gb, probs_1 = nn.loss_and_grads(
+                    student, store.features[batch], targets[batch])
+                nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
+                ogve.observe_batch(store, batch, ogve.entropy_rows(probs_1))
+        expected = [a.copy() for a in (store.values, store.last_values, store.frequencies)]
+        expected_params = student.params.copy()
+
+        store.reset_value_state()
+        student, state, rng = fresh()
+        for epoch in (1, 2):
+            emdriver._train_epoch(student, store, active, targets, tcfg, tcfg.lr,
+                                  rng, state, 1, epoch)
+        got = (store.values, store.last_values, store.frequencies)
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+        assert student.params.tobytes() == expected_params.tobytes()
+        store.reset_value_state()
+
+    def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
+        _, store = small_task
+        labeling = ogve.labeling_from_ranks(np.arange(store.n), 0.5)
+        targets = emdriver._stage_targets(store, vaks.direct_selection(labeling))
+        assert targets is store.teacher_probs
+        assert not store.teacher_probs.flags.writeable
+        with pytest.raises(ValueError):
+            targets[0, 0] = 0.5
+
+    def test_blended_stage_targets_copy(self, small_task):
+        _, store = small_task
+        labeling = ogve.labeling_from_ranks(np.arange(store.n), 0.5)
+        condensed = vaks.condense(labeling, store, 0.3)
+        assert condensed.aug_ids.size
+        targets = emdriver._stage_targets(store, condensed)
+        assert targets is not store.teacher_probs
+        np.testing.assert_array_equal(targets[condensed.aug_ids], condensed.aug_probs)

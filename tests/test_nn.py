@@ -243,3 +243,74 @@ class TestTrainConfigValidation:
     def test_desk_default_decay_epochs(self):
         cfg = TrainConfig.desk_default(60)
         assert cfg.lr_decay_epochs == (37, 45, 52)
+
+
+class TestFlatParams:
+    @staticmethod
+    def per_layer_step(weights, biases, vel_w, vel_b, grads_w, grads_b, lr, cfg):
+        """The per-layer momentum rule the flat update must reproduce."""
+        for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
+            vel_w[i] = cfg.momentum * vel_w[i] + (gw + cfg.weight_decay * weights[i])
+            weights[i] = weights[i] - lr * vel_w[i]
+            vel_b[i] = cfg.momentum * vel_b[i] + gb
+            biases[i] = biases[i] - lr * vel_b[i]
+
+    def test_flat_sgd_matches_per_layer_oracle(self):
+        model = init_mlp((5, 7, 6, 3), 17)
+        cfg = TrainConfig(momentum=0.9, weight_decay=5e-3)
+        state = SgdState.zeros_like(model)
+        weights = [w.copy() for w in model.weights]
+        biases = [b.copy() for b in model.biases]
+        vel_w = [np.zeros_like(w) for w in weights]
+        vel_b = [np.zeros_like(b) for b in biases]
+        rng = np.random.default_rng(18)
+        for step in range(6):
+            x = rng.normal(size=(9, 5))
+            t = rng.dirichlet(np.ones(3), size=9)
+            _, gw, gb, _ = loss_and_grads(model, x, t)
+            gb[1][0] = -0.0  # a signed zero must survive on a bias
+            lr = 0.05 if step < 3 else 0.005
+            self.per_layer_step(weights, biases, vel_w, vel_b, gw, gb, lr, cfg)
+            sgd_step(model, gw, gb, state, lr, cfg)
+            for a, b in zip(model.weights + model.biases, weights + biases):
+                assert a.tobytes() == b.tobytes()
+        assert state.vel.tobytes() == np.concatenate(
+            [v.ravel() for v in vel_w + vel_b]).tobytes()
+
+    def test_non_finite_bias_gradient_names_layer_and_leaves_params(self):
+        model = init_mlp((4, 5, 3), 19)
+        state = SgdState.zeros_like(model)
+        before = model.params.copy()
+        gw = [np.ones_like(w) for w in model.weights]
+        gb = [np.ones_like(b) for b in model.biases]
+        gb[1][2] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite gradient in layer 1"):
+            sgd_step(model, gw, gb, state, 0.1, TrainConfig())
+        np.testing.assert_array_equal(model.params, before)
+        assert not state.vel.any()
+
+    def test_layout_is_weights_then_biases(self):
+        model = init_mlp((3, 4, 2), 20)
+        assert model.params.size == 3 * 4 + 4 * 2 + 4 + 2
+        assert model.n_weight == 3 * 4 + 4 * 2
+        expected = np.concatenate([a.ravel() for a in model.weights + model.biases])
+        np.testing.assert_array_equal(model.params, expected)
+
+    def test_view_writes_land_in_params(self):
+        model = init_mlp((3, 4, 2), 21)
+        model.weights[1][2, 1] = 7.5
+        model.biases[0][:] = -1.0
+        assert model.params[3 * 4 + 2 * 2 + 1] == 7.5
+        np.testing.assert_array_equal(model.params[model.n_weight:model.n_weight + 4], -1.0)
+
+    def test_copy_and_checkpoint_are_independent_and_equal(self, tmp_path):
+        model = init_mlp((3, 4, 2), 22)
+        path = tmp_path / "m.bin"
+        save_model(path, model)
+        for twin in (model.copy(), load_model(path)):
+            np.testing.assert_array_equal(twin.params, model.params)
+            assert twin.param_bytes() == model.param_bytes()
+            twin.weights[0][0, 0] += 1.0
+            twin.biases[1][0] += 1.0
+            assert twin.params[0] == model.params[0] + 1.0
+            assert twin.param_bytes() != model.param_bytes()
