@@ -7,6 +7,8 @@ standardized values, so a reload never re-standardizes.
 
 from __future__ import annotations
 
+import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +103,21 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     features = (features - mu) / sigma
     return Dataset(features, labels, classes, train_idx, test_idx)
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write payload to path through a fresh temp file in the same directory
+    and os.replace, so a reader sees the old file or the whole new one. A
+    failed write leaves any earlier file intact and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_csv(path, features: np.ndarray, labels: np.ndarray) -> None:

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn, ogve, vaks
-from .data import Dataset
+from .data import Dataset, write_atomic
 from .evaluation import accuracy
 from .knowledge import KnowledgeStore, ValueLabeling
 from .ogve import OgveConfig
@@ -228,7 +228,7 @@ class RunRecord:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        write_atomic(path, (json.dumps(self.to_dict(), indent=2) + "\n").encode())
 
     @classmethod
     def load(cls, path) -> "RunRecord":
@@ -430,8 +430,8 @@ def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
         epochs=epoch_rows,
         cost=cost,
         final_accuracy=float(epoch_rows[-1].eval_accuracy),
-        final_labels=[int(v) for v in last_labels],
-        final_ranks=[] if last_ranks is None else [int(v) for v in last_ranks],
+        final_labels=last_labels.tolist(),
+        final_ranks=[] if last_ranks is None else last_ranks.tolist(),
         student_dims=[int(d) for d in student.layer_dims],
         param_digest=hashlib.sha256(student.param_bytes()).hexdigest(),
         wall_time_s=time.perf_counter() - started,

@@ -3,6 +3,12 @@ and the keep-ratio sweep."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
 import numpy as np
 
 from . import nn
@@ -62,35 +68,78 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     """Accuracy versus final keep ratio for each method, over paired seeds.
 
     Returns one dict per (rho, seed, method) with accuracy and cost fields,
-    ready to serialize as CSV rows.
+    ready to serialize as CSV rows, in rho, then seed, then method order.
+
+    Every method and rho is checked before any run starts. The runs are
+    independent (each resets the value state and seeds its own generators),
+    so they execute in forked worker processes, one per usable CPU, each
+    writing only its own copy of the store; the rows are bit-identical to
+    running them one after another in this process, which is what happens
+    with one usable CPU, one run, no fork start method, or other Python
+    threads alive (forking a threaded process can deadlock the child).
     """
     from . import emdriver
 
-    rows = []
+    rho_grid, seeds, methods = tuple(rho_grid), tuple(seeds), tuple(methods)
+    for method in methods:
+        if method not in emdriver.ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {emdriver.ALL_METHODS}")
     for rho in rho_grid:
-        for seed in seeds:
-            for method in methods:
-                schedule = emdriver.ScheduleConfig(
-                    total_epochs=base_config.schedule.total_epochs,
-                    stage_len=base_config.schedule.stage_len,
-                    rho=rho,
-                )
-                config = emdriver.DistillConfig(
-                    schedule=schedule, ogve=base_config.ogve,
-                    eps_m=base_config.eps_m, train=base_config.train, seed=seed,
-                )
-                student = emdriver.init_student(store.dim, student_hidden,
-                                                store.num_classes, seed)
-                _, record = emdriver.run_baseline(config, store, student, dataset, method)
-                rows.append({
-                    "rho": rho,
-                    "seed": seed,
-                    "method": method,
-                    "accuracy": record.final_accuracy,
-                    "relative_cost": record.cost.relative_cost,
-                    "realized_relative_cost": record.cost.realized_relative_cost,
-                })
-    return rows
+        emdriver.tau_schedule(rho, base_config.schedule.stage_count)
+    jobs = [(rho, seed, method) for rho in rho_grid for seed in seeds for method in methods]
+    context = (store, dataset, base_config, student_hidden)
+    workers = min(_usable_cpus(), len(jobs))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return list(map(partial(_sweep_row, context=context), jobs))
+    # fork hands the initializer's arguments to each worker without pickling
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_sweep_worker, initargs=context) as pool:
+        return list(pool.map(_sweep_row, jobs, chunksize=1))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# (store, dataset, base_config, student_hidden) of a sweep worker process
+_worker_context = None
+
+
+def _init_sweep_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _sweep_row(job, context=None) -> dict:
+    """Run one (rho, seed, method) job of ratio_sweep and return its row;
+    context defaults to the one a worker process was started with."""
+    from . import emdriver
+
+    store, dataset, base_config, student_hidden = context or _worker_context
+    rho, seed, method = job
+    schedule = emdriver.ScheduleConfig(
+        total_epochs=base_config.schedule.total_epochs,
+        stage_len=base_config.schedule.stage_len,
+        rho=rho,
+    )
+    config = emdriver.DistillConfig(
+        schedule=schedule, ogve=base_config.ogve,
+        eps_m=base_config.eps_m, train=base_config.train, seed=seed,
+    )
+    student = emdriver.init_student(store.dim, student_hidden, store.num_classes, seed)
+    _, record = emdriver.run_baseline(config, store, student, dataset, method)
+    return {
+        "rho": rho,
+        "seed": seed,
+        "method": method,
+        "accuracy": record.final_accuracy,
+        "relative_cost": record.cost.relative_cost,
+        "realized_relative_cost": record.cost.realized_relative_cost,
+    }
 
 
 def sweep_rows_to_csv(rows) -> str:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_atomic
+
 SIMPLEX_ATOL = 1e-6
 
 LABEL_MAGIC = b"KCL1"
@@ -58,6 +60,18 @@ def _first_off_simplex(probs: np.ndarray) -> int:
     ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
     bad = np.flatnonzero(~ok)
     return int(bad[0]) if bad.size else -1
+
+
+def check_permutation(ranks: np.ndarray, n: int) -> None:
+    """Reject integer ranks that are not a permutation of 0..n-1, in O(n):
+    n values, all in range, that together hit every position."""
+    r = np.asarray(ranks)
+    if r.size != n or (n and (r.min() < 0 or r.max() >= n)):
+        raise ValueError("ranks are not a permutation of 0..N-1")
+    seen = np.zeros(n, dtype=bool)
+    seen[r] = True
+    if not seen.all():
+        raise ValueError("ranks are not a permutation of 0..N-1")
 
 
 @dataclass(frozen=True)
@@ -102,9 +116,7 @@ class ValueLabeling:
             )
         if n == 0:
             raise ValueError("empty labeling")
-        sorted_ranks = np.sort(self.ranks)
-        if not np.array_equal(sorted_ranks, np.arange(n)):
-            raise ValueError("ranks are not a permutation of 0..N-1")
+        check_permutation(self.ranks, n)
         expected = 1.0 - self.ranks / float(n)
         if not np.array_equal(self.probs, expected):
             raise ValueError("probs do not equal 1 - rank/N")
@@ -282,8 +294,7 @@ def import_labels(stream: bytes) -> ValueLabeling:
 
 
 def save_labels(path, labeling: ValueLabeling) -> None:
-    with open(path, "wb") as fh:
-        fh.write(export_labels(labeling))
+    write_atomic(path, export_labels(labeling))
 
 
 def load_labels(path) -> ValueLabeling:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_atomic
+
 PROB_FLOOR = 1e-12
 
 # default desk-scale shapes; the gap keeps the teacher genuinely stronger
@@ -320,10 +322,9 @@ def finite_difference_check(model: MlpModel, x: np.ndarray, target_probs: np.nda
 def save_model(path, model: MlpModel) -> None:
     """Versioned binary checkpoint: header, layer dims, row-major float64
     parameters, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(model.layer_dims)))
-        fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        fh.write(model.param_bytes())
+    dims = model.layer_dims
+    write_atomic(path, struct.pack("<4sII", MODEL_MAGIC, MODEL_VERSION, len(dims))
+                 + struct.pack(f"<{len(dims)}I", *dims) + model.param_bytes())
 
 
 def load_model(path) -> MlpModel:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knowledge import KnowledgeStore, ValueLabeling, ValueRecord, check_simplex
+from .knowledge import (
+    KnowledgeStore,
+    ValueLabeling,
+    ValueRecord,
+    check_permutation,
+    check_simplex,
+)
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,7 @@ def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
 def rank_probability(ranks: np.ndarray, n: int) -> np.ndarray:
     """Rank probability 1 - rank/N; the top-ranked sample gets exactly 1.0."""
     r = np.asarray(ranks, dtype=np.int64)
-    if r.size != n or not np.array_equal(np.sort(r), np.arange(n)):
-        raise ValueError("ranks are not a permutation of 0..N-1")
+    check_permutation(r, n)
     return 1.0 - r / float(n)
 
 

@@ -34,11 +34,19 @@ class Partition:
         return int(self.k1h_ids.size + self.k1l_ids.size)
 
 
+def best_to_worst(labeling: ValueLabeling) -> np.ndarray:
+    """Sample ids from rank 0 down: the inverse of the ranks permutation,
+    built by one O(N) scatter; equal to np.argsort(labeling.ranks)."""
+    order = np.empty(labeling.n, dtype=np.int64)
+    order[labeling.ranks] = np.arange(labeling.n)
+    return order
+
+
 def partition(labeling: ValueLabeling) -> Partition:
     """Split the labeled set; the borderline slice takes the min(|K0|, |K1|)
     lowest-scored kept samples. Ordering follows the labeling's ranks, which
     already encode descending score with ascending-id tie-break."""
-    order = np.argsort(labeling.ranks)  # sample ids from best to worst
+    order = best_to_worst(labeling)
     in_order_labels = labeling.labels[order]
     k1 = order[in_order_labels == 1]
     k0 = order[in_order_labels == 0]
@@ -112,5 +120,5 @@ def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
 
 def direct_selection(labeling: ValueLabeling) -> CondensedSet:
     """Kept samples only, original soft labels, no blending."""
-    order = np.argsort(labeling.ranks)
+    order = best_to_worst(labeling)
     return CondensedSet(member_ids=order[labeling.labels[order] == 1])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kcdistill.data import (
     load_split_dir,
     save_csv,
     save_split_dir,
+    write_atomic,
 )
 from kcdistill.nn import TrainConfig, forward, train_classifier, train_teacher
 
@@ -139,3 +142,55 @@ class TestSplitDir:
         with pytest.raises(ValueError, match="row 2: non-finite"):
             Dataset(features, np.zeros(4, dtype=int), 2,
                     train_indices=[0, 1], test_indices=[2, 3])
+
+
+def _save_record(path, small_task):
+    from kcdistill.emdriver import DistillConfig, ScheduleConfig, init_student, run
+
+    ds, store = small_task
+    config = DistillConfig(schedule=ScheduleConfig(4, 2, 0.7),
+                           train=TrainConfig.desk_default(4))
+    _, record = run(config, store, init_student(store.dim, (4,), store.num_classes, 0), ds)
+    record.save(path)
+
+
+def _save_labels(path, small_task):
+    from kcdistill.knowledge import ValueLabeling, save_labels
+
+    ranks = np.array([2, 0, 1])
+    save_labels(path, ValueLabeling(ranks=ranks, probs=1.0 - ranks / 3.0,
+                                    labels=[0, 1, 1]))
+
+
+def _save_model(path, small_task):
+    from kcdistill.nn import init_mlp, save_model
+
+    save_model(path, init_mlp((3, 4, 2), 0))
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents, longer than the new")
+        write_atomic(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("save", [_save_record, _save_labels, _save_model],
+                             ids=["record", "labels", "model"])
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch, small_task, save):
+        path = tmp_path / "target"
+        path.write_bytes(b"earlier file")
+
+        def interrupted(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="disk went away"):
+            save(path, small_task)
+        assert path.read_bytes() == b"earlier file"
+        assert os.listdir(tmp_path) == ["target"]
+        monkeypatch.undo()
+        save(path, small_task)
+        assert path.read_bytes() != b"earlier file"
+        assert os.listdir(tmp_path) == ["target"]

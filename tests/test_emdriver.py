@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,22 @@ class TestRunRecord:
         again = RunRecord.load(path)
         assert again.fingerprint() == record.fingerprint()
         assert again.cost == record.cost
+
+    @pytest.mark.parametrize("method", ["kcd", "full-kd"])
+    def test_list_fields_are_plain_ints_with_unchanged_fingerprint(self, small_task, method):
+        import dataclasses
+
+        _, record = run_small(small_task, method=method, seed=17)
+        labels, ranks = record.final_labels, record.final_ranks
+        assert all(type(v) is int for v in labels + ranks + record.student_dims)
+        # the lists as an element-wise int() over the arrays built them before
+        old = dataclasses.replace(
+            record,
+            final_labels=[int(v) for v in np.asarray(labels, dtype=np.uint8)],
+            final_ranks=[int(v) for v in np.asarray(ranks, dtype=np.int64)],
+        )
+        assert json.dumps(old.to_dict()) == json.dumps(record.to_dict())
+        assert old.fingerprint() == record.fingerprint()
 
     def test_epochs_csv_shape(self, small_task):
         _, record = run_small(small_task, seed=13, epochs=8, stage_len=2)

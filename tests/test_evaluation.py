@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
-from kcdistill.emdriver import DistillConfig, ScheduleConfig, init_student, run_baseline
+from kcdistill import emdriver, evaluation
+from kcdistill.emdriver import (
+    DistillConfig,
+    DistillationError,
+    ScheduleConfig,
+    init_student,
+    run_baseline,
+)
 from kcdistill.evaluation import (
     accuracy,
     hamming_distance,
@@ -149,3 +158,94 @@ class TestRatioSweep:
         lines = text.strip().splitlines()
         assert lines[0].startswith("rho,seed,method,accuracy")
         assert len(lines) == 2
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the worker count of every process pool ratio_sweep builds."""
+    made = []
+
+    class RecordingPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestParallelSweep:
+    GRID = dict(rho_grid=(0.5, 1.0), seeds=(3, 4),
+                methods=("kcd", "full-kd", "random-subset"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pool_rows_equal_serial_run_baseline_loop(self, small_task, pools, monkeypatch):
+        ds, store = small_task
+        usable_cpus(monkeypatch, 2)
+        base = small_config()
+        rows = ratio_sweep(store, ds, base, (8,), **self.GRID)
+        assert pools == [2]
+
+        expected = []
+        for rho in self.GRID["rho_grid"]:
+            for seed in self.GRID["seeds"]:
+                for method in self.GRID["methods"]:
+                    config = small_config(seed=seed, rho=rho)
+                    student = init_student(store.dim, (8,), store.num_classes, seed)
+                    _, record = run_baseline(config, store, student, ds, method)
+                    expected.append({
+                        "rho": rho, "seed": seed, "method": method,
+                        "accuracy": record.final_accuracy,
+                        "relative_cost": record.cost.relative_cost,
+                        "realized_relative_cost": record.cost.realized_relative_cost,
+                    })
+        assert rows == expected
+        assert sweep_rows_to_csv(rows) == sweep_rows_to_csv(expected)
+
+    def test_one_cpu_builds_no_pool(self, small_task, pools, monkeypatch):
+        ds, store = small_task
+        usable_cpus(monkeypatch, 1)
+        rows = ratio_sweep(store, ds, small_config(), (8,),
+                           rho_grid=(0.6,), seeds=(0, 1), methods=("kcd",))
+        assert pools == []
+        assert [r["seed"] for r in rows] == [0, 1]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(methods=("kcd", "telepathy")), "unknown method 'telepathy'"),
+        (dict(rho_grid=(0.5, 1.5)), r"rho must be in \(0, 1\], got 1.5"),
+        (dict(rho_grid=(0.0,)), r"rho must be in \(0, 1\], got 0.0"),
+    ])
+    def test_bad_method_or_rho_raises_before_any_run(self, small_task, pools, monkeypatch,
+                                                     kwargs, message):
+        ds, store = small_task
+        usable_cpus(monkeypatch, 2)
+
+        def no_run(*args):
+            raise AssertionError("a run started before validation")
+
+        monkeypatch.setattr(emdriver, "run_baseline", no_run)
+        grid = {**dict(rho_grid=(0.5,), seeds=(0,), methods=("kcd",)), **kwargs}
+        with pytest.raises(ValueError, match=message):
+            ratio_sweep(store, ds, small_config(), (8,), **grid)
+        assert pools == []
+
+    def test_worker_error_reaches_caller(self, small_task, pools, monkeypatch):
+        ds, store = small_task
+        usable_cpus(monkeypatch, 2)
+        real = emdriver.run_baseline
+
+        def failing(config, store, student, dataset, method):
+            if method == "full-kd":
+                raise DistillationError(f"stage 2, epoch 7: seed {config.seed} diverged")
+            return real(config, store, student, dataset, method)
+
+        # workers are forked after this patch, so they run the failing version
+        monkeypatch.setattr(emdriver, "run_baseline", failing)
+        with pytest.raises(DistillationError, match="stage 2, epoch 7: seed 1 diverged"):
+            ratio_sweep(store, ds, small_config(), (8,), rho_grid=(0.6,),
+                        seeds=(1,), methods=("kcd", "full-kd"))
+        assert pools == [2]

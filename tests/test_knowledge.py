@@ -8,6 +8,7 @@ from kcdistill.knowledge import (
     LabelStreamError,
     ValueLabeling,
     build_store,
+    check_permutation,
     export_labels,
     import_labels,
     load_labels,
@@ -113,6 +114,32 @@ class TestValueLabeling:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             ValueLabeling(ranks=[0, 1], probs=[1.0, 0.5], labels=[1])
+
+
+class TestPermutationCheck:
+    @pytest.mark.parametrize("ranks", [
+        [0, 2, 2, 3],   # duplicate
+        [0, 1, 2, 4],   # out of range
+        [-1, 1, 2, 3],  # negative
+        [3, 1, 2, 0, 1],  # too long
+    ], ids=["duplicate", "out-of-range", "negative", "length"])
+    def test_rejects(self, ranks):
+        from kcdistill.ogve import rank_probability
+
+        r = np.array(ranks)
+        with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
+            check_permutation(r, 4)
+        with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
+            rank_probability(r, 4)
+        if r.size == 4:
+            with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
+                ValueLabeling(ranks=r, probs=1.0 - r / 4.0, labels=np.ones(4, np.uint8))
+
+    def test_accepts_permutations(self):
+        rng = np.random.default_rng(4)
+        check_permutation(np.empty(0, dtype=np.int64), 0)
+        for n in (1, 2, 7, 100):
+            check_permutation(rng.permutation(n), n)
 
 
 class TestLabelSerialization:

@@ -25,6 +25,13 @@ def labeled_store(n, keep_ratio, seed=0, classes=4):
 
 
 class TestPartition:
+    def test_best_to_worst_is_argsort_of_ranks(self):
+        for seed, n in enumerate((1, 2, 10, 257)):
+            _, labeling = labeled_store(n, 0.6, seed=seed)
+            order = vaks.best_to_worst(labeling)
+            assert order.dtype == np.int64
+            assert np.array_equal(order, np.argsort(labeling.ranks))
+
     def test_borderline_matches_discarded_size(self):
         _, labeling = labeled_store(10, 0.7)
         part = partition(labeling)
