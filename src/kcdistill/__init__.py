@@ -13,7 +13,6 @@ from .emdriver import (
     init_student,
     relative_cost,
     run,
-    run_baseline,
     run_with_fixed_labels,
     tau_schedule,
 )
@@ -33,6 +32,7 @@ from .knowledge import (
 from .nn import MlpModel, TrainConfig, init_mlp, kd_loss, softmax, train_teacher
 from .ogve import (
     OgveConfig,
+    ValueState,
     binarize,
     cost_aware_score,
     prediction_entropy,

@@ -123,7 +123,7 @@ def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
     record.save(record_path)
     metrics_path = Path(args.out_metrics) if args.out_metrics \
         else record_path.with_name(record_path.stem + "_metrics.csv")
-    metrics_path.write_text(record.epochs_csv())
+    datamod.write_atomic(metrics_path, record.epochs_csv().encode())
     return record_path
 
 
@@ -138,7 +138,7 @@ def cmd_gen_data(args) -> int:
         "n_train": int(dataset.train_indices.size),
         "n_test": int(dataset.test_indices.size),
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    datamod.write_atomic(out / "meta.json", (json.dumps(meta, indent=2) + "\n").encode())
     print(f"wrote {out}/train.csv ({dataset.train_indices.size} rows), "
           f"{out}/test.csv ({dataset.test_indices.size} rows)")
     return 0
@@ -204,7 +204,7 @@ def cmd_sweep(args, parser) -> int:
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(evaluation.sweep_rows_to_csv(rows))
+    datamod.write_atomic(out, evaluation.sweep_rows_to_csv(rows).encode())
     print(f"wrote {len(rows)} sweep rows to {out}")
     return 0
 
@@ -232,7 +232,7 @@ def cmd_report(args) -> int:
                      f"{r.cost.realized_relative_cost:.10g},{r.wall_time_s:.3f}")
     out = Path(args.out_csv)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    datamod.write_atomic(out, ("\n".join(lines) + "\n").encode())
     print(f"wrote {len(records)} record summaries to {out}")
     if args.emit_plot_data:
         _emit_plot_data(records, out)
@@ -248,7 +248,7 @@ def _emit_plot_data(records, out_csv: Path) -> None:
         arr = np.asarray(accs)
         curve.append(f"{method},{rho},{arr.mean():.10g},{arr.std():.10g},{arr.size}")
     curve_path = out_csv.with_name(out_csv.stem + "_rho_curve.csv")
-    curve_path.write_text("\n".join(curve) + "\n")
+    datamod.write_atomic(curve_path, ("\n".join(curve) + "\n").encode())
 
     sized: dict[int, list[tuple[str, list[int]]]] = {}
     for p, r in records:
@@ -259,7 +259,7 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     for i, (name, _) in enumerate(biggest):
         ham.append(name + "," + ",".join(str(int(v)) for v in matrix[i]))
     ham_path = out_csv.with_name(out_csv.stem + "_hamming.csv")
-    ham_path.write_text("\n".join(ham) + "\n")
+    datamod.write_atomic(ham_path, ("\n".join(ham) + "\n").encode())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ TEST_FILE = "test.csv"
 
 
 class DataFormatError(ValueError):
-    """A data file could not be parsed; message carries the line number."""
+    """A data file could not be parsed; the message names the line or byte offset."""
 
 
 @dataclass

@@ -18,6 +18,10 @@ the warm-up training all N samples in place of k_1, it is exactly
 Because keep counts are whole samples, realized - ideal is not bounded by
 (1 - rho**(1/S)) / I: at N=800, rho=0.5 the gap is 1.95e-3 against 1.82e-3.
 
+One stage loop serves every method and both reuse modes; a row of _METHODS
+says how a stage picks its labeling, how it condenses the kept set, and
+whether the run keeps a ValueState.
+
 Training batches are drawn by shuffling the ascending-sorted active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
 identical randomness and differ only through which samples they select.
@@ -29,7 +33,9 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,14 +264,11 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
     return nn.init_mlp(dims, np.random.default_rng([seed, 0]))
 
 
-def _labels_digest(labels: np.ndarray) -> str:
-    return hashlib.sha256(np.asarray(labels, dtype=np.uint8).tobytes()).hexdigest()
-
-
-def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state,
+def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state, values,
                  stage: int, epoch: int) -> float:
-    """One epoch over the active set: shuffle sorted ids, step per batch,
-    record each trained sample's prediction entropy.
+    """One epoch over the active set: shuffle sorted ids, step per batch and,
+    when the run keeps a ValueState, record each trained sample's prediction
+    entropy in it.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -275,7 +278,7 @@ def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state,
     """
     ids = np.sort(np.asarray(active_ids, dtype=np.int64))
     order = ids[rng.permutation(ids.size)]
-    entropies = np.empty(order.size)
+    entropies = None if values is None else np.empty(order.size)
     total = 0.0
     hard_all = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
     for start in range(0, order.size, tcfg.batch_size):
@@ -291,9 +294,11 @@ def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state,
             nn.sgd_step(model, gw, gb, state, lr, tcfg)
         except FloatingPointError as exc:
             raise DistillationError(f"stage {stage}, epoch {epoch}: {exc}") from None
-        entropies[start:start + batch.size] = ogve.entropy_rows(probs_1)
+        if entropies is not None:
+            entropies[start:start + batch.size] = ogve.entropy_rows(probs_1)
         total += loss * batch.size
-    ogve.observe_batch(store, order, entropies)
+    if values is not None:
+        ogve.observe_batch(values, order, entropies)
     return total / order.size
 
 
@@ -308,41 +313,60 @@ def _stage_targets(store: KnowledgeStore, condensed) -> np.ndarray:
     return targets
 
 
-def _select_labeling(method: str, store: KnowledgeStore, cfg: DistillConfig,
-                     tau: float, select_rng: np.random.Generator) -> ValueLabeling:
-    if method == METHOD_RANDOM:
-        ranks = ogve.ranks_from_scores(select_rng.random(store.n))
-        return ogve.labeling_from_ranks(ranks, tau)
-    if method == METHOD_NO_OVR:
-        return ogve.label_by_ratio(store, cfg.ogve, tau, value_source="latest")
-    if method == METHOD_NO_CAR:
-        return ogve.label_by_ratio(store, OgveConfig(alpha=0.0), tau)
-    return ogve.label_by_ratio(store, cfg.ogve, tau)
+class _Run(NamedTuple):  # what a stage labeling and a condenser may read
+    store: KnowledgeStore
+    values: ogve.ValueState | None
+    config: DistillConfig
+    select_rng: np.random.Generator
+    fixed: ValueLabeling | None
 
 
-def _condense(method: str, labeling: ValueLabeling, store: KnowledgeStore,
-              cfg: DistillConfig):
-    if method in (METHOD_KCD, METHOD_FIXED_EPS):
-        return vaks.condense(labeling, store, cfg.eps_m,
-                             constant_eps=method == METHOD_FIXED_EPS)
-    # ranking ablations pair with plain selection of the kept labels
+def _by_value(run, tau, cfg=None, source="mean"):
+    return ogve.label_by_ratio(run.values, cfg or run.config.ogve, tau, value_source=source)
+
+
+def _at_random(run, tau):
+    return ogve.labeling_from_ranks(ogve.ranks_from_scores(run.select_rng.random(run.store.n)), tau)
+
+
+def _imported(run, tau):
+    return run.fixed
+
+
+def _summary(run, labeling, constant_eps=False):
+    return vaks.condense(labeling, run.store, run.config.eps_m, constant_eps=constant_eps)
+
+
+def _kept(run, labeling):
     return vaks.direct_selection(labeling)
 
 
-def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
-             dataset: Dataset, method: str,
-             fixed_labeling: ValueLabeling | None = None,
-             reuse_mode: str | None = None):
-    started = time.perf_counter()
-    sched = config.schedule
-    taus = sched.tau_list
-    n = store.n
-    total_epochs = sched.total_epochs
-    stage_len = sched.stage_len
+# method -> (stage labeling(run, tau), or None to keep every sample with its
+# original soft label; condenser(run, labeling); whether it reads values)
+_METHODS = {
+    METHOD_KCD: (_by_value, _summary, True),
+    METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), True),
+    METHOD_OGVE_ONLY: (_by_value, _kept, True),
+    METHOD_NO_OVR: (partial(_by_value, source="latest"), _kept, True),
+    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), _kept, True),
+    METHOD_RANDOM: (_at_random, _kept, False),
+    METHOD_FULL_KD: (None, None, False),
+    f"reuse-{REUSE_DIRECT}": (_imported, _kept, False),
+    f"reuse-{REUSE_VAKS}": (_imported, _summary, False),
+}
 
-    store.reset_value_state()
+
+def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
+             dataset: Dataset, method: str, values: ogve.ValueState | None,
+             fixed: ValueLabeling | None = None):
+    """The stage loop for one row of _METHODS; values is the run's ValueState
+    (None for a row that reads none), fixed the labeling reuse rows apply."""
+    started = time.perf_counter()
+    sched, n = config.schedule, store.n
+    taus = sched.tau_list
+    label, condense, _ = _METHODS[method]
+    run = _Run(store, values, config, np.random.default_rng([config.seed, 2]), fixed)
     train_rng = np.random.default_rng([config.seed, 1])
-    select_rng = np.random.default_rng([config.seed, 2])
     state = nn.SgdState.zeros_like(student)
     all_ids = np.arange(n)
     test_x, test_y = dataset.test_features, dataset.test_labels
@@ -350,88 +374,56 @@ def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
     epoch_rows: list[EpochRow] = []
     stage_records: list[StageRecord] = []
     forward_count = 0
-    epoch = 0
 
     def run_epoch(active_ids, targets, stage_no) -> float:
-        nonlocal epoch, forward_count
-        epoch += 1
+        nonlocal forward_count
+        epoch = len(epoch_rows) + 1
         lr = nn.lr_at_epoch(config.train, epoch)
         loss = _train_epoch(student, store, active_ids, targets, config.train,
-                            lr, train_rng, state, stage_no, epoch)
-        forward_count += int(np.asarray(active_ids).size)
+                            lr, train_rng, state, values, stage_no, epoch)
+        forward_count += active_ids.size
         acc = accuracy(student, test_x, test_y)
-        epoch_rows.append(EpochRow(epoch, stage_no, int(np.asarray(active_ids).size),
-                                   float(loss), float(acc)))
+        epoch_rows.append(EpochRow(epoch, stage_no, active_ids.size, float(loss), float(acc)))
         return acc
 
-    all_ones = np.ones(n, dtype=np.uint8)
-    orig_targets = np.asarray(store.teacher_probs)
-    last_labels = all_ones
-    last_ranks: np.ndarray | None = None
-
     # warm-up: one full-set epoch belonging to stage 1
-    acc = run_epoch(all_ids, orig_targets, 1)
+    acc = run_epoch(all_ids, store.teacher_probs, 1)
+    labels, ranks = np.ones(n, dtype=np.uint8), None
 
-    for s in range(1, sched.stage_count + 1):
-        tau_s = taus[s - 1]
-        if method == METHOD_FULL_KD:
-            labels, threshold = all_ones, 1.0 / n
-            active, targets = all_ids, orig_targets
-            set_size, high_count, aug_count = n, n, 0
+    for s, tau_s in enumerate(taus, start=1):
+        if label is None:
+            threshold, active, targets, aug_count = 1.0 / n, all_ids, store.teacher_probs, 0
         else:
-            if fixed_labeling is not None:
-                labeling = fixed_labeling
-                threshold = float(np.min(labeling.probs[labeling.labels == 1])) \
-                    if np.any(labeling.labels == 1) else 1.0
-                condensed = (vaks.condense(labeling, store, config.eps_m)
-                             if reuse_mode == REUSE_VAKS
-                             else vaks.direct_selection(labeling))
-            else:
-                labeling = _select_labeling(method, store, config, tau_s, select_rng)
-                threshold = ogve.ratio_threshold(n, tau_s)
-                condensed = _condense(method, labeling, store, config)
-            labels = labeling.labels
-            last_ranks = labeling.ranks
+            labeling = label(run, tau_s)
+            condensed = condense(run, labeling)
             active = condensed.member_ids
             if active.size == 0:
                 raise ValueError(f"stage {s} selected an empty knowledge set")
+            labels, ranks = labeling.labels, labeling.ranks
+            # the lowest kept rank probability: ratio_threshold(n, tau_s)
+            # exactly when the labeling follows the schedule
+            threshold = labeling.probs[labels == 1].min()
             targets = _stage_targets(store, condensed)
-            set_size = condensed.size
             aug_count = condensed.aug_ids.size
-            high_count = set_size - aug_count
-        epochs_this_stage = stage_len - 1 if s == 1 else stage_len
-        for _ in range(epochs_this_stage):
+        for _ in range(sched.stage_len - 1 if s == 1 else sched.stage_len):
             acc = run_epoch(active, targets, s)
         stage_records.append(StageRecord(
             stage=s, tau=float(tau_s), threshold=float(threshold),
-            set_size=int(set_size), high_count=int(high_count),
+            set_size=int(active.size), high_count=int(active.size - aug_count),
             aug_count=int(aug_count), accuracy=float(acc),
-            label_digest=_labels_digest(labels),
+            label_digest=hashlib.sha256(labels.tobytes()).hexdigest(),
         ))
-        last_labels = labels
 
-    realized = forward_count / (n * total_epochs)
-    if method == METHOD_FULL_KD:
-        ideal = 1.0
-    elif reuse_mode is not None:
-        ideal = realized  # fixed-label runs do not follow the tau schedule
-    else:
-        ideal = relative_cost(taus)
-    cost = CostReport(
-        absolute_cost=int(forward_count),
-        relative_cost=float(ideal),
-        realized_relative_cost=float(realized),
-    )
+    realized = forward_count / (n * sched.total_epochs)
+    # keeping every sample or an imported labeling ignores the tau schedule
+    ideal = realized if label in (None, _imported) else relative_cost(taus)
     record = RunRecord(
-        method=method if reuse_mode is None else f"reuse-{reuse_mode}",
-        seed=config.seed,
-        config=config.echo(),
-        stages=stage_records,
-        epochs=epoch_rows,
-        cost=cost,
+        method=method, seed=config.seed, config=config.echo(),
+        stages=stage_records, epochs=epoch_rows,
+        cost=CostReport(int(forward_count), float(ideal), float(realized)),
         final_accuracy=float(epoch_rows[-1].eval_accuracy),
-        final_labels=last_labels.tolist(),
-        final_ranks=[] if last_ranks is None else last_ranks.tolist(),
+        final_labels=labels.tolist(),
+        final_ranks=[] if ranks is None else ranks.tolist(),
         student_dims=[int(d) for d in student.layer_dims],
         param_digest=hashlib.sha256(student.param_bytes()).hexdigest(),
         wall_time_s=time.perf_counter() - started,
@@ -440,26 +432,22 @@ def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
 
 
 def run(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
-        dataset: Dataset):
-    """The full condensation-distillation loop (value estimation + summary)."""
-    return _execute(config, store, student, dataset, METHOD_KCD)
+        dataset: Dataset, method: str = METHOD_KCD):
+    """One run of a method; every method shares the schedule and trainer.
 
-
-def run_baseline(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
-                 dataset: Dataset, method: str):
-    """Reference and ablation loops sharing the same schedule and trainer.
-
-    full-kd trains every epoch on the complete store; random-subset draws the
-    stage ranking uniformly at random; ogve-only keeps the ranked selection
-    but skips the summary step; no-ovr ranks on the latest observation instead
-    of the running mean; no-car drops the frequency reweighting; fixed-eps
-    blends the whole borderline slice at the maximum ratio.
+    kcd ranks by value and summarizes the kept set; full-kd trains on the
+    whole store; random-subset ranks at random; ogve-only skips the summary;
+    no-ovr ranks on the latest observation, not the running mean; no-car
+    drops the frequency weight; fixed-eps blends the borderline slice at
+    eps_m throughout. The store is only read: runs may share it across threads.
     """
-    if method == METHOD_KCD:
-        return run(config, store, student, dataset)
-    if method not in BASELINE_METHODS:
+    if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
-    return _execute(config, store, student, dataset, method)
+    values = ogve.ValueState(store.n) if _METHODS[method][2] else None
+    return _execute(config, store, student, dataset, method, values)
+
+
+run_baseline = run
 
 
 def run_with_fixed_labels(config: DistillConfig, store: KnowledgeStore,
@@ -470,8 +458,5 @@ def run_with_fixed_labels(config: DistillConfig, store: KnowledgeStore,
     if mode not in REUSE_MODES:
         raise ValueError(f"unknown reuse mode {mode!r}; expected one of {REUSE_MODES}")
     if labeling.n != store.n:
-        raise ValueError(
-            f"label count {labeling.n} does not match store size {store.n}"
-        )
-    return _execute(config, store, student, dataset, METHOD_KCD,
-                    fixed_labeling=labeling, reuse_mode=mode)
+        raise ValueError(f"label count {labeling.n} does not match store size {store.n}")
+    return _execute(config, store, student, dataset, f"reuse-{mode}", None, labeling)

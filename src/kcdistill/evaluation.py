@@ -7,7 +7,6 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -70,13 +69,9 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     Returns one dict per (rho, seed, method) with accuracy and cost fields,
     ready to serialize as CSV rows, in rho, then seed, then method order.
 
-    Every method and rho is checked before any run starts. The runs are
-    independent (each resets the value state and seeds its own generators),
-    so they execute in forked worker processes, one per usable CPU, each
-    writing only its own copy of the store; the rows are bit-identical to
-    running them one after another in this process, which is what happens
-    with one usable CPU, one run, no fork start method, or other Python
-    threads alive (forking a threaded process can deadlock the child).
+    Every method and rho is checked before any run starts. Runs only read
+    the store and keep their own value state and generators, so _pool_map
+    spreads them over worker processes with bit-identical rows.
     """
     from . import emdriver
 
@@ -87,39 +82,14 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     for rho in rho_grid:
         emdriver.tau_schedule(rho, base_config.schedule.stage_count)
     jobs = [(rho, seed, method) for rho in rho_grid for seed in seeds for method in methods]
-    context = (store, dataset, base_config, student_hidden)
-    workers = min(_usable_cpus(), len(jobs))
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
-        return list(map(partial(_sweep_row, context=context), jobs))
-    # fork hands the initializer's arguments to each worker without pickling
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_sweep_worker, initargs=context) as pool:
-        return list(pool.map(_sweep_row, jobs, chunksize=1))
+    return _pool_map(_sweep_row, jobs, (store, dataset, base_config, student_hidden))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# (store, dataset, base_config, student_hidden) of a sweep worker process
-_worker_context = None
-
-
-def _init_sweep_worker(*context) -> None:
-    global _worker_context
-    _worker_context = context
-
-
-def _sweep_row(job, context=None) -> dict:
-    """Run one (rho, seed, method) job of ratio_sweep and return its row;
-    context defaults to the one a worker process was started with."""
+def _sweep_row(job, context) -> dict:
+    """Run one (rho, seed, method) job of ratio_sweep and return its row."""
     from . import emdriver
 
-    store, dataset, base_config, student_hidden = context or _worker_context
+    store, dataset, base_config, student_hidden = context
     rho, seed, method = job
     schedule = emdriver.ScheduleConfig(
         total_epochs=base_config.schedule.total_epochs,
@@ -140,6 +110,44 @@ def _sweep_row(job, context=None) -> dict:
         "relative_cost": record.cost.relative_cost,
         "realized_relative_cost": record.cost.realized_relative_cost,
     }
+
+
+def _pool_map(fn, jobs, context) -> list:
+    """[fn(job, context) for job in jobs] on a forked worker per usable CPU.
+
+    Fork hands fn and context to the workers unpickled; jobs, results and a
+    worker's exception are pickled back. With one usable CPU, one job, no
+    fork start method or other live threads (forking a threaded process can
+    deadlock the child) the jobs run here in turn.
+    """
+    jobs = list(jobs)
+    workers = min(_usable_cpus(), len(jobs))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [fn(job, context) for job in jobs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(fn, context)) as pool:
+        return list(pool.map(_call_in_worker, jobs, chunksize=1))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (fn, context) of a _pool_map worker process
+_worker_task = None
+
+
+def _init_worker(fn, context) -> None:
+    global _worker_task
+    _worker_task = (fn, context)
+
+
+def _call_in_worker(job):
+    fn, context = _worker_task
+    return fn(job, context)
 
 
 def sweep_rows_to_csv(rows) -> str:

@@ -1,15 +1,10 @@
-"""Knowledge store: sample features, teacher soft labels, per-sample value state.
+"""Knowledge store: sample features and teacher soft labels.
 
 The store is the immutable record of what the teacher says about each training
-sample, plus the mutable bookkeeping (running value estimate plus training
-frequency) that the condensation loop maintains. Features and teacher soft
-labels never change after construction; a stage's blended soft labels live in
-CondensedSet as one matrix with a row per augmented sample and never overwrite
-the store. Every check runs over whole arrays at once and names the first
-offending sample or record.
-
-Single-writer model: value-state updates are expected to come from one training
-loop at a time. Read-only access to features and soft labels is safe to share.
+sample: its arrays are read-only, so runs in any number of threads may share
+one. A run's value estimate lives in its own ogve.ValueState and a stage's
+blended soft labels in a CondensedSet. Every check runs over whole arrays at
+once and names the first offending sample or record.
 """
 
 from __future__ import annotations
@@ -31,11 +26,15 @@ _LABEL_RECORD = np.dtype([("sample_id", "<u4"), ("rank", "<u4"), ("label", "u1")
 
 
 class LabelStreamError(ValueError):
-    """A serialized label stream could not be parsed."""
+    """A serialized label stream could not be parsed. args holds (message,
+    offset), so the error pickles, e.g. out of a worker process."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 def check_simplex(probs: np.ndarray, *, context: str = "probability vector") -> None:
@@ -178,7 +177,8 @@ class CondensedSet:
 
 
 class KnowledgeStore:
-    """All knowledge points of a run plus their mutable value state."""
+    """All knowledge points: read-only features, teacher soft labels and
+    optional hard labels."""
 
     def __init__(self, features: np.ndarray, teacher_probs: np.ndarray,
                  hard_labels: np.ndarray | None = None):
@@ -216,12 +216,6 @@ class KnowledgeStore:
         self.features = features
         self.teacher_probs = teacher_probs
         self.hard_labels = hard_labels
-        n = features.shape[0]
-        # running mean of observed values; NaN marks the unobserved state
-        self.values = np.full(n, np.nan, dtype=np.float64)
-        # most recent observation, kept for the no-moving-average ablation
-        self.last_values = np.full(n, np.nan, dtype=np.float64)
-        self.frequencies = np.zeros(n, dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -234,12 +228,6 @@ class KnowledgeStore:
     @property
     def num_classes(self) -> int:
         return int(self.teacher_probs.shape[1])
-
-    def reset_value_state(self) -> None:
-        """Forget all observations; every sample returns to the unobserved state."""
-        self.values.fill(np.nan)
-        self.last_values.fill(np.nan)
-        self.frequencies.fill(0)
 
 
 def build_store(dataset, teacher_probs, hard_labels=None) -> KnowledgeStore:

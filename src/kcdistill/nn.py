@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_atomic
+from .data import DataFormatError, write_atomic
 
 PROB_FLOOR = 1e-12
 
@@ -328,27 +328,37 @@ def save_model(path, model: MlpModel) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a save_model checkpoint. Each length the header claims is checked
+    before any read; a bad file raises DataFormatError with path and offset."""
     with open(path, "rb") as fh:
         data = fh.read()
+
+    def bad(message: str, offset: int) -> DataFormatError:
+        return DataFormatError(f"{path}: {message} (byte offset {offset})")
+
     head = struct.Struct("<4sII")
     if len(data) < head.size:
-        raise ValueError("truncated model file: missing header")
+        raise bad(f"truncated header: got {len(data)} bytes, need {head.size}", len(data))
     magic, version, n_dims = head.unpack_from(data, 0)
     if magic != MODEL_MAGIC:
-        raise ValueError(f"not a model checkpoint (magic {magic!r})")
+        raise bad(f"not a model checkpoint (magic {magic!r})", 0)
     if version != MODEL_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    offset = head.size
-    dims = struct.unpack_from(f"<{n_dims}I", data, offset)
-    offset += 4 * n_dims
-    weights, biases = [], []
+        raise bad(f"unsupported checkpoint version {version}", 4)
+    offset = head.size + 4 * n_dims
+    if len(data) < offset:
+        raise bad(f"truncated: {n_dims} layer dims need {offset} bytes", len(data))
+    dims = struct.unpack_from(f"<{n_dims}I", data, head.size)
+    if n_dims < 2 or 0 in dims:
+        raise bad(f"need 2 or more layer dims, none 0; got {n_dims} dims", 8)
+    expected = offset + 8 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    if len(data) != expected:
+        raise bad(f"file has {len(data)} bytes, its layer dims need {expected}",
+                  min(len(data), expected))
+    # per layer: row-major weight matrix, then bias
+    params = np.frombuffer(data, dtype="<f8", offset=offset)
+    weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(data, dtype="<f8", count=fan_in * fan_out, offset=offset).reshape(fan_in, fan_out)
-        offset += 8 * fan_in * fan_out
-        b = np.frombuffer(data, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
-        weights.append(w)
-        biases.append(b)
-    if offset != len(data):
-        raise ValueError("model file has trailing bytes")
+        weights.append(params[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(params[at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
+        at += (fan_in + 1) * fan_out
     return MlpModel(layer_dims=tuple(int(d) for d in dims), weights=weights, biases=biases)

@@ -1,11 +1,11 @@
 """Online global value estimation.
 
 Each training forward pass yields a prediction entropy for every sample it
-touches; those observations are folded into a per-sample running mean. At a
-stage boundary the complete store is ranked by the frequency-weighted score
-value * frequency**alpha (descending), the rank is mapped to a rank
-probability 1 - rank/N, and a threshold on that probability produces the
-binary keep labels.
+touches; those observations are folded into a per-sample running mean in the
+run's own ValueState. At a stage boundary every sample is ranked by the
+frequency-weighted score value * frequency**alpha (descending), the rank is
+mapped to a rank probability 1 - rank/N, and a threshold on that probability
+produces the binary keep labels.
 
 Entropies are natural-log throughout; the choice of base rescales every score
 by the same constant and cannot change any ranking.
@@ -18,12 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .knowledge import (
-    KnowledgeStore,
     ValueLabeling,
     ValueRecord,
     check_permutation,
     check_simplex,
 )
+
+
+class ValueState:
+    """One run's estimate for n samples: running mean entropy (NaN until
+    observed), latest observation (for no-ovr) and passes observed."""
+
+    def __init__(self, n: int):
+        self.values = np.full(n, np.nan)
+        self.last_values = np.full(n, np.nan)
+        self.frequencies = np.zeros(n, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -70,21 +79,21 @@ def record_value(record: ValueRecord, new_value: float) -> ValueRecord:
     return ValueRecord(value=updated, frequency=freq)
 
 
-def observe_batch(store: KnowledgeStore, sample_ids, new_values) -> None:
-    """Apply the running-mean update to a batch of store entries."""
+def observe_batch(state: ValueState, sample_ids, new_values) -> None:
+    """Apply the running-mean update to a batch of samples."""
     ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(new_values, dtype=np.float64)
     if ids.size != vals.size:
         raise ValueError("sample_ids and new_values lengths differ")
     if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
         raise ValueError("observed values must be finite and >= 0")
-    freq = store.frequencies[ids] + 1
+    freq = state.frequencies[ids] + 1
     first = freq == 1
-    prev = store.values[ids]
+    prev = state.values[ids]
     updated = np.where(first, vals, ((freq - 1) / freq) * np.where(first, 0.0, prev) + vals / freq)
-    store.values[ids] = updated
-    store.last_values[ids] = vals
-    store.frequencies[ids] = freq
+    state.values[ids] = updated
+    state.last_values[ids] = vals
+    state.frequencies[ids] = freq
 
 
 def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
@@ -94,27 +103,26 @@ def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
     return float(record.value * record.frequency ** cfg.alpha)
 
 
-def cost_aware_scores(store: KnowledgeStore, cfg: OgveConfig,
+def cost_aware_scores(state: ValueState, cfg: OgveConfig,
                       value_source: str = "mean") -> np.ndarray:
-    """Vectorized scores over the whole store; unobserved entries get -inf so
+    """Vectorized scores over every sample; unobserved entries get -inf so
     they sort below every observed sample."""
     if value_source == "mean":
-        values = store.values
+        values = state.values
     elif value_source == "latest":
-        values = store.last_values
+        values = state.last_values
     else:
         raise ValueError(f"unknown value_source {value_source!r}")
-    observed = store.frequencies > 0
+    observed = state.frequencies > 0
     with np.errstate(invalid="ignore"):
-        raw = values * store.frequencies.astype(np.float64) ** cfg.alpha
+        raw = values * state.frequencies.astype(np.float64) ** cfg.alpha
     return np.where(observed, raw, -np.inf)
 
 
-def rank(store: KnowledgeStore, cfg: OgveConfig, value_source: str = "mean") -> np.ndarray:
+def rank(state: ValueState, cfg: OgveConfig, value_source: str = "mean") -> np.ndarray:
     """Rank positions 0..N-1 (0 = highest score), descending by score with
     ties broken by ascending sample id."""
-    scores = cost_aware_scores(store, cfg, value_source)
-    return ranks_from_scores(scores)
+    return ranks_from_scores(cost_aware_scores(state, cfg, value_source))
 
 
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -165,7 +173,7 @@ def labeling_from_ranks(ranks: np.ndarray, keep_ratio: float) -> ValueLabeling:
     return ValueLabeling(ranks=np.asarray(ranks, dtype=np.int64), probs=probs, labels=labels)
 
 
-def label_by_ratio(store: KnowledgeStore, cfg: OgveConfig, keep_ratio: float,
+def label_by_ratio(state: ValueState, cfg: OgveConfig, keep_ratio: float,
                    value_source: str = "mean") -> ValueLabeling:
-    """Rank the store and label the top round(keep_ratio * N) samples as kept."""
-    return labeling_from_ranks(rank(store, cfg, value_source), keep_ratio)
+    """Rank every sample and label the top round(keep_ratio * N) as kept."""
+    return labeling_from_ranks(rank(state, cfg, value_source), keep_ratio)

@@ -9,7 +9,8 @@ from kcdistill.nn import TrainConfig, train_teacher
 def small_task():
     """Fast 4-class task with a cached teacher for driver-level tests.
 
-    Runs reset the store's value state, so sharing one store is safe.
+    Runs only read the store (each keeps its own value state), so sharing
+    one store is safe.
     """
     ds = gen_gaussian_mixture(4, 6, 30, 1.2, seed=11)
     tcfg = TrainConfig.desk_default(40, weight_decay=5e-3)

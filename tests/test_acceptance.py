@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kcdistill import emdriver
 from kcdistill.data import gen_gaussian_mixture
 from kcdistill.emdriver import (
     DistillConfig,
@@ -20,11 +21,12 @@ from kcdistill.emdriver import (
     run_baseline,
     tau_schedule,
 )
-from kcdistill.evaluation import accuracy, reuse_run
+from kcdistill.evaluation import _pool_map, accuracy, reuse_run
 from kcdistill.knowledge import ValueRecord, build_store
 from kcdistill.nn import TrainConfig, finite_difference_check, init_mlp, train_classifier, train_teacher
 from kcdistill.ogve import (
     OgveConfig,
+    ValueState,
     binarize,
     labeling_from_ranks,
     rank_probability,
@@ -72,14 +74,18 @@ def run_method(task, method, seed, rho=0.7):
     return run_baseline(acceptance_config(seed, rho), store, student, ds, method)
 
 
+def method_record(job, task):
+    method, seed = job
+    return run_method(task, method, seed)[1]
+
+
 @pytest.fixture(scope="module")
 def method_records(task):
-    """All (method, seed) records used by criteria 8 and 9, computed once."""
+    """All (method, seed) records used by criteria 8 and 9, computed once,
+    spread over worker processes."""
     methods = ("kcd", "random-subset", "full-kd", "no-ovr", "no-car", "fixed-eps")
-    return {
-        m: [run_method(task, m, s)[1] for s in SEEDS]
-        for m in methods
-    }
+    records = iter(_pool_map(method_record, [(m, s) for m in methods for s in SEEDS], task))
+    return {m: [next(records) for _ in SEEDS] for m in methods}
 
 
 def test_criterion_1_cost_reproduction():
@@ -91,9 +97,21 @@ def test_criterion_1_cost_reproduction():
           f"(target 0.8165 +/- 0.0005), tau_1 = {taus[0]:.6f} (target 0.9423 +/- 0.0001)")
 
 
+def counted_kcd_run(job, _):
+    """A kcd run with its own ValueState; returns the state's pass count and
+    the record's absolute cost."""
+    config, store, ds = job
+    values = ValueState(store.n)
+    student = init_student(store.dim, (4,), store.num_classes, config.seed)
+    _, record = emdriver._execute(config, store, student, ds, "kcd", values)
+    return int(values.frequencies.sum()), record.cost.absolute_cost
+
+
 def test_criterion_2_cost_identity_on_random_configs():
+    # configs and Dirichlet draws come from the one stream in this process;
+    # only the runs go to worker processes
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    jobs = []
     for trial in range(20):
         rho = float(rng.uniform(0.7, 0.95))
         stages = int(rng.integers(4, 7))
@@ -109,12 +127,14 @@ def test_criterion_2_cost_identity_on_random_configs():
             train=TrainConfig.desk_default(epochs, batch_size=128),
             seed=trial,
         )
-        student = init_student(store.dim, (4,), store.num_classes, trial)
-        _, record = run_baseline(config, store, student, ds, "kcd")
-        realized = int(store.frequencies.sum())  # independent recount
-        assert realized == record.cost.absolute_cost
-        ideal = relative_cost(tau_schedule(rho, stages))
-        rel_err = abs(realized / (store.n * epochs) - ideal) / ideal
+        jobs.append((config, store, ds))
+    worst = 0.0
+    counts = _pool_map(counted_kcd_run, jobs, None)
+    for (config, store, _), (realized, absolute) in zip(jobs, counts):
+        assert realized == absolute  # independent recount
+        sched = config.schedule
+        ideal = relative_cost(tau_schedule(sched.rho, sched.stage_count))
+        rel_err = abs(realized / (store.n * sched.total_epochs) - ideal) / ideal
         worst = max(worst, rel_err)
         assert rel_err < 0.001
     print(f"\nACCEPTANCE 2 PASS: 20 random configs, worst realized-vs-ideal "
@@ -288,19 +308,19 @@ def test_criterion_9_ablation_directionality(method_records):
           f"ablation ({', '.join(lines)}) over {len(SEEDS)} seeds")
 
 
-def test_criterion_10_reuse_ordering(task, method_records):
+def reuse_record(job, task):
     ds, store = task
-    with_vaks, direct = [], []
-    for seed, src in zip(SEEDS, method_records["kcd"]):
-        labeling = src.final_labeling()
-        for mode, out in (("with-vaks", with_vaks), ("direct-select", direct)):
-            student = init_student(store.dim, STUDENT_HIDDEN, store.num_classes,
-                                   seed + 1000)
-            _, rec = reuse_run(labeling, acceptance_config(seed + 1000), store,
-                               ds, mode, student)
-            out.append(rec.final_accuracy)
-    with_vaks = np.array(with_vaks)
-    direct = np.array(direct)
+    seed, mode, labeling = job
+    student = init_student(store.dim, STUDENT_HIDDEN, store.num_classes, seed + 1000)
+    return reuse_run(labeling, acceptance_config(seed + 1000), store, ds, mode, student)[1]
+
+
+def test_criterion_10_reuse_ordering(task, method_records):
+    jobs = [(seed, mode, src.final_labeling())
+            for seed, src in zip(SEEDS, method_records["kcd"])
+            for mode in ("with-vaks", "direct-select")]
+    accs = [rec.final_accuracy for rec in _pool_map(reuse_record, jobs, task)]
+    with_vaks, direct = np.array(accs[0::2]), np.array(accs[1::2])
     assert with_vaks.mean() >= direct.mean()
 
     # paired-run experiment: retraining from a run's own labels with the

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -243,3 +244,52 @@ class TestReport:
         assert f"skipped {bad_path}" in err
         assert "skipped 1 files" in err
 
+
+
+class TestAtomicCliWrites:
+    """Each file the CLI writes goes through a temp file and os.replace: an
+    interrupted write leaves the earlier file whole and no temp file."""
+
+    @pytest.fixture
+    def record_dir(self, workdir, tmp_path_factory):
+        records = tmp_path_factory.mktemp("records")
+        assert main(distill_args(workdir, records / "a.json", ["--seed", "1"])) == 0
+        return records
+
+    def commands(self, workdir, record_dir, out):
+        run_inputs = ["--data", str(workdir / "data"),
+                      "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                      "--student-hidden", "6", "--epochs", "4", "--stage-len", "2"]
+        report = ["report", "--records", str(record_dir), "--out-csv", str(out / "summary.csv"),
+                  "--emit-plot-data"]
+        return {
+            "meta.json": ["gen-data", "--classes", "3", "--dims", "2", "--per-class", "5",
+                          "--out", str(out)],
+            "m.csv": distill_args(workdir, out / "r.json",
+                                  ["--out-metrics", str(out / "m.csv")]),
+            "sweep.csv": ["sweep", *run_inputs, "--rho-grid", "1.0", "--seeds", "1",
+                          "--methods", "kcd", "--out", str(out / "sweep.csv")],
+            "summary.csv": report,
+            "summary_rho_curve.csv": report,
+            "summary_hamming.csv": report,
+        }
+
+    @pytest.mark.parametrize("target", ["meta.json", "m.csv", "sweep.csv", "summary.csv",
+                                        "summary_rho_curve.csv", "summary_hamming.csv"])
+    def test_interrupted_write_keeps_old_file(self, workdir, record_dir, tmp_path,
+                                              monkeypatch, capsys, target):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / target).write_bytes(b"earlier file")
+        real_replace = os.replace
+
+        def interrupted(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("disk went away")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        assert main(self.commands(workdir, record_dir, out)[target]) == 1
+        assert "disk went away" in capsys.readouterr().err
+        assert (out / target).read_bytes() == b"earlier file"
+        assert not [p for p in os.listdir(out) if p.endswith(".tmp")]

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from kcdistill import emdriver, nn, ogve, vaks
 from kcdistill.emdriver import (
     ALL_METHODS,
+    REUSE_MODES,
     DistillConfig,
     DistillationError,
     RunRecord,
@@ -41,6 +44,16 @@ def run_small(task, method="kcd", seed=0, **cfg_kwargs):
     if method == "kcd":
         return run(config, store, student, ds)
     return run_baseline(config, store, student, ds, method)
+
+
+def run_with_state(task, method="kcd", seed=0, **cfg_kwargs):
+    """run_small through the stage loop with a ValueState the caller can read."""
+    ds, store = task
+    values = ogve.ValueState(store.n)
+    student = init_student(store.dim, (8,), store.num_classes, seed)
+    _, record = emdriver._execute(make_config(seed=seed, **cfg_kwargs), store, student,
+                                  ds, method, values)
+    return record, values
 
 
 class TestTauSchedule:
@@ -144,10 +157,9 @@ class TestRunMechanics:
             oracle / (store.n * 12), rel=1e-12)
 
     def test_frequencies_count_training_passes(self, small_task):
-        ds, store = small_task
-        run_small(small_task, rho=1.0, epochs=12, stage_len=3)
+        _, values = run_with_state(small_task, rho=1.0, epochs=12, stage_len=3)
         # with everything active every epoch, each sample is seen once per epoch
-        assert np.all(store.frequencies == 12)
+        assert np.all(values.frequencies == 12)
 
     def test_realized_cost_tracks_ideal_at_reference_point(self):
         # 1000-sample store, 240 epochs in 6 stages at rho 0.7: the realized
@@ -236,11 +248,10 @@ class TestDegenerateEquivalence:
     def test_no_car_scores_ignore_frequency(self, small_task):
         from kcdistill.ogve import cost_aware_scores
 
-        ds, store = small_task
-        run_small(small_task, seed=7)  # leave the store with mixed frequencies
-        scores = cost_aware_scores(store, OgveConfig(alpha=0.0))
-        observed = store.frequencies > 0
-        np.testing.assert_array_equal(scores[observed], store.values[observed])
+        _, values = run_with_state(small_task, seed=7)  # mixed frequencies
+        scores = cost_aware_scores(values, OgveConfig(alpha=0.0))
+        observed = values.frequencies > 0
+        np.testing.assert_array_equal(scores[observed], values.values[observed])
 
     def test_ogve_only_has_no_augmented_members(self, small_task):
         _, record = run_small(small_task, method="ogve-only", seed=8)
@@ -366,7 +377,7 @@ class TestTrainEpoch:
             return student, nn.SgdState.zeros_like(student), np.random.default_rng(4)
 
         # reference: the old loop, folding every batch's entropies as it goes
-        store.reset_value_state()
+        values = ogve.ValueState(store.n)
         student, state, rng = fresh()
         for _ in range(2):
             ids = np.sort(active)
@@ -376,20 +387,19 @@ class TestTrainEpoch:
                 _, gw, gb, probs_1 = nn.loss_and_grads(
                     student, store.features[batch], targets[batch])
                 nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
-                ogve.observe_batch(store, batch, ogve.entropy_rows(probs_1))
-        expected = [a.copy() for a in (store.values, store.last_values, store.frequencies)]
+                ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
+        expected = (values.values, values.last_values, values.frequencies)
         expected_params = student.params.copy()
 
-        store.reset_value_state()
+        values = ogve.ValueState(store.n)
         student, state, rng = fresh()
         for epoch in (1, 2):
             emdriver._train_epoch(student, store, active, targets, tcfg, tcfg.lr,
-                                  rng, state, 1, epoch)
-        got = (store.values, store.last_values, store.frequencies)
+                                  rng, state, values, 1, epoch)
+        got = (values.values, values.last_values, values.frequencies)
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
         assert student.params.tobytes() == expected_params.tobytes()
-        store.reset_value_state()
 
     def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
         _, store = small_task
@@ -408,3 +418,80 @@ class TestTrainEpoch:
         targets = emdriver._stage_targets(store, condensed)
         assert targets is not store.teacher_probs
         np.testing.assert_array_equal(targets[condensed.aug_ids], condensed.aug_probs)
+
+
+class TestMethodTable:
+    def test_rows_are_exactly_the_methods_and_reuse_modes(self):
+        assert set(emdriver._METHODS) == set(ALL_METHODS) | {f"reuse-{m}" for m in REUSE_MODES}
+
+    def test_run_takes_the_method(self, small_task):
+        ds, store = small_task
+        student = init_student(store.dim, (8,), store.num_classes, 2)
+        _, record = run(make_config(seed=2), store, student, ds, method="no-car")
+        assert record.method == "no-car"
+        assert run_baseline is run
+
+    def test_unscheduled_runs_report_ideal_equal_to_realized(self, small_task):
+        _, full = run_small(small_task, method="full-kd", seed=18)
+        assert full.cost.relative_cost == full.cost.realized_relative_cost == 1.0
+        ds, store = small_task
+        student = init_student(store.dim, (8,), store.num_classes, 18)
+        _, reuse = run_with_fixed_labels(make_config(seed=18), store, student, ds,
+                                         random_labeling(store.n, 0.7), "direct-select")
+        assert reuse.cost.relative_cost == reuse.cost.realized_relative_cost < 1.0
+
+    def test_methods_that_read_no_value_compute_none(self, small_task, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(ogve, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(ogve, name, counted)
+
+        spy("entropy_rows")
+        spy("observe_batch")
+        ds, store = small_task
+        for method in ("full-kd", "random-subset"):
+            run_small(small_task, method=method, seed=19)
+        for mode in REUSE_MODES:
+            student = init_student(store.dim, (8,), store.num_classes, 19)
+            run_with_fixed_labels(make_config(seed=19), store, student, ds,
+                                  random_labeling(store.n, 0.7), mode)
+        assert calls == []
+        run_small(small_task, method="ogve-only", seed=19)
+        assert set(calls) == {"entropy_rows", "observe_batch"}
+
+
+def random_labeling(n, keep_ratio):
+    return ogve.labeling_from_ranks(np.random.default_rng(n).permutation(n), keep_ratio)
+
+
+def test_runs_sharing_a_store_across_threads_match_serial_runs(small_task):
+    """Each run keeps its own value state, so kcd runs on one store in more
+    threads than cores, switching often, give the fingerprints of the same
+    runs one after another."""
+    seeds = (3, 4, 3, 4)
+    serial = {seed: run_small(small_task, seed=seed, epochs=24)[1].fingerprint()
+              for seed in set(seeds)}
+    start = threading.Barrier(len(seeds))
+    threaded = [None] * len(seeds)
+
+    def worker(i):
+        start.wait(timeout=60)
+        threaded[i] = run_small(small_task, seed=seeds[i], epochs=24)[1].fingerprint()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threaded == [serial[seed] for seed in seeds]

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from kcdistill.emdriver import (
     run_baseline,
 )
 from kcdistill.evaluation import (
+    _pool_map,
     accuracy,
     hamming_distance,
     hamming_matrix,
@@ -19,6 +22,7 @@ from kcdistill.evaluation import (
     reuse_run,
     sweep_rows_to_csv,
 )
+from kcdistill.knowledge import LabelStreamError
 from kcdistill.nn import TrainConfig, init_mlp
 from kcdistill.ogve import OgveConfig
 
@@ -162,7 +166,7 @@ class TestRatioSweep:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Record the worker count of every process pool ratio_sweep builds."""
+    """Record the worker count of every process pool _pool_map builds."""
     made = []
 
     class RecordingPool(evaluation.ProcessPoolExecutor):
@@ -176,6 +180,18 @@ def pools(monkeypatch):
 
 def usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def pid_and_scaled(job, factor):
+    return os.getpid(), job * factor
+
+
+def fail_on_two(job, context):
+    if job == 2:
+        raise DistillationError(f"stage 2, epoch 7: seed {job} diverged")
+    if job == 3:
+        raise LabelStreamError(f"bad magic in job {job}", 0)
+    return job
 
 
 class TestParallelSweep:
@@ -206,13 +222,34 @@ class TestParallelSweep:
         assert rows == expected
         assert sweep_rows_to_csv(rows) == sweep_rows_to_csv(expected)
 
-    def test_one_cpu_builds_no_pool(self, small_task, pools, monkeypatch):
-        ds, store = small_task
+    def test_one_cpu_builds_no_pool(self, pools, monkeypatch):
         usable_cpus(monkeypatch, 1)
-        rows = ratio_sweep(store, ds, small_config(), (8,),
-                           rho_grid=(0.6,), seeds=(0, 1), methods=("kcd",))
+        results = _pool_map(pid_and_scaled, [1, 2, 3], 10)
         assert pools == []
-        assert [r["seed"] for r in rows] == [0, 1]
+        assert results == [(os.getpid(), 10), (os.getpid(), 20), (os.getpid(), 30)]
+
+    def test_two_cpus_map_in_order_in_workers(self, pools, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        results = _pool_map(pid_and_scaled, range(6), 10)
+        assert pools == [2]
+        assert [r for _, r in results] == [0, 10, 20, 30, 40, 50]
+        assert os.getpid() not in {pid for pid, _ in results}
+
+    @pytest.mark.parametrize("fallback", ["one job", "no fork", "live thread"])
+    def test_fallbacks_run_in_process(self, pools, monkeypatch, fallback):
+        usable_cpus(monkeypatch, 2)
+        jobs = [1] if fallback == "one job" else [1, 2]
+        if fallback == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        release = threading.Event()
+        if fallback == "live thread":
+            threading.Thread(target=release.wait, daemon=True).start()
+        try:
+            results = _pool_map(pid_and_scaled, jobs, 1)
+        finally:
+            release.set()
+        assert pools == []
+        assert results == [(os.getpid(), job) for job in jobs]
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(methods=("kcd", "telepathy")), "unknown method 'telepathy'"),
@@ -228,24 +265,22 @@ class TestParallelSweep:
             raise AssertionError("a run started before validation")
 
         monkeypatch.setattr(emdriver, "run_baseline", no_run)
+        monkeypatch.setattr(evaluation, "_pool_map", no_run)
         grid = {**dict(rho_grid=(0.5,), seeds=(0,), methods=("kcd",)), **kwargs}
         with pytest.raises(ValueError, match=message):
             ratio_sweep(store, ds, small_config(), (8,), **grid)
         assert pools == []
 
-    def test_worker_error_reaches_caller(self, small_task, pools, monkeypatch):
-        ds, store = small_task
+    def test_worker_error_reaches_caller(self, pools, monkeypatch):
         usable_cpus(monkeypatch, 2)
-        real = emdriver.run_baseline
-
-        def failing(config, store, student, dataset, method):
-            if method == "full-kd":
-                raise DistillationError(f"stage 2, epoch 7: seed {config.seed} diverged")
-            return real(config, store, student, dataset, method)
-
-        # workers are forked after this patch, so they run the failing version
-        monkeypatch.setattr(emdriver, "run_baseline", failing)
-        with pytest.raises(DistillationError, match="stage 2, epoch 7: seed 1 diverged"):
-            ratio_sweep(store, ds, small_config(), (8,), rho_grid=(0.6,),
-                        seeds=(1,), methods=("kcd", "full-kd"))
+        with pytest.raises(DistillationError, match="stage 2, epoch 7: seed 2 diverged"):
+            _pool_map(fail_on_two, [1, 2], None)
         assert pools == [2]
+
+    def test_label_stream_error_crosses_worker(self, pools, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(LabelStreamError) as caught:
+            _pool_map(fail_on_two, [1, 3], None)
+        assert pools == [2]
+        assert caught.value.offset == 0
+        assert str(caught.value) == "bad magic in job 3 (byte offset 0)"

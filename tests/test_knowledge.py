@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from kcdistill.knowledge import (
     load_labels,
     save_labels,
 )
+from kcdistill.ogve import ValueState
 
 
 def simple_store(n=3, c=2):
@@ -28,8 +30,9 @@ def test_build_store_basic():
     assert store.n == 3
     assert store.dim == 4
     assert store.num_classes == 2
-    assert np.all(store.frequencies == 0)
-    assert np.all(np.isnan(store.values))
+    state = ValueState(store.n)
+    assert np.all(state.frequencies == 0)
+    assert np.all(np.isnan(state.values))
 
 
 def test_build_store_rejects_bad_simplex():
@@ -85,13 +88,21 @@ def test_store_arrays_immutable():
         store.teacher_probs[0, 0] = 0.9
 
 
-def test_reset_value_state():
+def test_fresh_value_state_is_unobserved():
+    state = ValueState(5)
+    assert state.values.shape == state.last_values.shape == state.frequencies.shape == (5,)
+    assert np.all(state.frequencies == 0)
+    assert np.all(np.isnan(state.values))
+    assert np.all(np.isnan(state.last_values))
+
+
+def test_store_is_read_only_and_holds_no_value_state():
     store = simple_store()
-    store.values[:] = 1.0
-    store.frequencies[:] = 4
-    store.reset_value_state()
-    assert np.all(store.frequencies == 0)
-    assert np.all(np.isnan(store.values))
+    for attr in ("values", "last_values", "frequencies", "reset_value_state"):
+        assert not hasattr(store, attr)
+    arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3  # features, teacher_probs, hard_labels
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def make_labeling(n=6, kept=3, seed=0):
@@ -159,6 +170,12 @@ class TestLabelSerialization:
         blob = export_labels(make_labeling())
         with pytest.raises(LabelStreamError, match="byte offset"):
             import_labels(blob[:-3])
+
+    def test_error_pickles_with_message_and_offset(self):
+        err = pickle.loads(pickle.dumps(LabelStreamError("bad magic", 0)))
+        assert isinstance(err, LabelStreamError)
+        assert str(err) == "bad magic (byte offset 0)"
+        assert err.offset == 0
 
     def test_truncated_header(self):
         with pytest.raises(LabelStreamError, match="truncated header"):

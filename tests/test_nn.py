@@ -1,7 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from kcdistill.data import DataFormatError
 
 from kcdistill.nn import (
     SgdState,
@@ -314,3 +319,73 @@ class TestFlatParams:
             twin.biases[1][0] += 1.0
             assert twin.params[0] == model.params[0] + 1.0
             assert twin.param_bytes() != model.param_bytes()
+
+
+# a three-layer checkpoint: 12 header bytes, 12 dim bytes, then parameters
+FUZZ_MODEL = init_mlp((5, 7, 3), 21)
+FUZZ_DIMS_END = 12 + 4 * len(FUZZ_MODEL.layer_dims)
+fuzz = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def checkpoint_bytes(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, FUZZ_MODEL)
+    return path, path.read_bytes()
+
+
+def assert_rejected(path, blob):
+    path.write_bytes(blob)
+    with pytest.raises(DataFormatError, match="byte offset") as caught:
+        load_model(path)
+    assert str(path) in str(caught.value)
+
+
+class TestHostileCheckpoint:
+    @fuzz
+    @given(cut=st.data())
+    def test_truncation(self, tmp_path, cut):
+        path, blob = checkpoint_bytes(tmp_path)
+        assert_rejected(path, blob[:cut.draw(st.integers(0, len(blob) - 1))])
+
+    @fuzz
+    @given(bit=st.integers(0, 8 * FUZZ_DIMS_END - 1))
+    def test_header_bit_flip(self, tmp_path, bit):
+        path, blob = checkpoint_bytes(tmp_path)
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert_rejected(path, bytes(flipped))
+
+    @fuzz
+    @given(bit=st.data())
+    def test_parameter_bit_flip_loads_same_shape(self, tmp_path, bit):
+        path, blob = checkpoint_bytes(tmp_path)
+        i = bit.draw(st.integers(8 * FUZZ_DIMS_END, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        path.write_bytes(bytes(flipped))
+        assert load_model(path).layer_dims == FUZZ_MODEL.layer_dims
+
+    @fuzz
+    @given(n_dims=st.integers(4, 2**32 - 1))
+    def test_huge_n_dims(self, tmp_path, n_dims):
+        path, blob = checkpoint_bytes(tmp_path)
+        assert_rejected(path, blob[:8] + struct.pack("<I", n_dims) + blob[12:])
+
+    @fuzz
+    @given(layer=st.integers(0, 2), dim=st.integers(8, 2**32 - 1))
+    def test_huge_dim(self, tmp_path, layer, dim):
+        path, blob = checkpoint_bytes(tmp_path)
+        at = 12 + 4 * layer
+        assert_rejected(path, blob[:at] + struct.pack("<I", dim) + blob[at + 4:])
+
+    @pytest.mark.parametrize("dims", [(), (5,), (5, 0)])
+    def test_degenerate_dims(self, tmp_path, dims):
+        path = tmp_path / "model.bin"
+        assert_rejected(path, struct.pack(f"<4sII{len(dims)}I", b"MLP1", 1, len(dims), *dims))
+        with pytest.raises(DataFormatError, match=f"got {len(dims)} dims"):
+            load_model(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, blob = checkpoint_bytes(tmp_path)
+        assert_rejected(path, blob + b"\0")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kcdistill.knowledge import ValueRecord, build_store
+from kcdistill.knowledge import ValueRecord
 from kcdistill.ogve import (
     OgveConfig,
+    ValueState,
     binarize,
     cost_aware_score,
     keep_count,
@@ -82,25 +83,24 @@ class TestRecordValue:
 
 class TestObserveBatch:
     def test_matches_scalar_updates(self):
-        store = build_store(np.zeros((4, 2)), np.full((4, 3), 1 / 3))
+        state = ValueState(4)
         rng = np.random.default_rng(2)
         records = [ValueRecord() for _ in range(4)]
         for _ in range(5):
             ids = rng.permutation(4)[:3]
             vals = rng.uniform(0, 2, size=3)
-            observe_batch(store, ids, vals)
+            observe_batch(state, ids, vals)
             for i, v in zip(ids, vals):
                 records[i] = record_value(records[i], float(v))
         for i, rec in enumerate(records):
-            assert store.frequencies[i] == rec.frequency
+            assert state.frequencies[i] == rec.frequency
             if rec.frequency:
-                assert store.values[i] == pytest.approx(rec.value, rel=1e-12)
-                assert store.last_values[i] >= 0
+                assert state.values[i] == pytest.approx(rec.value, rel=1e-12)
+                assert state.last_values[i] >= 0
 
     def test_rejects_negative_values(self):
-        store = build_store(np.zeros((2, 2)), np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
-            observe_batch(store, [0], [-1.0])
+            observe_batch(ValueState(2), [0], [-1.0])
 
 
 class TestCostAwareScore:
@@ -126,28 +126,27 @@ class TestCostAwareScore:
             OgveConfig(alpha=-0.1)
 
 
-def store_with_scores(values, frequencies=None):
-    n = len(values)
-    store = build_store(np.zeros((n, 2)), np.full((n, 2), 0.5))
-    store.values[:] = values
-    store.frequencies[:] = frequencies if frequencies is not None else 1
-    return store
+def state_with_scores(values, frequencies=None):
+    state = ValueState(len(values))
+    state.values[:] = values
+    state.frequencies[:] = frequencies if frequencies is not None else 1
+    return state
 
 
 class TestRank:
     def test_descending_sort(self):
-        store = store_with_scores([3.0, 1.0, 2.0])
-        assert list(rank(store, OgveConfig(alpha=0.0))) == [0, 2, 1]
+        state = state_with_scores([3.0, 1.0, 2.0])
+        assert list(rank(state, OgveConfig(alpha=0.0))) == [0, 2, 1]
 
     def test_tie_break_by_id(self):
-        store = store_with_scores([1.0, 1.0])
-        assert list(rank(store, OgveConfig(alpha=0.0))) == [0, 1]
+        state = state_with_scores([1.0, 1.0])
+        assert list(rank(state, OgveConfig(alpha=0.0))) == [0, 1]
 
     def test_unobserved_ranked_last(self):
-        store = store_with_scores([0.1, 0.5, 0.9])
-        store.frequencies[1] = 0
-        store.values[1] = np.nan
-        ranks = rank(store, OgveConfig(alpha=0.0))
+        state = state_with_scores([0.1, 0.5, 0.9])
+        state.frequencies[1] = 0
+        state.values[1] = np.nan
+        ranks = rank(state, OgveConfig(alpha=0.0))
         assert ranks[1] == 2
 
     def test_monotone_transform_invariance(self):
@@ -170,10 +169,10 @@ class TestRank:
             assert np.array_equal(ranks_from_scores(f(scores)), base)
 
     def test_latest_value_source(self):
-        store = store_with_scores([1.0, 2.0])
-        store.last_values[:] = [5.0, 0.5]
-        mean_ranks = rank(store, OgveConfig(alpha=0.0), value_source="mean")
-        latest_ranks = rank(store, OgveConfig(alpha=0.0), value_source="latest")
+        state = state_with_scores([1.0, 2.0])
+        state.last_values[:] = [5.0, 0.5]
+        mean_ranks = rank(state, OgveConfig(alpha=0.0), value_source="mean")
+        latest_ranks = rank(state, OgveConfig(alpha=0.0), value_source="latest")
         assert list(mean_ranks) == [1, 0]
         assert list(latest_ranks) == [0, 1]
 
@@ -273,8 +272,8 @@ class TestRatioLabeling:
         assert set(kept_ranks) == set(range(keep_count(30, 0.5)))
 
     def test_label_by_ratio_uses_store_scores(self):
-        store = store_with_scores([0.1, 0.9, 0.5, 0.7])
-        labeling = label_by_ratio(store, OgveConfig(alpha=0.0), 0.5)
+        state = state_with_scores([0.1, 0.9, 0.5, 0.7])
+        labeling = label_by_ratio(state, OgveConfig(alpha=0.0), 0.5)
         assert list(np.flatnonzero(labeling.labels)) == [1, 3]
 
     def test_threshold_matches_labeling(self):
