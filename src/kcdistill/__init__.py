@@ -9,7 +9,6 @@ from .emdriver import (
     DistillationError,
     RunRecord,
     ScheduleConfig,
-    computation_ratio,
     init_student,
     relative_cost,
     run,
@@ -22,24 +21,14 @@ from .knowledge import (
     KnowledgeStore,
     LabelStreamError,
     ValueLabeling,
-    ValueRecord,
     build_store,
     export_labels,
     import_labels,
     load_labels,
     save_labels,
 )
-from .nn import MlpModel, TrainConfig, init_mlp, kd_loss, softmax, train_teacher
-from .ogve import (
-    OgveConfig,
-    ValueState,
-    binarize,
-    cost_aware_score,
-    prediction_entropy,
-    rank,
-    rank_probability,
-    record_value,
-)
+from .nn import MlpModel, TrainConfig, init_mlp, softmax, train_teacher
+from .ogve import OgveConfig, ValueState, binarize, rank, rank_probability
 from .vaks import Partition, augment, epsilon_schedule, partition, summarize
 
 __version__ = "0.1.0"

@@ -4,6 +4,7 @@ variants, reuse, sweeps, and report aggregation."""
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import os
@@ -152,7 +153,10 @@ def cmd_train_teacher(args) -> int:
     model, probs = nn.train_teacher(dataset.train_features, dataset.train_labels,
                                     dims, cfg, args.epochs, args.seed)
     nn.save_model(args.out_model, model)
-    np.save(args.out_probs, probs)
+    npy = io.BytesIO()
+    np.save(npy, probs)
+    # the path np.save(args.out_probs, probs) writes to
+    datamod.write_atomic(str(args.out_probs).removesuffix(".npy") + ".npy", npy.getvalue())
     train_acc = evaluation.accuracy(model, dataset.train_features, dataset.train_labels)
     test_acc = evaluation.accuracy(model, dataset.test_features, dataset.test_labels)
     print(f"teacher dims={dims} train_acc={train_acc:.4f} test_acc={test_acc:.4f} "

@@ -7,6 +7,7 @@ standardized values, so a reload never re-standardizes.
 
 from __future__ import annotations
 
+import itertools
 import os
 import secrets
 from dataclasses import dataclass
@@ -105,15 +106,15 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
     return Dataset(features, labels, classes, train_idx, test_idx)
 
 
-def write_atomic(path, payload: bytes) -> None:
-    """Write payload to path through a fresh temp file in the same directory
-    and os.replace, so a reader sees the old file or the whole new one. A
-    failed write leaves any earlier file intact and removes the temp file."""
+def write_atomic(path, payload) -> None:
+    """Write payload (bytes or an iterable of bytes chunks) to path via a temp
+    file in the same directory and os.replace: a reader sees the old file or
+    the whole new one, and a failed write keeps the old file and no temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(payload)
+            fh.writelines((payload,) if isinstance(payload, bytes) else payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -121,16 +122,14 @@ def write_atomic(path, payload: bytes) -> None:
 
 
 def save_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Rows are f0..f{D-1},label with floats at 17 significant digits."""
+    """Rows are f0..f{D-1},label with floats at 17 significant digits,
+    streamed line by line through write_atomic."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    dim = features.shape[1]
-    header = ",".join([f"f{i}" for i in range(dim)] + ["label"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(features, labels):
-            cells = [CSV_FLOAT_FORMAT % v for v in row]
-            fh.write(",".join(cells + [str(int(lab))]) + "\n")
+    header = ",".join([f"f{i}" for i in range(features.shape[1])] + ["label"])
+    rows = (",".join([CSV_FLOAT_FORMAT % v for v in row] + [str(int(lab))])
+            for row, lab in zip(features, labels))
+    write_atomic(path, (f"{line}\n".encode() for line in itertools.chain([header], rows)))
 
 
 def load_csv(path, class_count: int | None = None) -> Dataset:

@@ -22,6 +22,16 @@ One stage loop serves every method and both reuse modes; a row of _METHODS
 says how a stage picks its labeling, how it condenses the kept set, and
 whether the run keeps a ValueState.
 
+The loop trains a group of runs in lockstep. Runs form a group when they
+share a shape_key: the store, the epochs and stage length, the TrainConfig,
+the student's layer dims and the active-set size of every stage (N for
+full-kd, keep_count(N, tau_s) for the scheduled methods, the imported kept
+count for reuse rows). Their students become one stacked model, and each
+batch step, SGD update and per-epoch evaluation runs once for the whole
+stack; per model it is the arithmetic of a lone run, bit for bit. Each run
+still keeps its own generators, ValueState, labeling, condensed set and
+RunRecord. run() is a group of one.
+
 Training batches are drawn by shuffling the ascending-sorted active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
 identical randomness and differ only through which samples they select.
@@ -32,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -115,28 +125,6 @@ def relative_cost(tau_list) -> float:
     if not taus:
         raise ValueError("empty tau list")
     return float(sum(taus) / len(taus))
-
-
-def computation_ratio(tau_list, stage_len: int, n_points: int,
-                      teacher_forward: float, student_forward: float,
-                      student_backward: float) -> float:
-    """Cost ratio computed the long way, from per-pass operation counts.
-
-    Every knowledge point fed through the pipeline costs one teacher forward,
-    one student forward, and one student backward; the condensed run feeds
-    n * tau_s points for stage_len epochs per stage, the baseline feeds n
-    points for every epoch. The per-point factor appears in both numerator
-    and denominator, so the ratio reduces to relative_cost for any positive
-    operation counts.
-    """
-    if min(teacher_forward, student_forward, student_backward) <= 0.0:
-        raise ValueError("per-pass operation counts must be positive")
-    taus = list(tau_list)
-    per_point = teacher_forward + student_forward + student_backward
-    condensed = n_points * sum(taus) * stage_len * per_point
-    total_epochs = stage_len * len(taus)
-    full = n_points * total_epochs * per_point
-    return condensed / full
 
 
 @dataclass
@@ -264,11 +252,12 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
     return nn.init_mlp(dims, np.random.default_rng([seed, 0]))
 
 
-def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state, values,
-                 stage: int, epoch: int) -> float:
-    """One epoch over the active set: shuffle sorted ids, step per batch and,
-    when the run keeps a ValueState, record each trained sample's prediction
-    entropy in it.
+def _train_epoch(stack, state, runs, store, active, targets, tcfg, lr,
+                 stage: int, epoch: int) -> np.ndarray:
+    """One epoch of a lockstep group: run k shuffles its sorted active[k] and
+    distills against targets[k]; every batch is one stacked step. Returns
+    each run's mean loss. A run that keeps a ValueState records each trained
+    sample's prediction entropy in it.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -276,30 +265,42 @@ def _train_epoch(model, store, active_ids, targets, tcfg, lr, rng, state, values
     the same prior state either way, and values are read only at stage
     boundaries, never inside an epoch.
     """
-    ids = np.sort(np.asarray(active_ids, dtype=np.int64))
-    order = ids[rng.permutation(ids.size)]
-    entropies = None if values is None else np.empty(order.size)
-    total = 0.0
+    order = np.stack([np.sort(ids)[run.train_rng.permutation(ids.size)]
+                      for run, ids in zip(runs, active)])
+    unstacked = stack.params.ndim == 1  # a group of one
+    # one gather from the matrix most runs share, then each other run's rows
+    base = targets[0] if all(t is targets[0] for t in targets) else store.teacher_probs
+    own = [k for k, t in enumerate(targets) if t is not base]
+    reads = any(run.values is not None for run in runs)
+    entropies = np.empty(order.shape) if reads else None
+    totals = np.zeros(len(runs))
     hard_all = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
-    for start in range(0, order.size, tcfg.batch_size):
-        batch = order[start:start + tcfg.batch_size]
-        hard = None if hard_all is None else hard_all[batch]
+    for start in range(0, order.shape[1], tcfg.batch_size):
+        ids = order[:, start:start + tcfg.batch_size]
+        rows = ids[0] if unstacked else ids
+        batch_targets = base[rows]
+        for k in own:
+            targets[k].take(ids[k], axis=0, out=batch_targets[k])
         loss, gw, gb, probs_1 = nn.loss_and_grads(
-            model, store.features[batch], targets[batch],
-            tcfg.temperature, hard, tcfg.hard_label_weight,
+            stack, store.features[rows], batch_targets, tcfg.temperature,
+            None if hard_all is None else hard_all[rows], tcfg.hard_label_weight,
         )
-        if not np.isfinite(loss):
-            raise DistillationError(f"non-finite training loss at stage {stage}, epoch {epoch}")
+        if not np.isfinite(loss).all():
+            bad = runs[int(np.argmin(np.isfinite(loss)))]
+            raise DistillationError(
+                f"{bad.name}: non-finite training loss at stage {stage}, epoch {epoch}")
         try:
-            nn.sgd_step(model, gw, gb, state, lr, tcfg)
+            nn.sgd_step(stack, gw, gb, state, lr, tcfg)
         except FloatingPointError as exc:
-            raise DistillationError(f"stage {stage}, epoch {epoch}: {exc}") from None
-        if entropies is not None:
-            entropies[start:start + batch.size] = ogve.entropy_rows(probs_1)
-        total += loss * batch.size
-    if values is not None:
-        ogve.observe_batch(values, order, entropies)
-    return total / order.size
+            bad = runs[exc.index[0] if exc.index else 0]
+            raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
+        if reads:
+            entropies[:, start:start + ids.shape[1]] = ogve.entropy_rows(probs_1)
+        totals += loss * ids.shape[1]
+    for k, run in enumerate(runs):
+        if run.values is not None:
+            ogve.observe_batch(run.values, order[k], entropies[k])
+    return totals / order.shape[1]
 
 
 def _stage_targets(store: KnowledgeStore, condensed) -> np.ndarray:
@@ -313,12 +314,38 @@ def _stage_targets(store: KnowledgeStore, condensed) -> np.ndarray:
     return targets
 
 
-class _Run(NamedTuple):  # what a stage labeling and a condenser may read
-    store: KnowledgeStore
-    values: ogve.ValueState | None
-    config: DistillConfig
-    select_rng: np.random.Generator
-    fixed: ValueLabeling | None
+class _Run:
+    """One run of a group: what its stage labeling and condenser read (store,
+    values, config, select_rng, fixed) and what its record collects."""
+
+    def __init__(self, store: KnowledgeStore, config: DistillConfig, student: nn.MlpModel,
+                 method: str, fixed: ValueLabeling | None = None):
+        self.store, self.config, self.student, self.method, self.fixed = (
+            store, config, student, method, fixed)
+        self.label, self.condense, reads_values = _METHODS[method]
+        self.values = ogve.ValueState(store.n) if reads_values else None
+        self.select_rng = np.random.default_rng([config.seed, 2])
+        self.train_rng = np.random.default_rng([config.seed, 1])
+        self.name = f"{method} seed {config.seed}"
+        self.epochs: list[EpochRow] = []
+        self.stages: list[StageRecord] = []
+        self.labels, self.ranks = np.ones(store.n, dtype=np.uint8), None
+
+    def stage(self, s: int):
+        """Active ids, targets, rank threshold and blended count for stage s."""
+        n = self.store.n
+        if self.label is None:
+            return np.arange(n), self.store.teacher_probs, 1.0 / n, 0
+        labeling = self.label(self, self.config.schedule.tau_list[s - 1])
+        condensed = self.condense(self, labeling)
+        if condensed.member_ids.size == 0:
+            raise ValueError(f"stage {s} selected an empty knowledge set")
+        self.labels, self.ranks = labeling.labels, labeling.ranks
+        # the lowest kept rank probability: ratio_threshold(n, tau_s) exactly
+        # when the labeling follows the schedule
+        threshold = labeling.probs[self.labels == 1].min()
+        return (condensed.member_ids, _stage_targets(self.store, condensed), threshold,
+                condensed.aug_ids.size)
 
 
 def _by_value(run, tau, cfg=None, source="mean"):
@@ -356,79 +383,99 @@ _METHODS = {
 }
 
 
-def _execute(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
-             dataset: Dataset, method: str, values: ogve.ValueState | None,
-             fixed: ValueLabeling | None = None):
-    """The stage loop for one row of _METHODS; values is the run's ValueState
-    (None for a row that reads none), fixed the labeling reuse rows apply."""
+def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[RunRecord]:
+    """The stage loop for a group of runs that share a shape_key. Each run's
+    student ends holding its trained parameters; wall_time_s is the group's."""
     started = time.perf_counter()
-    sched, n = config.schedule, store.n
-    taus = sched.tau_list
-    label, condense, _ = _METHODS[method]
-    run = _Run(store, values, config, np.random.default_rng([config.seed, 2]), fixed)
-    train_rng = np.random.default_rng([config.seed, 1])
-    state = nn.SgdState.zeros_like(student)
-    all_ids = np.arange(n)
+    sched, tcfg, n = runs[0].config.schedule, runs[0].config.train, store.n
+    # a group of one trains its student in place and unstacked: the stack
+    # axis would cost a lone run ~4% per step at batch 512
+    stack = runs[0].student if len(runs) == 1 else nn.stack_models([r.student for r in runs])
+    state = nn.SgdState.zeros_like(stack)
     test_x, test_y = dataset.test_features, dataset.test_labels
-
-    epoch_rows: list[EpochRow] = []
-    stage_records: list[StageRecord] = []
     forward_count = 0
 
-    def run_epoch(active_ids, targets, stage_no) -> float:
+    def run_epochs(count, active, targets, stage_no):
         nonlocal forward_count
-        epoch = len(epoch_rows) + 1
-        lr = nn.lr_at_epoch(config.train, epoch)
-        loss = _train_epoch(student, store, active_ids, targets, config.train,
-                            lr, train_rng, state, values, stage_no, epoch)
-        forward_count += active_ids.size
-        acc = accuracy(student, test_x, test_y)
-        epoch_rows.append(EpochRow(epoch, stage_no, active_ids.size, float(loss), float(acc)))
-        return acc
+        for _ in range(count):
+            epoch = len(runs[0].epochs) + 1
+            losses = _train_epoch(stack, state, runs, store, active, targets, tcfg,
+                                  nn.lr_at_epoch(tcfg, epoch), stage_no, epoch)
+            forward_count += active[0].size
+            accs = np.atleast_1d(accuracy(stack, test_x, test_y))
+            for run, loss, acc in zip(runs, losses, accs):
+                run.epochs.append(EpochRow(epoch, stage_no, active[0].size,
+                                           float(loss), float(acc)))
 
     # warm-up: one full-set epoch belonging to stage 1
-    acc = run_epoch(all_ids, store.teacher_probs, 1)
-    labels, ranks = np.ones(n, dtype=np.uint8), None
+    run_epochs(1, [np.arange(n)] * len(runs), [store.teacher_probs] * len(runs), 1)
+    for s in range(1, sched.stage_count + 1):
+        active, targets, thresholds, aug_counts = zip(*(run.stage(s) for run in runs))
+        run_epochs(sched.stage_len - 1 if s == 1 else sched.stage_len, active, targets, s)
+        size = active[0].size
+        for run, threshold, aug_count in zip(runs, thresholds, aug_counts):
+            run.stages.append(StageRecord(
+                stage=s, tau=float(run.config.schedule.tau_list[s - 1]),
+                threshold=float(threshold), set_size=int(size),
+                high_count=int(size - aug_count), aug_count=int(aug_count),
+                accuracy=run.epochs[-1].eval_accuracy,
+                label_digest=hashlib.sha256(run.labels.tobytes()).hexdigest(),
+            ))
 
-    for s, tau_s in enumerate(taus, start=1):
-        if label is None:
-            threshold, active, targets, aug_count = 1.0 / n, all_ids, store.teacher_probs, 0
-        else:
-            labeling = label(run, tau_s)
-            condensed = condense(run, labeling)
-            active = condensed.member_ids
-            if active.size == 0:
-                raise ValueError(f"stage {s} selected an empty knowledge set")
-            labels, ranks = labeling.labels, labeling.ranks
-            # the lowest kept rank probability: ratio_threshold(n, tau_s)
-            # exactly when the labeling follows the schedule
-            threshold = labeling.probs[labels == 1].min()
-            targets = _stage_targets(store, condensed)
-            aug_count = condensed.aug_ids.size
-        for _ in range(sched.stage_len - 1 if s == 1 else sched.stage_len):
-            acc = run_epoch(active, targets, s)
-        stage_records.append(StageRecord(
-            stage=s, tau=float(tau_s), threshold=float(threshold),
-            set_size=int(active.size), high_count=int(active.size - aug_count),
-            aug_count=int(aug_count), accuracy=float(acc),
-            label_digest=hashlib.sha256(labels.tobytes()).hexdigest(),
-        ))
-
+    wall = time.perf_counter() - started
     realized = forward_count / (n * sched.total_epochs)
-    # keeping every sample or an imported labeling ignores the tau schedule
-    ideal = realized if label in (None, _imported) else relative_cost(taus)
-    record = RunRecord(
-        method=method, seed=config.seed, config=config.echo(),
-        stages=stage_records, epochs=epoch_rows,
-        cost=CostReport(int(forward_count), float(ideal), float(realized)),
-        final_accuracy=float(epoch_rows[-1].eval_accuracy),
-        final_labels=labels.tolist(),
-        final_ranks=[] if ranks is None else ranks.tolist(),
-        student_dims=[int(d) for d in student.layer_dims],
-        param_digest=hashlib.sha256(student.param_bytes()).hexdigest(),
-        wall_time_s=time.perf_counter() - started,
-    )
-    return student, record
+    records = []
+    for run, params in zip(runs, stack.params.reshape(len(runs), -1)):
+        run.student.params[...] = params
+        # keeping every sample or an imported labeling ignores the tau schedule
+        ideal = realized if run.label in (None, _imported) else relative_cost(
+            run.config.schedule.tau_list)
+        records.append(RunRecord(
+            method=run.method, seed=run.config.seed, config=run.config.echo(),
+            stages=run.stages, epochs=run.epochs,
+            cost=CostReport(int(forward_count), float(ideal), float(realized)),
+            final_accuracy=float(run.epochs[-1].eval_accuracy),
+            final_labels=run.labels.tolist(),
+            final_ranks=[] if run.ranks is None else run.ranks.tolist(),
+            student_dims=[int(d) for d in run.student.layer_dims],
+            param_digest=hashlib.sha256(run.student.param_bytes()).hexdigest(),
+            wall_time_s=wall,
+        ))
+    return records
+
+
+class Job(NamedTuple):
+    """One run for run_group: method is a _METHODS row, labeling the imported
+    labeling of a reuse row."""
+
+    config: DistillConfig
+    student: nn.MlpModel
+    method: str
+    labeling: ValueLabeling | None = None
+
+
+def shape_key(store: KnowledgeStore, job: Job) -> tuple:
+    """Jobs with equal keys on one store can train in lockstep."""
+    sched = job.config.schedule
+    label = _METHODS[job.method][0]
+    if label is None:
+        sizes = (store.n,) * sched.stage_count
+    elif label is _imported:
+        sizes = (int(job.labeling.labels.sum()),) * sched.stage_count
+    else:
+        sizes = tuple(ogve.keep_count(store.n, tau) for tau in sched.tau_list)
+    return (sched.total_epochs, sched.stage_len, astuple(job.config.train),
+            tuple(job.student.layer_dims), sizes)
+
+
+def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
+    """Train jobs that share one shape_key in lockstep; returns a (student,
+    record) pair per job, in job order."""
+    jobs = [Job(*job) for job in jobs]
+    if len({shape_key(store, job) for job in jobs}) != 1:
+        raise ValueError("a lockstep group needs jobs with one shape key")
+    records = _execute(store, dataset, [_Run(store, *job) for job in jobs])
+    return [(job.student, record) for job, record in zip(jobs, records)]
 
 
 def run(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
@@ -443,8 +490,7 @@ def run(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
-    values = ogve.ValueState(store.n) if _METHODS[method][2] else None
-    return _execute(config, store, student, dataset, method, values)
+    return run_group(store, dataset, [Job(config, student, method)])[0]
 
 
 run_baseline = run
@@ -459,4 +505,4 @@ def run_with_fixed_labels(config: DistillConfig, store: KnowledgeStore,
         raise ValueError(f"unknown reuse mode {mode!r}; expected one of {REUSE_MODES}")
     if labeling.n != store.n:
         raise ValueError(f"label count {labeling.n} does not match store size {store.n}")
-    return _execute(config, store, student, dataset, f"reuse-{mode}", None, labeling)
+    return run_group(store, dataset, [Job(config, student, f"reuse-{mode}", labeling)])[0]

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,13 +17,14 @@ from .knowledge import KnowledgeStore, ValueLabeling
 
 
 def accuracy(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of argmax-correct predictions on a frozen model."""
+    """Fraction of argmax-correct predictions on a frozen model; one per
+    model, as an array, for a stacked model."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty split")
-    predictions = np.argmax(nn.forward(model, x), axis=1)
-    return float(np.mean(predictions == y))
+    acc = np.mean(np.argmax(nn.forward(model, x), axis=-1) == y, axis=-1)
+    return acc if acc.ndim else float(acc)
 
 
 def hamming_distance(labels_a, labels_b) -> int:
@@ -69,9 +71,11 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     Returns one dict per (rho, seed, method) with accuracy and cost fields,
     ready to serialize as CSV rows, in rho, then seed, then method order.
 
-    Every method and rho is checked before any run starts. Runs only read
-    the store and keep their own value state and generators, so _pool_map
-    spreads them over worker processes with bit-identical rows.
+    Every method and rho is checked before any run starts. Each run gets a
+    fresh init_student for its seed, and run_grouped trains the runs that
+    share a shape key in lockstep: at one rho every scheduled method and
+    seed keeps the same set sizes, and full-kd keeps N at any rho. Rows are
+    bit-identical to one run_baseline call per job.
     """
     from . import emdriver
 
@@ -81,35 +85,45 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
             raise ValueError(f"unknown method {method!r}; expected one of {emdriver.ALL_METHODS}")
     for rho in rho_grid:
         emdriver.tau_schedule(rho, base_config.schedule.stage_count)
-    jobs = [(rho, seed, method) for rho in rho_grid for seed in seeds for method in methods]
-    return _pool_map(_sweep_row, jobs, (store, dataset, base_config, student_hidden))
-
-
-def _sweep_row(job, context) -> dict:
-    """Run one (rho, seed, method) job of ratio_sweep and return its row."""
-    from . import emdriver
-
-    store, dataset, base_config, student_hidden = context
-    rho, seed, method = job
-    schedule = emdriver.ScheduleConfig(
-        total_epochs=base_config.schedule.total_epochs,
-        stage_len=base_config.schedule.stage_len,
-        rho=rho,
-    )
-    config = emdriver.DistillConfig(
-        schedule=schedule, ogve=base_config.ogve,
-        eps_m=base_config.eps_m, train=base_config.train, seed=seed,
-    )
-    student = emdriver.init_student(store.dim, student_hidden, store.num_classes, seed)
-    _, record = emdriver.run_baseline(config, store, student, dataset, method)
-    return {
+    grid = [(rho, seed, method) for rho in rho_grid for seed in seeds for method in methods]
+    jobs = [emdriver.Job(
+        replace(base_config, schedule=replace(base_config.schedule, rho=rho), seed=seed),
+        emdriver.init_student(store.dim, student_hidden, store.num_classes, seed), method)
+        for rho, seed, method in grid]
+    return [{
         "rho": rho,
         "seed": seed,
         "method": method,
         "accuracy": record.final_accuracy,
         "relative_cost": record.cost.relative_cost,
         "realized_relative_cost": record.cost.realized_relative_cost,
-    }
+    } for (rho, seed, method), record in zip(grid, run_grouped(store, dataset, jobs))]
+
+
+def run_grouped(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
+    """RunRecords of emdriver.Job tuples, in job order.
+
+    Jobs with one emdriver.shape_key train in lockstep (emdriver.run_group).
+    Each shape group splits into at most one chunk per usable CPU, and
+    _pool_map spreads the chunks over worker processes; a student trained in
+    a worker keeps its parameters there, only its record comes back.
+    """
+    from . import emdriver
+
+    groups: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(emdriver.shape_key(store, job), []).append(i)
+    chunks = [chunk.tolist() for group in groups.values()
+              for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]
+    got = _pool_map(_group_records, [[jobs[i] for i in c] for c in chunks], (store, dataset))
+    by_job = dict(zip((i for c in chunks for i in c), (r for g in got for r in g)))
+    return [by_job[i] for i in range(len(jobs))]
+
+
+def _group_records(jobs, context) -> list:
+    from . import emdriver
+
+    return [record for _, record in emdriver.run_group(*context, jobs)]
 
 
 def _pool_map(fn, jobs, context) -> list:

@@ -73,24 +73,6 @@ def check_permutation(ranks: np.ndarray, n: int) -> None:
         raise ValueError("ranks are not a permutation of 0..N-1")
 
 
-@dataclass(frozen=True)
-class ValueRecord:
-    """Running value estimate for one sample.
-
-    frequency counts training passes that fed the sample forward; value is the
-    running mean of the prediction entropies observed on those passes (nats).
-    frequency == 0 means the sample has never been trained on and value is the
-    NaN sentinel.
-    """
-
-    value: float = float("nan")
-    frequency: int = 0
-
-    @property
-    def observed(self) -> bool:
-        return self.frequency > 0
-
-
 @dataclass
 class ValueLabeling:
     """Global value labeling: rank position, rank probability, binary keep label.
@@ -278,7 +260,12 @@ def import_labels(stream: bytes) -> ValueLabeling:
     try:
         return ValueLabeling(ranks=ranks, probs=probs, labels=labels.copy())
     except ValueError as exc:
-        raise LabelStreamError(f"invalid labeling content: {exc}", _LABEL_HEADER.size) from None
+        # point at the first rank that is out of range or repeats an earlier one
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(ranks, return_index=True)[1]] = False
+        bad = np.flatnonzero(repeat | (ranks >= n))
+        offset = _LABEL_HEADER.size + (int(bad[0]) * _LABEL_RECORD.itemsize + 4 if bad.size else 0)
+        raise LabelStreamError(f"invalid labeling content: {exc}", offset) from None
 
 
 def save_labels(path, labeling: ValueLabeling) -> None:

@@ -10,6 +10,12 @@ reshaped views into it. That lets one SGD step update every layer with a few
 whole-vector operations. Write through the views (``w[...] = ...``,
 ``w -= ...``); rebinding ``weights[i]`` to a new array detaches it from the
 vector and the optimizer would no longer see it.
+
+A model may also be a stack of K same-shape models: ``params`` is then (K, P)
+and each weight a (K, fan_in, fan_out) view. ``forward``, ``loss_and_grads``
+and ``sgd_step`` take any leading stack dimensions and do per model exactly
+the arithmetic of a single model (``np.matmul`` hands every slice to the same
+BLAS call), so a stacked step is bit-identical to a loop over the models.
 """
 
 from __future__ import annotations
@@ -93,12 +99,15 @@ class MlpModel:
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
-        self.params = np.concatenate(arrays, axis=None) if arrays else np.empty(0)
-        self.n_weight = int(sum(w.size for w in arrays[:len(self.weights)]))
+        lead = arrays[0].shape[:-2] if self.weights else ()  # stack dimensions
+        sizes = [int(np.prod(a.shape[len(lead):])) for a in arrays]
+        self.params = (np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1)
+                       if arrays else np.empty(0))
+        self.n_weight = sum(sizes[:len(self.weights)])
         views, offset = [], 0
-        for a in arrays:
-            views.append(self.params[offset:offset + a.size].reshape(a.shape))
-            offset += a.size
+        for a, size in zip(arrays, sizes):
+            views.append(self.params[..., offset:offset + size].reshape(a.shape))
+            offset += size
         self.weights = views[:len(self.weights)]
         self.biases = views[len(self.weights):]
 
@@ -109,6 +118,10 @@ class MlpModel:
     @property
     def input_dim(self) -> int:
         return int(self.layer_dims[0])
+
+    def __reduce__(self):
+        # pickling the arrays one by one would detach the views from params
+        return MlpModel, (self.layer_dims, list(self.weights), list(self.biases))
 
     def copy(self) -> "MlpModel":
         # __post_init__ copies the arrays into a fresh parameter vector
@@ -138,16 +151,23 @@ def init_mlp(layer_dims, rng) -> MlpModel:
     return MlpModel(layer_dims=dims, weights=weights, biases=biases)
 
 
+def stack_models(models) -> MlpModel:
+    """One stacked model holding copies of same-shape models' parameters."""
+    return MlpModel(models[0].layer_dims,
+                    weights=[np.stack(w) for w in zip(*(m.weights for m in models))],
+                    biases=[np.stack(b) for b in zip(*(m.biases for m in models))])
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a batch; hidden layers are ReLU, output is linear."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim == 1:
         h = h[None, :]
-    if h.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {h.shape[1]} does not match model dim {model.input_dim}")
+    if h.shape[-1] != model.input_dim:
+        raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.input_dim}")
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b, 0.0)
-    return h @ model.weights[-1] + model.biases[-1]
+        h = np.maximum(h @ w + b[..., None, :], 0.0)
+    return h @ model.weights[-1] + model.biases[-1][..., None, :]
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -159,20 +179,13 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def kd_loss(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
-    """Batch-mean cross-entropy -sum(p_T log p_S); student probs are floored
-    at 1e-12 before the log."""
-    t = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
-    s = np.atleast_2d(np.asarray(student_probs, dtype=np.float64))
-    return _kd_loss(t, s)
-
-
-def _kd_loss(t: np.ndarray, s: np.ndarray) -> float:
-    """kd_loss on 2-d float64 arrays; np.add.reduce(x) / n is bitwise np.mean."""
+def _kd_loss(t: np.ndarray, s: np.ndarray):
+    """Batch-mean cross-entropy -sum(p_T log p_S) over the last two axes, with
+    student probs floored at 1e-12; np.add.reduce(x) / n is bitwise np.mean."""
     if t.shape != s.shape:
         raise ValueError(f"shape mismatch: {t.shape} vs {s.shape}")
     log_s = np.log(np.maximum(s, PROB_FLOOR))
-    return float(np.add.reduce(-np.add.reduce(t * log_s, axis=1)) / t.shape[0])
+    return np.add.reduce(-np.add.reduce(t * log_s, axis=-1), axis=-1) / t.shape[-2]
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
@@ -180,23 +193,24 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
                    hard_label_weight: float = 0.0):
     """Soft-target loss plus analytic parameter gradients.
 
-    Returns (loss, weight grads, bias grads, temperature-1 probs). The hard
-    term, when weighted, is a standard cross-entropy at temperature 1 added on
-    top of the soft term.
+    Returns (loss, weight grads, bias grads, temperature-1 probs); for a
+    stacked model x is (K, B, D) and the loss a (K,) array. The hard term,
+    when weighted, is a standard cross-entropy at temperature 1 added on top
+    of the soft term.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
-    batch = x.shape[0]
+    batch = x.shape[-2]
 
     acts = [x]
     pre = []
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b
+        z = h @ w + b[..., None, :]
         pre.append(z)
         h = np.maximum(z, 0.0)
         acts.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
+    logits = h @ model.weights[-1] + model.biases[-1][..., None, :]
 
     probs_t = softmax(logits, temperature)
     probs_1 = probs_t if temperature == 1.0 else softmax(logits, 1.0)
@@ -205,22 +219,22 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     if hard_label_weight > 0.0:
         if hard_labels is None:
             raise ValueError("hard_label_weight > 0 requires hard labels")
-        y = np.asarray(hard_labels, dtype=np.int64)
-        picked = np.maximum(probs_1[np.arange(batch), y], PROB_FLOOR)
-        loss += hard_label_weight * float(np.mean(-np.log(picked)))
+        y = np.asarray(hard_labels, dtype=np.int64)[..., None]
+        picked = np.maximum(np.take_along_axis(probs_1, y, axis=-1)[..., 0], PROB_FLOOR)
+        loss = loss + hard_label_weight * np.mean(-np.log(picked), axis=-1)
         onehot = np.zeros_like(probs_1)
-        onehot[np.arange(batch), y] = 1.0
+        np.put_along_axis(onehot, y, 1.0, axis=-1)
         dlogits = dlogits + hard_label_weight * (probs_1 - onehot) / batch
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = dlogits
-    grads_w[-1] = acts[-1].T @ delta
-    grads_b[-1] = np.add.reduce(delta, axis=0)
+    grads_w[-1] = acts[-1].swapaxes(-1, -2) @ delta
+    grads_b[-1] = np.add.reduce(delta, axis=-2)
     for layer in range(len(model.weights) - 2, -1, -1):
-        delta = (delta @ model.weights[layer + 1].T) * (pre[layer] > 0.0)
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = np.add.reduce(delta, axis=0)
+        delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (pre[layer] > 0.0)
+        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
+        grads_b[layer] = np.add.reduce(delta, axis=-2)
     return loss, grads_w, grads_b, probs_1
 
 
@@ -241,20 +255,29 @@ def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float,
 
     Per element this is the per-layer rule vel = momentum * vel + (g + wd * w)
     for weights and vel = momentum * vel + g for biases, then p -= lr * vel,
-    applied to the whole parameter vector at once. A non-finite gradient
-    raises, naming the first bad layer, before any parameter changes.
+    applied to the whole parameter vector (or stack of them) at once. A
+    non-finite gradient raises, naming the first bad layer, before any
+    parameter changes; the error's ``index`` is the stack index of the first
+    model with a bad gradient (``()`` for a single model).
     """
-    g = np.concatenate((*grads_w, *grads_b), axis=None)
+    lead, grads = model.params.shape[:-1], (*grads_w, *grads_b)
+    # a single model takes the cheaper flat concatenation
+    g = (np.concatenate([a.reshape(*lead, -1) for a in grads], axis=-1) if lead
+         else np.concatenate(grads, axis=None))
     if not np.isfinite(g).all():
+        index = np.unravel_index(int(np.argmin(np.isfinite(g).all(axis=-1))), lead)
         for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
+            gw, gb = gw[index], gb[index]
             if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-                raise FloatingPointError(
+                exc = FloatingPointError(
                     f"non-finite gradient in layer {i} "
                     f"(|grad| max {np.max(np.abs(gw[np.isfinite(gw)])) if np.any(np.isfinite(gw)) else 'n/a'})"
                 )
+                exc.index = index
+                raise exc
     nw = model.n_weight
     # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
-    g[:nw] += cfg.weight_decay * model.params[:nw]
+    g[..., :nw] += cfg.weight_decay * model.params[..., :nw]
     vel = state.vel
     vel *= cfg.momentum
     vel += g
@@ -290,33 +313,6 @@ def train_teacher(features: np.ndarray, labels: np.ndarray, layer_dims,
     model = train_classifier(features, labels, layer_dims, cfg, epochs, seed)
     probs = softmax(forward(model, np.asarray(features, dtype=np.float64)), 1.0)
     return model, probs
-
-
-def finite_difference_check(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
-                            n_coords: int = 100, step: float = 1e-5,
-                            temperature: float = 1.0, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients on
-    n_coords randomly chosen parameter coordinates."""
-    rng = np.random.default_rng(seed)
-    _, grads_w, grads_b, _ = loss_and_grads(model, x, target_probs, temperature)
-    worst = 0.0
-    params = [(model.weights[i], grads_w[i]) for i in range(len(model.weights))]
-    params += [(model.biases[i], grads_b[i]) for i in range(len(model.biases))]
-    for _ in range(n_coords):
-        arr, grad = params[rng.integers(len(params))]
-        flat_index = int(rng.integers(arr.size))
-        idx = np.unravel_index(flat_index, arr.shape)
-        original = arr[idx]
-        arr[idx] = original + step
-        loss_plus, *_ = loss_and_grads(model, x, target_probs, temperature)
-        arr[idx] = original - step
-        loss_minus, *_ = loss_and_grads(model, x, target_probs, temperature)
-        arr[idx] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
-        analytic = grad[idx]
-        scale = max(abs(numeric), abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / scale)
-    return worst
 
 
 def save_model(path, model: MlpModel) -> None:

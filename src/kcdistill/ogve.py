@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knowledge import (
-    ValueLabeling,
-    ValueRecord,
-    check_permutation,
-    check_simplex,
-)
+from .knowledge import ValueLabeling, check_permutation
 
 
 class ValueState:
@@ -46,37 +41,13 @@ class OgveConfig:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
-def prediction_entropy(student_probs) -> float:
-    """Entropy -sum(p log p) of one prediction, with 0 log 0 taken as 0."""
-    p = np.asarray(student_probs, dtype=np.float64)
-    check_simplex(p, context="student_probs")
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
-    """Row-wise prediction entropy of a batch of probability vectors."""
+    """Prediction entropy -sum(p log p) along the last axis, with 0 log 0
+    taken as 0."""
     p = np.asarray(probs, dtype=np.float64)
     pos = p > 0.0
     terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
-    return -np.add.reduce(terms, axis=1)
-
-
-def record_value(record: ValueRecord, new_value: float) -> ValueRecord:
-    """Fold one observation into the running mean and bump the frequency.
-
-    At frequency 1 the stored value is exactly the observation; afterwards the
-    update ((F-1)/F) * previous + (1/F) * observation keeps the value equal to
-    the arithmetic mean of everything observed so far.
-    """
-    v = float(new_value)
-    if not np.isfinite(v) or v < 0.0:
-        raise ValueError(f"observed value must be finite and >= 0, got {new_value}")
-    freq = record.frequency + 1
-    if freq == 1:
-        return ValueRecord(value=v, frequency=1)
-    updated = ((freq - 1) / freq) * record.value + v / freq
-    return ValueRecord(value=updated, frequency=freq)
+    return -np.add.reduce(terms, axis=-1)
 
 
 def observe_batch(state: ValueState, sample_ids, new_values) -> None:
@@ -94,13 +65,6 @@ def observe_batch(state: ValueState, sample_ids, new_values) -> None:
     state.values[ids] = updated
     state.last_values[ids] = vals
     state.frequencies[ids] = freq
-
-
-def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
-    """Score used for ranking: running value times frequency**alpha."""
-    if record.frequency < 1:
-        raise ValueError("unobserved sample: frequency is 0")
-    return float(record.value * record.frequency ** cfg.alpha)
 
 
 def cost_aware_scores(state: ValueState, cfg: OgveConfig,

@@ -14,26 +14,25 @@ from kcdistill import emdriver
 from kcdistill.data import gen_gaussian_mixture
 from kcdistill.emdriver import (
     DistillConfig,
+    Job,
     ScheduleConfig,
-    computation_ratio,
     init_student,
     relative_cost,
     run_baseline,
     tau_schedule,
 )
-from kcdistill.evaluation import _pool_map, accuracy, reuse_run
-from kcdistill.knowledge import ValueRecord, build_store
-from kcdistill.nn import TrainConfig, finite_difference_check, init_mlp, train_classifier, train_teacher
+from kcdistill.evaluation import _pool_map, accuracy, run_grouped
+from kcdistill.knowledge import build_store
+from kcdistill.nn import TrainConfig, init_mlp, train_classifier, train_teacher
 from kcdistill.ogve import (
     OgveConfig,
-    ValueState,
     binarize,
     labeling_from_ranks,
     rank_probability,
     ranks_from_scores,
-    record_value,
 )
 from kcdistill.vaks import augment, condense, epsilon_schedule, partition
+from oracles import ValueRecord, computation_ratio, finite_difference_check, record_value
 
 # frozen acceptance task: 10 classes, 16 dims, 100 per class, spread tuned so
 # the solo student lands in the 65-80% band
@@ -74,17 +73,17 @@ def run_method(task, method, seed, rho=0.7):
     return run_baseline(acceptance_config(seed, rho), store, student, ds, method)
 
 
-def method_record(job, task):
-    method, seed = job
-    return run_method(task, method, seed)[1]
-
-
 @pytest.fixture(scope="module")
 def method_records(task):
-    """All (method, seed) records used by criteria 8 and 9, computed once,
-    spread over worker processes."""
+    """All (method, seed) records used by criteria 8 and 9, computed once:
+    full-kd and the five scheduled methods form two lockstep groups, split
+    over worker processes."""
+    ds, store = task
     methods = ("kcd", "random-subset", "full-kd", "no-ovr", "no-car", "fixed-eps")
-    records = iter(_pool_map(method_record, [(m, s) for m in methods for s in SEEDS], task))
+    jobs = [Job(acceptance_config(s), init_student(store.dim, STUDENT_HIDDEN,
+                                                   store.num_classes, s), m)
+            for m in methods for s in SEEDS]
+    records = iter(run_grouped(store, ds, jobs))
     return {m: [next(records) for _ in SEEDS] for m in methods}
 
 
@@ -101,10 +100,10 @@ def counted_kcd_run(job, _):
     """A kcd run with its own ValueState; returns the state's pass count and
     the record's absolute cost."""
     config, store, ds = job
-    values = ValueState(store.n)
     student = init_student(store.dim, (4,), store.num_classes, config.seed)
-    _, record = emdriver._execute(config, store, student, ds, "kcd", values)
-    return int(values.frequencies.sum()), record.cost.absolute_cost
+    run = emdriver._Run(store, config, student, "kcd")
+    [record] = emdriver._execute(store, ds, [run])
+    return int(run.values.frequencies.sum()), record.cost.absolute_cost
 
 
 def test_criterion_2_cost_identity_on_random_configs():
@@ -308,18 +307,16 @@ def test_criterion_9_ablation_directionality(method_records):
           f"ablation ({', '.join(lines)}) over {len(SEEDS)} seeds")
 
 
-def reuse_record(job, task):
-    ds, store = task
-    seed, mode, labeling = job
-    student = init_student(store.dim, STUDENT_HIDDEN, store.num_classes, seed + 1000)
-    return reuse_run(labeling, acceptance_config(seed + 1000), store, ds, mode, student)[1]
-
-
 def test_criterion_10_reuse_ordering(task, method_records):
-    jobs = [(seed, mode, src.final_labeling())
+    # every kcd source keeps keep_count(N, 0.7), so the 32 reuse runs share
+    # one shape key and train as one lockstep group
+    ds, store = task
+    jobs = [Job(acceptance_config(seed + 1000),
+                init_student(store.dim, STUDENT_HIDDEN, store.num_classes, seed + 1000),
+                f"reuse-{mode}", src.final_labeling())
             for seed, src in zip(SEEDS, method_records["kcd"])
             for mode in ("with-vaks", "direct-select")]
-    accs = [rec.final_accuracy for rec in _pool_map(reuse_record, jobs, task)]
+    accs = [rec.final_accuracy for rec in run_grouped(store, ds, jobs)]
     with_vaks, direct = np.array(accs[0::2]), np.array(accs[1::2])
     assert with_vaks.mean() >= direct.mean()
 

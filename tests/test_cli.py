@@ -262,9 +262,15 @@ class TestAtomicCliWrites:
                       "--student-hidden", "6", "--epochs", "4", "--stage-len", "2"]
         report = ["report", "--records", str(record_dir), "--out-csv", str(out / "summary.csv"),
                   "--emit-plot-data"]
+        gen_data = ["gen-data", "--classes", "3", "--dims", "2", "--per-class", "5",
+                    "--out", str(out)]
         return {
-            "meta.json": ["gen-data", "--classes", "3", "--dims", "2", "--per-class", "5",
-                          "--out", str(out)],
+            "train.csv": gen_data,
+            "test.csv": gen_data,
+            "meta.json": gen_data,
+            "tprobs.npy": ["train-teacher", "--data", str(workdir / "data"), "--hidden", "4",
+                           "--epochs", "1", "--out-model", str(out / "t.bin"),
+                           "--out-probs", str(out / "tprobs.npy")],
             "m.csv": distill_args(workdir, out / "r.json",
                                   ["--out-metrics", str(out / "m.csv")]),
             "sweep.csv": ["sweep", *run_inputs, "--rho-grid", "1.0", "--seeds", "1",
@@ -275,7 +281,8 @@ class TestAtomicCliWrites:
         }
 
     @pytest.mark.parametrize("target", ["meta.json", "m.csv", "sweep.csv", "summary.csv",
-                                        "summary_rho_curve.csv", "summary_hamming.csv"])
+                                        "summary_rho_curve.csv", "summary_hamming.csv",
+                                        "train.csv", "test.csv", "tprobs.npy"])
     def test_interrupted_write_keeps_old_file(self, workdir, record_dir, tmp_path,
                                               monkeypatch, capsys, target):
         out = tmp_path / "out"

@@ -11,19 +11,22 @@ from kcdistill.emdriver import (
     REUSE_MODES,
     DistillConfig,
     DistillationError,
+    Job,
     RunRecord,
     ScheduleConfig,
-    computation_ratio,
     init_student,
     relative_cost,
     run,
     run_baseline,
+    run_group,
     run_with_fixed_labels,
+    shape_key,
     tau_schedule,
 )
 from kcdistill.knowledge import ValueLabeling
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
+from oracles import computation_ratio
 
 
 def make_config(seed=0, rho=0.7, epochs=12, stage_len=3, alpha=0.03, eps_m=0.3,
@@ -49,11 +52,10 @@ def run_small(task, method="kcd", seed=0, **cfg_kwargs):
 def run_with_state(task, method="kcd", seed=0, **cfg_kwargs):
     """run_small through the stage loop with a ValueState the caller can read."""
     ds, store = task
-    values = ogve.ValueState(store.n)
     student = init_student(store.dim, (8,), store.num_classes, seed)
-    _, record = emdriver._execute(make_config(seed=seed, **cfg_kwargs), store, student,
-                                  ds, method, values)
-    return record, values
+    run = emdriver._Run(store, make_config(seed=seed, **cfg_kwargs), student, method)
+    [record] = emdriver._execute(store, ds, [run])
+    return record, run.values
 
 
 class TestTauSchedule:
@@ -367,39 +369,51 @@ class TestRunRecord:
 
 class TestTrainEpoch:
     def test_per_epoch_observe_equals_per_batch_loop(self, small_task):
+        """A two-run group epoch, one run on the store's targets and one on
+        its own matrix, against the old one-student loop run per student."""
         _, store = small_task
         tcfg = TrainConfig(batch_size=7)
-        active = np.arange(0, store.n, 2)
-        targets = np.asarray(store.teacher_probs)
+        actives = [np.arange(0, store.n, 2), np.arange(1, store.n, 2)[::-1]]
+        targets = [np.asarray(store.teacher_probs), np.roll(store.teacher_probs, 1, axis=0)]
 
-        def fresh():
-            student = init_student(store.dim, (8,), store.num_classes, 3)
-            return student, nn.SgdState.zeros_like(student), np.random.default_rng(4)
+        def fresh(k):
+            student = init_student(store.dim, (8,), store.num_classes, 3 + k)
+            return student, nn.SgdState.zeros_like(student), np.random.default_rng(4 + k)
 
         # reference: the old loop, folding every batch's entropies as it goes
-        values = ogve.ValueState(store.n)
-        student, state, rng = fresh()
-        for _ in range(2):
-            ids = np.sort(active)
-            order = ids[rng.permutation(ids.size)]
-            for start in range(0, order.size, tcfg.batch_size):
-                batch = order[start:start + tcfg.batch_size]
-                _, gw, gb, probs_1 = nn.loss_and_grads(
-                    student, store.features[batch], targets[batch])
-                nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
-                ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
-        expected = (values.values, values.last_values, values.frequencies)
-        expected_params = student.params.copy()
+        expected = []
+        for k, active in enumerate(actives):
+            values = ogve.ValueState(store.n)
+            student, state, rng = fresh(k)
+            for _ in range(2):
+                ids = np.sort(active)
+                order = ids[rng.permutation(ids.size)]
+                for start in range(0, order.size, tcfg.batch_size):
+                    batch = order[start:start + tcfg.batch_size]
+                    _, gw, gb, probs_1 = nn.loss_and_grads(
+                        student, store.features[batch], targets[k][batch])
+                    nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
+                    ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
+            expected.append(((values.values, values.last_values, values.frequencies),
+                             student.params.copy()))
 
-        values = ogve.ValueState(store.n)
-        student, state, rng = fresh()
+        runs = []
+        for k in range(2):
+            student, _, rng = fresh(k)
+            runs.append(emdriver._Run(store, make_config(seed=k), student, "kcd"))
+            runs[-1].train_rng = rng
+        stack = nn.stack_models([run.student for run in runs])
+        state = nn.SgdState.zeros_like(stack)
         for epoch in (1, 2):
-            emdriver._train_epoch(student, store, active, targets, tcfg, tcfg.lr,
-                                  rng, state, values, 1, epoch)
-        got = (values.values, values.last_values, values.frequencies)
-        for a, b in zip(got, expected):
-            assert a.tobytes() == b.tobytes()
-        assert student.params.tobytes() == expected_params.tobytes()
+            emdriver._train_epoch(stack, state, runs, store, actives, targets, tcfg,
+                                  tcfg.lr, 1, epoch)
+        assert targets[0] is store.teacher_probs
+        for run, params, (expected_values, expected_params) in zip(runs, stack.params,
+                                                                   expected):
+            got = (run.values.values, run.values.last_values, run.values.frequencies)
+            for a, b in zip(got, expected_values):
+                assert a.tobytes() == b.tobytes()
+            assert params.tobytes() == expected_params.tobytes()
 
     def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
         _, store = small_task
@@ -463,6 +477,114 @@ class TestMethodTable:
         assert calls == []
         run_small(small_task, method="ogve-only", seed=19)
         assert set(calls) == {"entropy_rows", "observe_batch"}
+
+
+SCHEDULED = ("kcd", "fixed-eps", "ogve-only", "no-ovr", "no-car", "random-subset")
+
+
+class TestLockstep:
+    """Runs that share a shape key train as one stacked student; each run's
+    record and parameters equal those of the run trained alone."""
+
+    @pytest.mark.parametrize("hidden, train", [
+        ((8,), dict(batch_size=19)),  # the 96-sample warm-up ends in a batch of 1
+        ((8,), dict(temperature=2.0, hard_label_weight=0.3)),
+        ((8, 5), dict(batch_size=19)),
+    ], ids=["tail-batch-of-1", "temperature-and-hard-labels", "two-hidden-layers"])
+    def test_groups_match_one_run_at_a_time(self, small_task, hidden, train):
+        ds, store = small_task
+        assert store.n % 19 == 1
+
+        def job(seed, method, labeling=None):
+            student = init_student(store.dim, hidden, store.num_classes, seed)
+            return Job(make_config(seed=seed, **train), student, method, labeling)
+
+        def alone(j):
+            student = init_student(store.dim, hidden, store.num_classes, j.config.seed)
+            if j.labeling is None:
+                _, record = run(j.config, store, student, ds, j.method)
+            else:
+                _, record = run_with_fixed_labels(j.config, store, student, ds, j.labeling,
+                                                  j.method.removeprefix("reuse-"))
+            return student, record
+
+        scheduled = [job(seed, m) for m in SCHEDULED for seed in (5, 6)]
+        labeling = run_small(small_task, seed=4)[1].final_labeling()
+        reuse = [job(seed, f"reuse-{mode}", labeling) for mode in REUSE_MODES for seed in (7, 8)]
+        for group in (scheduled, reuse):
+            for j, (student, record) in zip(group, run_group(store, ds, group)):
+                alone_student, alone_record = alone(j)
+                assert student is j.student
+                assert student.params.tobytes() == alone_student.params.tobytes()
+                assert record.fingerprint() == alone_record.fingerprint()
+
+    def test_runs_with_different_set_sizes_never_share_a_key(self, small_task):
+        ds, store = small_task
+
+        def key(method, rho=0.7, labeling=None, hidden=(8,), **train):
+            student = init_student(store.dim, hidden, store.num_classes, 0)
+            return shape_key(store, Job(make_config(rho=rho, **train), student, method, labeling))
+
+        assert len({key(m) for m in SCHEDULED}) == 1
+        assert key("kcd", 0.5) != key("kcd", 0.7)
+        assert key("full-kd", 0.5) == key("full-kd", 0.7) == key("kcd", 1.0)
+        assert key("full-kd") != key("kcd")
+        kept = random_labeling(store.n, 0.7)
+        assert key("reuse-with-vaks", labeling=kept) == key("reuse-direct-select", 0.3, kept)
+        assert key("reuse-with-vaks", labeling=kept) != key("kcd")
+        assert key("kcd", batch_size=32) != key("kcd")
+        assert key("kcd", hidden=(8, 5)) != key("kcd")
+
+        students = [init_student(store.dim, (8,), store.num_classes, s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="one shape key"):
+            run_group(store, ds, [Job(make_config(rho=0.5), students[0], "kcd"),
+                                  Job(make_config(rho=0.7), students[1], "kcd")])
+
+    @pytest.mark.parametrize("poison, message", [
+        ("gradient", "no-car seed 6: stage 1, epoch 2: non-finite gradient in layer 0"),
+        ("loss", "no-car seed 6: non-finite training loss at stage 1, epoch 2"),
+    ])
+    def test_non_finite_step_names_the_run_and_moves_no_parameter(self, small_task,
+                                                                  monkeypatch, poison, message):
+        ds, store = small_task
+        real, calls = nn.loss_and_grads, []
+
+        def poisoned(*args):
+            loss, gw, gb, probs = real(*args)
+            calls.append(1)
+            if len(calls) == 3:  # first batch of epoch 2: 96 samples are 2 batches
+                if poison == "gradient":
+                    gw[0][1, 0, 0] = np.inf
+                else:
+                    loss[1] = np.nan
+            return loss, gw, gb, probs
+
+        monkeypatch.setattr(nn, "loss_and_grads", poisoned)
+        jobs = [Job(make_config(seed=s), init_student(store.dim, (8,), store.num_classes, s), m)
+                for s, m in ((5, "kcd"), (6, "no-car"), (7, "ogve-only"))]
+        before = [j.student.params.copy() for j in jobs]
+        with pytest.raises(DistillationError, match=f"^{message}"):
+            run_group(store, ds, jobs)
+        for j, params in zip(jobs, before):
+            assert j.student.params.tobytes() == params.tobytes()
+
+
+    def test_group_of_one_trains_unstacked_and_names_its_run(self, small_task, monkeypatch):
+        ds, store = small_task
+        real, shapes = nn.loss_and_grads, []
+
+        def poisoned(model, x, *args):
+            loss, gw, gb, probs = real(model, x, *args)
+            shapes.append(x.shape)
+            if len(shapes) == 3:
+                gw[0][0, 0] = np.inf
+            return loss, gw, gb, probs
+
+        monkeypatch.setattr(nn, "loss_and_grads", poisoned)
+        with pytest.raises(DistillationError,
+                           match="^kcd seed 5: stage 1, epoch 2: non-finite gradient in layer 0"):
+            run_small(small_task, seed=5)
+        assert shapes[0] == (64, store.dim)
 
 
 def random_labeling(n, keep_ratio):

@@ -205,7 +205,49 @@ class TestParallelSweep:
         base = small_config()
         rows = ratio_sweep(store, ds, base, (8,), **self.GRID)
         assert pools == [2]
+        assert rows == self.serial_rows(small_task)
+        assert sweep_rows_to_csv(rows) == sweep_rows_to_csv(self.serial_rows(small_task))
 
+    def test_one_cpu_runs_whole_groups_in_process(self, small_task, pools, monkeypatch):
+        """With one usable CPU each shape group trains in one lockstep call:
+        kcd and random-subset at rho 0.5, and full-kd with every run at rho
+        1.0, whose sets are all N."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, 1)
+        groups, real = [], emdriver.run_group
+
+        def spy(store, dataset, jobs):
+            groups.append(sorted((j.config.schedule.rho, j.method, j.config.seed) for j in jobs))
+            return real(store, dataset, jobs)
+
+        monkeypatch.setattr(emdriver, "run_group", spy)
+        rows = ratio_sweep(store, ds, small_config(), (8,), **self.GRID)
+        assert pools == []
+        assert groups == [
+            [(0.5, m, s) for m in ("kcd", "random-subset") for s in (3, 4)],
+            sorted([(0.5, "full-kd", s) for s in (3, 4)]
+                   + [(1.0, m, s) for m in self.GRID["methods"] for s in (3, 4)]),
+        ]
+        assert rows == self.serial_rows(small_task)
+
+    def test_pool_records_equal_lone_runs(self, small_task, pools, monkeypatch):
+        """Students travel to the workers pickled; each record, parameter
+        digest included, still equals the run trained alone."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, 2)
+
+        def jobs():
+            return [emdriver.Job(small_config(seed=s, rho=0.5),
+                                 init_student(store.dim, (8,), store.num_classes, s), m)
+                    for m in ("kcd", "no-ovr", "full-kd") for s in (3, 4)]
+
+        records = evaluation.run_grouped(store, ds, jobs())
+        assert pools == [2]
+        alone = [run_baseline(j.config, store, j.student, ds, j.method)[1] for j in jobs()]
+        assert [r.fingerprint() for r in records] == [r.fingerprint() for r in alone]
+
+    def serial_rows(self, small_task):
+        ds, store = small_task
         expected = []
         for rho in self.GRID["rho_grid"]:
             for seed in self.GRID["seeds"]:
@@ -219,8 +261,7 @@ class TestParallelSweep:
                         "relative_cost": record.cost.relative_cost,
                         "realized_relative_cost": record.cost.realized_relative_cost,
                     })
-        assert rows == expected
-        assert sweep_rows_to_csv(rows) == sweep_rows_to_csv(expected)
+        return expected
 
     def test_one_cpu_builds_no_pool(self, pools, monkeypatch):
         usable_cpus(monkeypatch, 1)

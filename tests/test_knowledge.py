@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kcdistill.knowledge import (
     CondensedSet,
@@ -269,3 +271,74 @@ class TestCondensedSet:
         assert list(np.setdiff1d(cs.member_ids, cs.aug_ids)) == [3]
         assert list(cs.aug_ids) == [5]
         assert cs.aug_probs.shape == (1, 2)
+
+
+# a ten-record stream: 16 header bytes, then 9 bytes per record
+FUZZ_LABELING = make_labeling(n=10, kept=6, seed=7)
+FUZZ_BLOB = export_labels(FUZZ_LABELING)
+label_fuzz = settings(max_examples=60, deadline=None)
+
+
+def assert_stream_rejected(blob, offset=None):
+    with pytest.raises(LabelStreamError, match="byte offset") as caught:
+        import_labels(blob)
+    assert 0 <= caught.value.offset <= len(blob)
+    if offset is not None:
+        assert caught.value.offset == offset
+    return caught.value
+
+
+def with_rank(record, rank):
+    blob = bytearray(FUZZ_BLOB)
+    at = 16 + 9 * record + 4
+    blob[at:at + 4] = struct.pack("<I", rank)
+    return bytes(blob)
+
+
+class TestHostileLabelStream:
+    """import_labels on corrupt streams: every failure is a LabelStreamError
+    whose byte offset lies inside the stream; nothing else escapes."""
+
+    def test_truncation_at_every_length(self):
+        for cut in range(len(FUZZ_BLOB)):
+            assert_stream_rejected(FUZZ_BLOB[:cut])
+
+    @label_fuzz
+    @given(bit=st.integers(0, 8 * 16 - 1))
+    def test_header_bit_flip(self, bit):
+        flipped = bytearray(FUZZ_BLOB)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert_stream_rejected(bytes(flipped))
+
+    @label_fuzz
+    @given(n=st.integers(0, 2**64 - 1).filter(lambda n: n != FUZZ_LABELING.n))
+    def test_header_count_disagrees(self, n):
+        assert_stream_rejected(FUZZ_BLOB[:8] + struct.pack("<Q", n) + FUZZ_BLOB[16:])
+
+    def test_zero_records(self):
+        err = assert_stream_rejected(struct.pack("<4sIQ", b"KCL1", 1, 0), offset=16)
+        assert "empty labeling" in str(err)
+
+    @label_fuzz
+    @given(bit=st.integers(8 * 16, 8 * len(FUZZ_BLOB) - 1))
+    def test_record_bit_flip_rejected_or_round_trips(self, bit):
+        flipped = bytearray(FUZZ_BLOB)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            labeling = import_labels(bytes(flipped))
+        except LabelStreamError as err:
+            assert 16 <= err.offset < len(flipped)
+        else:
+            assert export_labels(labeling) == bytes(flipped)
+
+    @label_fuzz
+    @given(record=st.integers(0, 9), other=st.integers(0, 9))
+    def test_duplicate_rank_names_the_later_record(self, record, other):
+        assume(record != other)
+        blob = with_rank(max(record, other), int(FUZZ_LABELING.ranks[min(record, other)]))
+        assert_stream_rejected(blob, offset=16 + 9 * max(record, other) + 4)
+
+    @label_fuzz
+    @given(record=st.integers(0, 9), rank=st.integers(10, 2**32 - 1))
+    def test_out_of_range_rank_names_its_record(self, record, rank):
+        assert_stream_rejected(with_rank(record, rank), offset=16 + 9 * record + 4)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -11,19 +12,19 @@ from kcdistill.data import DataFormatError
 from kcdistill.nn import (
     SgdState,
     TrainConfig,
-    finite_difference_check,
     forward,
     init_mlp,
-    kd_loss,
     load_model,
     loss_and_grads,
     lr_at_epoch,
     save_model,
     sgd_step,
     softmax,
+    stack_models,
     train_classifier,
     train_teacher,
 )
+from oracles import finite_difference_check, kd_loss
 
 
 class TestForwardSoftmax:
@@ -319,6 +320,74 @@ class TestFlatParams:
             twin.biases[1][0] += 1.0
             assert twin.params[0] == model.params[0] + 1.0
             assert twin.param_bytes() != model.param_bytes()
+
+
+class TestStackedModels:
+    """A stack of K models does per model exactly the arithmetic of the
+    model alone, with or without temperature and hard-label terms."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("dims", [(16, 16, 10), (6, 8, 5, 4)])
+    @pytest.mark.parametrize("temperature, hard_weight", [(1.0, 0.0), (2.0, 0.3)])
+    def test_stacked_step_is_bit_identical_to_a_loop(self, dims, batch, temperature,
+                                                     hard_weight):
+        rng = np.random.default_rng(batch)
+        models = [init_mlp(dims, seed) for seed in range(3)]
+        stack = stack_models(models)
+        x = rng.normal(size=(3, batch, dims[0]))
+        t = rng.dirichlet(np.ones(dims[-1]), size=(3, batch))
+        hard = rng.integers(0, dims[-1], size=(3, batch))
+        cfg = TrainConfig(weight_decay=5e-3)
+        for k, model in enumerate(models):
+            assert forward(stack, x[k])[k].tobytes() == forward(model, x[k]).tobytes()
+        state = SgdState.zeros_like(stack)
+        loss, gw, gb, probs = loss_and_grads(stack, x, t, temperature, hard, hard_weight)
+        sgd_step(stack, gw, gb, state, 0.05, cfg)
+        assert loss.shape == (3,)
+        for k, model in enumerate(models):
+            loss_k, gw_k, gb_k, probs_k = loss_and_grads(model, x[k], t[k], temperature,
+                                                         hard[k], hard_weight)
+            assert loss[k] == loss_k and np.isfinite(loss_k)
+            assert probs[k].tobytes() == probs_k.tobytes()
+            for stacked, alone in zip(gw + gb, gw_k + gb_k):
+                assert stacked[k].tobytes() == alone.tobytes()
+            state_k = SgdState.zeros_like(model)
+            sgd_step(model, gw_k, gb_k, state_k, 0.05, cfg)
+            assert stack.params[k].tobytes() == model.params.tobytes()
+            assert state.vel[k].tobytes() == state_k.vel.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_unpickled_views_still_write_through(self, stacked):
+        model = init_mlp((3, 4, 2), 23)
+        if stacked:
+            model = stack_models([model, init_mlp((3, 4, 2), 24)])
+        again = pickle.loads(pickle.dumps(model))
+        assert again.params.tobytes() == model.params.tobytes()
+        again.params[...] = 0.0
+        assert not any(a.any() for a in again.weights + again.biases)
+
+    def test_views_write_through_to_the_stacked_vector(self):
+        stack = stack_models([init_mlp((3, 4, 2), seed) for seed in range(2)])
+        assert stack.params.shape == (2, 3 * 4 + 4 * 2 + 4 + 2)
+        assert stack.n_weight == 3 * 4 + 4 * 2
+        stack.weights[1][1, 2, 1] = 7.5
+        stack.biases[0][1, :] = -1.0
+        assert stack.params[1, 3 * 4 + 2 * 2 + 1] == 7.5
+        np.testing.assert_array_equal(stack.params[1, stack.n_weight:stack.n_weight + 4], -1.0)
+
+    def test_non_finite_gradient_names_model_and_layer_and_moves_nothing(self):
+        stack = stack_models([init_mlp((4, 5, 3), seed) for seed in range(3)])
+        state = SgdState.zeros_like(stack)
+        before = stack.params.copy()
+        gw = [np.ones_like(w) for w in stack.weights]
+        gb = [np.ones_like(b) for b in stack.biases]
+        gw[1][2, 0, 1] = np.nan
+        gb[0][1, 3] = np.inf
+        with pytest.raises(FloatingPointError, match="non-finite gradient in layer 0") as caught:
+            sgd_step(stack, gw, gb, state, 0.1, TrainConfig())
+        assert caught.value.index == (1,)
+        np.testing.assert_array_equal(stack.params, before)
+        assert not state.vel.any()
 
 
 # a three-layer checkpoint: 12 header bytes, 12 dim bytes, then parameters

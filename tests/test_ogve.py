@@ -3,23 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from kcdistill.knowledge import ValueRecord
 from kcdistill.ogve import (
     OgveConfig,
     ValueState,
     binarize,
-    cost_aware_score,
     keep_count,
     label_by_ratio,
     labeling_from_ranks,
     observe_batch,
-    prediction_entropy,
     rank,
     rank_probability,
     ranks_from_scores,
     ratio_threshold,
-    record_value,
 )
+from oracles import ValueRecord, cost_aware_score, prediction_entropy, record_value
 
 
 class TestPredictionEntropy:
