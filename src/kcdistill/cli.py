@@ -32,6 +32,10 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip() != ""]
 
 
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _seed_list(text: str) -> list[int]:
     if "," in text:
         return _int_list(text)
@@ -76,7 +80,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
 def _add_run_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory (train.csv/test.csv)")
     p.add_argument("--teacher-probs", required=True, help=".npy of cached teacher soft labels")
-    p.add_argument("--student-hidden", type=str, default="16")
+    p.add_argument("--student-hidden", type=str, default=_csv(nn.DEFAULT_STUDENT_HIDDEN))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-record", type=str, default=None)
     p.add_argument("--out-metrics", type=str, default=None)
@@ -88,15 +92,12 @@ def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConf
             total_epochs=args.epochs, stage_len=args.stage_len, rho=args.rho)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.lr_decay_epochs is None:
-        decay = tuple(int(np.floor(f * args.epochs)) for f in (0.625, 0.75, 0.875))
-    else:
-        decay = tuple(_int_list(args.lr_decay_epochs))
-    train = nn.TrainConfig(
-        lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
-        batch_size=args.batch_size, lr_decay_epochs=decay,
-        lr_decay_factor=args.lr_decay_factor, temperature=args.temperature,
-        hard_label_weight=args.hard_label_weight,
+    decay = {} if args.lr_decay_epochs is None else dict(
+        lr_decay_epochs=_int_list(args.lr_decay_epochs))
+    train = nn.TrainConfig.desk_default(
+        args.epochs, lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
+        batch_size=args.batch_size, lr_decay_factor=args.lr_decay_factor,
+        temperature=args.temperature, hard_label_weight=args.hard_label_weight, **decay,
     )
     return emdriver.DistillConfig(schedule=schedule, ogve=OgveConfig(alpha=args.alpha),
                                   eps_m=args.eps_m, train=train, seed=args.seed)
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-teacher", help="train and cache the teacher")
     p.add_argument("--data", required=True)
-    p.add_argument("--hidden", type=str, default="64,64")
+    p.add_argument("--hidden", type=str, default=_csv(nn.DEFAULT_TEACHER_HIDDEN))
     p.add_argument("--epochs", type=int, default=80)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=64)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_io_args(p)
 
     p = sub.add_parser("sweep", help="keep-ratio sweep over seeds and methods")
-    p.add_argument("--rho-grid", type=str, default="0.3,0.5,0.6,0.7,0.8,0.9,1.0")
+    p.add_argument("--rho-grid", type=str, default=_csv(evaluation.DEFAULT_RHO_GRID))
     p.add_argument("--seeds", type=str, default="5",
                    help="seed count, or csv of explicit seeds")
     p.add_argument("--methods", type=str, default="kcd,random")

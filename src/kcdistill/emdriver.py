@@ -23,14 +23,16 @@ says how a stage picks its labeling, how it condenses the kept set, and
 whether the run keeps a ValueState.
 
 The loop trains a group of runs in lockstep. Runs form a group when they
-share a shape_key: the store, the epochs and stage length, the TrainConfig,
+share a _shape_key: the store, the epochs and stage length, the TrainConfig,
 the student's layer dims and the active-set size of every stage (N for
 full-kd, keep_count(N, tau_s) for the scheduled methods, the imported kept
 count for reuse rows). Their students become one stacked model, and each
 batch step, SGD update and per-epoch evaluation runs once for the whole
 stack; per model it is the arithmetic of a lone run, bit for bit. Each run
 still keeps its own generators, ValueState, labeling, condensed set and
-RunRecord. run() is a group of one.
+RunRecord. run_group, the one entry that trains, checks a job list, groups
+it by shape key, spreads the groups over forked workers (one chunk per
+usable CPU) and hands back each student trained; run() is a list of one.
 
 Training batches are drawn by shuffling the ascending-sorted active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
@@ -41,7 +43,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -51,8 +57,8 @@ import numpy as np
 
 from . import nn, ogve, vaks
 from .data import Dataset, write_atomic
-from .evaluation import accuracy
 from .knowledge import KnowledgeStore, ValueLabeling
+from .nn import accuracy
 from .ogve import OgveConfig
 
 METHOD_KCD = "kcd"
@@ -454,7 +460,7 @@ class Job(NamedTuple):
     labeling: ValueLabeling | None = None
 
 
-def shape_key(store: KnowledgeStore, job: Job) -> tuple:
+def _shape_key(store: KnowledgeStore, job: Job) -> tuple:
     """Jobs with equal keys on one store can train in lockstep."""
     sched = job.config.schedule
     label = _METHODS[job.method][0]
@@ -469,13 +475,75 @@ def shape_key(store: KnowledgeStore, job: Job) -> tuple:
 
 
 def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
-    """Train jobs that share one shape_key in lockstep; returns a (student,
-    record) pair per job, in job order."""
+    """Train any list of Jobs; returns a (student, record) pair per job, in
+    job order, each student holding its trained parameters.
+
+    Every job is checked before any run starts. Jobs with one _shape_key
+    train in lockstep; each shape group splits into at most one chunk per
+    usable CPU, and _pool_map spreads the chunks over worker processes. A
+    lone job trains here, unstacked. Records and parameters are bit-identical
+    to training each job alone.
+    """
     jobs = [Job(*job) for job in jobs]
-    if len({shape_key(store, job) for job in jobs}) != 1:
-        raise ValueError("a lockstep group needs jobs with one shape key")
-    records = _execute(store, dataset, [_Run(store, *job) for job in jobs])
-    return [(job.student, record) for job, record in zip(jobs, records)]
+    groups: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        if job.method not in (ALL_METHODS if job.labeling is None else _METHODS):
+            raise ValueError(f"unknown method {job.method!r}; expected one of {ALL_METHODS}")
+        if job.labeling is not None and job.labeling.n != store.n:
+            raise ValueError(f"label count {job.labeling.n} does not match store size {store.n}")
+        groups.setdefault(_shape_key(store, job), []).append(i)
+    chunks = [chunk.tolist() for group in groups.values()
+              for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]
+    got = _pool_map(_train_chunk, [[jobs[i] for i in c] for c in chunks], (store, dataset))
+    trained = dict(zip((i for c in chunks for i in c), (t for g in got for t in g)))
+    for i, job in enumerate(jobs):
+        job.student.params[...] = trained[i][0]  # a no-op unless a worker trained it
+    return [(job.student, trained[i][1]) for i, job in enumerate(jobs)]
+
+
+def _train_chunk(jobs, context) -> list:
+    store, dataset = context
+    runs = [_Run(store, *job) for job in jobs]
+    records = _execute(store, dataset, runs)
+    return [(run.student.params, record) for run, record in zip(runs, records)]
+
+
+def _pool_map(fn, jobs, context) -> list:
+    """[fn(job, context) for job in jobs] on a forked worker per usable CPU.
+
+    Fork hands fn and context to the workers unpickled; jobs, results and a
+    worker's exception are pickled back. With one usable CPU, one job, no
+    fork start method or other live threads (forking a threaded process can
+    deadlock the child) the jobs run here in turn.
+    """
+    jobs = list(jobs)
+    workers = min(_usable_cpus(), len(jobs))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [fn(job, context) for job in jobs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(fn, context)) as pool:
+        return list(pool.map(_call_in_worker, jobs, chunksize=1))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# (fn, context) of a _pool_map worker process
+_worker_task = None
+
+
+def _init_worker(fn, context) -> None:
+    global _worker_task
+    _worker_task = (fn, context)
+
+
+def _call_in_worker(job):
+    fn, context = _worker_task
+    return fn(job, context)
 
 
 def run(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
@@ -488,8 +556,6 @@ def run(config: DistillConfig, store: KnowledgeStore, student: nn.MlpModel,
     drops the frequency weight; fixed-eps blends the borderline slice at
     eps_m throughout. The store is only read: runs may share it across threads.
     """
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     return run_group(store, dataset, [Job(config, student, method)])[0]
 
 
@@ -503,6 +569,4 @@ def run_with_fixed_labels(config: DistillConfig, store: KnowledgeStore,
     estimation); mode picks plain selection or selection plus summary."""
     if mode not in REUSE_MODES:
         raise ValueError(f"unknown reuse mode {mode!r}; expected one of {REUSE_MODES}")
-    if labeling.n != store.n:
-        raise ValueError(f"label count {labeling.n} does not match store size {store.n}")
     return run_group(store, dataset, [Job(config, student, f"reuse-{mode}", labeling)])[0]

@@ -118,6 +118,11 @@ class ValueLabeling:
         )
 
 
+def _has_duplicates(ids: np.ndarray) -> bool:
+    ordered = np.sort(ids)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass
 class CondensedSet:
     """The active knowledge encoding for one stage.
@@ -137,7 +142,7 @@ class CondensedSet:
         self.member_ids = np.asarray(self.member_ids, dtype=np.int64)
         self.aug_ids = np.asarray(self.aug_ids, dtype=np.int64)
         self.aug_probs = np.asarray(self.aug_probs, dtype=np.float64)
-        if np.unique(self.member_ids).size != self.member_ids.size:
+        if _has_duplicates(self.member_ids):
             raise ValueError("condensed set has duplicate member ids")
         if self.aug_probs.ndim != 2 or self.aug_probs.shape[0] != self.aug_ids.size:
             raise ValueError(
@@ -147,7 +152,7 @@ class CondensedSet:
         outside = np.flatnonzero(~np.isin(self.aug_ids, self.member_ids))
         if outside.size:
             raise ValueError(f"aug id {self.aug_ids[outside[0]]} is not a member")
-        if np.unique(self.aug_ids).size != self.aug_ids.size:
+        if _has_duplicates(self.aug_ids):
             raise ValueError("condensed set has duplicate aug ids")
         j = _first_off_simplex(self.aug_probs)
         if j >= 0:

@@ -170,6 +170,17 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return h @ model.weights[-1] + model.biases[-1][..., None, :]
 
 
+def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax-correct predictions on a frozen model; one per
+    model, as an array, for a stacked model."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.shape[0] == 0:
+        raise ValueError("empty split")
+    acc = np.mean(np.argmax(forward(model, x), axis=-1) == y, axis=-1)
+    return acc if acc.ndim else float(acc)
+
+
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")

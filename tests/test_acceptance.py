@@ -16,12 +16,14 @@ from kcdistill.emdriver import (
     DistillConfig,
     Job,
     ScheduleConfig,
+    _pool_map,
     init_student,
     relative_cost,
     run_baseline,
+    run_group,
     tau_schedule,
 )
-from kcdistill.evaluation import _pool_map, accuracy, run_grouped
+from kcdistill.evaluation import accuracy
 from kcdistill.knowledge import build_store
 from kcdistill.nn import TrainConfig, init_mlp, train_classifier, train_teacher
 from kcdistill.ogve import (
@@ -83,7 +85,7 @@ def method_records(task):
     jobs = [Job(acceptance_config(s), init_student(store.dim, STUDENT_HIDDEN,
                                                    store.num_classes, s), m)
             for m in methods for s in SEEDS]
-    records = iter(run_grouped(store, ds, jobs))
+    records = iter(record for _, record in run_group(store, ds, jobs))
     return {m: [next(records) for _ in SEEDS] for m in methods}
 
 
@@ -316,7 +318,7 @@ def test_criterion_10_reuse_ordering(task, method_records):
                 f"reuse-{mode}", src.final_labeling())
             for seed, src in zip(SEEDS, method_records["kcd"])
             for mode in ("with-vaks", "direct-select")]
-    accs = [rec.final_accuracy for rec in run_grouped(store, ds, jobs)]
+    accs = [rec.final_accuracy for _, rec in run_group(store, ds, jobs)]
     with_vaks, direct = np.array(accs[0::2]), np.array(accs[1::2])
     assert with_vaks.mean() >= direct.mean()
 

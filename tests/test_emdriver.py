@@ -14,13 +14,13 @@ from kcdistill.emdriver import (
     Job,
     RunRecord,
     ScheduleConfig,
+    _shape_key,
     init_student,
     relative_cost,
     run,
     run_baseline,
     run_group,
     run_with_fixed_labels,
-    shape_key,
     tau_schedule,
 )
 from kcdistill.knowledge import ValueLabeling
@@ -219,6 +219,9 @@ class TestRunMechanics:
         student = init_student(store.dim, (8,), store.num_classes, 0)
         with pytest.raises(ValueError, match="unknown method"):
             run_baseline(make_config(), store, student, ds, "mystery")
+        # a reuse row is a method only with an imported labeling
+        with pytest.raises(ValueError, match="unknown method 'reuse-with-vaks'; expected one"):
+            run(make_config(), store, student, ds, method="reuse-with-vaks")
 
     def test_all_methods_run(self, small_task):
         for method in ALL_METHODS:
@@ -482,6 +485,12 @@ class TestMethodTable:
 SCHEDULED = ("kcd", "fixed-eps", "ogve-only", "no-ovr", "no-car", "random-subset")
 
 
+def one_cpu(monkeypatch):
+    """run_group splits a shape group over the usable CPUs; with one, the
+    whole group trains as one stacked model in this process."""
+    monkeypatch.setattr(emdriver, "_usable_cpus", lambda: 1)
+
+
 class TestLockstep:
     """Runs that share a shape key train as one stacked student; each run's
     record and parameters equal those of the run trained alone."""
@@ -491,9 +500,10 @@ class TestLockstep:
         ((8,), dict(temperature=2.0, hard_label_weight=0.3)),
         ((8, 5), dict(batch_size=19)),
     ], ids=["tail-batch-of-1", "temperature-and-hard-labels", "two-hidden-layers"])
-    def test_groups_match_one_run_at_a_time(self, small_task, hidden, train):
+    def test_groups_match_one_run_at_a_time(self, small_task, monkeypatch, hidden, train):
         ds, store = small_task
         assert store.n % 19 == 1
+        one_cpu(monkeypatch)  # each group trains as one stack, here
 
         def job(seed, method, labeling=None):
             student = init_student(store.dim, hidden, store.num_classes, seed)
@@ -519,11 +529,11 @@ class TestLockstep:
                 assert record.fingerprint() == alone_record.fingerprint()
 
     def test_runs_with_different_set_sizes_never_share_a_key(self, small_task):
-        ds, store = small_task
+        _, store = small_task
 
         def key(method, rho=0.7, labeling=None, hidden=(8,), **train):
             student = init_student(store.dim, hidden, store.num_classes, 0)
-            return shape_key(store, Job(make_config(rho=rho, **train), student, method, labeling))
+            return _shape_key(store, Job(make_config(rho=rho, **train), student, method, labeling))
 
         assert len({key(m) for m in SCHEDULED}) == 1
         assert key("kcd", 0.5) != key("kcd", 0.7)
@@ -535,10 +545,28 @@ class TestLockstep:
         assert key("kcd", batch_size=32) != key("kcd")
         assert key("kcd", hidden=(8, 5)) != key("kcd")
 
-        students = [init_student(store.dim, (8,), store.num_classes, s) for s in (0, 1)]
-        with pytest.raises(ValueError, match="one shape key"):
-            run_group(store, ds, [Job(make_config(rho=0.5), students[0], "kcd"),
-                                  Job(make_config(rho=0.7), students[1], "kcd")])
+    @pytest.mark.parametrize("method, label_count, message", [
+        ("telepathy", None, "unknown method 'telepathy'; expected one of"),
+        ("reuse-with-vaks", None, "unknown method 'reuse-with-vaks'; expected one of"),
+        ("reuse-direct-select", 50, "label count 50 does not match store size 96"),
+    ], ids=["unknown-method", "reuse-without-labeling", "labeling-of-wrong-size"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_a_bad_job_anywhere_raises_before_any_run(self, small_task, monkeypatch,
+                                                       method, label_count, message, at):
+        ds, store = small_task
+        monkeypatch.setattr(emdriver, "_usable_cpus", lambda: 2)
+
+        def no_run(*args):
+            raise AssertionError("a run started before every job was checked")
+
+        monkeypatch.setattr(emdriver, "_execute", no_run)
+        monkeypatch.setattr(emdriver, "_pool_map", no_run)
+        jobs = [Job(make_config(seed=s), init_student(store.dim, (8,), store.num_classes, s), m)
+                for s, m in enumerate(("kcd", "full-kd", "kcd", "no-car"))]
+        labeling = None if label_count is None else random_labeling(label_count, 0.7)
+        jobs.insert(at, Job(make_config(), jobs[0].student.copy(), method, labeling))
+        with pytest.raises(ValueError, match=message):
+            run_group(store, ds, jobs)
 
     @pytest.mark.parametrize("poison, message", [
         ("gradient", "no-car seed 6: stage 1, epoch 2: non-finite gradient in layer 0"),
@@ -560,6 +588,7 @@ class TestLockstep:
             return loss, gw, gb, probs
 
         monkeypatch.setattr(nn, "loss_and_grads", poisoned)
+        one_cpu(monkeypatch)
         jobs = [Job(make_config(seed=s), init_student(store.dim, (8,), store.num_classes, s), m)
                 for s, m in ((5, "kcd"), (6, "no-car"), (7, "ogve-only"))]
         before = [j.student.params.copy() for j in jobs]

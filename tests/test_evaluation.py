@@ -5,16 +5,16 @@ import threading
 import numpy as np
 import pytest
 
-from kcdistill import emdriver, evaluation
+from kcdistill import emdriver
 from kcdistill.emdriver import (
     DistillConfig,
     DistillationError,
     ScheduleConfig,
+    _pool_map,
     init_student,
     run_baseline,
 )
 from kcdistill.evaluation import (
-    _pool_map,
     accuracy,
     hamming_distance,
     hamming_matrix,
@@ -169,12 +169,12 @@ def pools(monkeypatch):
     """Record the worker count of every process pool _pool_map builds."""
     made = []
 
-    class RecordingPool(evaluation.ProcessPoolExecutor):
+    class RecordingPool(emdriver.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             made.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(emdriver, "ProcessPoolExecutor", RecordingPool)
     return made
 
 
@@ -214,13 +214,13 @@ class TestParallelSweep:
         1.0, whose sets are all N."""
         ds, store = small_task
         usable_cpus(monkeypatch, 1)
-        groups, real = [], emdriver.run_group
+        groups, real = [], emdriver._execute
 
-        def spy(store, dataset, jobs):
-            groups.append(sorted((j.config.schedule.rho, j.method, j.config.seed) for j in jobs))
-            return real(store, dataset, jobs)
+        def spy(store, dataset, runs):
+            groups.append(sorted((r.config.schedule.rho, r.method, r.config.seed) for r in runs))
+            return real(store, dataset, runs)
 
-        monkeypatch.setattr(emdriver, "run_group", spy)
+        monkeypatch.setattr(emdriver, "_execute", spy)
         rows = ratio_sweep(store, ds, small_config(), (8,), **self.GRID)
         assert pools == []
         assert groups == [
@@ -231,20 +231,27 @@ class TestParallelSweep:
         assert rows == self.serial_rows(small_task)
 
     def test_pool_records_equal_lone_runs(self, small_task, pools, monkeypatch):
-        """Students travel to the workers pickled; each record, parameter
-        digest included, still equals the run trained alone."""
+        """run_group on two shape groups, with one usable CPU and then two
+        (students travel to the workers pickled), leaves each job's student
+        holding the parameters of the same run trained alone and gives that
+        run's record."""
         ds, store = small_task
-        usable_cpus(monkeypatch, 2)
 
         def jobs():
             return [emdriver.Job(small_config(seed=s, rho=0.5),
                                  init_student(store.dim, (8,), store.num_classes, s), m)
                     for m in ("kcd", "no-ovr", "full-kd") for s in (3, 4)]
 
-        records = evaluation.run_grouped(store, ds, jobs())
-        assert pools == [2]
-        alone = [run_baseline(j.config, store, j.student, ds, j.method)[1] for j in jobs()]
-        assert [r.fingerprint() for r in records] == [r.fingerprint() for r in alone]
+        alone = [run_baseline(j.config, store, j.student, ds, j.method) for j in jobs()]
+        for cpus, made in ((1, []), (2, [2])):
+            usable_cpus(monkeypatch, cpus)
+            group = jobs()
+            trained = emdriver.run_group(store, ds, group)
+            assert pools == made
+            for j, (student, record), (alone_student, alone_record) in zip(group, trained, alone):
+                assert student is j.student
+                assert student.params.tobytes() == alone_student.params.tobytes()
+                assert record.fingerprint() == alone_record.fingerprint()
 
     def serial_rows(self, small_task):
         ds, store = small_task
@@ -305,8 +312,8 @@ class TestParallelSweep:
         def no_run(*args):
             raise AssertionError("a run started before validation")
 
-        monkeypatch.setattr(emdriver, "run_baseline", no_run)
-        monkeypatch.setattr(evaluation, "_pool_map", no_run)
+        monkeypatch.setattr(emdriver, "_execute", no_run)
+        monkeypatch.setattr(emdriver, "_pool_map", no_run)
         grid = {**dict(rho_grid=(0.5,), seeds=(0,), methods=("kcd",)), **kwargs}
         with pytest.raises(ValueError, match=message):
             ratio_sweep(store, ds, small_config(), (8,), **grid)
