@@ -310,7 +310,8 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
         order = shuffle_rng.permutation(x.shape[0])
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, gw, gb, _ = loss_and_grads(model, x[idx], onehot[idx])
+            loss, gw, gb, _ = loss_and_grads(model, x.take(idx, axis=0),
+                                             onehot.take(idx, axis=0))
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
             sgd_step(model, gw, gb, state, lr, cfg)

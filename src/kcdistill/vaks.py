@@ -86,8 +86,8 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
         raise ValueError(
             f"augment inputs must be equal length, got {k1l.size}, {k0.size}, {eps.size}"
         )
-    p_a = store.teacher_probs[k1l]
-    p_b = store.teacher_probs[k0]
+    p_a = store.teacher_probs.take(k1l, axis=0)
+    p_b = store.teacher_probs.take(k0, axis=0)
     return (p_a + eps[:, None] * p_b) / (1.0 + eps)[:, None]
 
 

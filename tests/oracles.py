@@ -2,7 +2,8 @@
 
 None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.cost_aware_scores,
-ogve.entropy_rows, emdriver.relative_cost, nn.loss_and_grads).
+ogve.entropy_rows, ogve.ranks_from_scores, emdriver.relative_cost,
+nn.loss_and_grads).
 """
 
 from dataclasses import dataclass
@@ -119,3 +120,13 @@ def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
     if record.frequency < 1:
         raise ValueError("unobserved sample: frequency is 0")
     return float(record.value * record.frequency ** cfg.alpha)
+
+
+def lexsort_ranks(scores) -> np.ndarray:
+    """Rank positions by one lexsort: descending score, then ascending id.
+    np.lexsort puts NaN keys last and keeps them in id order."""
+    s = np.asarray(scores, dtype=np.float64)
+    ids = np.arange(s.size)
+    ranks = np.empty(s.size, dtype=np.int64)
+    ranks[np.lexsort((ids, -s))] = ids
+    return ranks

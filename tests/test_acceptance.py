@@ -104,7 +104,7 @@ def counted_kcd_run(job, _):
     config, store, ds = job
     student = init_student(store.dim, (4,), store.num_classes, config.seed)
     run = emdriver._Run(store, config, student, "kcd")
-    [record] = emdriver._execute(store, ds, [run])
+    [(_, record)] = emdriver._execute(store, ds, [run])
     return int(run.values.frequencies.sum()), record.cost.absolute_cost
 
 

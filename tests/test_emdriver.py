@@ -54,7 +54,7 @@ def run_with_state(task, method="kcd", seed=0, **cfg_kwargs):
     ds, store = task
     student = init_student(store.dim, (8,), store.num_classes, seed)
     run = emdriver._Run(store, make_config(seed=seed, **cfg_kwargs), student, method)
-    [record] = emdriver._execute(store, ds, [run])
+    [(_, record)] = emdriver._execute(store, ds, [run])
     return record, run.values
 
 
@@ -370,53 +370,76 @@ class TestRunRecord:
             record.cost.realized_relative_cost * store.n * 12, rel=1e-12)
 
 
+def assert_epochs_match_per_batch_loop(store, ks, tcfg):
+    """Two epochs of _train_epoch over the runs ks (0: even ids on the
+    store's targets, 1: odd ids descending on a rolled copy), one run alone
+    trained unstacked, against the old one-student loop run per student:
+    fancy-index gathers, every batch's entropies folded as it goes."""
+    actives = [np.arange(0, store.n, 2), np.arange(1, store.n, 2)[::-1]]
+    matrices = [np.asarray(store.teacher_probs), np.roll(store.teacher_probs, 1, axis=0)]
+    assert matrices[0] is store.teacher_probs  # so run 0 reads the shared matrix
+    actives, targets = [actives[k] for k in ks], [matrices[k] for k in ks]
+    hard = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
+
+    def fresh(k):
+        student = init_student(store.dim, (8,), store.num_classes, 3 + k)
+        return student, nn.SgdState.zeros_like(student), np.random.default_rng(4 + k)
+
+    expected = []
+    for k, active, target in zip(ks, actives, targets):
+        values = ogve.ValueState(store.n)
+        student, state, rng = fresh(k)
+        for _ in range(2):
+            ids = np.sort(active)
+            order = ids[rng.permutation(ids.size)]
+            for start in range(0, order.size, tcfg.batch_size):
+                batch = order[start:start + tcfg.batch_size]
+                _, gw, gb, probs_1 = nn.loss_and_grads(
+                    student, store.features[batch], target[batch], tcfg.temperature,
+                    None if hard is None else hard[batch], tcfg.hard_label_weight)
+                nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
+                ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
+        expected.append(((values.values, values.last_values, values.frequencies),
+                         student.params.copy()))
+
+    runs = []
+    for k in ks:
+        student, _, rng = fresh(k)
+        runs.append(emdriver._Run(store, make_config(seed=k), student, "kcd"))
+        runs[-1].train_rng = rng
+    stack = (runs[0].student if len(runs) == 1
+             else nn.stack_models([run.student for run in runs]))
+    state = nn.SgdState.zeros_like(stack)
+    for epoch in (1, 2):
+        emdriver._train_epoch(stack, state, runs, store, actives, targets, tcfg,
+                              tcfg.lr, 1, epoch)
+    assert stack.params.ndim == (1 if len(runs) == 1 else 2)
+    for run, params, (expected_values, expected_params) in zip(
+            runs, stack.params.reshape(len(runs), -1), expected):
+        got = (run.values.values, run.values.last_values, run.values.frequencies)
+        for a, b in zip(got, expected_values):
+            assert a.tobytes() == b.tobytes()
+        assert params.tobytes() == expected_params.tobytes()
+
+
 class TestTrainEpoch:
     def test_per_epoch_observe_equals_per_batch_loop(self, small_task):
         """A two-run group epoch, one run on the store's targets and one on
         its own matrix, against the old one-student loop run per student."""
         _, store = small_task
-        tcfg = TrainConfig(batch_size=7)
-        actives = [np.arange(0, store.n, 2), np.arange(1, store.n, 2)[::-1]]
-        targets = [np.asarray(store.teacher_probs), np.roll(store.teacher_probs, 1, axis=0)]
+        assert_epochs_match_per_batch_loop(store, [0, 1], TrainConfig(batch_size=7))
 
-        def fresh(k):
-            student = init_student(store.dim, (8,), store.num_classes, 3 + k)
-            return student, nn.SgdState.zeros_like(student), np.random.default_rng(4 + k)
-
-        # reference: the old loop, folding every batch's entropies as it goes
-        expected = []
-        for k, active in enumerate(actives):
-            values = ogve.ValueState(store.n)
-            student, state, rng = fresh(k)
-            for _ in range(2):
-                ids = np.sort(active)
-                order = ids[rng.permutation(ids.size)]
-                for start in range(0, order.size, tcfg.batch_size):
-                    batch = order[start:start + tcfg.batch_size]
-                    _, gw, gb, probs_1 = nn.loss_and_grads(
-                        student, store.features[batch], targets[k][batch])
-                    nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
-                    ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
-            expected.append(((values.values, values.last_values, values.frequencies),
-                             student.params.copy()))
-
-        runs = []
-        for k in range(2):
-            student, _, rng = fresh(k)
-            runs.append(emdriver._Run(store, make_config(seed=k), student, "kcd"))
-            runs[-1].train_rng = rng
-        stack = nn.stack_models([run.student for run in runs])
-        state = nn.SgdState.zeros_like(stack)
-        for epoch in (1, 2):
-            emdriver._train_epoch(stack, state, runs, store, actives, targets, tcfg,
-                                  tcfg.lr, 1, epoch)
-        assert targets[0] is store.teacher_probs
-        for run, params, (expected_values, expected_params) in zip(runs, stack.params,
-                                                                   expected):
-            got = (run.values.values, run.values.last_values, run.values.frequencies)
-            for a, b in zip(got, expected_values):
-                assert a.tobytes() == b.tobytes()
-            assert params.tobytes() == expected_params.tobytes()
+    @pytest.mark.parametrize("ks, hard_label_weight", [
+        ([1], 0.0), ([0], 0.3), ([1], 0.3), ([0, 1], 0.3),
+    ], ids=["lone-own-matrix", "lone-hard-labels", "lone-own-matrix-hard-labels",
+            "pair-hard-labels"])
+    def test_row_gathers_match_fancy_indexing(self, small_task, ks, hard_label_weight):
+        """The take gathers of features, targets and hard labels, for a
+        lone run (trained unstacked) and for a stack, against the loop's
+        fancy-index gathers."""
+        _, store = small_task
+        tcfg = TrainConfig(batch_size=7, temperature=2.0, hard_label_weight=hard_label_weight)
+        assert_epochs_match_per_batch_loop(store, ks, tcfg)
 
     def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
         _, store = small_task
@@ -597,6 +620,24 @@ class TestLockstep:
         for j, params in zip(jobs, before):
             assert j.student.params.tobytes() == params.tobytes()
 
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_job_leaves_every_student_as_it_was(self, small_task, monkeypatch,
+                                                          cpus):
+        """full-kd trains to the end before kcd diverges (in turn on one CPU,
+        in a sibling worker on two); neither student may change."""
+        ds, store = small_task
+        monkeypatch.setattr(emdriver, "_usable_cpus", lambda: cpus)
+        jobs = [Job(make_config(seed=0), init_student(store.dim, (8,), store.num_classes, 0),
+                    "full-kd"),
+                Job(make_config(seed=1, lr=1e300),
+                    init_student(store.dim, (8,), store.num_classes, 1), "kcd")]
+        before = [j.student.params.copy() for j in jobs]
+        with pytest.raises(DistillationError,
+                           match="^kcd seed 1: non-finite training loss at stage 1, epoch 1"):
+            run_group(store, ds, jobs)
+        for j, params in zip(jobs, before):
+            assert j.student.params.tobytes() == params.tobytes()
 
     def test_group_of_one_trains_unstacked_and_names_its_run(self, small_task, monkeypatch):
         ds, store = small_task

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kcdistill.ogve import (
     OgveConfig,
@@ -16,7 +19,13 @@ from kcdistill.ogve import (
     ranks_from_scores,
     ratio_threshold,
 )
-from oracles import ValueRecord, cost_aware_score, prediction_entropy, record_value
+from oracles import (
+    ValueRecord,
+    cost_aware_score,
+    lexsort_ranks,
+    prediction_entropy,
+    record_value,
+)
 
 
 class TestPredictionEntropy:
@@ -146,6 +155,19 @@ class TestRank:
         ranks = rank(state, OgveConfig(alpha=0.0))
         assert ranks[1] == 2
 
+    def test_unobserved_ranked_last_in_id_order(self):
+        rng = np.random.default_rng(8)
+        state = state_with_scores(rng.uniform(0.1, 2.0, size=40),
+                                  rng.integers(1, 5, size=40))
+        unobserved = np.flatnonzero(rng.random(40) < 0.4)
+        state.frequencies[unobserved] = 0
+        state.values[unobserved] = np.nan
+        ranks = rank(state, OgveConfig())
+        assert list(ranks[unobserved]) == list(range(40 - unobserved.size, 40))
+        assert np.array_equal(ranks, lexsort_ranks(
+            np.where(state.frequencies > 0, state.values * state.frequencies ** 0.03,
+                     -np.inf)))
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.1, 4.0, size=50)
@@ -172,6 +194,44 @@ class TestRank:
         latest_ranks = rank(state, OgveConfig(alpha=0.0), value_source="latest")
         assert list(mean_ranks) == [1, 0]
         assert list(latest_ranks) == [0, 1]
+
+
+SPECIAL_SCORES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+rank_fuzz = settings(max_examples=150, deadline=None)
+
+
+class TestRanksFromScores:
+    """The argsort-and-repair ranking against one lexsort, bit for bit."""
+
+    @rank_fuzz
+    @given(n=st.integers(0, 3000), distinct=st.integers(1, 6000),
+           special=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_lexsort_oracle(self, n, distinct, special, seed):
+        """Values from a palette of `distinct` normals (heavy ties when it
+        is small, none to speak of when it is large), each replaced by NaN,
+        ±0.0 or ±inf with probability `special`."""
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=distinct)[rng.integers(0, distinct, size=n)]
+        swap = rng.random(n) < special
+        scores[swap] = rng.choice(SPECIAL_SCORES, size=int(swap.sum()))
+        assert np.array_equal(ranks_from_scores(scores), lexsort_ranks(scores))
+
+    @rank_fuzz
+    @given(hnp.arrays(np.float64, st.integers(0, 60),
+                      elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_equals_lexsort_oracle_on_any_floats(self, scores):
+        assert np.array_equal(ranks_from_scores(scores), lexsort_ranks(scores))
+
+    @pytest.mark.parametrize("value", [1.5, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_all_tied_is_id_order(self, value):
+        scores = np.full(2500, value)
+        assert np.array_equal(ranks_from_scores(scores), np.arange(2500))
+
+    def test_signed_zeros_tie(self):
+        assert list(ranks_from_scores([0.0, -0.0, 0.0, -0.0])) == [0, 1, 2, 3]
+
+    def test_nan_ranks_last_in_id_order(self):
+        assert list(ranks_from_scores([np.nan, -np.inf, np.nan, 2.0])) == [2, 1, 3, 0]
 
 
 class TestRankProbability:
