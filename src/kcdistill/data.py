@@ -7,8 +7,8 @@ standardized values, so a reload never re-standardizes.
 
 from __future__ import annotations
 
-import itertools
 import os
+import re
 import secrets
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 CSV_FLOAT_FORMAT = "%.17g"
+_CSV_CHUNK_ROWS = 1024
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
 TRAIN_FILE = "train.csv"
 TEST_FILE = "test.csv"
 
@@ -123,17 +125,70 @@ def write_atomic(path, payload) -> None:
 
 def save_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
     """Rows are f0..f{D-1},label with floats at 17 significant digits,
-    streamed line by line through write_atomic."""
+    formatted _CSV_CHUNK_ROWS rows per % call and streamed through
+    write_atomic."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    header = ",".join([f"f{i}" for i in range(features.shape[1])] + ["label"])
-    rows = (",".join([CSV_FLOAT_FORMAT % v for v in row] + [str(int(lab))])
-            for row, lab in zip(features, labels))
-    write_atomic(path, (f"{line}\n".encode() for line in itertools.chain([header], rows)))
+    if features.shape[0] != labels.size:
+        raise ValueError(f"{features.shape[0]} feature rows but {labels.size} labels")
+    dim = features.shape[1]
+    header = ",".join([f"f{i}" for i in range(dim)] + ["label"])
+    row_format = ",".join([CSV_FLOAT_FORMAT] * dim + ["%d"]) + "\n"
+
+    def chunks():
+        yield f"{header}\n".encode()
+        for start in range(0, labels.size, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, labels.size)
+            cells = np.empty((stop - start, dim + 1), dtype=object)
+            cells[:, :dim] = features[start:stop]
+            cells[:, dim] = labels[start:stop]
+            yield ((row_format * (stop - start)) % tuple(cells.ravel().tolist())).encode()
+
+    write_atomic(path, chunks())
+
+
+def _parse_rows(lines: list[str], dim: int) -> np.ndarray:
+    """The one parser of CSV data rows: D float64 cells and an int64 label per
+    line, no quoting, no comments. Raises ValueError on any line it rejects."""
+    dtype = np.dtype([("f", np.float64, (dim,)), ("label", np.int64)])
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      quotechar=None, ndmin=1)
+
+
+def _row_fault(line: str, dim: int) -> str:
+    """Why _parse_rows rejects this one line."""
+    cells = line.split(",")
+    if len(cells) != dim + 1:
+        return f"expected {dim + 1} cells, got {len(cells)}"
+    try:
+        _parse_rows([",".join(cells[:-1] + ["0"])], dim)
+    except ValueError:
+        return "non-numeric feature cell"
+    label = cells[-1].strip()
+    if _INT_LITERAL.fullmatch(label):  # an integer literal it rejects is outside int64
+        return f"unknown label value {int(label)}"
+    return f"non-integer label {cells[-1]!r}"
+
+
+def _first_bad_row(rows: list[str], dim: int) -> int:
+    """Index of a row _parse_rows rejects, found by parsing halves of a list
+    it rejects whole."""
+    lo, hi = 0, len(rows)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_rows(rows[lo:mid], dim)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def load_csv(path, class_count: int | None = None) -> Dataset:
-    """Parse one CSV into a Dataset (all rows tagged train, row order kept)."""
+    """Parse one CSV into a Dataset (all rows tagged train, row order kept).
+
+    Blank and whitespace-only lines are skipped. Every error names its line."""
     path = Path(path)
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -143,34 +198,30 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise DataFormatError(f"{path}: line 1: bad header {lines[0]!r}")
     dim = len(header) - 1
-    rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected {dim + 1} cells, got {len(cells)}"
-            )
-        try:
-            rows.append([float(c) for c in cells[:-1]])
-        except ValueError:
-            raise DataFormatError(f"{path}: line {lineno}: non-numeric feature cell") from None
-        try:
-            label = int(cells[-1])
-        except ValueError:
-            raise DataFormatError(f"{path}: line {lineno}: non-integer label {cells[-1]!r}") from None
-        if label < 0 or (class_count is not None and label >= class_count):
-            raise DataFormatError(f"{path}: line {lineno}: unknown label value {label}")
-        labels.append(label)
+    rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise DataFormatError(f"{path}: empty dataset")
-    features = np.array(rows, dtype=np.float64)
+
+    def error(row: int, fault: str) -> DataFormatError:
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        return DataFormatError(f"{path}: line {linenos[row]}: {fault}")
+
+    try:
+        parsed = _parse_rows(rows, dim)
+    except ValueError:
+        row = _first_bad_row(rows, dim)
+        raise error(row, _row_fault(rows[row], dim)) from None
+    features = np.ascontiguousarray(parsed["f"])
+    labels = np.ascontiguousarray(parsed["label"])
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        raise DataFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
-    labels = np.array(labels, dtype=np.int64)
+        raise error(bad[0], "non-finite feature cell")
+    unknown = labels < 0
+    if class_count is not None:
+        unknown |= labels >= class_count
+    bad = np.flatnonzero(unknown)
+    if bad.size:
+        raise error(bad[0], f"unknown label value {labels[bad[0]]}")
     c = class_count if class_count is not None else int(labels.max()) + 1
     return Dataset(features, labels, c, np.arange(labels.size), np.empty(0, dtype=np.int64))
 

@@ -41,6 +41,7 @@ identical randomness and differ only through which samples they select.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import multiprocessing
@@ -48,7 +49,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -208,10 +209,18 @@ class RunRecord:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["stages"] = [asdict(s) for s in self.stages]
-        out["epochs"] = [asdict(e) for e in self.epochs]
-        out["cost"] = asdict(self.cost)
+        """asdict(self) without its per-element deep copy of the label and
+        rank lists: they hold ints, so list() copies them as deeply."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            config=copy.deepcopy(self.config),
+            stages=[asdict(s) for s in self.stages],
+            epochs=[asdict(e) for e in self.epochs],
+            cost=asdict(self.cost),
+            final_labels=list(self.final_labels),
+            final_ranks=list(self.final_ranks),
+            student_dims=list(self.student_dims),
+        )
         return out
 
     @classmethod

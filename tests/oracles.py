@@ -3,14 +3,17 @@
 None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.cost_aware_scores,
 ogve.entropy_rows, ogve.ranks_from_scores, emdriver.relative_cost,
-nn.loss_and_grads).
+nn.loss_and_grads) or in bulk (data.load_csv, data.save_csv,
+emdriver.RunRecord.to_dict).
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from kcdistill import nn
+from kcdistill.data import CSV_FLOAT_FORMAT, Dataset, DataFormatError
 from kcdistill.knowledge import check_simplex
 from kcdistill.ogve import OgveConfig
 
@@ -130,3 +133,69 @@ def lexsort_ranks(scores) -> np.ndarray:
     ranks = np.empty(s.size, dtype=np.int64)
     ranks[np.lexsort((ids, -s))] = ids
     return ranks
+
+
+def load_csv(path, class_count: int | None = None) -> Dataset:
+    """data.load_csv the long way: float() and int() per cell, line by line.
+
+    It differs from the library on purpose in two ways: float() and int()
+    accept underscores (1_0) and non-ASCII digits, which the library rejects,
+    and a label outside int64 escapes as OverflowError."""
+    path = Path(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}: empty dataset")
+    header = lines[0].split(",")
+    if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
+        raise DataFormatError(f"{path}: line 1: bad header {lines[0]!r}")
+    dim = len(header) - 1
+    rows, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != dim + 1:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {dim + 1} cells, got {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells[:-1]])
+        except ValueError:
+            raise DataFormatError(f"{path}: line {lineno}: non-numeric feature cell") from None
+        try:
+            label = int(cells[-1])
+        except ValueError:
+            raise DataFormatError(f"{path}: line {lineno}: non-integer label {cells[-1]!r}") from None
+        if label < 0 or (class_count is not None and label >= class_count):
+            raise DataFormatError(f"{path}: line {lineno}: unknown label value {label}")
+        labels.append(label)
+    if not rows:
+        raise DataFormatError(f"{path}: empty dataset")
+    features = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        raise DataFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
+    labels = np.array(labels, dtype=np.int64)
+    c = class_count if class_count is not None else int(labels.max()) + 1
+    return Dataset(features, labels, c, np.arange(labels.size), np.empty(0, dtype=np.int64))
+
+
+def csv_bytes(features, labels) -> bytes:
+    """The bytes data.save_csv writes, one %.17g cell and one line at a time."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    lines = [",".join([f"f{i}" for i in range(features.shape[1])] + ["label"])]
+    lines += [",".join([CSV_FLOAT_FORMAT % v for v in row] + [str(int(lab))])
+              for row, lab in zip(features, labels)]
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def record_dict(record) -> dict:
+    """RunRecord.to_dict through dataclasses.asdict's deep copy."""
+    out = asdict(record)
+    out["stages"] = [asdict(s) for s in record.stages]
+    out["epochs"] = [asdict(e) for e in record.epochs]
+    out["cost"] = asdict(record.cost)
+    return out

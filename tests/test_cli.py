@@ -57,6 +57,22 @@ class TestTrainTeacher:
         assert probs.shape == (48, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-9)
 
+    def test_label_outside_int64_is_a_clean_error(self, workdir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for name in ("train.csv", "test.csv"):
+            lines = (workdir / "data" / name).read_text().splitlines()
+            if name == "train.csv":
+                lines[2] = lines[2].rsplit(",", 1)[0] + ",99999999999999999999"
+            (data_dir / name).write_text("\n".join(lines) + "\n")
+        code = main(["train-teacher", "--data", str(data_dir), "--hidden", "4",
+                     "--epochs", "1", "--out-model", str(tmp_path / "t.bin"),
+                     "--out-probs", str(tmp_path / "t.npy")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{data_dir / 'train.csv'}: line 3: unknown label value 99999999999999999999" in err
+
 
 class TestDistill:
     def test_record_written_with_metrics(self, workdir, tmp_path, capsys):

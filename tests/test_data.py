@@ -1,8 +1,13 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from kcdistill import data
 from kcdistill.data import (
     DataFormatError,
     Dataset,
@@ -67,6 +72,12 @@ class TestCsv:
         np.testing.assert_array_equal(again.features, ds.features)
         np.testing.assert_array_equal(again.labels, ds.labels)
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_save_rejects_a_label_count_unlike_the_rows(self, tmp_path, rows):
+        with pytest.raises(ValueError, match=f"{rows} feature rows but 3 labels"):
+            save_csv(tmp_path / "rows.csv", np.zeros((rows, 2)), np.zeros(3, dtype=int))
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_well_formed_small_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n0.5,0.5,1\n")
@@ -117,6 +128,165 @@ class TestCsv:
         path.write_text("f0,f1,label\n")
         with pytest.raises(DataFormatError, match="empty dataset"):
             load_csv(path)
+
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999",
+                                       "9223372036854775808"])
+    def test_label_outside_int64_names_its_line(self, tmp_path, label):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(DataFormatError, match=f"line 3: unknown label value {int(label)}$"):
+            load_csv(path)
+
+    def test_int64_label_extremes_parse(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("f0,label\n1.0,9223372036854775807\n2.0,0\n")
+        assert load_csv(path).labels.tolist() == [2**63 - 1, 0]
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff13", "1\u0660"])
+    def test_underscores_and_non_ascii_digits_are_rejected(self, tmp_path, cell):
+        """float() and int() accept these, so the per-cell oracle loads them;
+        the library's parser does not."""
+        features = tmp_path / "features.csv"
+        features.write_text(f"f0,f1,label\n1.0,2.0,0\n3.0,{cell},1\n", encoding="utf-8")
+        assert oracles.load_csv(features).n == 2
+        with pytest.raises(DataFormatError, match="line 3: non-numeric feature cell$"):
+            load_csv(features)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(f"f0,label\n1.0,0\n\n3.0,{cell}\n", encoding="utf-8")
+        assert oracles.load_csv(labels).n == 2
+        with pytest.raises(DataFormatError, match=f"line 4: non-integer label {cell!r}$"):
+            load_csv(labels)
+
+    def test_several_faults_name_one_of_their_lines(self, tmp_path):
+        path = tmp_path / "faults.csv"
+        path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,x,0\n1.0,2.0\n1.0,2.0,y\n")
+        with pytest.raises(DataFormatError, match=r"line [345]: "):
+            load_csv(path)
+
+
+# -- the bulk CSV layer against the per-cell oracle ----------------------------
+
+csv_props = settings(max_examples=80, deadline=None)
+PADS = st.sampled_from(["", "", " ", "\t", "  ", " \t "])
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+# rounding formats can carry the largest floats past the top: keep finite cells
+FLOAT_CELLS = st.builds(lambda fmt, v: fmt % v,
+                        st.sampled_from(["%.17g", "%r", "%.3e", "%.6f", "%g"]),
+                        FLOATS).filter(lambda cell: math.isfinite(float(cell)))
+LABEL_TEXT = st.sampled_from(["{}", "+{}", "0{}", "00{}"])
+BLANKS = st.sampled_from(["", " ", "\t", "   ", " \t"])
+BAD_FEATURES = ["x", "", "1.2.3", "--1", "0x1f", "1e", "#1", '"1"', "1 2", "nan1"]
+BAD_LABELS = ["1.0", "1e0", "x", "", "0x1", "--1", "nan", "1 2", "2.5"]
+NON_FINITE = ["nan", "inf", "-inf", "Infinity", "+nan", "1e400", "-1e999"]
+
+
+@st.composite
+def csv_files(draw):
+    """A well-formed CSV text, with its dimension, class count and the lines
+    of its data rows (as indexes into text.splitlines())."""
+    dim = draw(st.integers(1, 4))
+    classes = draw(st.integers(1, 5))
+    lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(BLANKS))
+        cells = [draw(PADS) + draw(FLOAT_CELLS) + draw(PADS) for _ in range(dim)]
+        cells.append(draw(PADS) + draw(LABEL_TEXT).format(draw(st.integers(0, classes - 1)))
+                     + draw(PADS))
+        rows.append(len(lines))
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text, dim, classes, rows
+
+
+def _write(tmp_path_factory, text: str):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+def _error(loader, path, class_count=None) -> str:
+    with pytest.raises(DataFormatError) as exc:
+        loader(path, class_count)
+    return str(exc.value)
+
+
+class TestCsvOracle:
+    @csv_props
+    @given(csv_files(), st.booleans())
+    def test_well_formed_files_load_as_the_oracle(self, tmp_path_factory, drawn, counted):
+        text, dim, classes, rows = drawn
+        path = _write(tmp_path_factory, text)
+        class_count = classes if counted else None
+        got, want = load_csv(path, class_count), oracles.load_csv(path, class_count)
+        assert got.features.shape == (len(rows), dim)
+        np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.class_count == want.class_count
+
+    @csv_props
+    @given(csv_files(), st.data())
+    def test_a_single_fault_gets_the_oracle_message(self, tmp_path_factory, drawn, draw):
+        text, dim, classes, rows = drawn
+        lines = text.splitlines()
+        line = draw.draw(st.sampled_from(rows))
+        cells = lines[line].split(",")
+        fault = draw.draw(st.sampled_from(
+            ["ragged", "feature", "label", "unknown", "negative", "non-finite", "header",
+             "blank"]))
+        col = draw.draw(st.integers(0, dim - 1))
+        if fault == "ragged":
+            cells = cells[:-1] if draw.draw(st.booleans()) else cells + ["0"]
+        elif fault == "feature":
+            cells[col] = draw.draw(st.sampled_from(BAD_FEATURES))
+        elif fault == "label":
+            cells[-1] = draw.draw(st.sampled_from(BAD_LABELS))
+        elif fault == "unknown":
+            cells[-1] = str(classes + draw.draw(st.integers(0, 2**62)))
+        elif fault == "negative":
+            cells[-1] = str(-draw.draw(st.integers(1, 2**62)))
+        elif fault == "non-finite":
+            cells[col] = draw.draw(st.sampled_from(NON_FINITE))
+        elif fault == "header":
+            line = 0
+            cells = lines[0].split(",")[:-1] + [draw.draw(st.sampled_from(["lab", "f9", ""]))]
+        if fault == "blank":
+            lines = lines[:1] + [draw.draw(BLANKS) for _ in lines[1:]]
+        else:
+            lines[line] = ",".join(cells)
+        path = _write(tmp_path_factory, "\n".join(lines))
+        class_count = classes if fault == "unknown" else None
+        want = _error(oracles.load_csv, path, class_count)
+        assert _error(load_csv, path, class_count) == want
+        assert want.startswith(f"{path}: line {line + 1}: " if fault != "blank"
+                               else f"{path}: empty dataset")
+
+    @pytest.mark.parametrize("n", [0, 1, data._CSV_CHUNK_ROWS - 1, data._CSV_CHUNK_ROWS,
+                                   data._CSV_CHUNK_ROWS + 1])
+    def test_writer_bytes_equal_the_oracle(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        features = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 300, (n, 3))
+        features.flat[::7] = -0.0
+        labels = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+        path = tmp_path / "rows.csv"
+        save_csv(path, features, labels)
+        assert path.read_bytes() == oracles.csv_bytes(features, labels)
+
+    @csv_props
+    @given(st.lists(st.tuples(FLOATS, FLOATS, st.integers(-2**63, 2**63 - 1)), max_size=30))
+    def test_drawn_rows_write_as_the_oracle(self, tmp_path_factory, rows):
+        features = np.array([r[:2] for r in rows], dtype=np.float64).reshape(len(rows), 2)
+        labels = np.array([r[2] for r in rows], dtype=np.int64)
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        save_csv(path, features, labels)
+        assert path.read_bytes() == oracles.csv_bytes(features, labels)
 
 
 class TestSplitDir:

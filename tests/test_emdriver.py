@@ -26,7 +26,7 @@ from kcdistill.emdriver import (
 from kcdistill.knowledge import ValueLabeling
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
-from oracles import computation_ratio
+from oracles import computation_ratio, record_dict
 
 
 def make_config(seed=0, rho=0.7, epochs=12, stage_len=3, alpha=0.03, eps_m=0.3,
@@ -344,6 +344,31 @@ class TestRunRecord:
         )
         assert json.dumps(old.to_dict()) == json.dumps(record.to_dict())
         assert old.fingerprint() == record.fingerprint()
+
+    def test_mutating_the_dict_leaves_the_record(self, small_task):
+        _, record = run_small(small_task, seed=18)
+        fingerprint = record.fingerprint()
+        before = record_dict(record)
+        out = record.to_dict()
+        for key in ("final_labels", "final_ranks", "student_dims"):
+            out[key][0] += 1
+            out[key].append(7)
+        out["config"]["seed"] = -1
+        out["config"]["train"]["lr"] = -1.0
+        out["stages"][0]["accuracy"] = -1.0
+        out["epochs"].clear()
+        out["cost"]["absolute_cost"] = -1
+        assert record_dict(record) == before
+        assert record.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("method", ["kcd", "full-kd"])
+    def test_save_writes_the_bytes_of_an_asdict_copy(self, small_task, tmp_path, method):
+        _, record = run_small(small_task, method=method, seed=19)
+        assert record.to_dict() == record_dict(record)
+        assert list(record.to_dict()) == list(record_dict(record))
+        path = tmp_path / "record.json"
+        record.save(path)
+        assert path.read_bytes() == (json.dumps(record_dict(record), indent=2) + "\n").encode()
 
     def test_epochs_csv_shape(self, small_task):
         _, record = run_small(small_task, seed=13, epochs=8, stage_len=2)
