@@ -28,7 +28,7 @@ from .knowledge import (
     save_labels,
 )
 from .nn import MlpModel, TrainConfig, init_mlp, softmax, train_teacher
-from .ogve import OgveConfig, ValueState, binarize, rank, rank_probability
+from .ogve import OgveConfig, ValueState, rank
 from .vaks import Partition, augment, epsilon_schedule, partition, summarize
 
 __version__ = "0.1.0"

@@ -116,6 +116,35 @@ def _load_run_inputs(args):
     return dataset, store
 
 
+def _metrics_path(args, record_path):
+    """--out-metrics, else <record stem>_metrics.csv beside the record."""
+    if args.out_metrics or record_path is None:
+        return args.out_metrics
+    return Path(record_path).with_name(Path(record_path).stem + "_metrics.csv")
+
+
+def _record_outputs(args) -> list:
+    return [("--out-record", args.out_record),
+            ("--out-metrics", _metrics_path(args, args.out_record))]
+
+
+def _check_paths(args, *outputs) -> None:
+    """Refuse, before any work, two outputs that resolve to one file and an
+    output that resolves to an input: the --data CSVs, --teacher-probs or
+    --labels. outputs are (flag, path) pairs; a None path is skipped."""
+    inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)]
+    inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
+               for key in ("teacher_probs", "labels") if hasattr(args, key)]
+    claimed = {os.path.realpath(path): f"input {flag} {path}" for flag, path in inputs}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ValueError(f"{flag} {path} is the same file as {claimed[real]}")
+        claimed[real] = f"{flag} {path}"
+
+
 def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
     if args.out_record:
         record_path = Path(args.out_record)
@@ -123,13 +152,11 @@ def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
     else:
         record_path = _run_dir(tag) / "record.json"
     record.save(record_path)
-    metrics_path = Path(args.out_metrics) if args.out_metrics \
-        else record_path.with_name(record_path.stem + "_metrics.csv")
-    datamod.write_atomic(metrics_path, record.epochs_csv().encode())
+    datamod.write_atomic(_metrics_path(args, record_path), record.epochs_csv().encode())
     return record_path
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args, parser) -> int:
     dataset = datamod.gen_gaussian_mixture(args.classes, args.dims, args.per_class,
                                            args.spread, args.seed)
     out = Path(args.out)
@@ -146,7 +173,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_teacher(args) -> int:
+def cmd_train_teacher(args, parser) -> int:
+    # the path np.save(args.out_probs, probs) writes to
+    probs_path = str(args.out_probs).removesuffix(".npy") + ".npy"
+    _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
     dataset = datamod.load_split_dir(args.data)
     cfg = nn.TrainConfig.desk_default(args.epochs, lr=args.lr,
                                       batch_size=args.batch_size)
@@ -156,8 +186,7 @@ def cmd_train_teacher(args) -> int:
     nn.save_model(args.out_model, model)
     npy = io.BytesIO()
     np.save(npy, probs)
-    # the path np.save(args.out_probs, probs) writes to
-    datamod.write_atomic(str(args.out_probs).removesuffix(".npy") + ".npy", npy.getvalue())
+    datamod.write_atomic(probs_path, npy.getvalue())
     train_acc = evaluation.accuracy(model, dataset.train_features, dataset.train_labels)
     test_acc = evaluation.accuracy(model, dataset.test_features, dataset.test_labels)
     print(f"teacher dims={dims} train_acc={train_acc:.4f} test_acc={test_acc:.4f} "
@@ -167,6 +196,7 @@ def cmd_train_teacher(args) -> int:
 
 def cmd_distill(args, parser) -> int:
     config = _build_config(args, parser)
+    _check_paths(args, *_record_outputs(args), ("--export-labels", args.export_labels))
     dataset, store = _load_run_inputs(args)
     method = _METHOD_ALIASES.get(args.method, args.method)
     student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
@@ -183,6 +213,7 @@ def cmd_distill(args, parser) -> int:
 
 def cmd_reuse(args, parser) -> int:
     config = _build_config(args, parser)
+    _check_paths(args, *_record_outputs(args))
     dataset, store = _load_run_inputs(args)
     labeling = knowledge.load_labels(args.labels)
     student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
@@ -201,6 +232,7 @@ def cmd_sweep(args, parser) -> int:
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
+    _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)
     rows = evaluation.ratio_sweep(
         store, dataset, base, _int_list(args.student_hidden),
@@ -214,7 +246,7 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, parser) -> int:
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
     records = []
@@ -276,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic blob dataset")
+    p.set_defaults(handler=cmd_gen_data)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--dims", type=int, default=16)
     p.add_argument("--per-class", type=int, default=100)
@@ -284,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("train-teacher", help="train and cache the teacher")
+    p.set_defaults(handler=cmd_train_teacher)
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", type=str, default=_csv(nn.DEFAULT_TEACHER_HIDDEN))
     p.add_argument("--epochs", type=int, default=80)
@@ -294,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-probs", required=True)
 
     p = sub.add_parser("distill", help="run a distillation variant")
+    p.set_defaults(handler=cmd_distill)
     p.add_argument("--method", choices=CLI_METHODS, default="kcd")
     _add_schedule_args(p)
     _add_train_args(p)
@@ -302,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the final stage labeling to this .kcl path")
 
     p = sub.add_parser("reuse", help="retrain against an exported labeling")
+    p.set_defaults(handler=cmd_reuse)
     p.add_argument("--labels", required=True)
     p.add_argument("--mode", choices=emdriver.REUSE_MODES, required=True)
     _add_schedule_args(p)
@@ -309,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_io_args(p)
 
     p = sub.add_parser("sweep", help="keep-ratio sweep over seeds and methods")
+    p.set_defaults(handler=cmd_sweep)
     p.add_argument("--rho-grid", type=str, default=_csv(evaluation.DEFAULT_RHO_GRID))
     p.add_argument("--seeds", type=str, default="5",
                    help="seed count, or csv of explicit seeds")
@@ -319,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_io_args(p)
 
     p = sub.add_parser("report", help="aggregate run records into CSV")
+    p.set_defaults(handler=cmd_report)
     p.add_argument("--records", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--emit-plot-data", action="store_true")
@@ -330,24 +368,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen-data":
-            return cmd_gen_data(args)
-        if args.command == "train-teacher":
-            return cmd_train_teacher(args)
-        if args.command == "distill":
-            return cmd_distill(args, parser)
-        if args.command == "reuse":
-            return cmd_reuse(args, parser)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "report":
-            return cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args, parser)
     except (ValueError, OSError, emdriver.DistillationError,
             knowledge.LabelStreamError, datamod.DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -246,6 +246,13 @@ def load_split_dir(directory) -> Dataset:
     features = np.concatenate([train.features, test.features])
     labels = np.concatenate([train.labels, test.labels])
     classes = int(labels.max()) + 1
+    if classes > labels.size:  # some class has no sample: name a label past the rows
+        for path in (directory / TRAIN_FILE, directory / TEST_FILE):
+            try:
+                load_csv(path, class_count=labels.size)
+            except DataFormatError as exc:
+                raise DataFormatError(f"{exc}: more classes than the {labels.size} rows "
+                                      f"of {TRAIN_FILE} and {TEST_FILE}") from None
     return Dataset(
         features, labels, classes,
         np.arange(train.n), np.arange(train.n, train.n + test.n),

@@ -256,10 +256,7 @@ class RunRecord:
         """The labeling that selected the last stage's knowledge set."""
         if not self.final_ranks:
             raise ValueError(f"{self.method} run carries no condensed labeling")
-        ranks = np.asarray(self.final_ranks, dtype=np.int64)
-        probs = 1.0 - ranks / float(ranks.size)
-        return ValueLabeling(ranks=ranks, probs=probs,
-                             labels=np.asarray(self.final_labels, dtype=np.uint8))
+        return ValueLabeling(ranks=self.final_ranks, labels=self.final_labels)
 
 
 def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn.MlpModel:
@@ -358,9 +355,9 @@ class _Run:
         if condensed.member_ids.size == 0:
             raise ValueError(f"stage {s} selected an empty knowledge set")
         self.labels, self.ranks = labeling.labels, labeling.ranks
-        # the lowest kept rank probability: ratio_threshold(n, tau_s) exactly
+        # 1 - r/N for the largest kept rank r: 1 - (keep_count(n, tau_s) - 1)/N
         # when the labeling follows the schedule
-        threshold = labeling.probs[self.labels == 1].min()
+        threshold = 1.0 - self.ranks[self.labels == 1].max() / n
         return (condensed.member_ids, _stage_targets(self.store, condensed), threshold,
                 condensed.aug_ids.size)
 

@@ -75,32 +75,27 @@ def check_permutation(ranks: np.ndarray, n: int) -> None:
 
 @dataclass
 class ValueLabeling:
-    """Global value labeling: rank position, rank probability, binary keep label.
+    """Global value labeling: a rank position and a binary keep label per sample.
 
     ranks is a permutation of 0..N-1 with 0 the highest-scored sample;
-    probs[i] = 1 - ranks[i]/N; labels[i] is 1 for samples kept at the current
-    stage threshold.
+    labels[i] is 1 for the samples a stage keeps. A stage with keep ratio
+    tau_s keeps the ranks < round(tau_s * N) (ogve.labeling_from_ranks); an
+    imported labeling may keep any set. Either way the stage records
+    threshold 1 - r/N for the largest kept rank r.
     """
 
     ranks: np.ndarray
-    probs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.ranks = np.asarray(self.ranks, dtype=np.int64)
-        self.probs = np.asarray(self.probs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.uint8)
         n = self.ranks.size
-        if self.probs.size != n or self.labels.size != n:
-            raise ValueError(
-                f"labeling arrays disagree in length: {n}, {self.probs.size}, {self.labels.size}"
-            )
+        if self.labels.size != n:
+            raise ValueError(f"labeling arrays disagree in length: {n}, {self.labels.size}")
         if n == 0:
             raise ValueError("empty labeling")
         check_permutation(self.ranks, n)
-        expected = 1.0 - self.ranks / float(n)
-        if not np.array_equal(self.probs, expected):
-            raise ValueError("probs do not equal 1 - rank/N")
         if not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be binary")
 
@@ -111,11 +106,7 @@ class ValueLabeling:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ValueLabeling):
             return NotImplemented
-        return (
-            np.array_equal(self.ranks, other.ranks)
-            and np.array_equal(self.probs, other.probs)
-            and np.array_equal(self.labels, other.labels)
-        )
+        return np.array_equal(self.ranks, other.ranks) and np.array_equal(self.labels, other.labels)
 
 
 def _has_duplicates(ids: np.ndarray) -> bool:
@@ -261,9 +252,8 @@ def import_labels(stream: bytes) -> ValueLabeling:
             raise LabelStreamError(f"record {i} has out-of-order sample_id {sids[i]}", offset)
         raise LabelStreamError(f"record {i} has non-binary label {labels[i]}", offset)
     ranks = records["rank"].astype(np.int64)
-    probs = 1.0 - ranks / float(n)
     try:
-        return ValueLabeling(ranks=ranks, probs=probs, labels=labels.copy())
+        return ValueLabeling(ranks=ranks, labels=labels.copy())
     except ValueError as exc:
         # point at the first rank that is out of range or repeats an earlier one
         repeat = np.ones(n, dtype=bool)

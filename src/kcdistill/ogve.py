@@ -3,9 +3,9 @@
 Each training forward pass yields a prediction entropy for every sample it
 touches; those observations are folded into a per-sample running mean in the
 run's own ValueState. At a stage boundary every sample is ranked by the
-frequency-weighted score value * frequency**alpha (descending), the rank is
-mapped to a rank probability 1 - rank/N, and a threshold on that probability
-produces the binary keep labels.
+frequency-weighted score value * frequency**alpha (descending) and a stage
+with keep ratio tau_s keeps the samples of rank < round(tau_s * N). The
+stage's StageRecord.threshold is 1 - r/N for the largest kept rank r.
 
 Entropies are natural-log throughout; the choice of base rescales every score
 by the same constant and cannot change any ranking.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knowledge import ValueLabeling, check_permutation
+from .knowledge import ValueLabeling
 
 
 class ValueState:
@@ -115,21 +115,6 @@ def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_probability(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Rank probability 1 - rank/N; the top-ranked sample gets exactly 1.0."""
-    r = np.asarray(ranks, dtype=np.int64)
-    check_permutation(r, n)
-    return 1.0 - r / float(n)
-
-
-def binarize(probs: np.ndarray, tau: float) -> np.ndarray:
-    """Keep label 1 where the rank probability is >= tau (boundary inclusive)."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    p = np.asarray(probs, dtype=np.float64)
-    return (p >= tau).astype(np.uint8)
-
-
 def keep_count(n: int, keep_ratio: float) -> int:
     """Number of samples retained for a stage keep ratio: round(ratio * N),
     half away from zero, clamped to at least one sample."""
@@ -139,19 +124,11 @@ def keep_count(n: int, keep_ratio: float) -> int:
     return max(1, min(n, m))
 
 
-def ratio_threshold(n: int, keep_ratio: float) -> float:
-    """Rank-probability cutoff whose inclusive threshold retains exactly
-    keep_count(n, keep_ratio) top-ranked samples."""
-    m = keep_count(n, keep_ratio)
-    return 1.0 - (m - 1) / float(n)
-
-
 def labeling_from_ranks(ranks: np.ndarray, keep_ratio: float) -> ValueLabeling:
-    """Assemble the full labeling for one stage from rank positions."""
-    n = int(np.asarray(ranks).size)
-    probs = rank_probability(ranks, n)
-    labels = binarize(probs, ratio_threshold(n, keep_ratio))
-    return ValueLabeling(ranks=np.asarray(ranks, dtype=np.int64), probs=probs, labels=labels)
+    """The labeling for one stage: keep the samples of rank <
+    keep_count(N, keep_ratio)."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    return ValueLabeling(ranks=ranks, labels=ranks < keep_count(ranks.size, keep_ratio))
 
 
 def label_by_ratio(state: ValueState, cfg: OgveConfig, keep_ratio: float,

@@ -5,6 +5,11 @@ quantities over whole arrays (ogve.ValueState, ogve.cost_aware_scores,
 ogve.entropy_rows, ogve.ranks_from_scores, emdriver.relative_cost,
 nn.loss_and_grads) or in bulk (data.load_csv, data.save_csv,
 emdriver.RunRecord.to_dict).
+
+rank_probability, binarize and ratio_threshold state the paper's keep rule
+literally: rank probability 1 - r/N, kept where it is >= the stage cutoff.
+The library keeps the ranks < keep_count(N, tau) (ogve.labeling_from_ranks)
+and records the cutoff as StageRecord.threshold.
 """
 
 from dataclasses import asdict, dataclass
@@ -14,8 +19,8 @@ import numpy as np
 
 from kcdistill import nn
 from kcdistill.data import CSV_FLOAT_FORMAT, Dataset, DataFormatError
-from kcdistill.knowledge import check_simplex
-from kcdistill.ogve import OgveConfig
+from kcdistill.knowledge import check_permutation, check_simplex
+from kcdistill.ogve import OgveConfig, keep_count
 
 
 def computation_ratio(tau_list, stage_len: int, n_points: int,
@@ -133,6 +138,26 @@ def lexsort_ranks(scores) -> np.ndarray:
     ranks = np.empty(s.size, dtype=np.int64)
     ranks[np.lexsort((ids, -s))] = ids
     return ranks
+
+
+def rank_probability(ranks, n: int) -> np.ndarray:
+    """Rank probability 1 - rank/N; the top-ranked sample gets exactly 1.0."""
+    r = np.asarray(ranks, dtype=np.int64)
+    check_permutation(r, n)
+    return 1.0 - r / float(n)
+
+
+def binarize(probs, tau: float) -> np.ndarray:
+    """Keep label 1 where the rank probability is >= tau (boundary inclusive)."""
+    if not (0.0 < tau <= 1.0):
+        raise ValueError(f"tau must be in (0, 1], got {tau}")
+    return (np.asarray(probs, dtype=np.float64) >= tau).astype(np.uint8)
+
+
+def ratio_threshold(n: int, keep_ratio: float) -> float:
+    """Rank-probability cutoff whose inclusive threshold retains exactly
+    keep_count(n, keep_ratio) top-ranked samples."""
+    return 1.0 - (keep_count(n, keep_ratio) - 1) / float(n)
 
 
 def load_csv(path, class_count: int | None = None) -> Dataset:

@@ -26,15 +26,17 @@ from kcdistill.emdriver import (
 from kcdistill.evaluation import accuracy
 from kcdistill.knowledge import build_store
 from kcdistill.nn import TrainConfig, init_mlp, train_classifier, train_teacher
-from kcdistill.ogve import (
-    OgveConfig,
-    binarize,
-    labeling_from_ranks,
-    rank_probability,
-    ranks_from_scores,
-)
+from kcdistill.ogve import OgveConfig, labeling_from_ranks, ranks_from_scores
 from kcdistill.vaks import augment, condense, epsilon_schedule, partition
-from oracles import ValueRecord, computation_ratio, finite_difference_check, record_value
+from oracles import (
+    ValueRecord,
+    binarize,
+    computation_ratio,
+    finite_difference_check,
+    rank_probability,
+    ratio_threshold,
+    record_value,
+)
 
 # frozen acceptance task: 10 classes, 16 dims, 100 per class, spread tuned so
 # the solo student lands in the 65-80% band
@@ -182,18 +184,23 @@ def test_criterion_4_value_estimation_oracles():
     for f in transforms:
         assert np.array_equal(ranks_from_scores(f(scores)), base)
 
-    # exact label counts against brute-force enumeration
+    # exact label counts of the rank-probability rule against brute-force
+    # enumeration, and the library's keep labels against that rule
+    perm_rng = np.random.default_rng(40)
     checked = 0
     for n in range(1, 201):
-        probs = rank_probability(np.arange(n), n)
+        ranks = perm_rng.permutation(n)
+        probs = rank_probability(ranks, n)
         for tau in rng.uniform(1e-6, 1.0, size=50):
             got = int(binarize(probs, float(tau)).sum())
             brute = sum(1 for r in range(n) if 1.0 - r / n >= tau)
             assert got == brute
+            kept = binarize(probs, ratio_threshold(n, float(tau)))
+            assert np.array_equal(labeling_from_ranks(ranks, float(tau)).labels, kept)
             checked += 1
     print(f"\nACCEPTANCE 4 PASS: running-mean oracle (1000 sequences, rel err "
           f"< 1e-12), 10 monotone transforms rank-invariant, {checked} "
-          f"threshold counts match enumeration")
+          f"threshold counts match enumeration and library keep labels")
 
 
 def test_criterion_5_summary_property_suite():

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from kcdistill.cli import _run_dir, main
 from kcdistill.data import load_split_dir
 from kcdistill.emdriver import RunRecord
-from kcdistill.knowledge import load_labels
+from kcdistill.knowledge import load_labels, save_labels
 from kcdistill.nn import load_model
+from kcdistill.ogve import labeling_from_ranks
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,22 @@ class TestTrainTeacher:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"{data_dir / 'train.csv'}: line 3: unknown label value 99999999999999999999" in err
+
+    def test_label_beyond_the_row_count_is_a_clean_error(self, workdir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workdir / "data", data_dir)
+        lines = (data_dir / "train.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",1000000000000"
+        (data_dir / "train.csv").write_text("\n".join(lines) + "\n")
+        code = main(["train-teacher", "--data", str(data_dir), "--hidden", "4",
+                     "--epochs", "1", "--out-model", str(tmp_path / "t.bin"),
+                     "--out-probs", str(tmp_path / "t.npy")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert (f"{data_dir / 'train.csv'}: line 3: unknown label value 1000000000000: "
+                f"more classes than the 60 rows of train.csv and test.csv") in err
+        assert not (tmp_path / "t.bin").exists()
 
 
 class TestDistill:
@@ -316,3 +334,70 @@ class TestAtomicCliWrites:
         assert "disk went away" in capsys.readouterr().err
         assert (out / target).read_bytes() == b"earlier file"
         assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+
+
+class TestOutputPathCollisions:
+    """A command refuses, before any work, two outputs that are one file and
+    an output that is one of its inputs; nothing under the directory changes."""
+
+    RUN = ["--data", "{d}/data", "--teacher-probs", "{d}/t.npy", "--student-hidden", "6",
+           "--epochs", "2", "--stage-len", "1"]
+    COMMANDS = {
+        "distill": ["distill", *RUN],
+        "reuse": ["reuse", "--labels", "{d}/l.kcl", "--mode", "direct-select", *RUN],
+        "sweep": ["sweep", "--rho-grid", "1.0", "--seeds", "1", "--methods", "kcd", *RUN],
+        "train-teacher": ["train-teacher", "--data", "{d}/data", "--hidden", "4",
+                          "--epochs", "1"],
+    }
+    CASES = {
+        "record=metrics": ("distill", ["--out-record", "{d}/r.json",
+                                       "--out-metrics", "{d}/r.json"]),
+        "record=metrics=labels": ("distill", ["--out-record", "{d}/r.json",
+                                              "--out-metrics", "{d}/r.json",
+                                              "--export-labels", "{d}/r.json"]),
+        "record=labels": ("distill", ["--out-record", "{d}/r.json",
+                                      "--export-labels", "{d}/r.json"]),
+        "metrics=labels": ("distill", ["--out-record", "{d}/r.json", "--out-metrics",
+                                       "{d}/m.csv", "--export-labels", "{d}/m.csv"]),
+        "default-metrics=labels": ("distill", ["--out-record", "{d}/r.json",
+                                               "--export-labels", "{d}/r_metrics.csv"]),
+        "record=teacher-probs": ("distill", ["--out-record", "{d}/t.npy"]),
+        "record=teacher-probs-symlink": ("distill", ["--out-record", "{d}/alias.npy"]),
+        "record=teacher-probs-dotdot": ("distill", ["--out-record", "{d}/data/../t.npy"]),
+        "metrics=train-csv": ("distill", ["--out-metrics", "{d}/data/train.csv"]),
+        "labels=test-csv": ("distill", ["--out-record", "{d}/r.json",
+                                        "--export-labels", "{d}/data/test.csv"]),
+        "reuse-record=labels": ("reuse", ["--out-record", "{d}/l.kcl"]),
+        "reuse-metrics=teacher-probs": ("reuse", ["--out-record", "{d}/r.json",
+                                                  "--out-metrics", "{d}/t.npy"]),
+        "reuse-record=metrics": ("reuse", ["--out-record", "{d}/r.json",
+                                           "--out-metrics", "{d}/r.json"]),
+        "sweep-out=teacher-probs": ("sweep", ["--out", "{d}/t.npy"]),
+        "sweep-out=train-csv": ("sweep", ["--out", "{d}/data/train.csv"]),
+        "model=probs.npy": ("train-teacher", ["--out-model", "{d}/p.npy",
+                                              "--out-probs", "{d}/p"]),
+        "model=train-csv": ("train-teacher", ["--out-model", "{d}/data/train.csv",
+                                              "--out-probs", "{d}/p.npy"]),
+    }
+
+    @pytest.fixture
+    def inputs(self, workdir, tmp_path):
+        shutil.copytree(workdir / "data", tmp_path / "data")
+        shutil.copy(workdir / "teacher_probs.npy", tmp_path / "t.npy")
+        (tmp_path / "alias.npy").symlink_to(tmp_path / "t.npy")
+        save_labels(tmp_path / "l.kcl", labeling_from_ranks(np.arange(48), 0.7))
+        return tmp_path
+
+    @staticmethod
+    def snapshot(root):
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_before_any_work(self, inputs, capsys, case):
+        command, outputs = self.CASES[case]
+        argv = [a.format(d=inputs) for a in self.COMMANDS[command] + outputs]
+        before = self.snapshot(inputs)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is the same file as" in err
+        assert self.snapshot(inputs) == before

@@ -313,6 +313,30 @@ class TestSplitDir:
             Dataset(features, np.zeros(4, dtype=int), 2,
                     train_indices=[0, 1], test_indices=[2, 3])
 
+    @staticmethod
+    def write_split(directory, train_labels, test_labels):
+        directory.mkdir()
+        (directory / "train.csv").write_text(
+            "f0,label\n" + "".join(f"0.5,{y}\n" for y in train_labels))
+        (directory / "test.csv").write_text(
+            "f0,label\n\n" + "".join(f"1.5,{y}\n" for y in test_labels))
+
+    def test_class_count_may_reach_the_row_count(self, tmp_path):
+        self.write_split(tmp_path / "d", [0, 3], [1, 2])
+        assert load_split_dir(tmp_path / "d").class_count == 4
+
+    @pytest.mark.parametrize("train, test, where", [
+        ([0, 4], [1, 2], "train.csv: line 3: unknown label value 4"),
+        ([0, 1], [2, 1000000000000], "test.csv: line 4: unknown label value 1000000000000"),
+        ([9, 5], [0, 1], "train.csv: line 2: unknown label value 9"),
+    ])
+    def test_class_count_above_the_row_count_names_a_label(self, tmp_path, train, test, where):
+        self.write_split(tmp_path / "d", train, test)
+        with pytest.raises(DataFormatError) as exc:
+            load_split_dir(tmp_path / "d")
+        assert str(exc.value) == (f"{tmp_path / 'd' / where}: more classes than the 4 rows "
+                                  f"of train.csv and test.csv")
+
 
 def _save_record(path, small_task):
     from kcdistill.emdriver import DistillConfig, ScheduleConfig, init_student, run
@@ -328,8 +352,7 @@ def _save_labels(path, small_task):
     from kcdistill.knowledge import ValueLabeling, save_labels
 
     ranks = np.array([2, 0, 1])
-    save_labels(path, ValueLabeling(ranks=ranks, probs=1.0 - ranks / 3.0,
-                                    labels=[0, 1, 1]))
+    save_labels(path, ValueLabeling(ranks=ranks, labels=[0, 1, 1]))
 
 
 def _save_model(path, small_task):

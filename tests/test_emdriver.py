@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcdistill import emdriver, nn, ogve, vaks
 from kcdistill.emdriver import (
@@ -23,10 +25,10 @@ from kcdistill.emdriver import (
     run_with_fixed_labels,
     tau_schedule,
 )
-from kcdistill.knowledge import ValueLabeling
+from kcdistill.knowledge import ValueLabeling, build_store
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
-from oracles import computation_ratio, record_dict
+from oracles import computation_ratio, rank_probability, ratio_threshold, record_dict
 
 
 def make_config(seed=0, rho=0.7, epochs=12, stage_len=3, alpha=0.03, eps_m=0.3,
@@ -268,8 +270,7 @@ class TestFixedLabelRuns:
     def test_all_ones_labels_equal_full_kd(self, small_task):
         ds, store = small_task
         n = store.n
-        labeling = ValueLabeling(ranks=np.arange(n), probs=1.0 - np.arange(n) / n,
-                                 labels=np.ones(n, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(n), labels=np.ones(n, dtype=np.uint8))
         config = make_config(seed=9)
         student = init_student(store.dim, (8,), store.num_classes, 9)
         _, reuse_rec = run_with_fixed_labels(config, store, student, ds, labeling,
@@ -279,8 +280,7 @@ class TestFixedLabelRuns:
 
     def test_size_mismatch_rejected(self, small_task):
         ds, store = small_task
-        labeling = ValueLabeling(ranks=np.arange(5), probs=1.0 - np.arange(5) / 5,
-                                 labels=np.ones(5, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(5), labels=np.ones(5, dtype=np.uint8))
         student = init_student(store.dim, (8,), store.num_classes, 0)
         with pytest.raises(ValueError, match="does not match store size"):
             run_with_fixed_labels(make_config(), store, student, ds, labeling,
@@ -289,8 +289,7 @@ class TestFixedLabelRuns:
     def test_unknown_mode_rejected(self, small_task):
         ds, store = small_task
         n = store.n
-        labeling = ValueLabeling(ranks=np.arange(n), probs=1.0 - np.arange(n) / n,
-                                 labels=np.ones(n, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(n), labels=np.ones(n, dtype=np.uint8))
         student = init_student(store.dim, (8,), store.num_classes, 0)
         with pytest.raises(ValueError, match="unknown reuse mode"):
             run_with_fixed_labels(make_config(), store, student, ds, labeling, "nope")
@@ -298,8 +297,7 @@ class TestFixedLabelRuns:
     def test_all_zero_labels_rejected(self, small_task):
         ds, store = small_task
         n = store.n
-        labeling = ValueLabeling(ranks=np.arange(n), probs=1.0 - np.arange(n) / n,
-                                 labels=np.zeros(n, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(n), labels=np.zeros(n, dtype=np.uint8))
         student = init_student(store.dim, (8,), store.num_classes, 0)
         with pytest.raises(ValueError, match="empty knowledge set"):
             run_with_fixed_labels(make_config(), store, student, ds, labeling,
@@ -311,13 +309,53 @@ class TestFixedLabelRuns:
         rng = np.random.default_rng(10)
         ranks = rng.permutation(n)
         labels = (ranks < keep_count(n, 0.7)).astype(np.uint8)
-        labeling = ValueLabeling(ranks=ranks, probs=1.0 - ranks / n, labels=labels)
+        labeling = ValueLabeling(ranks=ranks, labels=labels)
         student = init_student(store.dim, (8,), store.num_classes, 11)
         _, record = run_with_fixed_labels(make_config(seed=11), store, student, ds,
                                           labeling, "with-vaks")
         assert record.method == "reuse-with-vaks"
         assert all(s.aug_count > 0 for s in record.stages)
         assert all(s.set_size == int(labels.sum()) for s in record.stages)
+
+
+class TestStageThreshold:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0, exclude_min=True),
+           st.integers(0, 2 ** 32 - 1))
+    def test_scheduled_stage_records_the_ratio_threshold(self, n, tau, seed):
+        """A one-stage schedule with keep ratio tau ranks a random permutation
+        of N samples; its threshold is the oracle's cutoff, exactly."""
+        rng = np.random.default_rng(seed)
+        store = build_store(rng.normal(size=(n, 2)), np.full((n, 2), 0.5))
+        config = DistillConfig(schedule=ScheduleConfig(1, 1, tau), seed=seed)
+        student = init_student(2, (3,), 2, seed)
+        stage_run = emdriver._Run(store, config, student, emdriver.METHOD_RANDOM)
+        _, _, threshold, _ = stage_run.stage(1)
+        assert threshold == ratio_threshold(n, tau)
+
+    def test_every_scheduled_method_records_the_ratio_threshold(self, small_task):
+        ds, store = small_task
+        methods = [m for m in ALL_METHODS if m != emdriver.METHOD_FULL_KD]
+        config = make_config(seed=5, rho=0.55)
+        jobs = [Job(config, init_student(store.dim, (8,), store.num_classes, 5), m)
+                for m in methods]
+        for _, record in run_group(store, ds, jobs):
+            assert len(record.stages) == 4
+            for stage in record.stages:
+                assert stage.threshold == ratio_threshold(store.n, stage.tau)
+
+    def test_imported_labeling_records_its_lowest_kept_rank_probability(self, small_task):
+        ds, store = small_task
+        n = store.n
+        rng = np.random.default_rng(12)
+        ranks = rng.permutation(n)
+        labels = (rng.random(n) < 0.6).astype(np.uint8)  # not the top ranks
+        labeling = ValueLabeling(ranks=ranks, labels=labels)
+        student = init_student(store.dim, (8,), store.num_classes, 12)
+        _, record = run_with_fixed_labels(make_config(seed=12), store, student, ds,
+                                          labeling, "direct-select")
+        lowest = rank_probability(ranks, n)[labels == 1].min()
+        assert all(stage.threshold == lowest for stage in record.stages)
 
 
 class TestRunRecord:

@@ -107,8 +107,7 @@ class TestReuseRun:
         from kcdistill.knowledge import ValueLabeling
 
         n = store.n
-        labeling = ValueLabeling(ranks=np.arange(n), probs=1.0 - np.arange(n) / n,
-                                 labels=np.ones(n, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(n), labels=np.ones(n, dtype=np.uint8))
         student = init_student(store.dim, (8,), store.num_classes, 20)
         _, reuse_rec = reuse_run(labeling, small_config(seed=20), store, ds,
                                  "direct-select", student)
@@ -135,8 +134,7 @@ class TestReuseRun:
         from kcdistill.knowledge import ValueLabeling
 
         n = store.n
-        labeling = ValueLabeling(ranks=np.arange(n), probs=1.0 - np.arange(n) / n,
-                                 labels=np.ones(n, dtype=np.uint8))
+        labeling = ValueLabeling(ranks=np.arange(n), labels=np.ones(n, dtype=np.uint8))
         with pytest.raises(ValueError, match="unknown reuse mode"):
             reuse_run(labeling, small_config(), store, ds, "telepathy")
 

@@ -17,7 +17,7 @@ from kcdistill.knowledge import (
     load_labels,
     save_labels,
 )
-from kcdistill.ogve import ValueState
+from kcdistill.ogve import ValueState, labeling_from_ranks
 
 
 def simple_store(n=3, c=2):
@@ -110,23 +110,18 @@ def test_store_is_read_only_and_holds_no_value_state():
 def make_labeling(n=6, kept=3, seed=0):
     rng = np.random.default_rng(seed)
     ranks = rng.permutation(n)
-    probs = 1.0 - ranks / float(n)
     labels = (ranks < kept).astype(np.uint8)
-    return ValueLabeling(ranks=ranks, probs=probs, labels=labels)
+    return ValueLabeling(ranks=ranks, labels=labels)
 
 
 class TestValueLabeling:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
-            ValueLabeling(ranks=[0, 0, 2], probs=[1.0, 1.0, 0.5], labels=[1, 1, 0])
-
-    def test_rejects_inconsistent_probs(self):
-        with pytest.raises(ValueError, match="probs"):
-            ValueLabeling(ranks=[0, 1], probs=[1.0, 0.4], labels=[1, 0])
+            ValueLabeling(ranks=[0, 0, 2], labels=[1, 1, 0])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            ValueLabeling(ranks=[0, 1], probs=[1.0, 0.5], labels=[1])
+            ValueLabeling(ranks=[0, 1], labels=[1])
 
 
 class TestPermutationCheck:
@@ -137,16 +132,14 @@ class TestPermutationCheck:
         [3, 1, 2, 0, 1],  # too long
     ], ids=["duplicate", "out-of-range", "negative", "length"])
     def test_rejects(self, ranks):
-        from kcdistill.ogve import rank_probability
-
         r = np.array(ranks)
         with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
             check_permutation(r, 4)
         with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
-            rank_probability(r, 4)
+            labeling_from_ranks(r, 0.5)
         if r.size == 4:
             with pytest.raises(ValueError, match="ranks are not a permutation of 0..N-1"):
-                ValueLabeling(ranks=r, probs=1.0 - r / 4.0, labels=np.ones(4, np.uint8))
+                ValueLabeling(ranks=r, labels=np.ones(4, np.uint8))
 
     def test_accepts_permutations(self):
         rng = np.random.default_rng(4)

@@ -9,21 +9,21 @@ from hypothesis.extra import numpy as hnp
 from kcdistill.ogve import (
     OgveConfig,
     ValueState,
-    binarize,
     keep_count,
     label_by_ratio,
     labeling_from_ranks,
     observe_batch,
     rank,
-    rank_probability,
     ranks_from_scores,
-    ratio_threshold,
 )
 from oracles import (
     ValueRecord,
+    binarize,
     cost_aware_score,
     lexsort_ranks,
     prediction_entropy,
+    rank_probability,
+    ratio_threshold,
     record_value,
 )
 
@@ -336,5 +336,15 @@ class TestRatioLabeling:
     def test_threshold_matches_labeling(self):
         n, ratio = 37, 0.61
         labeling = labeling_from_ranks(np.arange(n), ratio)
-        threshold = ratio_threshold(n, ratio)
-        assert np.array_equal(labeling.labels, (labeling.probs >= threshold).astype(np.uint8))
+        probs = rank_probability(labeling.ranks, n)
+        assert np.array_equal(labeling.labels, binarize(probs, ratio_threshold(n, ratio)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 200), st.floats(0.0, 1.0, exclude_min=True))
+    def test_keep_rule_is_the_rank_probability_rule(self, data, n, tau):
+        """ranks < keep_count(N, tau) keeps the same samples, bit for bit, as
+        the paper's rule 1 - r/N >= the ratio cutoff."""
+        ranks = data.draw(st.permutations(range(n)))
+        labels = labeling_from_ranks(ranks, tau).labels
+        oracle = binarize(rank_probability(ranks, n), ratio_threshold(n, tau))
+        assert labels.dtype == oracle.dtype and np.array_equal(labels, oracle)
