@@ -77,11 +77,15 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hard-label-weight", type=float, default=0.0)
 
 
-def _add_run_io_args(p: argparse.ArgumentParser) -> None:
+def _add_run_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory (train.csv/test.csv)")
     p.add_argument("--teacher-probs", required=True, help=".npy of cached teacher soft labels")
     p.add_argument("--student-hidden", type=str, default=_csv(nn.DEFAULT_STUDENT_HIDDEN))
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_run_io_args(p: argparse.ArgumentParser) -> None:
+    _add_run_input_args(p)
     p.add_argument("--out-record", type=str, default=None)
     p.add_argument("--out-metrics", type=str, default=None)
 
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_schedule_args(p)
     _add_train_args(p)
-    _add_run_io_args(p)
+    _add_run_input_args(p)
 
     p = sub.add_parser("report", help="aggregate run records into CSV")
     p.set_defaults(handler=cmd_report)

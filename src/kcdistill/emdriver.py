@@ -30,9 +30,12 @@ count for reuse rows). Their students become one stacked model, and each
 batch step, SGD update and per-epoch evaluation runs once for the whole
 stack; per model it is the arithmetic of a lone run, bit for bit. Each run
 still keeps its own generators, ValueState, labeling, condensed set and
-RunRecord. run_group, the one entry that trains, checks a job list, groups
-it by shape key, spreads the groups over forked workers (one chunk per
-usable CPU) and hands back each student trained; run() is a list of one.
+RunRecord. Runs distill against the store's read-only teacher matrix; a
+blending stage adds its blended rows and where they go, O(N + aug * C), not
+a copy of the N x C matrix. run_group, the one entry that trains, checks a
+job list, groups it by shape key, spreads the groups over forked workers
+(one chunk per usable CPU) and hands back each student trained; run() is a
+list of one.
 
 Training batches are drawn by shuffling the ascending-sorted active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
@@ -264,11 +267,13 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
     return nn.init_mlp(dims, np.random.default_rng([seed, 0]))
 
 
-def _train_epoch(stack, state, runs, store, active, targets, tcfg, lr,
+def _train_epoch(stack, state, runs, store, active, blends, tcfg, lr,
                  stage: int, epoch: int) -> np.ndarray:
     """One epoch of a lockstep group: run k shuffles its sorted active[k] and
-    distills against targets[k]; every batch is one stacked step. Returns
-    each run's mean loss. A run that keeps a ValueState records each trained
+    distills against the store's teacher probs with blends[k] applied: None,
+    or (aug_at, aug_probs), where aug_at[i] is -1 or the row of aug_probs
+    that replaces sample i's. Every batch is one stacked step. Returns each
+    run's mean loss. A run that keeps a ValueState records each trained
     sample's prediction entropy in it.
 
     The entropies are folded into the value state once, after the last
@@ -280,20 +285,27 @@ def _train_epoch(stack, state, runs, store, active, targets, tcfg, lr,
     order = np.stack([np.sort(ids)[run.train_rng.permutation(ids.size)]
                       for run, ids in zip(runs, active)])
     unstacked = stack.params.ndim == 1  # a group of one
-    # one gather from the matrix most runs share, then each other run's rows
-    base = targets[0] if all(t is targets[0] for t in targets) else store.teacher_probs
-    own = [k for k, t in enumerate(targets) if t is not base]
+    starts = range(0, order.shape[1], tcfg.batch_size)
+    # per blending run and batch: where its blended rows go and which they are
+    blended = []
+    for k, blend in enumerate(blends):
+        if blend is not None:
+            at = blend[0].take(order[k])
+            pos = np.flatnonzero(at >= 0)
+            cuts = np.searchsorted(pos, starts[1:])
+            blended.append((k, np.split(pos % tcfg.batch_size, cuts), np.split(at[pos], cuts)))
     reads = any(run.values is not None for run in runs)
     entropies = np.empty(order.shape) if reads else None
     totals = np.zeros(len(runs))
     hard_all = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
-    for start in range(0, order.shape[1], tcfg.batch_size):
+    for b, start in enumerate(starts):
         ids = order[:, start:start + tcfg.batch_size]
         rows = ids[0] if unstacked else ids
         # take gathers rows several times faster than fancy indexing, same values
-        batch_targets = base.take(rows, axis=0)
-        for k in own:
-            targets[k].take(ids[k], axis=0, out=batch_targets[k])
+        batch_targets = store.teacher_probs.take(rows, axis=0)
+        for k, offsets, aug_rows in blended:
+            dest = batch_targets if unstacked else batch_targets[k]
+            dest[offsets[b]] = blends[k][1].take(aug_rows[b], axis=0)
         loss, gw, gb, probs_1 = nn.loss_and_grads(
             stack, store.features.take(rows, axis=0), batch_targets, tcfg.temperature,
             None if hard_all is None else hard_all.take(rows, axis=0),
@@ -317,17 +329,6 @@ def _train_epoch(stack, state, runs, store, active, targets, tcfg, lr,
     return totals / order.shape[1]
 
 
-def _stage_targets(store: KnowledgeStore, condensed) -> np.ndarray:
-    """Per-sample distillation targets for a stage: original teacher probs
-    with augmented rows replaced. With nothing blended this is the store's
-    own read-only matrix, not a copy."""
-    if condensed.aug_ids.size == 0:
-        return store.teacher_probs
-    targets = store.teacher_probs.copy()
-    targets[condensed.aug_ids] = condensed.aug_probs
-    return targets
-
-
 class _Run:
     """One run of a group: what its stage labeling and condenser read (store,
     values, config, select_rng, fixed) and what its record collects."""
@@ -346,10 +347,10 @@ class _Run:
         self.labels, self.ranks = np.ones(store.n, dtype=np.uint8), None
 
     def stage(self, s: int):
-        """Active ids, targets, rank threshold and blended count for stage s."""
+        """Active ids, blend (see _train_epoch), rank threshold and blended count."""
         n = self.store.n
         if self.label is None:
-            return np.arange(n), self.store.teacher_probs, 1.0 / n, 0
+            return np.arange(n), None, 1.0 / n, 0
         labeling = self.label(self, self.config.schedule.tau_list[s - 1])
         condensed = self.condense(self, labeling)
         if condensed.member_ids.size == 0:
@@ -358,8 +359,11 @@ class _Run:
         # 1 - r/N for the largest kept rank r: 1 - (keep_count(n, tau_s) - 1)/N
         # when the labeling follows the schedule
         threshold = 1.0 - self.ranks[self.labels == 1].max() / n
-        return (condensed.member_ids, _stage_targets(self.store, condensed), threshold,
-                condensed.aug_ids.size)
+        if condensed.aug_ids.size == 0:
+            return condensed.member_ids, None, threshold, 0
+        aug_at = np.full(n, -1)
+        aug_at[condensed.aug_ids] = np.arange(condensed.aug_ids.size)
+        return condensed.member_ids, (aug_at, condensed.aug_probs), threshold, condensed.aug_ids.size
 
 
 def _by_value(run, tau, cfg=None, source="mean"):
@@ -411,11 +415,11 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     test_x, test_y = dataset.test_features, dataset.test_labels
     forward_count = 0
 
-    def run_epochs(count, active, targets, stage_no):
+    def run_epochs(count, active, blends, stage_no):
         nonlocal forward_count
         for _ in range(count):
             epoch = len(runs[0].epochs) + 1
-            losses = _train_epoch(stack, state, runs, store, active, targets, tcfg,
+            losses = _train_epoch(stack, state, runs, store, active, blends, tcfg,
                                   nn.lr_at_epoch(tcfg, epoch), stage_no, epoch)
             forward_count += active[0].size
             accs = np.atleast_1d(accuracy(stack, test_x, test_y))
@@ -424,10 +428,10 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
                                            float(loss), float(acc)))
 
     # warm-up: one full-set epoch belonging to stage 1
-    run_epochs(1, [np.arange(n)] * len(runs), [store.teacher_probs] * len(runs), 1)
+    run_epochs(1, [np.arange(n)] * len(runs), [None] * len(runs), 1)
     for s in range(1, sched.stage_count + 1):
-        active, targets, thresholds, aug_counts = zip(*(run.stage(s) for run in runs))
-        run_epochs(sched.stage_len - 1 if s == 1 else sched.stage_len, active, targets, s)
+        active, blends, thresholds, aug_counts = zip(*(run.stage(s) for run in runs))
+        run_epochs(sched.stage_len - 1 if s == 1 else sched.stage_len, active, blends, s)
         size = active[0].size
         for run, threshold, aug_count in zip(runs, thresholds, aug_counts):
             run.stages.append(StageRecord(

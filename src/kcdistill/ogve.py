@@ -43,10 +43,13 @@ class OgveConfig:
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Prediction entropy -sum(p log p) along the last axis, with 0 log 0
-    taken as 0."""
+    taken as 0; a row holding a NaN comes back NaN."""
     p = np.asarray(probs, dtype=np.float64)
+    if p.size and p.min() > 0.0:
+        # no 0 and no NaN: the masked terms below, bit for bit, without np.where
+        return -np.add.reduce(p * np.log(p), axis=-1)
     pos = p > 0.0
-    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0)
+    terms = np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0 * p)
     return -np.add.reduce(terms, axis=-1)
 
 

@@ -86,9 +86,12 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
         raise ValueError(
             f"augment inputs must be equal length, got {k1l.size}, {k0.size}, {eps.size}"
         )
-    p_a = store.teacher_probs.take(k1l, axis=0)
-    p_b = store.teacher_probs.take(k0, axis=0)
-    return (p_a + eps[:, None] * p_b) / (1.0 + eps)[:, None]
+    # in place; eps * p_b + p_a is p_a + eps * p_b bit for bit (IEEE + commutes)
+    blended = store.teacher_probs.take(k0, axis=0)
+    blended *= eps[:, None]
+    blended += store.teacher_probs.take(k1l, axis=0)
+    blended /= (1.0 + eps)[:, None]
+    return blended
 
 
 def summarize(part: Partition, blended: np.ndarray) -> CondensedSet:

@@ -236,6 +236,18 @@ class TestReuseAndSweep:
         assert "unknown --methods ['kcdd']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out-record", "--out-metrics"])
+    def test_sweep_has_no_record_outputs(self, workdir, tmp_path, capsys, flag):
+        """A sweep writes only its --out CSV, so it takes no record paths."""
+        out, record = tmp_path / "sweep.csv", tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--methods", "kcd", "--data", str(workdir / "data"),
+                  "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                  "--out", str(out), flag, str(record)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {record}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReport:
     def test_summary_and_plot_data(self, workdir, tmp_path):

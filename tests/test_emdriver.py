@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kcdistill.emdriver import (
     run_with_fixed_labels,
     tau_schedule,
 )
+from kcdistill.data import gen_gaussian_mixture
 from kcdistill.knowledge import ValueLabeling, build_store
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
@@ -434,14 +436,18 @@ class TestRunRecord:
 
 
 def assert_epochs_match_per_batch_loop(store, ks, tcfg):
-    """Two epochs of _train_epoch over the runs ks (0: even ids on the
-    store's targets, 1: odd ids descending on a rolled copy), one run alone
-    trained unstacked, against the old one-student loop run per student:
-    fancy-index gathers, every batch's entropies folded as it goes."""
-    actives = [np.arange(0, store.n, 2), np.arange(1, store.n, 2)[::-1]]
-    matrices = [np.asarray(store.teacher_probs), np.roll(store.teacher_probs, 1, axis=0)]
-    assert matrices[0] is store.teacher_probs  # so run 0 reads the shared matrix
-    actives, targets = [actives[k] for k in ks], [matrices[k] for k in ks]
+    """Two epochs of _train_epoch over the runs ks, one run alone trained
+    unstacked, against the old one-student loop run per student on its
+    whole target matrix: fancy-index gathers, every batch's entropies folded
+    as it goes. Run 0 trains the even ids on the store's matrix (no blend),
+    run 1 the odd ids descending with a blend that replaces every row by a
+    rolled copy, run 2 the upper half with a blend of every third sample."""
+    n = store.n
+    actives = [np.arange(0, n, 2), np.arange(1, n, 2)[::-1], np.arange(n // 2, n)]
+    rolled = np.roll(store.teacher_probs, 1, axis=0)
+    every_third = np.where(np.arange(n) % 3 == 0, np.arange(n) // 3, -1)
+    blends = [None, (np.arange(n), rolled), (every_third, rolled[::3])]
+    actives, blends = [actives[k] for k in ks], [blends[k] for k in ks]
     hard = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
 
     def fresh(k):
@@ -449,8 +455,12 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
         return student, nn.SgdState.zeros_like(student), np.random.default_rng(4 + k)
 
     expected = []
-    for k, active, target in zip(ks, actives, targets):
-        values = ogve.ValueState(store.n)
+    for k, active, blend in zip(ks, actives, blends):
+        target = store.teacher_probs.copy()
+        if blend is not None:
+            blended = blend[0] >= 0
+            target[blended] = blend[1][blend[0][blended]]
+        values = ogve.ValueState(n)
         student, state, rng = fresh(k)
         for _ in range(2):
             ids = np.sort(active)
@@ -474,7 +484,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
              else nn.stack_models([run.student for run in runs]))
     state = nn.SgdState.zeros_like(stack)
     for epoch in (1, 2):
-        emdriver._train_epoch(stack, state, runs, store, actives, targets, tcfg,
+        emdriver._train_epoch(stack, state, runs, store, actives, blends, tcfg,
                               tcfg.lr, 1, epoch)
     assert stack.params.ndim == (1 if len(runs) == 1 else 2)
     for run, params, (expected_values, expected_params) in zip(
@@ -487,40 +497,72 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
 
 class TestTrainEpoch:
     def test_per_epoch_observe_equals_per_batch_loop(self, small_task):
-        """A two-run group epoch, one run on the store's targets and one on
-        its own matrix, against the old one-student loop run per student."""
+        """A two-run group epoch, one run on the store's targets and one
+        blending every row, against the old one-student loop run per student."""
         _, store = small_task
         assert_epochs_match_per_batch_loop(store, [0, 1], TrainConfig(batch_size=7))
 
     @pytest.mark.parametrize("ks, hard_label_weight", [
-        ([1], 0.0), ([0], 0.3), ([1], 0.3), ([0, 1], 0.3),
+        ([1], 0.0), ([0], 0.3), ([1], 0.3), ([0, 1], 0.3), ([2], 0.0), ([0, 1, 2], 0.3),
     ], ids=["lone-own-matrix", "lone-hard-labels", "lone-own-matrix-hard-labels",
-            "pair-hard-labels"])
+            "pair-hard-labels", "lone-partial-blend", "trio-partial-blend-hard-labels"])
     def test_row_gathers_match_fancy_indexing(self, small_task, ks, hard_label_weight):
-        """The take gathers of features, targets and hard labels, for a
-        lone run (trained unstacked) and for a stack, against the loop's
-        fancy-index gathers."""
+        """The take gathers of features, targets and hard labels and the
+        per-batch writes of blended rows, for a lone run (trained unstacked)
+        and for a stack, against the loop's fancy-index gathers."""
         _, store = small_task
         tcfg = TrainConfig(batch_size=7, temperature=2.0, hard_label_weight=hard_label_weight)
         assert_epochs_match_per_batch_loop(store, ks, tcfg)
 
     def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
+        """A stage that blends nothing returns no blend: it trains from the
+        store's read-only matrix."""
         _, store = small_task
         labeling = ogve.labeling_from_ranks(np.arange(store.n), 0.5)
-        targets = emdriver._stage_targets(store, vaks.direct_selection(labeling))
-        assert targets is store.teacher_probs
+        student = init_student(store.dim, (8,), store.num_classes, 0)
+        for method in ("full-kd", "reuse-direct-select"):
+            _, blend, _, aug_count = emdriver._Run(store, make_config(), student, method,
+                                                   labeling).stage(1)
+            assert blend is None and aug_count == 0
         assert not store.teacher_probs.flags.writeable
         with pytest.raises(ValueError):
-            targets[0, 0] = 0.5
+            store.teacher_probs[0, 0] = 0.5
 
-    def test_blended_stage_targets_copy(self, small_task):
+    def test_blended_stage_returns_the_condensed_rows(self, small_task):
+        """A blended stage hands over the condensed rows and where they go,
+        not a copy of the store's matrix."""
         _, store = small_task
         labeling = ogve.labeling_from_ranks(np.arange(store.n), 0.5)
         condensed = vaks.condense(labeling, store, 0.3)
         assert condensed.aug_ids.size
-        targets = emdriver._stage_targets(store, condensed)
-        assert targets is not store.teacher_probs
-        np.testing.assert_array_equal(targets[condensed.aug_ids], condensed.aug_probs)
+        student = init_student(store.dim, (8,), store.num_classes, 0)
+        _, (aug_at, aug_probs), _, aug_count = emdriver._Run(
+            store, make_config(eps_m=0.3), student, "reuse-with-vaks", labeling).stage(1)
+        assert aug_count == condensed.aug_ids.size
+        assert aug_probs.shape == (aug_count, store.num_classes)
+        np.testing.assert_array_equal(aug_at[condensed.aug_ids], np.arange(aug_count))
+        assert (np.delete(aug_at, condensed.aug_ids) == -1).all()
+        np.testing.assert_array_equal(aug_probs[aug_at[condensed.aug_ids]],
+                                      condensed.aug_probs)
+
+    def test_blending_run_holds_no_copy_of_the_teacher_matrix(self):
+        """A kcd run on a store whose C far exceeds what its data needs: its
+        traced peak stays under 1.5 N x C matrices (copying the store's
+        matrix at each stage boundary held two at once). A stage's blend,
+        its temporaries and the rows an epoch gathers take O(N + aug * C)."""
+        ds = gen_gaussian_mixture(100, 4, 63, 1.0, seed=0)
+        n, c = ds.train_labels.size, 100
+        probs = np.random.default_rng(0).dirichlet(np.ones(c), size=n)
+        store = build_store(ds.train_features, probs, ds.train_labels)
+        student = init_student(store.dim, (8,), c, 0)
+        tracemalloc.start()
+        try:
+            _, record = run(make_config(epochs=6, stage_len=1), store, student, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(stage.aug_count > 0 for stage in record.stages)
+        assert peak < 1.5 * n * c * 8
 
 
 class TestMethodTable:

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from kcdistill.ogve import (
     OgveConfig,
     ValueState,
+    entropy_rows,
     keep_count,
     label_by_ratio,
     labeling_from_ranks,
@@ -21,6 +22,7 @@ from oracles import (
     binarize,
     cost_aware_score,
     lexsort_ranks,
+    masked_entropy_rows,
     prediction_entropy,
     rank_probability,
     ratio_threshold,
@@ -54,6 +56,35 @@ class TestPredictionEntropy:
             p = rng.dirichlet(np.ones(c))
             h = prediction_entropy(p)
             assert 0.0 <= h <= math.log(c) + 1e-12
+
+
+class TestEntropyRows:
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+                      elements=st.floats(-30.0, 30.0)), st.data())
+    def test_fast_path_is_the_masked_terms_bit_for_bit(self, logits, data):
+        """Softmax rows (no zero) take the fast path and match the masked
+        terms exactly; rows with exact zeros take the masked path (the fast
+        one would give 0 * log 0 = NaN); a NaN entry makes its row NaN and
+        leaves the other rows as the masked terms give them."""
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        assert p.min() > 0.0
+        assert entropy_rows(p).tobytes() == masked_entropy_rows(p).tobytes()
+
+        zeros = data.draw(hnp.arrays(np.bool_, p.shape))
+        zeroed = np.where(zeros, 0.0, p)
+        got = entropy_rows(zeroed)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == masked_entropy_rows(zeroed).tobytes()
+
+        flat = zeroed.reshape(-1, p.shape[-1])
+        row = data.draw(st.integers(0, flat.shape[0] - 1))
+        flat[row, data.draw(st.integers(0, p.shape[-1] - 1))] = np.nan
+        got = entropy_rows(flat)
+        assert np.isnan(got[row])
+        others = np.arange(flat.shape[0]) != row
+        assert got[others].tobytes() == masked_entropy_rows(flat[others]).tobytes()
 
 
 class TestRecordValue:
