@@ -165,15 +165,13 @@ def cmd_gen_data(args, parser) -> int:
                                            args.spread, args.seed)
     out = Path(args.out)
     datamod.save_split_dir(out, dataset)
+    n_train, n_test = dataset.train_labels.size, dataset.test_labels.size
     meta = {
         "classes": args.classes, "dims": args.dims, "per_class": args.per_class,
-        "spread": args.spread, "seed": args.seed,
-        "n_train": int(dataset.train_indices.size),
-        "n_test": int(dataset.test_indices.size),
+        "spread": args.spread, "seed": args.seed, "n_train": n_train, "n_test": n_test,
     }
     datamod.write_atomic(out / "meta.json", (json.dumps(meta, indent=2) + "\n").encode())
-    print(f"wrote {out}/train.csv ({dataset.train_indices.size} rows), "
-          f"{out}/test.csv ({dataset.test_indices.size} rows)")
+    print(f"wrote {out}/train.csv ({n_train} rows), {out}/test.csv ({n_test} rows)")
     return 0
 
 
@@ -236,13 +234,15 @@ def cmd_sweep(args, parser) -> int:
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
+    seeds, rho_grid = _seed_list(args.seeds), _float_list(args.rho_grid)
+    if not seeds:
+        raise ValueError(f"--seeds {args.seeds!r} names no seed")
+    if not rho_grid:
+        raise ValueError(f"--rho-grid {args.rho_grid!r} names no keep ratio")
     _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)
-    rows = evaluation.ratio_sweep(
-        store, dataset, base, _int_list(args.student_hidden),
-        rho_grid=_float_list(args.rho_grid), seeds=_seed_list(args.seeds),
-        methods=methods,
-    )
+    rows = evaluation.ratio_sweep(store, dataset, base, _int_list(args.student_hidden),
+                                  rho_grid=rho_grid, seeds=seeds, methods=methods)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     datamod.write_atomic(out, evaluation.sweep_rows_to_csv(rows).encode())
@@ -280,6 +280,16 @@ def cmd_report(args, parser) -> int:
     return 0
 
 
+def _hamming_matrix(label_sets: list[np.ndarray]) -> np.ndarray:
+    """Pairwise label disagreement counts across runs."""
+    k = len(label_sets)
+    out = np.zeros((k, k), dtype=np.int64)
+    for i in range(k):
+        for j in range(i + 1, k):
+            out[i, j] = out[j, i] = evaluation.hamming_distance(label_sets[i], label_sets[j])
+    return out
+
+
 def _emit_plot_data(records, out_csv: Path) -> None:
     by_key: dict[tuple, list[float]] = {}
     for _, r in records:
@@ -295,7 +305,7 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     for p, r in records:
         sized.setdefault(len(r.final_labels), []).append((str(p), r.final_labels))
     biggest = max(sized.values(), key=len)
-    matrix = evaluation.hamming_matrix([np.asarray(lab) for _, lab in biggest])
+    matrix = _hamming_matrix([np.asarray(lab) for _, lab in biggest])
     ham = ["record," + ",".join(name for name, _ in biggest)]
     for i, (name, _) in enumerate(biggest):
         ham.append(name + "," + ",".join(str(int(v)) for v in matrix[i]))

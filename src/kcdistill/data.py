@@ -28,60 +28,49 @@ class DataFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    features: np.ndarray
-    labels: np.ndarray
+    """A train split and a held-out test split. Each array is copied once on
+    construction and stored read-only, so reads share it."""
+
+    train_features: np.ndarray
+    train_labels: np.ndarray
+    test_features: np.ndarray
+    test_labels: np.ndarray
     class_count: int
-    train_indices: np.ndarray
-    test_indices: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.train_indices = np.asarray(self.train_indices, dtype=np.int64)
-        self.test_indices = np.asarray(self.test_indices, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
-            raise ValueError("features must be N x D with one label per row")
-        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
-        if bad.size:
-            raise ValueError(f"row {bad[0]}: non-finite feature value")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ValueError("labels must lie in [0, class_count)")
-        if np.intersect1d(self.train_indices, self.test_indices).size:
-            raise ValueError("train and test splits overlap")
-        if self.train_indices.size + self.test_indices.size != self.labels.size:
-            raise ValueError("splits do not cover the dataset")
+        for split in ("train", "test"):
+            features = np.array(getattr(self, f"{split}_features"), dtype=np.float64)
+            labels = np.array(getattr(self, f"{split}_labels"), dtype=np.int64)
+            if features.ndim != 2 or features.shape[0] != labels.size:
+                raise ValueError(f"{split} features must be N x D with one label per row")
+            bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+            if bad.size:
+                raise ValueError(f"{split} row {bad[0]}: non-finite feature value")
+            if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
+                raise ValueError(f"{split} labels must lie in [0, class_count)")
+            features.setflags(write=False)
+            labels.setflags(write=False)
+            setattr(self, f"{split}_features", features)
+            setattr(self, f"{split}_labels", labels)
+        if self.train_features.shape[1] != self.test_features.shape[1]:
+            raise ValueError("train and test features differ in dimension")
 
     @property
     def n(self) -> int:
-        return int(self.labels.size)
+        return int(self.train_labels.size + self.test_labels.size)
 
     @property
     def dim(self) -> int:
-        return int(self.features.shape[1])
-
-    @property
-    def train_features(self) -> np.ndarray:
-        return self.features[self.train_indices]
-
-    @property
-    def train_labels(self) -> np.ndarray:
-        return self.labels[self.train_indices]
-
-    @property
-    def test_features(self) -> np.ndarray:
-        return self.features[self.test_indices]
-
-    @property
-    def test_labels(self) -> np.ndarray:
-        return self.labels[self.test_indices]
+        return int(self.train_features.shape[1])
 
 
 def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: float,
                          seed: int) -> Dataset:
     """Isotropic Gaussian blobs at seeded random centers, 80/20 split.
 
-    Split membership comes from a seeded shuffle; the stored index arrays are
-    sorted so downstream sample ordering is canonical.
+    Split membership comes from a seeded shuffle. Each split keeps its rows in
+    generation order (class by class), and both are standardized with the
+    train split's per-dimension mean and standard deviation.
     """
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
@@ -95,17 +84,20 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
         [centers[c] + spread * rng.standard_normal((n_per_class, dims)) for c in range(classes)]
     )
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
-    n = classes * n_per_class
-    perm = rng.permutation(n)
-    n_train = int(round(0.8 * n))
+    perm = rng.permutation(labels.size)
+    n_train = int(round(0.8 * labels.size))
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 
-    mu = features[train_idx].mean(axis=0)
-    sigma = features[train_idx].std(axis=0)
+    train_x, test_x = features[train_idx], features[test_idx]
+    del features  # the Dataset copies the splits; do not hold the whole matrix too
+    mu = train_x.mean(axis=0)
+    sigma = train_x.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    features = (features - mu) / sigma
-    return Dataset(features, labels, classes, train_idx, test_idx)
+    for x in (train_x, test_x):
+        x -= mu
+        x /= sigma
+    return Dataset(train_x, labels[train_idx], test_x, labels[test_idx], classes)
 
 
 def write_atomic(path, payload) -> None:
@@ -186,7 +178,8 @@ def _first_bad_row(rows: list[str], dim: int) -> int:
 
 
 def load_csv(path, class_count: int | None = None) -> Dataset:
-    """Parse one CSV into a Dataset (all rows tagged train, row order kept).
+    """Parse one CSV into a Dataset: every row, in file order, is the train
+    split and the test split is empty.
 
     Blank and whitespace-only lines are skipped. Every error names its line."""
     path = Path(path)
@@ -211,8 +204,7 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
     except ValueError:
         row = _first_bad_row(rows, dim)
         raise error(row, _row_fault(rows[row], dim)) from None
-    features = np.ascontiguousarray(parsed["f"])
-    labels = np.ascontiguousarray(parsed["label"])
+    features, labels = parsed["f"], parsed["label"]
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise error(bad[0], "non-finite feature cell")
@@ -223,7 +215,7 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
     if bad.size:
         raise error(bad[0], f"unknown label value {labels[bad[0]]}")
     c = class_count if class_count is not None else int(labels.max()) + 1
-    return Dataset(features, labels, c, np.arange(labels.size), np.empty(0, dtype=np.int64))
+    return Dataset(features, labels, np.empty((0, dim)), np.empty(0, dtype=np.int64), c)
 
 
 def save_split_dir(directory, dataset: Dataset) -> None:
@@ -235,7 +227,7 @@ def save_split_dir(directory, dataset: Dataset) -> None:
 
 
 def load_split_dir(directory) -> Dataset:
-    """Load train.csv + test.csv back into one Dataset (train rows first)."""
+    """Load train.csv and test.csv as the two splits of one Dataset."""
     directory = Path(directory)
     train = load_csv(directory / TRAIN_FILE)
     test = load_csv(directory / TEST_FILE)
@@ -243,17 +235,14 @@ def load_split_dir(directory) -> Dataset:
         raise DataFormatError(
             f"{directory}: train/test dimension mismatch ({train.dim} vs {test.dim})"
         )
-    features = np.concatenate([train.features, test.features])
-    labels = np.concatenate([train.labels, test.labels])
-    classes = int(labels.max()) + 1
-    if classes > labels.size:  # some class has no sample: name a label past the rows
+    rows = train.n + test.n
+    classes = max(train.class_count, test.class_count)
+    if classes > rows:  # some class has no sample: name a label past the rows
         for path in (directory / TRAIN_FILE, directory / TEST_FILE):
             try:
-                load_csv(path, class_count=labels.size)
+                load_csv(path, class_count=rows)
             except DataFormatError as exc:
-                raise DataFormatError(f"{exc}: more classes than the {labels.size} rows "
+                raise DataFormatError(f"{exc}: more classes than the {rows} rows "
                                       f"of {TRAIN_FILE} and {TEST_FILE}") from None
-    return Dataset(
-        features, labels, classes,
-        np.arange(train.n), np.arange(train.n, train.n + test.n),
-    )
+    return Dataset(train.train_features, train.train_labels,
+                   test.train_features, test.train_labels, classes)

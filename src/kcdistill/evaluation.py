@@ -23,16 +23,6 @@ def hamming_distance(labels_a, labels_b) -> int:
     return int(np.count_nonzero(a != b))
 
 
-def hamming_matrix(label_sets: list[np.ndarray]) -> np.ndarray:
-    """Pairwise label disagreement counts across runs."""
-    k = len(label_sets)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = hamming_distance(label_sets[i], label_sets[j])
-    return out
-
-
 def reuse_run(labeling: ValueLabeling, config, store: KnowledgeStore,
               dataset: Dataset, mode: str, student: nn.MlpModel | None = None):
     """Retrain a fresh student against a previously exported labeling.

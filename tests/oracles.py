@@ -212,7 +212,7 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
         raise DataFormatError(f"{path}: line {linenos[bad[0]]}: non-finite feature cell")
     labels = np.array(labels, dtype=np.int64)
     c = class_count if class_count is not None else int(labels.max()) + 1
-    return Dataset(features, labels, c, np.arange(labels.size), np.empty(0, dtype=np.int64))
+    return Dataset(features, labels, np.empty((0, dim)), np.empty(0, dtype=np.int64), c)
 
 
 def csv_bytes(features, labels) -> bytes:

@@ -121,7 +121,7 @@ def test_criterion_2_cost_identity_on_random_configs():
         stage_len = int(rng.choice([40, 50]))
         per_class = int(rng.integers(625, 834))  # 3 classes, 80% train split
         ds = gen_gaussian_mixture(3, 4, per_class, 1.0, seed=100 + trial)
-        probs = rng.dirichlet(np.ones(3), size=ds.train_indices.size)
+        probs = rng.dirichlet(np.ones(3), size=ds.train_labels.size)
         store = build_store(ds.train_features, probs, ds.train_labels)
         assert store.n <= 2000
         epochs = stages * stage_len

@@ -1,18 +1,21 @@
-"""Every function the benchmark's span recorder wraps must still exist.
+"""Every function the benchmark's span recorder wraps must still exist, and
+its counting hooks must still read what those functions return.
 
 bench/spans.py patches kcdistill functions by (owner, attribute) name only
-when a run is traced, so a rename in src/ would otherwise surface only as a
-failing --trace 1 run. The file is executed from source with runpy, which
-writes nothing under bench/.
+when a run is traced, so a rename in src/ or a changed return shape would
+otherwise surface only as a failing --trace 1 run. The bench files are
+executed from source with runpy, which writes nothing under bench/.
 """
 
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-TARGETS = runpy.run_path(str(SPANS))["TARGETS"]
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = runpy.run_path(str(BENCH / "spans.py"))
+TARGETS = SPANS["TARGETS"]
 
 
 @pytest.mark.parametrize(
@@ -24,3 +27,16 @@ def test_span_target_resolves(owner, attr):
     module = getattr(owner, "__module__", None) or owner.__name__
     assert module.startswith("kcdistill.")
     assert callable(getattr(owner, attr, None)), f"{module} has no callable {attr!r}"
+
+
+def test_cli_files_reference_ops_feed_every_counting_hook(tmp_path):
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    golden = json.loads((BENCH / "golden.json").read_text())["cli-files"]
+    recorder = SPANS["SpanRecorder"]()
+    with recorder.recording():
+        ops = workloads["reference_ops"]("cli-files", tmp_path)
+    assert [(op.name, op.problems) for op in ops if op.problems] == []
+    assert {op.name: op.digest for op in ops} == golden
+    assert dict(recorder.errors) == {}
+    for counter in ("data.csv_rows", "knowledge.label_bytes", "emdriver.kp"):
+        assert recorder.counts[counter] > 0, counter

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kcdistill.cli import _run_dir, main
+from kcdistill.cli import _hamming_matrix, _run_dir, main
 from kcdistill.data import load_split_dir
 from kcdistill.emdriver import RunRecord
 from kcdistill.knowledge import load_labels, save_labels
@@ -236,6 +236,19 @@ class TestReuseAndSweep:
         assert "unknown --methods ['kcdd']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--seeds", "-3"),
+                                             ("--rho-grid", "")])
+    def test_sweep_rejects_an_empty_grid_before_reading(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--data", str(tmp_path / "absent"),
+                     "--teacher-probs", str(tmp_path / "absent.npy"),
+                     "--out", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value!r} names no ")
+        assert "absent" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--out-record", "--out-metrics"])
     def test_sweep_has_no_record_outputs(self, workdir, tmp_path, capsys, flag):
         """A sweep writes only its --out CSV, so it takes no record paths."""
@@ -247,6 +260,15 @@ class TestReuseAndSweep:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag} {record}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHammingMatrix:
+    def test_matrix_symmetry(self):
+        rng = np.random.default_rng(3)
+        sets = [rng.integers(0, 2, size=12) for _ in range(4)]
+        mat = _hamming_matrix(sets)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.diag(mat) == 0)
 
 
 class TestReport:

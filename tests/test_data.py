@@ -25,16 +25,16 @@ class TestGenerator:
     def test_same_seed_identical(self):
         a = gen_gaussian_mixture(10, 16, 100, 1.0, seed=5)
         b = gen_gaussian_mixture(10, 16, 100, 1.0, seed=5)
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(a.train_indices, b.train_indices)
+        for split in ("train_features", "train_labels", "test_features", "test_labels"):
+            np.testing.assert_array_equal(getattr(a, split), getattr(b, split))
 
     def test_split_sizes_and_disjointness(self):
         ds = gen_gaussian_mixture(5, 4, 40, 1.0, seed=1)
         assert ds.n == 200
-        assert ds.train_indices.size == 160
-        assert ds.test_indices.size == 40
-        assert np.intersect1d(ds.train_indices, ds.test_indices).size == 0
+        assert ds.train_labels.size == 160
+        assert ds.test_labels.size == 40
+        shared = (ds.train_features[:, None, :] == ds.test_features[None, :, :]).all(axis=2)
+        assert not shared.any()
 
     def test_train_features_standardized(self):
         ds = gen_gaussian_mixture(6, 8, 50, 1.3, seed=2)
@@ -67,10 +67,12 @@ class TestCsv:
     def test_round_trip_identity(self, tmp_path):
         ds = gen_gaussian_mixture(4, 5, 20, 1.1, seed=8)
         path = tmp_path / "rows.csv"
-        save_csv(path, ds.features, ds.labels)
+        save_csv(path, ds.train_features, ds.train_labels)
         again = load_csv(path)
-        np.testing.assert_array_equal(again.features, ds.features)
-        np.testing.assert_array_equal(again.labels, ds.labels)
+        np.testing.assert_array_equal(again.train_features, ds.train_features)
+        np.testing.assert_array_equal(again.train_labels, ds.train_labels)
+        assert again.test_features.shape == (0, 5)
+        assert again.test_labels.shape == (0,)
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_save_rejects_a_label_count_unlike_the_rows(self, tmp_path, rows):
@@ -84,7 +86,7 @@ class TestCsv:
         ds = load_csv(path)
         assert ds.n == 3
         assert ds.dim == 2
-        assert list(ds.labels) == [0, 1, 1]
+        assert list(ds.train_labels) == [0, 1, 1]
 
     def test_ragged_row_error_carries_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -141,7 +143,7 @@ class TestCsv:
     def test_int64_label_extremes_parse(self, tmp_path):
         path = tmp_path / "edge.csv"
         path.write_text("f0,label\n1.0,9223372036854775807\n2.0,0\n")
-        assert load_csv(path).labels.tolist() == [2**63 - 1, 0]
+        assert load_csv(path).train_labels.tolist() == [2**63 - 1, 0]
 
     @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff13", "1\u0660"])
     def test_underscores_and_non_ascii_digits_are_rejected(self, tmp_path, cell):
@@ -226,9 +228,11 @@ class TestCsvOracle:
         path = _write(tmp_path_factory, text)
         class_count = classes if counted else None
         got, want = load_csv(path, class_count), oracles.load_csv(path, class_count)
-        assert got.features.shape == (len(rows), dim)
-        np.testing.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
-        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.train_features.shape == (len(rows), dim)
+        assert got.test_features.shape == want.test_features.shape == (0, dim)
+        np.testing.assert_array_equal(got.train_features.view(np.int64),
+                                      want.train_features.view(np.int64))
+        np.testing.assert_array_equal(got.train_labels, want.train_labels)
         assert got.class_count == want.class_count
 
     @csv_props
@@ -299,19 +303,37 @@ class TestSplitDir:
         np.testing.assert_array_equal(again.test_features, ds.test_features)
         np.testing.assert_array_equal(again.test_labels, ds.test_labels)
 
-    def test_dataset_validation(self):
-        with pytest.raises(ValueError, match="overlap"):
-            Dataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 2,
-                    train_indices=[0, 1, 2], test_indices=[2, 3])
+    def test_dataset_arrays_are_shared_and_read_only(self):
+        ds = gen_gaussian_mixture(3, 2, 10, 1.0, seed=4)
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            array = getattr(ds, name)
+            assert getattr(ds, name) is array
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_dataset_copies_its_inputs(self):
+        features, labels = np.zeros((2, 2)), np.zeros(2, dtype=np.int64)
+        ds = Dataset(features, labels, features, labels, 2)
+        features[0, 0] = labels[0] = 1
+        assert ds.train_features[0, 0] == ds.test_features[0, 0] == 0.0
+        assert ds.train_labels[0] == ds.test_labels[0] == 0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_dataset_rejects_non_finite_features(self, value):
         features = np.zeros((4, 2))
         features[2, 1] = value
         features[3, 0] = value
-        with pytest.raises(ValueError, match="row 2: non-finite"):
-            Dataset(features, np.zeros(4, dtype=int), 2,
-                    train_indices=[0, 1], test_indices=[2, 3])
+        labels = np.zeros(4, dtype=int)
+        with pytest.raises(ValueError, match="^test row 2: non-finite"):
+            Dataset(np.zeros((2, 2)), labels[:2], features, labels, 2)
+        with pytest.raises(ValueError, match="^train row 2: non-finite"):
+            Dataset(features, labels, np.zeros((0, 2)), labels[:0], 2)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_dataset_rejects_labels_outside_the_class_range(self, label):
+        features = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=r"^test labels must lie in \[0, class_count\)"):
+            Dataset(features, [0, 1], features, [0, label], 2)
 
     @staticmethod
     def write_split(directory, train_labels, test_labels):

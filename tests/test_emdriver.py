@@ -175,7 +175,7 @@ class TestRunMechanics:
 
         ds = gen_gaussian_mixture(5, 4, 250, 1.0, seed=40)
         rng = np.random.default_rng(41)
-        probs = rng.dirichlet(np.ones(5), size=ds.train_indices.size)
+        probs = rng.dirichlet(np.ones(5), size=ds.train_labels.size)
         store = build_store(ds.train_features, probs, ds.train_labels)
         assert store.n == 1000
         config = DistillConfig(

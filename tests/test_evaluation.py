@@ -17,7 +17,6 @@ from kcdistill.emdriver import (
 from kcdistill.evaluation import (
     accuracy,
     hamming_distance,
-    hamming_matrix,
     ratio_sweep,
     reuse_run,
     sweep_rows_to_csv,
@@ -83,13 +82,6 @@ class TestHamming:
             assert dab == dba
             assert hamming_distance(a, a) == 0
             assert dab <= hamming_distance(a, c) + hamming_distance(c, b)
-
-    def test_matrix_symmetry(self):
-        rng = np.random.default_rng(3)
-        sets = [rng.integers(0, 2, size=12) for _ in range(4)]
-        mat = hamming_matrix(sets)
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.diag(mat) == 0)
 
 
 def small_config(seed=0, rho=0.7, epochs=12, stage_len=3):
