@@ -301,11 +301,11 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     curve_path = out_csv.with_name(out_csv.stem + "_rho_curve.csv")
     datamod.write_atomic(curve_path, ("\n".join(curve) + "\n").encode())
 
-    sized: dict[int, list[tuple[str, list[int]]]] = {}
+    sized: dict[int, list[tuple[str, np.ndarray]]] = {}
     for p, r in records:
-        sized.setdefault(len(r.final_labels), []).append((str(p), r.final_labels))
+        sized.setdefault(r.final_labels.size, []).append((str(p), r.final_labels))
     biggest = max(sized.values(), key=len)
-    matrix = _hamming_matrix([np.asarray(lab) for _, lab in biggest])
+    matrix = _hamming_matrix([lab for _, lab in biggest])
     ham = ["record," + ",".join(name for name, _ in biggest)]
     for i, (name, _) in enumerate(biggest):
         ham.append(name + "," + ",".join(str(int(v)) for v in matrix[i]))

@@ -26,10 +26,24 @@ class DataFormatError(ValueError):
     """A data file could not be parsed; the message names the line or byte offset."""
 
 
+def read_only(a, dtype) -> np.ndarray:
+    """a as a read-only C-contiguous array of dtype. An ndarray that already
+    is one and owns its data is returned as it is: no one can write it, so
+    it can be shared. Anything else (writable, a view, a list, another
+    dtype) is copied, so the caller's later writes cannot reach the result."""
+    if (type(a) is np.ndarray and a.dtype == dtype and a.base is None
+            and a.flags.c_contiguous and not a.flags.writeable):
+        return a
+    a = np.array(a, dtype=dtype, order="C")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass
 class Dataset:
-    """A train split and a held-out test split. Each array is copied once on
-    construction and stored read-only, so reads share it."""
+    """A train split and a held-out test split, each array stored read-only
+    through read_only: shared when the caller's array is already read-only
+    and owns its data, copied once otherwise."""
 
     train_features: np.ndarray
     train_labels: np.ndarray
@@ -39,8 +53,8 @@ class Dataset:
 
     def __post_init__(self):
         for split in ("train", "test"):
-            features = np.array(getattr(self, f"{split}_features"), dtype=np.float64)
-            labels = np.array(getattr(self, f"{split}_labels"), dtype=np.int64)
+            features = read_only(getattr(self, f"{split}_features"), np.float64)
+            labels = read_only(getattr(self, f"{split}_labels"), np.int64)
             if features.ndim != 2 or features.shape[0] != labels.size:
                 raise ValueError(f"{split} features must be N x D with one label per row")
             bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -48,8 +62,6 @@ class Dataset:
                 raise ValueError(f"{split} row {bad[0]}: non-finite feature value")
             if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
                 raise ValueError(f"{split} labels must lie in [0, class_count)")
-            features.setflags(write=False)
-            labels.setflags(write=False)
             setattr(self, f"{split}_features", features)
             setattr(self, f"{split}_labels", labels)
         if self.train_features.shape[1] != self.test_features.shape[1]:
@@ -90,14 +102,17 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
     test_idx = np.sort(perm[n_train:])
 
     train_x, test_x = features[train_idx], features[test_idx]
-    del features  # the Dataset copies the splits; do not hold the whole matrix too
+    del features  # the splits are fresh copies; do not hold the whole matrix too
     mu = train_x.mean(axis=0)
     sigma = train_x.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     for x in (train_x, test_x):
         x -= mu
         x /= sigma
-    return Dataset(train_x, labels[train_idx], test_x, labels[test_idx], classes)
+    splits = (train_x, labels[train_idx], test_x, labels[test_idx])
+    for a in splits:
+        a.setflags(write=False)  # so the Dataset keeps them uncopied
+    return Dataset(*splits, classes)
 
 
 def write_atomic(path, payload) -> None:

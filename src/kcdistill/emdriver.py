@@ -193,10 +193,15 @@ class DistillConfig:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
-    """Everything needed to audit or reproduce a run. wall_time_s is excluded
-    from equality semantics; fingerprint() covers the deterministic content."""
+    """Everything needed to audit or reproduce a run. Compare records with
+    fingerprint(), which covers everything but wall_time_s.
+
+    final_labels (uint8) and final_ranks (int64, empty for full-kd) are
+    arrays the record owns: construction copies them, so they share no
+    memory with the run's or an imported labeling's arrays. to_dict turns
+    them into lists of ints."""
 
     method: str
     seed: int
@@ -205,23 +210,26 @@ class RunRecord:
     epochs: list[EpochRow]
     cost: CostReport
     final_accuracy: float
-    final_labels: list[int]
-    final_ranks: list[int]
+    final_labels: np.ndarray
+    final_ranks: np.ndarray
     student_dims: list[int]
     param_digest: str
     wall_time_s: float
 
+    def __post_init__(self):
+        self.final_labels = np.array(self.final_labels, dtype=np.uint8)
+        self.final_ranks = np.array(self.final_ranks, dtype=np.int64)
+
     def to_dict(self) -> dict:
-        """asdict(self) without its per-element deep copy of the label and
-        rank lists: they hold ints, so list() copies them as deeply."""
+        """asdict(self) with the label and rank arrays as lists of ints."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(
             config=copy.deepcopy(self.config),
             stages=[asdict(s) for s in self.stages],
             epochs=[asdict(e) for e in self.epochs],
             cost=asdict(self.cost),
-            final_labels=list(self.final_labels),
-            final_ranks=list(self.final_ranks),
+            final_labels=self.final_labels.tolist(),
+            final_ranks=self.final_ranks.tolist(),
             student_dims=list(self.student_dims),
         )
         return out
@@ -257,7 +265,7 @@ class RunRecord:
 
     def final_labeling(self) -> ValueLabeling:
         """The labeling that selected the last stage's knowledge set."""
-        if not self.final_ranks:
+        if not self.final_ranks.size:
             raise ValueError(f"{self.method} run carries no condensed labeling")
         return ValueLabeling(ranks=self.final_ranks, labels=self.final_labels)
 
@@ -456,8 +464,8 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
             stages=run.stages, epochs=run.epochs,
             cost=CostReport(int(forward_count), float(ideal), float(realized)),
             final_accuracy=float(run.epochs[-1].eval_accuracy),
-            final_labels=run.labels.tolist(),
-            final_ranks=[] if run.ranks is None else run.ranks.tolist(),
+            final_labels=run.labels,
+            final_ranks=() if run.ranks is None else run.ranks,
             student_dims=[int(d) for d in run.student.layer_dims],
             param_digest=hashlib.sha256(trained.param_bytes()).hexdigest(),
             wall_time_s=wall,

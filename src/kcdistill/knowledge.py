@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_atomic
+from .data import read_only, write_atomic
 
 SIMPLEX_ATOL = 1e-6
 
@@ -156,12 +156,13 @@ class CondensedSet:
 
 class KnowledgeStore:
     """All knowledge points: read-only features, teacher soft labels and
-    optional hard labels."""
+    optional hard labels. Each array goes through data.read_only, so a
+    Dataset's split is shared, not copied, and any other input is copied."""
 
     def __init__(self, features: np.ndarray, teacher_probs: np.ndarray,
                  hard_labels: np.ndarray | None = None):
-        features = np.array(features, dtype=np.float64)
-        teacher_probs = np.array(teacher_probs, dtype=np.float64)
+        features = read_only(features, np.float64)
+        teacher_probs = read_only(teacher_probs, np.float64)
         if features.size == 0:
             raise ValueError("empty knowledge set")
         if features.ndim != 2:
@@ -177,7 +178,7 @@ class KnowledgeStore:
         if i >= 0:
             check_simplex(teacher_probs[i], context=f"sample {i}: teacher_probs")
         if hard_labels is not None:
-            hard_labels = np.array(hard_labels, dtype=np.int64)
+            hard_labels = read_only(hard_labels, np.int64)
             if hard_labels.shape != (features.shape[0],):
                 raise ValueError("hard_labels length does not match features")
             classes = teacher_probs.shape[1]
@@ -186,11 +187,6 @@ class KnowledgeStore:
                 raise ValueError(
                     f"sample {bad[0]}: hard label {hard_labels[bad[0]]} is outside [0, {classes})"
                 )
-        features.setflags(write=False)
-        teacher_probs.setflags(write=False)
-        if hard_labels is not None:
-            hard_labels.setflags(write=False)
-
         self.features = features
         self.teacher_probs = teacher_probs
         self.hard_labels = hard_labels

@@ -166,8 +166,12 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if h.shape[-1] != model.input_dim:
         raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.input_dim}")
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.maximum(h @ w + b[..., None, :], 0.0)
-    return h @ model.weights[-1] + model.biases[-1][..., None, :]
+        h = h @ w
+        h += b[..., None, :]
+        np.maximum(h, 0.0, out=h)
+    h = h @ model.weights[-1]
+    h += model.biases[-1][..., None, :]
+    return h
 
 
 def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:

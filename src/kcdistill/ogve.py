@@ -54,20 +54,26 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def observe_batch(state: ValueState, sample_ids, new_values) -> None:
-    """Apply the running-mean update to a batch of samples."""
+    """Apply the running-mean update to a batch of distinct samples: a first
+    observation becomes the value, a later one gives
+    ((F-1)/F) * previous + value/F at frequency F. One gather and one
+    scatter per array; the mean is computed in place."""
     ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(new_values, dtype=np.float64)
     if ids.size != vals.size:
         raise ValueError("sample_ids and new_values lengths differ")
-    if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
+    if not np.all((vals >= 0.0) & (vals < np.inf)):  # NaN fails both
         raise ValueError("observed values must be finite and >= 0")
-    freq = state.frequencies[ids] + 1
-    first = freq == 1
-    prev = state.values[ids]
-    updated = np.where(first, vals, ((freq - 1) / freq) * np.where(first, 0.0, prev) + vals / freq)
-    state.values[ids] = updated
-    state.last_values[ids] = vals
-    state.frequencies[ids] = freq
+    freq = state.frequencies.take(ids)
+    freq += 1
+    f = freq.astype(np.float64)
+    mean = state.values.take(ids)  # NaN at a first observation: overwritten below
+    mean *= (f - 1.0) / f
+    mean += vals / f
+    np.copyto(mean, vals, where=freq == 1)
+    state.values.put(ids, mean)
+    state.last_values.put(ids, vals)
+    state.frequencies.put(ids, freq)
 
 
 def cost_aware_scores(state: ValueState, cfg: OgveConfig,

@@ -1,10 +1,10 @@
 """Slow scalar and closed-form oracles the tests check the library against.
 
 None of these is on a training path: the library computes the same
-quantities over whole arrays (ogve.ValueState, ogve.cost_aware_scores,
-ogve.entropy_rows, ogve.ranks_from_scores, emdriver.relative_cost,
-nn.loss_and_grads) or in bulk (data.load_csv, data.save_csv,
-emdriver.RunRecord.to_dict).
+quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
+ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
+emdriver.relative_cost, nn.loss_and_grads), in place (nn.forward) or in
+bulk (data.load_csv, data.save_csv, emdriver.RunRecord.to_dict).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
 literally: rank probability 1 - r/N, kept where it is >= the stage cutoff.
@@ -51,6 +51,15 @@ def kd_loss(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
     s = np.atleast_2d(np.asarray(student_probs, dtype=np.float64))
     return float(nn._kd_loss(t, s))
+
+
+def logits(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
+    """nn.forward with a fresh array per operation: ReLU hidden layers,
+    linear output, on a lone or a stacked model."""
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.maximum(h @ w + b[..., None, :], 0.0)
+    return h @ model.weights[-1] + model.biases[-1][..., None, :]
 
 
 def finite_difference_check(model: nn.MlpModel, x: np.ndarray, target_probs: np.ndarray,
@@ -129,6 +138,17 @@ def record_value(record: ValueRecord, new_value: float) -> ValueRecord:
         return ValueRecord(value=v, frequency=1)
     updated = ((freq - 1) / freq) * record.value + v / freq
     return ValueRecord(value=updated, frequency=freq)
+
+
+def running_means(values, frequencies, new_values) -> np.ndarray:
+    """The values ogve.observe_batch writes for a batch, given the batch's
+    previous values and frequencies: the observation itself at a first
+    observation, else ((F-1)/F) * previous + observation/F at the new
+    frequency F, as one np.where expression with its temporaries."""
+    freq = np.asarray(frequencies, dtype=np.int64) + 1
+    vals = np.asarray(new_values, dtype=np.float64)
+    first = freq == 1
+    return np.where(first, vals, ((freq - 1) / freq) * np.where(first, 0.0, values) + vals / freq)
 
 
 def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
@@ -226,9 +246,12 @@ def csv_bytes(features, labels) -> bytes:
 
 
 def record_dict(record) -> dict:
-    """RunRecord.to_dict through dataclasses.asdict's deep copy."""
+    """RunRecord.to_dict through dataclasses.asdict's deep copy, with the
+    label and rank arrays as lists of int() per element."""
     out = asdict(record)
     out["stages"] = [asdict(s) for s in record.stages]
     out["epochs"] = [asdict(e) for e in record.epochs]
     out["cost"] = asdict(record.cost)
+    out["final_labels"] = [int(v) for v in record.final_labels]
+    out["final_ranks"] = [int(v) for v in record.final_ranks]
     return out

@@ -205,7 +205,7 @@ class TestReuseAndSweep:
                            "--export-labels", str(labels_path)]))
         src = RunRecord.load(record_path)
         labeling = load_labels(labels_path)
-        assert list(labeling.labels) == src.final_labels
+        np.testing.assert_array_equal(labeling.labels, src.final_labels)
         reuse_record = tmp_path / "reuse.json"
         code = main(["reuse", "--labels", str(labels_path), "--mode", "with-vaks",
                      "--data", str(workdir / "data"),

@@ -318,6 +318,45 @@ class TestSplitDir:
         assert ds.train_features[0, 0] == ds.test_features[0, 0] == 0.0
         assert ds.train_labels[0] == ds.test_labels[0] == 0
 
+    def test_dataset_shares_another_datasets_arrays(self):
+        ds = gen_gaussian_mixture(3, 2, 10, 1.0, seed=4)
+        again = Dataset(ds.train_features, ds.train_labels, ds.test_features,
+                        ds.test_labels, ds.class_count)
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            assert getattr(again, name) is getattr(ds, name)
+
+    def test_load_split_dir_keeps_the_parsed_splits(self, tmp_path, monkeypatch):
+        save_split_dir(tmp_path / "d", gen_gaussian_mixture(3, 2, 10, 1.0, seed=4))
+        parsed, real = [], data.load_csv
+
+        def spy(*args, **kwargs):
+            parsed.append(real(*args, **kwargs))
+            return parsed[-1]
+
+        monkeypatch.setattr(data, "load_csv", spy)
+        ds = load_split_dir(tmp_path / "d")
+        train, test = parsed
+        assert ds.train_features is train.train_features
+        assert ds.train_labels is train.train_labels
+        assert ds.test_features is test.train_features
+        assert ds.test_labels is test.train_labels
+
+    @pytest.mark.parametrize("case", ["writable", "view", "list", "float32", "fortran"])
+    def test_read_only_copies_what_it_cannot_share(self, case):
+        values = np.arange(6.0).reshape(2, 3)
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        given = {"writable": values, "view": frozen[:], "list": values.tolist(),
+                 "float32": values.astype(np.float32), "fortran": np.asfortranarray(values)}[case]
+        if isinstance(given, np.ndarray):
+            given.setflags(write=case == "writable")
+        got = data.read_only(given, np.float64)
+        assert got is not given and not np.shares_memory(got, frozen)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, values)
+        assert data.read_only(frozen, np.float64) is frozen
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_dataset_rejects_non_finite_features(self, value):
         features = np.zeros((4, 2))

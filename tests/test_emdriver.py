@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import threading
@@ -361,6 +362,43 @@ class TestStageThreshold:
 
 
 class TestRunRecord:
+    @pytest.mark.parametrize("method", ["kcd", "full-kd"])
+    def test_label_and_rank_fields_are_arrays_the_record_owns(self, small_task, method):
+        record, _ = run_with_state(small_task, method=method, seed=20)
+        n = small_task[1].n
+        assert record.final_labels.dtype == np.uint8 and record.final_labels.shape == (n,)
+        assert record.final_ranks.dtype == np.int64
+        assert record.final_ranks.shape == ((0,) if method == "full-kd" else (n,))
+
+    def test_record_arrays_share_no_memory_with_the_run_or_an_imported_labeling(
+            self, small_task):
+        ds, store = small_task
+        student = init_student(store.dim, (8,), store.num_classes, 21)
+        run_ = emdriver._Run(store, make_config(seed=21), student, "kcd")
+        [(_, record)] = emdriver._execute(store, ds, [run_])
+        assert not np.shares_memory(record.final_labels, run_.labels)
+        assert not np.shares_memory(record.final_ranks, run_.ranks)
+        labeling = record.final_labeling()
+        for mode in REUSE_MODES:
+            _, reused = run_with_fixed_labels(make_config(seed=22), store,
+                                              init_student(store.dim, (8,), store.num_classes, 22),
+                                              ds, labeling, mode)
+            assert not np.shares_memory(reused.final_labels, labeling.labels)
+            assert not np.shares_memory(reused.final_ranks, labeling.ranks)
+            assert reused.final_ranks.tobytes() == labeling.ranks.tobytes()
+
+    @pytest.mark.parametrize("method", ["kcd", "full-kd"])
+    def test_load_of_save_gives_arrays_and_the_same_fingerprint(self, small_task, tmp_path,
+                                                                method):
+        _, record = run_small(small_task, method=method, seed=23)
+        record.save(tmp_path / "record.json")
+        again = RunRecord.load(tmp_path / "record.json")
+        for name in ("final_labels", "final_ranks"):
+            got, want = getattr(again, name), getattr(record, name)
+            assert type(got) is np.ndarray and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert again.fingerprint() == record.fingerprint()
+
     def test_json_round_trip(self, small_task, tmp_path):
         _, record = run_small(small_task, seed=12)
         path = tmp_path / "record.json"
@@ -371,24 +409,24 @@ class TestRunRecord:
 
     @pytest.mark.parametrize("method", ["kcd", "full-kd"])
     def test_list_fields_are_plain_ints_with_unchanged_fingerprint(self, small_task, method):
-        import dataclasses
-
         _, record = run_small(small_task, method=method, seed=17)
-        labels, ranks = record.final_labels, record.final_ranks
-        assert all(type(v) is int for v in labels + ranks + record.student_dims)
-        # the lists as an element-wise int() over the arrays built them before
-        old = dataclasses.replace(
-            record,
-            final_labels=[int(v) for v in np.asarray(labels, dtype=np.uint8)],
-            final_ranks=[int(v) for v in np.asarray(ranks, dtype=np.int64)],
-        )
-        assert json.dumps(old.to_dict()) == json.dumps(record.to_dict())
-        assert old.fingerprint() == record.fingerprint()
+        out = record.to_dict()
+        labels, ranks = out["final_labels"], out["final_ranks"]
+        assert all(type(v) is int for v in labels + ranks + out["student_dims"])
+        # the lists as an element-wise int() over the run's arrays built them
+        # when the record held lists; the fingerprint hashes that dict
+        old = dict(out, final_labels=[int(v) for v in record.final_labels],
+                   final_ranks=[int(v) for v in record.final_ranks])
+        assert json.dumps(old) == json.dumps(out)
+        old.pop("wall_time_s")
+        digest = hashlib.sha256(json.dumps(old, sort_keys=True).encode()).hexdigest()
+        assert digest == record.fingerprint()
 
     def test_mutating_the_dict_leaves_the_record(self, small_task):
         _, record = run_small(small_task, seed=18)
         fingerprint = record.fingerprint()
         before = record_dict(record)
+        arrays = record.final_labels.tobytes(), record.final_ranks.tobytes()
         out = record.to_dict()
         for key in ("final_labels", "final_ranks", "student_dims"):
             out[key][0] += 1
@@ -399,6 +437,7 @@ class TestRunRecord:
         out["epochs"].clear()
         out["cost"]["absolute_cost"] = -1
         assert record_dict(record) == before
+        assert (record.final_labels.tobytes(), record.final_ranks.tobytes()) == arrays
         assert record.fingerprint() == fingerprint
 
     @pytest.mark.parametrize("method", ["kcd", "full-kd"])
@@ -419,7 +458,8 @@ class TestRunRecord:
     def test_final_labeling_matches_last_stage(self, small_task):
         _, record = run_small(small_task, seed=14)
         labeling = record.final_labeling()
-        assert list(labeling.labels) == record.final_labels
+        assert labeling.labels.tobytes() == record.final_labels.tobytes()
+        assert labeling.ranks.tobytes() == record.final_ranks.tobytes()
         assert int(labeling.labels.sum()) == record.stages[-1].set_size
 
     def test_full_kd_has_no_labeling(self, small_task):

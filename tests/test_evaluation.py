@@ -280,12 +280,17 @@ class TestParallelSweep:
         if fallback == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         release = threading.Event()
+        waiter = threading.Thread(target=release.wait, daemon=True)
         if fallback == "live thread":
-            threading.Thread(target=release.wait, daemon=True).start()
+            waiter.start()
         try:
             results = _pool_map(pid_and_scaled, jobs, 1)
         finally:
             release.set()
+            if fallback == "live thread":
+                # alive in a later test, it would make that _pool_map run in process
+                waiter.join(timeout=10)
+        assert not waiter.is_alive()
         assert pools == []
         assert results == [(os.getpid(), job) for job in jobs]
 

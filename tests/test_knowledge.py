@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kcdistill.data import gen_gaussian_mixture
 from kcdistill.knowledge import (
     CondensedSet,
     LabelStreamError,
@@ -105,6 +106,24 @@ def test_store_is_read_only_and_holds_no_value_state():
     arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3  # features, teacher_probs, hard_labels
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_store_shares_a_datasets_splits_and_copies_writable_probs():
+    ds = gen_gaussian_mixture(3, 4, 10, 1.0, seed=2)
+    probs = np.full((ds.train_labels.size, 3), 1 / 3)
+    store = build_store(ds.train_features, probs, ds.train_labels)
+    assert store.features is ds.train_features
+    assert store.hard_labels is ds.train_labels
+    probs[0] = [1.0, 0.0, 0.0]
+    assert store.teacher_probs[0, 0] == 1 / 3
+
+
+def test_store_copies_writable_features_and_labels():
+    features, labels = np.zeros((3, 2)), np.zeros(3, dtype=np.int64)
+    store = build_store(features, np.full((3, 2), 0.5), labels)
+    features[0, 0] = labels[0] = 1
+    assert store.features[0, 0] == 0.0 and store.hard_labels[0] == 0
+    assert not store.features.flags.writeable and not store.hard_labels.flags.writeable
 
 
 def make_labeling(n=6, kept=3, seed=0):

@@ -24,7 +24,7 @@ from kcdistill.nn import (
     train_classifier,
     train_teacher,
 )
-from oracles import finite_difference_check, kd_loss
+from oracles import finite_difference_check, kd_loss, logits
 
 
 class TestForwardSoftmax:
@@ -57,6 +57,17 @@ class TestForwardSoftmax:
         base = np.argmax(softmax(logits, 1.0), axis=1)
         for temp in (0.25, 2.0, 10.0):
             assert np.array_equal(np.argmax(softmax(logits, temp), axis=1), base)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("dims", [(4, 3), (6, 8, 5, 4)])
+    def test_in_place_layers_are_the_fresh_array_expression_bit_for_bit(self, dims, stacked):
+        models = [init_mlp(dims, seed) for seed in range(3)]
+        model = stack_models(models) if stacked else models[0]
+        x = np.random.default_rng(5).normal(size=(50, dims[0]))
+        x[0] = 0.0
+        got = forward(model, x)
+        assert got.shape == ((3, 50, dims[-1]) if stacked else (50, dims[-1]))
+        assert got.tobytes() == logits(model, x).tobytes()
 
     def test_dimension_mismatch_rejected(self):
         model = init_mlp((4, 3), 0)

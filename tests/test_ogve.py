@@ -27,7 +27,11 @@ from oracles import (
     rank_probability,
     ratio_threshold,
     record_value,
+    running_means,
 )
+
+# observations: both zeros, subnormals, and values far from 1 either way
+OBSERVED = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e300)
 
 
 class TestPredictionEntropy:
@@ -138,6 +142,39 @@ class TestObserveBatch:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             observe_batch(ValueState(2), [0], [-1.0])
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejected_batch_changes_nothing(self, bad):
+        state = ValueState(2)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            observe_batch(state, [0, 1], [1.0, bad])
+        assert np.isnan(state.values).all() and not state.frequencies.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 24))
+    def test_in_place_update_is_the_where_expression_bit_for_bit(self, data, n):
+        """Batches of distinct ids over a state with some samples already
+        observed (any frequency) and some not: every batch writes exactly
+        the np.where running mean, -0.0 and 0.0 kept apart, its
+        observations as the latest values and frequency + 1, and touches
+        no other sample."""
+        state = ValueState(n)
+        seen = data.draw(hnp.arrays(np.bool_, n))
+        state.frequencies[seen] = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, 10**6)))[seen]
+        state.values[seen] = data.draw(hnp.arrays(np.float64, n, elements=OBSERVED))[seen]
+        state.last_values[seen] = state.values[seen]
+        for _ in range(data.draw(st.integers(1, 4))):
+            ids = np.array(data.draw(st.permutations(range(n))))[:data.draw(st.integers(0, n))]
+            vals = data.draw(hnp.arrays(np.float64, ids.size, elements=OBSERVED))
+            want = running_means(state.values[ids], state.frequencies[ids], vals)
+            before = [a.copy() for a in (state.values, state.last_values, state.frequencies)]
+            observe_batch(state, ids, vals)
+            assert state.values[ids].tobytes() == want.tobytes()
+            assert state.last_values[ids].tobytes() == vals.tobytes()
+            assert np.array_equal(state.frequencies[ids], before[2][ids] + 1)
+            rest = np.setdiff1d(np.arange(n), ids)
+            for now, then in zip((state.values, state.last_values, state.frequencies), before):
+                assert now[rest].tobytes() == then[rest].tobytes()
 
 
 class TestCostAwareScore:
