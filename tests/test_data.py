@@ -188,21 +188,26 @@ NON_FINITE = ["nan", "inf", "-inf", "Infinity", "+nan", "1e400", "-1e999"]
 
 
 @st.composite
-def csv_files(draw):
+def csv_files(draw, plain=False):
     """A well-formed CSV text, with its dimension, class count and the lines
-    of its data rows (as indexes into text.splitlines())."""
+    of its data rows (as indexes into text.splitlines()). A plain one has
+    the layout load_csv reads with array operations: no blank line, no
+    whitespace, no '+' label, and every line ended by '\\n'."""
+    pads = st.just("") if plain else PADS
     dim = draw(st.integers(1, 4))
     classes = draw(st.integers(1, 5))
     lines = [",".join([f"f{i}" for i in range(dim)] + ["label"])]
     rows = []
     for _ in range(draw(st.integers(1, 12))):
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(0 if plain else draw(st.integers(0, 2))):
             lines.append(draw(BLANKS))
-        cells = [draw(PADS) + draw(FLOAT_CELLS) + draw(PADS) for _ in range(dim)]
-        cells.append(draw(PADS) + draw(LABEL_TEXT).format(draw(st.integers(0, classes - 1)))
-                     + draw(PADS))
+        cells = [draw(pads) + draw(FLOAT_CELLS) + draw(pads) for _ in range(dim)]
+        label = draw(st.sampled_from(["{}", "0{}", "00{}"]) if plain else LABEL_TEXT)
+        cells.append(draw(pads) + label.format(draw(st.integers(0, classes - 1))) + draw(pads))
         rows.append(len(lines))
         lines.append(",".join(cells))
+    if plain:
+        return "\n".join(lines) + "\n", dim, classes, rows
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(lines) + draw(st.sampled_from(["", end]))
     return text, dim, classes, rows
@@ -222,7 +227,7 @@ def _error(loader, path, class_count=None) -> str:
 
 class TestCsvOracle:
     @csv_props
-    @given(csv_files(), st.booleans())
+    @given(st.one_of(csv_files(), csv_files(plain=True)), st.booleans())
     def test_well_formed_files_load_as_the_oracle(self, tmp_path_factory, drawn, counted):
         text, dim, classes, rows = drawn
         path = _write(tmp_path_factory, text)
@@ -291,6 +296,148 @@ class TestCsvOracle:
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         save_csv(path, features, labels)
         assert path.read_bytes() == oracles.csv_bytes(features, labels)
+
+
+# -- the array parser of plain files against the line parser ------------------
+
+# cells of the array parser's form, and others that only float() reads
+DECIMAL_CELLS = st.one_of(
+    st.from_regex(r"-?[0-9]{0,13}\.?[0-9]{0,13}", fullmatch=True),
+    st.builds(lambda sign, digits, at: sign + digits[:at] + "." + digits[at:],
+              st.sampled_from(["", "-"]), st.from_regex(r"[0-9]{17,21}", fullmatch=True),
+              st.integers(0, 21)),
+    FLOAT_CELLS,
+    st.sampled_from(["+5", "5.", ".5", "-.5", "-0", "0", "1e5", "-1.5e+300", "1e400", ".", "-",
+                     "", "1.2.3", "--1", "1-2", "9007199254740993", "00000000000000000000001.5",
+                     "1000000000000000000000.05", "-100000000000000000000000"]),
+)
+PLAIN_LABELS = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                         st.sampled_from(["007", "-0", "9223372036854775808", "1" * 25]))
+
+
+def _line_rows(raw: bytes):
+    """What the line parser makes of CSV bytes in the plain layout, or None
+    when it rejects a row."""
+    lines = raw.decode().splitlines()
+    try:
+        parsed = data._parse_rows(lines[1:], len(lines[0].split(",")) - 1)
+    except ValueError:
+        return None
+    return parsed["f"], parsed["label"]
+
+
+needs_x87 = pytest.mark.skipif(not data._X87_LONG_DOUBLE,
+                               reason="the array parser needs x87 long doubles")
+
+
+def _same_rows(got, want) -> None:
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    assert got[1].dtype == np.int64 and got[1].tolist() == want[1].tolist()
+
+
+class TestPlainRows:
+    """load_csv reads a file in save_csv's layout with array operations
+    (data._plain_rows); the values and errors are the line parser's."""
+
+    @needs_x87
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(st.lists(DECIMAL_CELLS, min_size=dim, max_size=dim), PLAIN_LABELS),
+        min_size=1, max_size=8)))
+    def test_plain_cells_read_as_the_line_parser(self, rows):
+        dim = len(rows[0][0])
+        lines = [data._header(dim)] + [",".join(cells + [label]) for cells, label in rows]
+        raw = ("\n".join(lines) + "\n").encode()
+        got, want = data._plain_rows(raw), _line_rows(raw)
+        if want is None:  # a row the line parser rejects is never read
+            assert got is None
+        elif any(abs(int(label)) >= 2**63 or len(label) > data._CELL_BYTES
+                 for _, label in rows):
+            assert got is None
+        else:  # every other file the line parser reads is plain
+            _same_rows(got, want)
+            assert not (got[0].flags.writeable or got[1].flags.writeable)
+
+    @needs_x87
+    def test_midpoint_cells_round_as_the_line_parser(self, monkeypatch):
+        """Odd integers between 2**53 and 2**54 lie halfway between two
+        float64; among 18 random digits with a '.' somewhere the long double
+        quotient lands on a float64 midpoint about once in 2048 cells."""
+        rng = np.random.default_rng(3)
+        halfway = (rng.integers(2**53, 2**54, 400) | 1).tolist()
+        digits = ["".join(map(str, row)) for row in rng.integers(0, 10, (20000, 18))]
+        cells = [str(n) for n in halfway] + [
+            "-" * int(neg) + d[:at] + "." + d[at:]
+            for d, at, neg in zip(digits, rng.integers(0, 19, len(digits)).tolist(),
+                                  rng.integers(0, 2, len(digits)).tolist())]
+        lines = [data._header(4)] + [",".join(cells[i:i + 4]) + ",0"
+                                     for i in range(0, len(cells), 4)]
+        raw = ("\n".join(lines) + "\n").encode()
+        ties, nearest = [], data._nearest_double
+
+        def spy(mant, frac):
+            value, tie = nearest(mant, frac)
+            ties.append(int(tie.sum()))
+            return value, tie
+
+        monkeypatch.setattr(data, "_nearest_double", spy)
+        _same_rows(data._plain_rows(raw), _line_rows(raw))
+        assert sum(ties) >= 400
+
+    @needs_x87
+    def test_save_csv_files_never_reach_the_line_parser(self, tmp_path, monkeypatch):
+        ds = gen_gaussian_mixture(4, 5, 30, 1.1, seed=8)
+        save_split_dir(tmp_path, ds)
+
+        def no_lines(*args):
+            raise AssertionError("a save_csv file went to the line parser")
+
+        monkeypatch.setattr(data, "_parse_rows", no_lines)
+        monkeypatch.setattr(data, "_PLAIN_CHUNK", 7)  # many chunk boundaries
+        again = load_split_dir(tmp_path)
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            assert getattr(again, name).tobytes() == getattr(ds, name).tobytes(), name
+
+    @pytest.mark.parametrize("text", [
+        "f0,label\r\n1.5,0\r\n", "f0,label\n1.5,0\n\n2.5,1\n", "f0,label\n 1.5,0\n",
+        "f0,label\n1.5,\t0\n", "f0,label\n1.5,0", "f0,label\n1.5,+1\n", "f0,label\n1.5E3,0\n",
+        "f0,label\n1.5,9223372036854775808\n", "f0,label\n1.5,-9223372036854775808\n",
+        "f0,label\n1.5,1.0\n", "f0,label\n1_5,0\n", "f0,label\n\u0661,0\n", "f0,label\ninf,0\n",
+        '"f0",label\n1.5,0\n', "\ufefff0,label\n1.5,0\n", "f0,label\n", "", 'f0,label\n"1",0\n',
+        "f0,f1,label\n1,2,0\n1,0\n", "f0,f1,label\n1,2,0\n1,2,3,0\n", "f0,f1,label\n1\n2,0\n",
+    ], ids=["crlf", "blank line", "space", "tab", "no last newline", "plus label",
+            "capital E", "label past int64", "int64 min label", "decimal label", "underscore",
+            "arabic digit", "inf", "quoted header", "bom", "header only", "empty",
+            "quoted cell", "short row", "long row", "row split over lines"])
+    def test_other_files_go_to_the_line_parser(self, text):
+        """Each is read or rejected by the line parser, as the oracle tests
+        check; the array parser passes on all of them."""
+        assert data._plain_rows(text.encode()) is None
+
+    @needs_x87
+    @pytest.mark.parametrize("cell, label, class_count, fault", [
+        ("1e400", "1", None, "non-finite feature cell"),
+        ("-1e999", "1", None, "non-finite feature cell"),
+        ("0.5", "-3", None, "unknown label value -3"),
+        ("0.5", "5", 3, "unknown label value 5"),
+    ])
+    def test_a_fault_in_a_plain_file_names_its_line(self, tmp_path, cell, label, class_count,
+                                                    fault):
+        path = tmp_path / "rows.csv"
+        path.write_text(f"f0,f1,label\n1.5,2.5,0\n-0.25,{cell},{label}\n3,4,1\n")
+        assert data._plain_rows(path.read_bytes()) is not None
+        with pytest.raises(DataFormatError, match=f"rows.csv: line 3: {fault}$"):
+            load_csv(path, class_count)
+
+    def test_without_x87_long_doubles_every_file_goes_to_the_line_parser(self, tmp_path,
+                                                                         monkeypatch):
+        ds = gen_gaussian_mixture(3, 4, 20, 1.0, seed=2)
+        save_split_dir(tmp_path, ds)
+        monkeypatch.setattr(data, "_X87_LONG_DOUBLE", False)
+        assert data._plain_rows((tmp_path / "train.csv").read_bytes()) is None
+        again = load_split_dir(tmp_path)
+        assert again.train_features.tobytes() == ds.train_features.tobytes()
+        assert again.test_labels.tobytes() == ds.test_labels.tobytes()
 
 
 class TestSplitDir:
