@@ -29,6 +29,6 @@ from .knowledge import (
 )
 from .nn import MlpModel, TrainConfig, init_mlp, softmax, train_teacher
 from .ogve import OgveConfig, ValueState, rank
-from .vaks import Partition, augment, epsilon_schedule, partition, summarize
+from .vaks import augment, epsilon_schedule
 
 __version__ = "0.1.0"

@@ -178,8 +178,8 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps_m < 0.0:
-            raise ValueError("eps_m must be >= 0")
+        if not 0.0 <= self.eps_m < np.inf:
+            raise ValueError(f"eps_m must be finite and >= 0, got {self.eps_m}")
 
     def echo(self) -> dict:
         return {
@@ -361,8 +361,10 @@ class _Run:
             return np.arange(n), None, 1.0 / n, 0
         labeling = self.label(self, self.config.schedule.tau_list[s - 1])
         condensed = self.condense(self, labeling)
-        if condensed.member_ids.size == 0:
-            raise ValueError(f"stage {s} selected an empty knowledge set")
+        kept = int(np.count_nonzero(labeling.labels))
+        if condensed.size != kept:
+            raise DistillationError(f"{self.name}: stage {s}: condensed size "
+                                    f"{condensed.size} does not equal kept size {kept}")
         self.labels, self.ranks = labeling.labels, labeling.ranks
         # 1 - r/N for the largest kept rank r: 1 - (keep_count(n, tau_s) - 1)/N
         # when the labeling follows the schedule
@@ -516,6 +518,9 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
             raise ValueError(f"unknown method {job.method!r}; expected one of {ALL_METHODS}")
         if job.labeling is not None and job.labeling.n != store.n:
             raise ValueError(f"label count {job.labeling.n} does not match store size {store.n}")
+        if job.labeling is not None and not job.labeling.labels.any():
+            raise ValueError(f"{job.method} seed {job.config.seed}: the imported labeling "
+                             "keeps no sample, an empty knowledge set")
         groups.setdefault(_shape_key(store, job), []).append(i)
     chunks = [chunk.tolist() for group in groups.values()
               for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]

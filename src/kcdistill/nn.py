@@ -49,18 +49,18 @@ class TrainConfig:
     hard_label_weight: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
-        if not (0.0 <= self.hard_label_weight <= 1.0):
-            raise ValueError("hard_label_weight must be in [0, 1]")
+        # every comparison with NaN is False, so NaN fails each range
+        for name, ok, rule in (
+            ("lr", 0.0 <= self.lr < np.inf, "finite and >= 0"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("weight_decay", 0.0 <= self.weight_decay < np.inf, "finite and >= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr_decay_factor", 0.0 <= self.lr_decay_factor < np.inf, "finite and >= 0"),
+            ("temperature", 0.0 < self.temperature < np.inf, "finite and > 0"),
+            ("hard_label_weight", 0.0 <= self.hard_label_weight <= 1.0, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
         self.lr_decay_epochs = tuple(int(e) for e in self.lr_decay_epochs)
 
     @classmethod

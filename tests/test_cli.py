@@ -128,6 +128,21 @@ class TestDistill:
         assert exc.value.code == 2
         assert "T must divide I" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--eps-m", "eps_m must be finite and >= 0"),
+        ("--lr", "lr must be finite and >= 0"),
+        ("--temperature", "temperature must be finite and > 0"),
+    ])
+    def test_nan_option_is_refused_before_any_file_is_read(self, tmp_path, capsys,
+                                                           flag, message):
+        # neither input exists: reading one would fail with another message
+        code = main(["distill", "--data", str(tmp_path / "nowhere"),
+                     "--teacher-probs", str(tmp_path / "none.npy"), flag, "nan",
+                     "--out-record", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}, got nan\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_data_dir_is_clean_error(self, workdir, tmp_path, capsys):
         code = main(["distill", "--data", str(tmp_path / "nowhere"),
                      "--teacher-probs", str(workdir / "teacher_probs.npy"),

@@ -3,13 +3,14 @@ import json
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcdistill import emdriver, nn, ogve, vaks
+from kcdistill import emdriver, evaluation, nn, ogve, vaks
 from kcdistill.emdriver import (
     ALL_METHODS,
     REUSE_MODES,
@@ -132,6 +133,20 @@ class TestScheduleConfig:
     def test_config_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             DistillConfig(eps_m=-0.1)
+
+    @pytest.mark.parametrize("config, field, value", [
+        (DistillConfig, "eps_m", np.nan), (DistillConfig, "eps_m", np.inf),
+        (TrainConfig, "lr", np.nan), (TrainConfig, "lr", np.inf),
+        (TrainConfig, "momentum", np.nan),
+        (TrainConfig, "weight_decay", np.nan), (TrainConfig, "weight_decay", np.inf),
+        (TrainConfig, "temperature", np.nan), (TrainConfig, "temperature", np.inf),
+        (TrainConfig, "lr_decay_factor", np.nan), (TrainConfig, "lr_decay_factor", np.inf),
+        (TrainConfig, "lr_decay_factor", -1.0),
+        (TrainConfig, "hard_label_weight", np.nan),
+    ])
+    def test_configs_reject_non_finite_and_out_of_range_fields(self, config, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value}$"):
+            config(**{field: value})
 
 
 class TestRunMechanics:
@@ -297,14 +312,21 @@ class TestFixedLabelRuns:
         with pytest.raises(ValueError, match="unknown reuse mode"):
             run_with_fixed_labels(make_config(), store, student, ds, labeling, "nope")
 
-    def test_all_zero_labels_rejected(self, small_task):
+    def test_all_zero_labels_rejected(self, small_task, monkeypatch):
+        """run_group's job checks refuse the labeling: no epoch trains."""
         ds, store = small_task
         n = store.n
         labeling = ValueLabeling(ranks=np.arange(n), labels=np.zeros(n, dtype=np.uint8))
-        student = init_student(store.dim, (8,), store.num_classes, 0)
-        with pytest.raises(ValueError, match="empty knowledge set"):
-            run_with_fixed_labels(make_config(), store, student, ds, labeling,
-                                  "direct-select")
+        epochs = []
+        real = emdriver._train_epoch
+        monkeypatch.setattr(emdriver, "_train_epoch",
+                            lambda *args: epochs.append(1) or real(*args))
+        for mode in REUSE_MODES:
+            with pytest.raises(ValueError, match=f"^reuse-{mode} seed 3: the imported "
+                                                 "labeling keeps no sample, an empty "
+                                                 "knowledge set$"):
+                evaluation.reuse_run(labeling, make_config(seed=3), store, ds, mode)
+        assert epochs == []
 
     def test_with_vaks_mode_blends_borderline(self, small_task):
         ds, store = small_task
@@ -800,6 +822,34 @@ class TestLockstep:
                            match="^kcd seed 5: stage 1, epoch 2: non-finite gradient in layer 0"):
             run_small(small_task, seed=5)
         assert shapes[0] == (64, store.dim)
+
+
+@pytest.mark.parametrize("method, condenser", [("kcd", "condense"),
+                                               ("ogve-only", "direct_selection")])
+def test_condensed_size_is_checked_against_the_kept_count(small_task, monkeypatch,
+                                                          method, condenser):
+    """A condenser that drops a member at stage 2 stops the run there, naming
+    it, before stage 2 trains an epoch."""
+    ds, store = small_task
+    real, calls, epochs = getattr(vaks, condenser), [], []
+
+    def drops_one(*args, **kwargs):
+        condensed = real(*args, **kwargs)
+        calls.append(condensed.size)
+        if len(calls) == 2:
+            condensed = replace(condensed, member_ids=condensed.member_ids[1:])
+        return condensed
+
+    train_epoch = emdriver._train_epoch
+    monkeypatch.setattr(vaks, condenser, drops_one)
+    monkeypatch.setattr(emdriver, "_train_epoch",
+                        lambda *args: epochs.append(1) or train_epoch(*args))
+    kept = keep_count(store.n, tau_schedule(0.7, 4)[1])
+    with pytest.raises(DistillationError, match=f"^{method} seed 4: stage 2: condensed size "
+                                                f"{kept - 1} does not equal kept size {kept}$"):
+        run_small(small_task, method=method, seed=4)
+    assert calls[1] == kept
+    assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
 
 
 def random_labeling(n, keep_ratio):

@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 
 from kcdistill import vaks
-from kcdistill.knowledge import build_store
+from kcdistill.knowledge import CondensedSet, build_store
 from kcdistill.ogve import labeling_from_ranks
-from kcdistill.vaks import (
-    Partition,
-    augment,
-    condense,
-    direct_selection,
-    epsilon_schedule,
-    partition,
-    summarize,
-)
+from kcdistill.vaks import augment, condense, direct_selection, epsilon_schedule
 
 
 def labeled_store(n, keep_ratio, seed=0, classes=4):
@@ -24,56 +16,90 @@ def labeled_store(n, keep_ratio, seed=0, classes=4):
     return store, labeling
 
 
+def oracle_split(labeling):
+    """Brute force from np.argsort: the kept ids and the discarded ids, each
+    best first, and the borderline count min(|K0|, |K1|)."""
+    order = np.argsort(labeling.ranks)
+    kept = order[labeling.labels[order] == 1]
+    discarded = order[labeling.labels[order] == 0]
+    return kept, discarded, min(kept.size, discarded.size)
+
+
+def oracle_blend(store, labeling, schedule):
+    """Row j blends the j-th borderline id with the j-th best discarded id."""
+    kept, discarded, n_low = oracle_split(labeling)
+    border, partners = kept[kept.size - n_low:], discarded[:n_low]
+    p = store.teacher_probs
+    return border, np.array([(p[a] + eps * p[b]) / (1.0 + eps)
+                             for a, b, eps in zip(border, partners, schedule)])
+
+
 class TestPartition:
+    """condense and direct_selection split the labeling as the argsort oracle."""
+
     def test_best_to_worst_is_argsort_of_ranks(self):
         for seed, n in enumerate((1, 2, 10, 257)):
-            _, labeling = labeled_store(n, 0.6, seed=seed)
-            order = vaks.best_to_worst(labeling)
+            store, labeling = labeled_store(n, 0.6, seed=seed)
+            order = vaks._best_to_worst(labeling)
             assert order.dtype == np.int64
             assert np.array_equal(order, np.argsort(labeling.ranks))
+            kept, _, _ = oracle_split(labeling)
+            assert np.array_equal(direct_selection(labeling).member_ids, kept)
+            assert np.array_equal(condense(labeling, store, 0.3).member_ids, kept)
 
     def test_borderline_matches_discarded_size(self):
-        _, labeling = labeled_store(10, 0.7)
-        part = partition(labeling)
-        assert part.k1h_ids.size == 4
-        assert part.k1l_ids.size == 3
-        assert part.k0_ids.size == 3
+        store, labeling = labeled_store(10, 0.7)
+        condensed = condense(labeling, store, 0.3)
+        assert condensed.size - condensed.aug_ids.size == 4
+        assert condensed.aug_ids.size == 3
+        assert oracle_split(labeling)[1].size == 3
 
     def test_all_kept_degenerates(self):
-        _, labeling = labeled_store(10, 1.0)
-        part = partition(labeling)
-        assert part.k0_ids.size == 0
-        assert part.k1l_ids.size == 0
-        assert part.k1h_ids.size == 10
+        store, labeling = labeled_store(10, 1.0)
+        condensed = condense(labeling, store, 0.3)
+        assert condensed.aug_ids.size == 0
+        assert condensed.aug_probs.shape[0] == 0
+        assert np.array_equal(condensed.member_ids, np.argsort(labeling.ranks))
 
     def test_clamp_when_discarded_outnumbers_kept(self):
-        _, labeling = labeled_store(10, 0.4)
-        part = partition(labeling)
-        assert part.k1h_ids.size == 0
-        assert part.k1l_ids.size == 4
-        assert part.k0_ids.size == 6
-        assert part.k1l_ids.size == min(part.k0_ids.size, part.k1_size)
+        store, labeling = labeled_store(10, 0.4)
+        condensed = condense(labeling, store, 0.3)
+        kept, discarded, n_low = oracle_split(labeling)
+        assert (kept.size, discarded.size, n_low) == (4, 6, 4)
+        assert condensed.size - condensed.aug_ids.size == 0
+        assert np.array_equal(condensed.aug_ids, kept)
+        assert np.array_equal(condensed.member_ids, kept)
 
     def test_lists_ordered_by_rank(self):
-        _, labeling = labeled_store(30, 0.6, seed=3)
-        part = partition(labeling)
-        for ids in (part.k1h_ids, part.k1l_ids, part.k0_ids):
+        store, labeling = labeled_store(30, 0.6, seed=3)
+        condensed = condense(labeling, store, 0.3)
+        for ids in (condensed.member_ids, condensed.aug_ids,
+                    direct_selection(labeling).member_ids):
             ranks = labeling.ranks[ids]
             assert np.all(np.diff(ranks) > 0)  # strictly better-to-worse
+        # the partners, seen through the blend: the best discarded ids in order
+        border, oracle = oracle_blend(store, labeling,
+                                      epsilon_schedule(condensed.aug_ids.size, 0.3))
+        assert np.array_equal(condensed.aug_ids, border)
+        np.testing.assert_allclose(condensed.aug_probs, oracle, rtol=1e-12)
 
     def test_partition_covers_everything_disjointly(self):
-        _, labeling = labeled_store(25, 0.52, seed=4)
-        part = partition(labeling)
-        combined = np.concatenate([part.k1h_ids, part.k1l_ids, part.k0_ids])
+        store, labeling = labeled_store(25, 0.52, seed=4)
+        condensed = condense(labeling, store, 0.3)
+        kept, discarded, _ = oracle_split(labeling)
+        assert np.array_equal(np.sort(condensed.member_ids), np.flatnonzero(labeling.labels))
+        assert np.isin(condensed.aug_ids, condensed.member_ids).all()
+        combined = np.concatenate([condensed.member_ids, discarded])
         assert np.array_equal(np.sort(combined), np.arange(25))
 
     def test_borderline_has_lowest_kept_scores(self):
-        _, labeling = labeled_store(20, 0.7, seed=5)
-        part = partition(labeling)
-        if part.k1h_ids.size and part.k1l_ids.size:
-            worst_high = labeling.ranks[part.k1h_ids].max()
-            best_low = labeling.ranks[part.k1l_ids].min()
-            assert worst_high < best_low
+        store, labeling = labeled_store(20, 0.7, seed=5)
+        condensed = condense(labeling, store, 0.3)
+        aug = condensed.aug_ids
+        high = condensed.member_ids[:condensed.size - aug.size]
+        assert high.size and aug.size
+        assert np.array_equal(condensed.member_ids[high.size:], aug)
+        assert labeling.ranks[high].max() < labeling.ranks[aug].min()
 
 
 class TestEpsilonSchedule:
@@ -122,10 +148,12 @@ class TestAugment:
 
     def test_zero_blend_is_identity(self):
         store, labeling = labeled_store(8, 0.5, seed=6)
-        part = partition(labeling)
-        out = augment(part.k1l_ids, part.k0_ids[:part.k1l_ids.size],
-                      np.zeros(part.k1l_ids.size), store)
-        np.testing.assert_array_equal(out, store.teacher_probs[part.k1l_ids])
+        kept, discarded, n_low = oracle_split(labeling)
+        out = augment(kept[kept.size - n_low:], discarded[:n_low], np.zeros(n_low), store)
+        np.testing.assert_array_equal(out, store.teacher_probs[kept[kept.size - n_low:]])
+        condensed = condense(labeling, store, 0.0)
+        np.testing.assert_array_equal(condensed.aug_probs,
+                                      store.teacher_probs[condensed.aug_ids])
 
     def test_uniform_is_fixed_point(self):
         store = build_store(np.zeros((2, 3)), np.full((2, 3), 1 / 3))
@@ -196,20 +224,12 @@ class TestSummarize:
 
     def test_overlap_rejected(self):
         store, labeling = labeled_store(10, 0.7, seed=12)
-        part = partition(labeling)
-        sched = epsilon_schedule(part.k1l_ids.size, 0.3)
-        blended = augment(part.k1l_ids, part.k0_ids[:part.k1l_ids.size], sched, store)
-        bad = Partition(part.k1h_ids, np.r_[part.k1h_ids[0], part.k1l_ids[1:]], part.k0_ids)
+        condensed = condense(labeling, store, 0.3)
+        high = condensed.member_ids[:condensed.size - condensed.aug_ids.size]
+        aug = np.r_[high[0], condensed.aug_ids[1:]]
         with pytest.raises(ValueError, match="duplicate member ids"):
-            summarize(bad, blended)
-
-    def test_condense_checks_size_against_kept_count(self, monkeypatch):
-        store, labeling = labeled_store(10, 0.7, seed=12)
-        part = partition(labeling)
-        short = Partition(part.k1h_ids[1:], part.k1l_ids, part.k0_ids)
-        monkeypatch.setattr(vaks, "partition", lambda _: short)
-        with pytest.raises(ValueError, match="condensed size 6 does not equal kept size 7"):
-            condense(labeling, store, 0.3)
+            CondensedSet(member_ids=np.r_[high, aug], aug_ids=aug,
+                         aug_probs=condensed.aug_probs)
 
     def test_size_equals_kept_count_across_grid(self):
         rng = np.random.default_rng(13)
@@ -230,13 +250,11 @@ class TestSummarize:
 
     def test_constant_eps_variant(self):
         store, labeling = labeled_store(10, 0.7, seed=15)
-        part = partition(labeling)
         condensed = condense(labeling, store, 0.3, constant_eps=True)
-        assert np.array_equal(condensed.aug_ids, part.k1l_ids)
-        for j, sid in enumerate(part.k1l_ids):
-            paired = part.k0_ids[j]
-            oracle = (store.teacher_probs[sid] + 0.3 * store.teacher_probs[paired]) / 1.3
-            np.testing.assert_allclose(condensed.aug_probs[j], oracle, rtol=1e-12)
+        border, oracle = oracle_blend(store, labeling, [0.3] * 3)
+        assert np.array_equal(condensed.aug_ids, border)
+        assert np.array_equal(condensed.member_ids, oracle_split(labeling)[0])
+        np.testing.assert_allclose(condensed.aug_probs, oracle, rtol=1e-12)
 
     def test_direct_selection_keeps_originals(self):
         _, labeling = labeled_store(10, 0.7, seed=16)
