@@ -203,7 +203,7 @@ def cmd_distill(args, parser) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
     student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
                                     store.num_classes, args.seed)
-    student, record = emdriver.run_baseline(config, store, student, dataset, method)
+    student, record = emdriver.run(config, store, student, dataset, method)
     record_path = _persist_record(record, args, f"{method}-s{args.seed}")
     if args.export_labels:
         knowledge.save_labels(args.export_labels, record.final_labeling())
@@ -280,16 +280,6 @@ def cmd_report(args, parser) -> int:
     return 0
 
 
-def _hamming_matrix(label_sets: list[np.ndarray]) -> np.ndarray:
-    """Pairwise label disagreement counts across runs."""
-    k = len(label_sets)
-    out = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out[i, j] = out[j, i] = evaluation.hamming_distance(label_sets[i], label_sets[j])
-    return out
-
-
 def _emit_plot_data(records, out_csv: Path) -> None:
     by_key: dict[tuple, list[float]] = {}
     for _, r in records:
@@ -305,10 +295,9 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     for p, r in records:
         sized.setdefault(r.final_labels.size, []).append((str(p), r.final_labels))
     biggest = max(sized.values(), key=len)
-    matrix = _hamming_matrix([lab for _, lab in biggest])
     ham = ["record," + ",".join(name for name, _ in biggest)]
-    for i, (name, _) in enumerate(biggest):
-        ham.append(name + "," + ",".join(str(int(v)) for v in matrix[i]))
+    ham += [name + "," + ",".join(str(evaluation.hamming_distance(a, b)) for _, b in biggest)
+            for name, a in biggest]
     ham_path = out_csv.with_name(out_csv.stem + "_hamming.csv")
     datamod.write_atomic(ham_path, ("\n".join(ham) + "\n").encode())
 

@@ -72,15 +72,8 @@ METHOD_OGVE_ONLY = "ogve-only"
 METHOD_NO_OVR = "no-ovr"
 METHOD_NO_CAR = "no-car"
 METHOD_FIXED_EPS = "fixed-eps"
-BASELINE_METHODS = (
-    METHOD_FULL_KD,
-    METHOD_RANDOM,
-    METHOD_OGVE_ONLY,
-    METHOD_NO_OVR,
-    METHOD_NO_CAR,
-    METHOD_FIXED_EPS,
-)
-ALL_METHODS = (METHOD_KCD,) + BASELINE_METHODS
+ALL_METHODS = (METHOD_KCD, METHOD_FULL_KD, METHOD_RANDOM, METHOD_OGVE_ONLY,
+               METHOD_NO_OVR, METHOD_NO_CAR, METHOD_FIXED_EPS)
 
 REUSE_DIRECT = "direct-select"
 REUSE_VAKS = "with-vaks"
@@ -275,7 +268,7 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
     return nn.init_mlp(dims, np.random.default_rng([seed, 0]))
 
 
-def _train_epoch(stack, state, runs, store, active, blends, tcfg, lr,
+def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
                  stage: int, epoch: int) -> np.ndarray:
     """One epoch of a lockstep group: run k shuffles its sorted active[k] and
     distills against the store's teacher probs with blends[k] applied: None,
@@ -324,7 +317,7 @@ def _train_epoch(stack, state, runs, store, active, blends, tcfg, lr,
             raise DistillationError(
                 f"{bad.name}: non-finite training loss at stage {stage}, epoch {epoch}")
         try:
-            nn.sgd_step(stack, gw, gb, state, lr, tcfg)
+            nn.sgd_step(stack, gw, gb, vel, lr, tcfg)
         except FloatingPointError as exc:
             bad = runs[exc.index[0] if exc.index else 0]
             raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
@@ -346,6 +339,7 @@ class _Run:
         self.store, self.config, self.student, self.method, self.fixed = (
             store, config, student, method, fixed)
         self.label, self.condense, reads_values = _METHODS[method]
+        self.sizes = _stage_sizes(store.n, method, config.schedule, fixed)
         self.values = ogve.ValueState(store.n) if reads_values else None
         self.select_rng = np.random.default_rng([config.seed, 2])
         self.train_rng = np.random.default_rng([config.seed, 1])
@@ -355,13 +349,17 @@ class _Run:
         self.labels, self.ranks = np.ones(store.n, dtype=np.uint8), None
 
     def stage(self, s: int):
-        """Active ids, blend (see _train_epoch), rank threshold and blended count."""
+        """Active ids, blend (see _train_epoch), rank threshold and blended
+        count, once the kept and condensed sizes match the planned size."""
         n = self.store.n
         if self.label is None:
             return np.arange(n), None, 1.0 / n, 0
         labeling = self.label(self, self.config.schedule.tau_list[s - 1])
-        condensed = self.condense(self, labeling)
         kept = int(np.count_nonzero(labeling.labels))
+        if kept != self.sizes[s - 1]:
+            raise DistillationError(f"{self.name}: stage {s}: the labeling keeps {kept} "
+                                    f"samples, the stage plans {self.sizes[s - 1]}")
+        condensed = self.condense(self, labeling)
         if condensed.size != kept:
             raise DistillationError(f"{self.name}: stage {s}: condensed size "
                                     f"{condensed.size} does not equal kept size {kept}")
@@ -421,7 +419,7 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     # lone run ~4% per step at batch 512
     stack = runs[0].student.copy() if len(runs) == 1 else nn.stack_models(
         [r.student for r in runs])
-    state = nn.SgdState.zeros_like(stack)
+    vel = np.zeros_like(stack.params)
     test_x, test_y = dataset.test_features, dataset.test_labels
     forward_count = 0
 
@@ -429,7 +427,7 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
         nonlocal forward_count
         for _ in range(count):
             epoch = len(runs[0].epochs) + 1
-            losses = _train_epoch(stack, state, runs, store, active, blends, tcfg,
+            losses = _train_epoch(stack, vel, runs, store, active, blends, tcfg,
                                   nn.lr_at_epoch(tcfg, epoch), stage_no, epoch)
             forward_count += active[0].size
             accs = np.atleast_1d(accuracy(stack, test_x, test_y))
@@ -485,42 +483,53 @@ class Job(NamedTuple):
     labeling: ValueLabeling | None = None
 
 
+def _stage_sizes(n: int, method: str, sched: ScheduleConfig, labeling) -> tuple[int, ...]:
+    """The number of samples each stage keeps: N for full-kd, the imported
+    kept count for reuse rows, keep_count(N, tau_s) otherwise."""
+    label = _METHODS[method][0]
+    if label is None:
+        return (n,) * sched.stage_count
+    if label is _imported:
+        return (int(np.count_nonzero(labeling.labels)),) * sched.stage_count
+    return tuple(ogve.keep_count(n, tau) for tau in sched.tau_list)
+
+
 def _shape_key(store: KnowledgeStore, job: Job) -> tuple:
     """Jobs with equal keys on one store can train in lockstep."""
     sched = job.config.schedule
-    label = _METHODS[job.method][0]
-    if label is None:
-        sizes = (store.n,) * sched.stage_count
-    elif label is _imported:
-        sizes = (int(job.labeling.labels.sum()),) * sched.stage_count
-    else:
-        sizes = tuple(ogve.keep_count(store.n, tau) for tau in sched.tau_list)
     return (sched.total_epochs, sched.stage_len, astuple(job.config.train),
-            tuple(job.student.layer_dims), sizes)
+            tuple(job.student.layer_dims),
+            _stage_sizes(store.n, job.method, sched, job.labeling))
 
 
 def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
     """Train any list of Jobs; returns a (student, record) pair per job, in
     job order, each student holding its trained parameters.
 
-    Every job is checked before any run starts. Jobs with one _shape_key
-    train in lockstep; each shape group splits into at most one chunk per
-    usable CPU, and _pool_map spreads the chunks over worker processes. A
-    lone job trains an unstacked copy of its student. Students take their
-    trained parameters only after every chunk has returned, so a failing job
-    leaves every student as it was, on any CPU count. Records and parameters
-    are bit-identical to training each job alone.
+    Every job is checked before any run starts: only a reuse row takes a
+    labeling, and a hard-label weight needs a store with hard labels. Jobs
+    with one _shape_key train in lockstep; each shape group splits into at
+    most one chunk per usable CPU, and _pool_map spreads the chunks over
+    worker processes. A lone job trains an unstacked copy of its student.
+    Students take their trained parameters only after every chunk has
+    returned, so a failing job leaves every student as it was, on any CPU
+    count. Records and parameters are bit-identical to training each job alone.
     """
     jobs = [Job(*job) for job in jobs]
     groups: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
         if job.method not in (ALL_METHODS if job.labeling is None else _METHODS):
             raise ValueError(f"unknown method {job.method!r}; expected one of {ALL_METHODS}")
+        name = f"{job.method} seed {job.config.seed}"
+        if job.labeling is not None and _METHODS[job.method][0] is not _imported:
+            raise ValueError(f"{name}: the method imports no labeling, but one was given")
         if job.labeling is not None and job.labeling.n != store.n:
             raise ValueError(f"label count {job.labeling.n} does not match store size {store.n}")
         if job.labeling is not None and not job.labeling.labels.any():
-            raise ValueError(f"{job.method} seed {job.config.seed}: the imported labeling "
-                             "keeps no sample, an empty knowledge set")
+            raise ValueError(f"{name}: the imported labeling keeps no sample, "
+                             "an empty knowledge set")
+        if job.config.train.hard_label_weight > 0.0 and store.hard_labels is None:
+            raise ValueError(f"{name}: hard_label_weight > 0 needs a store with hard labels")
         groups.setdefault(_shape_key(store, job), []).append(i)
     chunks = [chunk.tolist() for group in groups.values()
               for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]

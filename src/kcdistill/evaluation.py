@@ -52,7 +52,7 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     both before any run starts. run_group trains the runs that share a shape
     key in lockstep: at one rho every scheduled method and seed keeps the
     same set sizes, and full-kd keeps N at any rho. Rows are bit-identical
-    to one run_baseline call per job.
+    to one emdriver.run call per job.
     """
     grid = list(itertools.product(rho_grid, seeds, methods))
     jobs = [emdriver.Job(

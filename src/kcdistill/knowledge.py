@@ -37,28 +37,20 @@ class LabelStreamError(ValueError):
         return f"{self.args[0]} (byte offset {self.offset})"
 
 
-def check_simplex(probs: np.ndarray, *, context: str = "probability vector") -> None:
-    """Reject vectors that are not on the probability simplex (within 1e-6)."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{context} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{context} is not a probability simplex: non-finite entry")
-    if np.any(p < 0.0):
-        raise ValueError(f"{context} is not a probability simplex: negative entry")
-    total = float(p.sum())
-    if abs(total - 1.0) > SIMPLEX_ATOL:
-        raise ValueError(
-            f"{context} is not a probability simplex (sum={total:.8f})"
-        )
-
-
-def _first_off_simplex(probs: np.ndarray) -> int:
-    """Index of the first row of a 2-d array that check_simplex would reject,
-    or -1. A NaN or inf entry makes the row sum fail the tolerance test."""
+def check_simplex(probs: np.ndarray, context) -> None:
+    """Reject the first row of a 2-d array that is not on the probability
+    simplex (within 1e-6), named context(row index). A NaN or inf entry makes
+    the row sum fail the tolerance test."""
     ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
     bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else -1
+    if not bad.size:
+        return
+    p, where = probs[bad[0]], context(int(bad[0]))
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{where} is not a probability simplex: non-finite entry")
+    if np.any(p < 0.0):
+        raise ValueError(f"{where} is not a probability simplex: negative entry")
+    raise ValueError(f"{where} is not a probability simplex (sum={float(p.sum()):.8f})")
 
 
 def check_permutation(ranks: np.ndarray, n: int) -> None:
@@ -145,9 +137,7 @@ class CondensedSet:
             raise ValueError(f"aug id {self.aug_ids[outside[0]]} is not a member")
         if _has_duplicates(self.aug_ids):
             raise ValueError("condensed set has duplicate aug ids")
-        j = _first_off_simplex(self.aug_probs)
-        if j >= 0:
-            check_simplex(self.aug_probs[j], context=f"aug_probs for sample {self.aug_ids[j]}")
+        check_simplex(self.aug_probs, lambda j: f"aug_probs for sample {self.aug_ids[j]}")
 
     @property
     def size(self) -> int:
@@ -174,9 +164,7 @@ class KnowledgeStore:
                 f"dataset and teacher_probs lengths differ: "
                 f"{features.shape[0]} vs {teacher_probs.shape[0]}"
             )
-        i = _first_off_simplex(teacher_probs)
-        if i >= 0:
-            check_simplex(teacher_probs[i], context=f"sample {i}: teacher_probs")
+        check_simplex(teacher_probs, lambda i: f"sample {i}: teacher_probs")
         if hard_labels is not None:
             hard_labels = read_only(hard_labels, np.int64)
             if hard_labels.shape != (features.shape[0],):

@@ -217,15 +217,13 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
     batch = x.shape[-2]
 
+    # forward's in-place layers, keeping each ReLU output for the backward pass
     acts = [x]
-    pre = []
-    h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b[..., None, :]
-        pre.append(z)
-        h = np.maximum(z, 0.0)
-        acts.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1][..., None, :]
+        h = acts[-1] @ w
+        h += b[..., None, :]
+        acts.append(np.maximum(h, 0.0, out=h))
+    logits = acts[-1] @ model.weights[-1] + model.biases[-1][..., None, :]
 
     probs_t = softmax(logits, temperature)
     probs_1 = probs_t if temperature == 1.0 else softmax(logits, 1.0)
@@ -247,26 +245,17 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     grads_w[-1] = acts[-1].swapaxes(-1, -2) @ delta
     grads_b[-1] = np.add.reduce(delta, axis=-2)
     for layer in range(len(model.weights) - 2, -1, -1):
-        delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (pre[layer] > 0.0)
+        # a ReLU output is > 0 exactly where its input is (both False at NaN)
+        delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (acts[layer + 1] > 0.0)
         grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
         grads_b[layer] = np.add.reduce(delta, axis=-2)
     return loss, grads_w, grads_b, probs_1
 
 
-@dataclass
-class SgdState:
-    """Momentum buffer laid out like MlpModel.params."""
-
-    vel: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, model: MlpModel) -> "SgdState":
-        return cls(vel=np.zeros_like(model.params))
-
-
-def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float,
+def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
              cfg: TrainConfig) -> None:
-    """Momentum SGD update with decoupled-from-loss weight decay on weights.
+    """Momentum SGD update with decoupled-from-loss weight decay on weights;
+    vel is the momentum buffer, laid out like model.params and updated in place.
 
     Per element this is the per-layer rule vel = momentum * vel + (g + wd * w)
     for weights and vel = momentum * vel + g for biases, then p -= lr * vel,
@@ -293,7 +282,6 @@ def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float,
     nw = model.n_weight
     # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
     g[..., :nw] += cfg.weight_decay * model.params[..., :nw]
-    vel = state.vel
     vel *= cfg.momentum
     vel += g
     model.params -= lr * vel
@@ -308,7 +296,7 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
     shuffle_rng = np.random.default_rng([seed, 1])
     onehot = np.zeros((x.shape[0], model.num_classes))
     onehot[np.arange(x.shape[0]), y] = 1.0
-    state = SgdState.zeros_like(model)
+    vel = np.zeros_like(model.params)
     for epoch in range(1, epochs + 1):
         lr = lr_at_epoch(cfg, epoch)
         order = shuffle_rng.permutation(x.shape[0])
@@ -318,7 +306,7 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
                                              onehot.take(idx, axis=0))
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
-            sgd_step(model, gw, gb, state, lr, cfg)
+            sgd_step(model, gw, gb, vel, lr, cfg)
     return model
 
 

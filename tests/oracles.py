@@ -3,7 +3,7 @@
 None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
-emdriver.relative_cost, nn.loss_and_grads), in place (nn.forward) or in
+emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads) or in
 bulk (data.load_csv, data.save_csv, emdriver.RunRecord.to_dict).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
@@ -19,7 +19,7 @@ import numpy as np
 
 from kcdistill import nn
 from kcdistill.data import CSV_FLOAT_FORMAT, Dataset, DataFormatError
-from kcdistill.knowledge import check_permutation, check_simplex
+from kcdistill.knowledge import SIMPLEX_ATOL, check_permutation
 from kcdistill.ogve import OgveConfig, keep_count
 
 
@@ -60,6 +60,43 @@ def logits(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = np.maximum(h @ w + b[..., None, :], 0.0)
     return h @ model.weights[-1] + model.biases[-1][..., None, :]
+
+
+def loss_and_grads(model: nn.MlpModel, x, target_probs, temperature: float = 1.0,
+                   hard_labels=None, hard_label_weight: float = 0.0):
+    """nn.loss_and_grads with a fresh array per forward operation: each
+    hidden layer's pre-activation z is kept, and the backward pass masks
+    the ReLU with z > 0."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
+    batch = x.shape[-2]
+    acts, pre, h = [x], [], x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = h @ w + b[..., None, :]
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+        acts.append(h)
+    out = h @ model.weights[-1] + model.biases[-1][..., None, :]
+    probs_t = nn.softmax(out, temperature)
+    probs_1 = probs_t if temperature == 1.0 else nn.softmax(out, 1.0)
+    loss = nn._kd_loss(targets, probs_t)
+    dlogits = (probs_t - targets) / (temperature * batch)
+    if hard_label_weight > 0.0:
+        y = np.asarray(hard_labels, dtype=np.int64)[..., None]
+        picked = np.maximum(np.take_along_axis(probs_1, y, axis=-1)[..., 0], nn.PROB_FLOOR)
+        loss = loss + hard_label_weight * np.mean(-np.log(picked), axis=-1)
+        onehot = np.zeros_like(probs_1)
+        np.put_along_axis(onehot, y, 1.0, axis=-1)
+        dlogits = dlogits + hard_label_weight * (probs_1 - onehot) / batch
+    grads_w, grads_b = [None] * len(model.weights), [None] * len(model.biases)
+    delta = dlogits
+    grads_w[-1] = acts[-1].swapaxes(-1, -2) @ delta
+    grads_b[-1] = np.add.reduce(delta, axis=-2)
+    for layer in range(len(model.weights) - 2, -1, -1):
+        delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (pre[layer] > 0.0)
+        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
+        grads_b[layer] = np.add.reduce(delta, axis=-2)
+    return loss, grads_w, grads_b, probs_1
 
 
 def finite_difference_check(model: nn.MlpModel, x: np.ndarray, target_probs: np.ndarray,
@@ -110,7 +147,11 @@ class ValueRecord:
 def prediction_entropy(student_probs) -> float:
     """Entropy -sum(p log p) of one prediction, with 0 log 0 taken as 0."""
     p = np.asarray(student_probs, dtype=np.float64)
-    check_simplex(p, context="student_probs")
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError("student_probs must be a non-empty 1-d vector")
+    if not (np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            and abs(float(p.sum()) - 1.0) <= SIMPLEX_ATOL):
+        raise ValueError(f"student_probs {p} is not a probability simplex")
     return float(masked_entropy_rows(p))
 
 

@@ -5,9 +5,10 @@ import shutil
 import numpy as np
 import pytest
 
-from kcdistill.cli import _hamming_matrix, _run_dir, main
+from kcdistill.cli import _run_dir, main
 from kcdistill.data import load_split_dir
 from kcdistill.emdriver import RunRecord
+from kcdistill.evaluation import hamming_distance
 from kcdistill.knowledge import load_labels, save_labels
 from kcdistill.nn import load_model
 from kcdistill.ogve import labeling_from_ranks
@@ -277,16 +278,35 @@ class TestReuseAndSweep:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestHammingMatrix:
-    def test_matrix_symmetry(self):
-        rng = np.random.default_rng(3)
-        sets = [rng.integers(0, 2, size=12) for _ in range(4)]
-        mat = _hamming_matrix(sets)
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.diag(mat) == 0)
-
-
 class TestReport:
+    def test_hamming_csv_holds_each_pair_distance(self, workdir, tmp_path):
+        """summary_hamming.csv has a row and a column per record: symmetric,
+        zero on the diagonal, each cell the hamming_distance of the two
+        records' final labels. full-kd keeps every sample, so its distance
+        to a run is the number of samples that run discarded."""
+        records_dir = tmp_path / "records"
+        records_dir.mkdir()
+        for name, method, seed in (("a", "kcd", 10), ("b", "kcd", 11), ("c", "random", 12),
+                                   ("d", "full-kd", 13)):
+            assert main(distill_args(workdir, records_dir / f"{name}.json",
+                                     ["--method", method, "--seed", str(seed)])) == 0
+        out = tmp_path / "summary.csv"
+        assert main(["report", "--records", str(records_dir), "--out-csv", str(out),
+                     "--emit-plot-data"]) == 0
+        rows = [line.split(",")
+                for line in (tmp_path / "summary_hamming.csv").read_text().splitlines()]
+        names = rows[0][1:]
+        assert rows[0][0] == "record"
+        assert names == [r[0] for r in rows[1:]] == [str(records_dir / f"{c}.json")
+                                                     for c in "abcd"]
+        matrix = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
+        labels = [RunRecord.load(name).final_labels for name in names]
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diag(matrix).any()
+        assert matrix.tolist() == [[hamming_distance(a, b) for b in labels] for a in labels]
+        assert matrix[:3, 3].tolist() == [int(np.count_nonzero(lab == 0)) for lab in labels[:3]]
+        assert matrix[:3, :3].any()
+
     def test_summary_and_plot_data(self, workdir, tmp_path):
         records_dir = tmp_path / "records"
         records_dir.mkdir()

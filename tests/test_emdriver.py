@@ -514,7 +514,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
 
     def fresh(k):
         student = init_student(store.dim, (8,), store.num_classes, 3 + k)
-        return student, nn.SgdState.zeros_like(student), np.random.default_rng(4 + k)
+        return student, np.zeros_like(student.params), np.random.default_rng(4 + k)
 
     expected = []
     for k, active, blend in zip(ks, actives, blends):
@@ -523,7 +523,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
             blended = blend[0] >= 0
             target[blended] = blend[1][blend[0][blended]]
         values = ogve.ValueState(n)
-        student, state, rng = fresh(k)
+        student, vel, rng = fresh(k)
         for _ in range(2):
             ids = np.sort(active)
             order = ids[rng.permutation(ids.size)]
@@ -532,7 +532,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
                 _, gw, gb, probs_1 = nn.loss_and_grads(
                     student, store.features[batch], target[batch], tcfg.temperature,
                     None if hard is None else hard[batch], tcfg.hard_label_weight)
-                nn.sgd_step(student, gw, gb, state, tcfg.lr, tcfg)
+                nn.sgd_step(student, gw, gb, vel, tcfg.lr, tcfg)
                 ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
         expected.append(((values.values, values.last_values, values.frequencies),
                          student.params.copy()))
@@ -544,9 +544,9 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
         runs[-1].train_rng = rng
     stack = (runs[0].student if len(runs) == 1
              else nn.stack_models([run.student for run in runs]))
-    state = nn.SgdState.zeros_like(stack)
+    vel = np.zeros_like(stack.params)
     for epoch in (1, 2):
-        emdriver._train_epoch(stack, state, runs, store, actives, blends, tcfg,
+        emdriver._train_epoch(stack, vel, runs, store, actives, blends, tcfg,
                               tcfg.lr, 1, epoch)
     assert stack.params.ndim == (1 if len(runs) == 1 else 2)
     for run, params, (expected_values, expected_params) in zip(
@@ -630,6 +630,11 @@ class TestTrainEpoch:
 class TestMethodTable:
     def test_rows_are_exactly_the_methods_and_reuse_modes(self):
         assert set(emdriver._METHODS) == set(ALL_METHODS) | {f"reuse-{m}" for m in REUSE_MODES}
+
+    def test_all_methods_keep_their_order(self):
+        """A sweep over ALL_METHODS writes its rows, and so its digest, in this order."""
+        assert ALL_METHODS == ("kcd", "full-kd", "random-subset", "ogve-only", "no-ovr",
+                               "no-car", "fixed-eps")
 
     def test_run_takes_the_method(self, small_task):
         ds, store = small_task
@@ -739,7 +744,10 @@ class TestLockstep:
         ("telepathy", None, "unknown method 'telepathy'; expected one of"),
         ("reuse-with-vaks", None, "unknown method 'reuse-with-vaks'; expected one of"),
         ("reuse-direct-select", 50, "label count 50 does not match store size 96"),
-    ], ids=["unknown-method", "reuse-without-labeling", "labeling-of-wrong-size"])
+        ("kcd", 96, "^kcd seed 0: the method imports no labeling, but one was given$"),
+        ("full-kd", 96, "^full-kd seed 0: the method imports no labeling, but one was given$"),
+    ], ids=["unknown-method", "reuse-without-labeling", "labeling-of-wrong-size",
+            "labeling-for-a-ranking-method", "labeling-for-full-kd"])
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_a_bad_job_anywhere_raises_before_any_run(self, small_task, monkeypatch,
                                                        method, label_count, message, at):
@@ -788,6 +796,23 @@ class TestLockstep:
             assert j.student.params.tobytes() == params.tobytes()
 
 
+    def test_hard_label_weight_needs_a_store_with_hard_labels(self, small_task, monkeypatch):
+        """The job is refused by name before any epoch trains, not by the
+        first batch's loss_and_grads."""
+        ds, store = small_task
+        bare = build_store(store.features, store.teacher_probs)
+        epochs, train_epoch = [], emdriver._train_epoch
+        monkeypatch.setattr(emdriver, "_train_epoch",
+                            lambda *args: epochs.append(1) or train_epoch(*args))
+        jobs = [Job(make_config(seed=s, hard_label_weight=w),
+                    init_student(store.dim, (8,), store.num_classes, s), "kcd")
+                for s, w in ((2, 0.0), (3, 0.3))]
+        with pytest.raises(ValueError, match="^kcd seed 3: hard_label_weight > 0 needs a "
+                                             "store with hard labels$"):
+            run_group(bare, ds, jobs)
+        assert epochs == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_failing_job_leaves_every_student_as_it_was(self, small_task, monkeypatch,
                                                           cpus):
@@ -849,6 +874,32 @@ def test_condensed_size_is_checked_against_the_kept_count(small_task, monkeypatc
                                                 f"{kept - 1} does not equal kept size {kept}$"):
         run_small(small_task, method=method, seed=4)
     assert calls[1] == kept
+    assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
+
+
+@pytest.mark.parametrize("method", ["kcd", "random-subset"])
+def test_keep_count_is_checked_at_every_stage_boundary(small_task, monkeypatch, method):
+    """A labeling that keeps one sample fewer than the schedule plans at
+    stage 2 stops the run there, naming it, before stage 2 trains an epoch."""
+    real, calls, epochs = ogve.labeling_from_ranks, [], []
+
+    def keeps_one_fewer(ranks, keep_ratio):
+        labeling = real(ranks, keep_ratio)
+        calls.append(1)
+        if len(calls) == 2:
+            labeling.labels[labeling.ranks == labeling.labels.sum() - 1] = 0
+        return labeling
+
+    train_epoch = emdriver._train_epoch
+    monkeypatch.setattr(ogve, "labeling_from_ranks", keeps_one_fewer)
+    monkeypatch.setattr(emdriver, "_train_epoch",
+                        lambda *args: epochs.append(1) or train_epoch(*args))
+    kept = keep_count(small_task[1].n, tau_schedule(0.7, 4)[1])
+    with pytest.raises(DistillationError, match=f"^{method} seed 4: stage 2: the labeling "
+                                                f"keeps {kept - 1} samples, the stage "
+                                                f"plans {kept}$"):
+        run_small(small_task, method=method, seed=4)
+    assert len(calls) == 2
     assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kcdistill.data import DataFormatError
 
 from kcdistill.nn import (
-    SgdState,
     TrainConfig,
     forward,
     init_mlp,
@@ -24,6 +23,7 @@ from kcdistill.nn import (
     train_classifier,
     train_teacher,
 )
+import oracles
 from oracles import finite_difference_check, kd_loss, logits
 
 
@@ -153,6 +153,42 @@ class TestGradients:
             assert numeric == pytest.approx(gw[layer][i, j], rel=1e-4, abs=1e-8)
 
 
+class TestLossAndGradsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.sampled_from([(4, 3), (5, 6, 4), (6, 8, 5, 4)]),
+           stack=st.sampled_from([0, 1, 3]), batch=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1), zero_rows=st.integers(0, 3),
+           nan_row=st.booleans(),
+           terms=st.sampled_from([(1.0, 0.0), (2.0, 0.3), (0.5, 1.0)]))
+    def test_in_place_forward_is_the_fresh_array_oracle_bit_for_bit(
+            self, dims, stack, batch, seed, zero_rows, nan_row, terms):
+        """loss_and_grads on an unstacked model (stack 0) or a stack of K
+        equals the oracle's fresh-array forward with its pre-activation
+        mask. Zero input rows meet zero biases in exact 0.0 pre-activations,
+        and a NaN input row makes that row's pre-activations NaN (in the
+        last model only, so a stack keeps finite models beside it)."""
+        rng = np.random.default_rng(seed)
+        models = [init_mlp(dims, rng) for _ in range(max(stack, 1))]
+        for m in models:
+            for b in m.biases:
+                b[...] = rng.normal(size=b.shape) * (rng.random(b.shape) < 0.5)
+        model = stack_models(models) if stack else models[0]
+        lead = (stack,) if stack else ()
+        x = rng.normal(size=(*lead, batch, dims[0]))
+        x[..., :zero_rows, :] = 0.0
+        if nan_row:
+            x.reshape(-1, batch, dims[0])[-1, -1, 0] = np.nan
+        targets = rng.dirichlet(np.ones(dims[-1]), size=(*lead, batch))
+        hard = rng.integers(0, dims[-1], size=(*lead, batch))
+        got = loss_and_grads(model, x, targets, terms[0], hard, terms[1])
+        want = oracles.loss_and_grads(model, x, targets, terms[0], hard, terms[1])
+        loss, gw, gb, probs = got
+        assert np.shape(loss) == lead
+        assert np.asarray(loss).tobytes() == np.asarray(want[0]).tobytes()
+        for a, b in zip([*gw, *gb, probs], [*want[1], *want[2], want[3]]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSgd:
     def test_zero_lr_leaves_parameters(self):
         model = init_mlp((3, 4, 2), 9)
@@ -161,7 +197,7 @@ class TestSgd:
         x = np.random.default_rng(8).normal(size=(4, 3))
         t = np.full((4, 2), 0.5)
         _, gw, gb, _ = loss_and_grads(model, x, t)
-        sgd_step(model, gw, gb, SgdState.zeros_like(model), 0.0, cfg)
+        sgd_step(model, gw, gb, np.zeros_like(model.params), 0.0, cfg)
         for w0, w1 in zip(before, model.weights):
             np.testing.assert_array_equal(w0, w1)
 
@@ -171,18 +207,18 @@ class TestSgd:
         gw = [np.array([[np.inf, 0.0], [0.0, 0.0]])]
         gb = [np.zeros(2)]
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            sgd_step(model, gw, gb, SgdState.zeros_like(model), 0.1, cfg)
+            sgd_step(model, gw, gb, np.zeros_like(model.params), 0.1, cfg)
 
     def test_momentum_accumulates(self):
         model = init_mlp((2, 2), 11)
         model.weights[0][:] = 1.0
         cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
-        state = SgdState.zeros_like(model)
+        vel = np.zeros_like(model.params)
         g = [np.ones((2, 2))]
         zeros = [np.zeros(2)]
-        sgd_step(model, g, zeros, state, 0.1, cfg)
+        sgd_step(model, g, zeros, vel, 0.1, cfg)
         first = model.weights[0][0, 0]
-        sgd_step(model, g, zeros, state, 0.1, cfg)
+        sgd_step(model, g, zeros, vel, 0.1, cfg)
         second = model.weights[0][0, 0]
         assert first == pytest.approx(0.9)
         assert second == pytest.approx(0.9 - 0.1 * 1.9)
@@ -275,7 +311,7 @@ class TestFlatParams:
     def test_flat_sgd_matches_per_layer_oracle(self):
         model = init_mlp((5, 7, 6, 3), 17)
         cfg = TrainConfig(momentum=0.9, weight_decay=5e-3)
-        state = SgdState.zeros_like(model)
+        vel = np.zeros_like(model.params)
         weights = [w.copy() for w in model.weights]
         biases = [b.copy() for b in model.biases]
         vel_w = [np.zeros_like(w) for w in weights]
@@ -288,23 +324,23 @@ class TestFlatParams:
             gb[1][0] = -0.0  # a signed zero must survive on a bias
             lr = 0.05 if step < 3 else 0.005
             self.per_layer_step(weights, biases, vel_w, vel_b, gw, gb, lr, cfg)
-            sgd_step(model, gw, gb, state, lr, cfg)
+            sgd_step(model, gw, gb, vel, lr, cfg)
             for a, b in zip(model.weights + model.biases, weights + biases):
                 assert a.tobytes() == b.tobytes()
-        assert state.vel.tobytes() == np.concatenate(
+        assert vel.tobytes() == np.concatenate(
             [v.ravel() for v in vel_w + vel_b]).tobytes()
 
     def test_non_finite_bias_gradient_names_layer_and_leaves_params(self):
         model = init_mlp((4, 5, 3), 19)
-        state = SgdState.zeros_like(model)
+        vel = np.zeros_like(model.params)
         before = model.params.copy()
         gw = [np.ones_like(w) for w in model.weights]
         gb = [np.ones_like(b) for b in model.biases]
         gb[1][2] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite gradient in layer 1"):
-            sgd_step(model, gw, gb, state, 0.1, TrainConfig())
+            sgd_step(model, gw, gb, vel, 0.1, TrainConfig())
         np.testing.assert_array_equal(model.params, before)
-        assert not state.vel.any()
+        assert not vel.any()
 
     def test_layout_is_weights_then_biases(self):
         model = init_mlp((3, 4, 2), 20)
@@ -351,9 +387,9 @@ class TestStackedModels:
         cfg = TrainConfig(weight_decay=5e-3)
         for k, model in enumerate(models):
             assert forward(stack, x[k])[k].tobytes() == forward(model, x[k]).tobytes()
-        state = SgdState.zeros_like(stack)
+        vel = np.zeros_like(stack.params)
         loss, gw, gb, probs = loss_and_grads(stack, x, t, temperature, hard, hard_weight)
-        sgd_step(stack, gw, gb, state, 0.05, cfg)
+        sgd_step(stack, gw, gb, vel, 0.05, cfg)
         assert loss.shape == (3,)
         for k, model in enumerate(models):
             loss_k, gw_k, gb_k, probs_k = loss_and_grads(model, x[k], t[k], temperature,
@@ -362,10 +398,10 @@ class TestStackedModels:
             assert probs[k].tobytes() == probs_k.tobytes()
             for stacked, alone in zip(gw + gb, gw_k + gb_k):
                 assert stacked[k].tobytes() == alone.tobytes()
-            state_k = SgdState.zeros_like(model)
-            sgd_step(model, gw_k, gb_k, state_k, 0.05, cfg)
+            vel_k = np.zeros_like(model.params)
+            sgd_step(model, gw_k, gb_k, vel_k, 0.05, cfg)
             assert stack.params[k].tobytes() == model.params.tobytes()
-            assert state.vel[k].tobytes() == state_k.vel.tobytes()
+            assert vel[k].tobytes() == vel_k.tobytes()
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_unpickled_views_still_write_through(self, stacked):
@@ -388,17 +424,17 @@ class TestStackedModels:
 
     def test_non_finite_gradient_names_model_and_layer_and_moves_nothing(self):
         stack = stack_models([init_mlp((4, 5, 3), seed) for seed in range(3)])
-        state = SgdState.zeros_like(stack)
+        vel = np.zeros_like(stack.params)
         before = stack.params.copy()
         gw = [np.ones_like(w) for w in stack.weights]
         gb = [np.ones_like(b) for b in stack.biases]
         gw[1][2, 0, 1] = np.nan
         gb[0][1, 3] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite gradient in layer 0") as caught:
-            sgd_step(stack, gw, gb, state, 0.1, TrainConfig())
+            sgd_step(stack, gw, gb, vel, 0.1, TrainConfig())
         assert caught.value.index == (1,)
         np.testing.assert_array_equal(stack.params, before)
-        assert not state.vel.any()
+        assert not vel.any()
 
 
 # a three-layer checkpoint: 12 header bytes, 12 dim bytes, then parameters
