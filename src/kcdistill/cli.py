@@ -254,23 +254,21 @@ def cmd_report(args, parser) -> int:
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
     records = []
-    skipped = 0
-    for p in paths:
-        try:
-            records.append((p, emdriver.RunRecord.load(p)))
-        except (KeyError, TypeError, ValueError) as exc:
-            skipped += 1
-            print(f"skipped {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    if skipped:
-        print(f"skipped {skipped} files", file=sys.stderr)
-    if not records:
-        raise ValueError(f"no run records found under {records_dir}")
     lines = ["record,method,rho,seed,final_accuracy,relative_cost,"
              "realized_relative_cost,wall_time_s"]
-    for p, r in records:
-        lines.append(f"{p},{r.method},{r.config['rho']},{r.seed},"
-                     f"{r.final_accuracy:.10g},{r.cost.relative_cost:.10g},"
-                     f"{r.cost.realized_relative_cost:.10g},{r.wall_time_s:.3f}")
+    for p in paths:
+        try:
+            r = emdriver.RunRecord.load(p)
+            lines.append(f"{p},{r.method},{r.config['rho']},{r.seed},"
+                         f"{r.final_accuracy:.10g},{r.cost.relative_cost:.10g},"
+                         f"{r.cost.realized_relative_cost:.10g},{r.wall_time_s:.3f}")
+            records.append((p, r))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            print(f"skipped {p}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if len(records) < len(paths):
+        print(f"skipped {len(paths) - len(records)} files", file=sys.stderr)
+    if not records:
+        raise ValueError(f"no run records found under {records_dir}")
     out = Path(args.out_csv)
     out.parent.mkdir(parents=True, exist_ok=True)
     datamod.write_atomic(out, ("\n".join(lines) + "\n").encode())

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import nn, ogve, vaks
 from .data import Dataset, write_atomic
-from .knowledge import KnowledgeStore, ValueLabeling
+from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling, check_simplex
 from .nn import accuracy
 from .ogve import OgveConfig
 
@@ -350,28 +350,44 @@ class _Run:
 
     def stage(self, s: int):
         """Active ids, blend (see _train_epoch), rank threshold and blended
-        count, once the kept and condensed sizes match the planned size."""
+        count, once _check_boundary has passed the stage's condensed set."""
         n = self.store.n
         if self.label is None:
             return np.arange(n), None, 1.0 / n, 0
         labeling = self.label(self, self.config.schedule.tau_list[s - 1])
-        kept = int(np.count_nonzero(labeling.labels))
-        if kept != self.sizes[s - 1]:
-            raise DistillationError(f"{self.name}: stage {s}: the labeling keeps {kept} "
-                                    f"samples, the stage plans {self.sizes[s - 1]}")
         condensed = self.condense(self, labeling)
-        if condensed.size != kept:
-            raise DistillationError(f"{self.name}: stage {s}: condensed size "
-                                    f"{condensed.size} does not equal kept size {kept}")
+        blend = _check_boundary(self, s, labeling, condensed)
         self.labels, self.ranks = labeling.labels, labeling.ranks
         # 1 - r/N for the largest kept rank r: 1 - (keep_count(n, tau_s) - 1)/N
         # when the labeling follows the schedule
         threshold = 1.0 - self.ranks[self.labels == 1].max() / n
-        if condensed.aug_ids.size == 0:
-            return condensed.member_ids, None, threshold, 0
-        aug_at = np.full(n, -1)
-        aug_at[condensed.aug_ids] = np.arange(condensed.aug_ids.size)
-        return condensed.member_ids, (aug_at, condensed.aug_probs), threshold, condensed.aug_ids.size
+        return condensed.member_ids, blend, threshold, condensed.aug_ids.size
+
+
+def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed: CondensedSet):
+    """Check stage s's hand-over in O(N): the labeling keeps the planned count,
+    the members are its kept samples, each once, and the blended ids are distinct
+    members with one aug_probs row each, on the simplex. Returns the blend."""
+    labels, members, aug = labeling.labels, condensed.member_ids, condensed.aug_ids
+    kept, planned, rows = int(np.count_nonzero(labels)), run.sizes[s - 1], len(condensed.aug_probs)
+    try:
+        if kept != planned:
+            raise ValueError(f"the labeling keeps {kept} samples, the stage plans {planned}")
+        if members.size != kept:
+            raise ValueError(f"condensed size {members.size} does not equal kept size {kept}")
+        for ids, kind, of in ((members, "member", "kept sample"), (aug, "blended id", "member")):
+            if ids.size and (ids.min() < 0 or ids.max() >= labels.size or not labels[ids].all()):
+                raise ValueError(f"a {kind} is not a {of}")
+            if np.bincount(ids).max(initial=0) > 1:
+                raise ValueError(f"a {kind} repeats")
+        if rows != aug.size:
+            raise ValueError(f"aug_probs has {rows} rows for {aug.size} blended ids")
+        check_simplex(condensed.aug_probs, lambda j: f"the blended row of sample {aug[j]}")
+    except ValueError as exc:
+        raise DistillationError(f"{run.name}: stage {s}: {exc}") from None
+    aug_at = np.full(labels.size, -1)
+    aug_at[aug] = np.arange(aug.size)
+    return (aug_at, condensed.aug_probs) if aug.size else None
 
 
 def _by_value(run, tau, cfg=None, source="mean"):
@@ -524,7 +540,8 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
         if job.labeling is not None and _METHODS[job.method][0] is not _imported:
             raise ValueError(f"{name}: the method imports no labeling, but one was given")
         if job.labeling is not None and job.labeling.n != store.n:
-            raise ValueError(f"label count {job.labeling.n} does not match store size {store.n}")
+            raise ValueError(f"{name}: label count {job.labeling.n} does not match store "
+                             f"size {store.n}")
         if job.labeling is not None and not job.labeling.labels.any():
             raise ValueError(f"{name}: the imported labeling keeps no sample, "
                              "an empty knowledge set")

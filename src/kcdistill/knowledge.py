@@ -2,9 +2,9 @@
 
 The store is the immutable record of what the teacher says about each training
 sample: its arrays are read-only, so runs in any number of threads may share
-one. A run's value estimate lives in its own ogve.ValueState and a stage's
-blended soft labels in a CondensedSet. Every check runs over whole arrays at
-once and names the first offending sample or record.
+one. A run's value estimate lives in its own ogve.ValueState, a stage's blended
+soft labels in a CondensedSet that emdriver._check_boundary checks. Each check
+runs over whole arrays at once and names the first offending sample or record.
 """
 
 from __future__ import annotations
@@ -101,14 +101,9 @@ class ValueLabeling:
         return np.array_equal(self.ranks, other.ranks) and np.array_equal(self.labels, other.labels)
 
 
-def _has_duplicates(ids: np.ndarray) -> bool:
-    ordered = np.sort(ids)
-    return bool(np.any(ordered[1:] == ordered[:-1]))
-
-
 @dataclass
 class CondensedSet:
-    """The active knowledge encoding for one stage.
+    """One stage's knowledge, a plain record checked by emdriver._check_boundary.
 
     member_ids lists the kept sample ids. aug_ids, a subset of the members,
     lists the borderline samples whose soft labels were blended, and row j of
@@ -118,26 +113,7 @@ class CondensedSet:
 
     member_ids: np.ndarray
     aug_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    # one column broadcasts to any class count when no row is blended
     aug_probs: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
-
-    def __post_init__(self):
-        self.member_ids = np.asarray(self.member_ids, dtype=np.int64)
-        self.aug_ids = np.asarray(self.aug_ids, dtype=np.int64)
-        self.aug_probs = np.asarray(self.aug_probs, dtype=np.float64)
-        if _has_duplicates(self.member_ids):
-            raise ValueError("condensed set has duplicate member ids")
-        if self.aug_probs.ndim != 2 or self.aug_probs.shape[0] != self.aug_ids.size:
-            raise ValueError(
-                f"aug_probs of shape {self.aug_probs.shape} needs one row per "
-                f"aug id ({self.aug_ids.size})"
-            )
-        outside = np.flatnonzero(~np.isin(self.aug_ids, self.member_ids))
-        if outside.size:
-            raise ValueError(f"aug id {self.aug_ids[outside[0]]} is not a member")
-        if _has_duplicates(self.aug_ids):
-            raise ValueError("condensed set has duplicate aug ids")
-        check_simplex(self.aug_probs, lambda j: f"aug_probs for sample {self.aug_ids[j]}")
 
     @property
     def size(self) -> int:

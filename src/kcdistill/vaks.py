@@ -9,6 +9,8 @@ best discarded one) under a linearly growing blend ratio, so the borderline
 samples nearest the cut absorb the most outside knowledge. The condensed
 set's aug_ids are the borderline slice and its aug_probs the blended matrix,
 one row per borderline sample. direct_selection keeps the members alone.
+Neither checks its result: the stage loop checks each condensed set against
+its labeling (emdriver._check_boundary) before the stage trains.
 """
 
 from __future__ import annotations

@@ -347,6 +347,31 @@ class TestReport:
         assert f"skipped {bad_path}" in err
         assert "skipped 1 files" in err
 
+    def test_hostile_records_are_skipped_by_name(self, workdir, tmp_path, capsys):
+        """A label outside uint8 and a config without rho each skip their
+        record with a named line; the good record is still summarized."""
+        records_dir = tmp_path / "records"
+        records_dir.mkdir()
+        good_path = records_dir / "good.json"
+        assert main(distill_args(workdir, good_path, ["--method", "kcd"])) == 0
+        good = json.loads(good_path.read_text())
+        overflow = dict(good, final_labels=[300] + good["final_labels"][1:])
+        no_rho = dict(good, config={k: v for k, v in good["config"].items() if k != "rho"})
+        bad_paths = [records_dir / "overflow.json", records_dir / "no_rho.json"]
+        for path, payload in zip(bad_paths, (overflow, no_rho)):
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        out = tmp_path / "summary.csv"
+        assert main(["report", "--records", str(records_dir), "--out-csv", str(out),
+                     "--emit-plot-data"]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith(f"{good_path},kcd,")
+        skipped = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("skipped ")]
+        assert len(skipped) == 3 and skipped[-1] == "skipped 2 files"
+        for path in bad_paths:
+            assert sum(line.startswith(f"skipped {path}: ") for line in skipped) == 1
+
 
 
 class TestAtomicCliWrites:

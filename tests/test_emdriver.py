@@ -743,7 +743,8 @@ class TestLockstep:
     @pytest.mark.parametrize("method, label_count, message", [
         ("telepathy", None, "unknown method 'telepathy'; expected one of"),
         ("reuse-with-vaks", None, "unknown method 'reuse-with-vaks'; expected one of"),
-        ("reuse-direct-select", 50, "label count 50 does not match store size 96"),
+        ("reuse-direct-select", 50,
+         "^reuse-direct-select seed 0: label count 50 does not match store size 96$"),
         ("kcd", 96, "^kcd seed 0: the method imports no labeling, but one was given$"),
         ("full-kd", 96, "^full-kd seed 0: the method imports no labeling, but one was given$"),
     ], ids=["unknown-method", "reuse-without-labeling", "labeling-of-wrong-size",
@@ -849,57 +850,122 @@ class TestLockstep:
         assert shapes[0] == (64, store.dim)
 
 
+def fault_at_stage(monkeypatch, module, name, corrupt, stage=2):
+    """Wrap module.name, which a lone run calls once per stage, so that its
+    result at that stage is replaced by corrupt(result, *args). Returns the
+    real results, one per call, and a list that gains an entry per epoch
+    trained."""
+    real, results, epochs = getattr(module, name), [], []
+
+    def wrapped(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return corrupt(results[-1], *args) if len(results) == stage else results[-1]
+
+    train_epoch = emdriver._train_epoch
+    monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(emdriver, "_train_epoch",
+                        lambda *args: epochs.append(1) or train_epoch(*args))
+    return results, epochs
+
+
 @pytest.mark.parametrize("method, condenser", [("kcd", "condense"),
                                                ("ogve-only", "direct_selection")])
 def test_condensed_size_is_checked_against_the_kept_count(small_task, monkeypatch,
                                                           method, condenser):
     """A condenser that drops a member at stage 2 stops the run there, naming
     it, before stage 2 trains an epoch."""
-    ds, store = small_task
-    real, calls, epochs = getattr(vaks, condenser), [], []
-
-    def drops_one(*args, **kwargs):
-        condensed = real(*args, **kwargs)
-        calls.append(condensed.size)
-        if len(calls) == 2:
-            condensed = replace(condensed, member_ids=condensed.member_ids[1:])
-        return condensed
-
-    train_epoch = emdriver._train_epoch
-    monkeypatch.setattr(vaks, condenser, drops_one)
-    monkeypatch.setattr(emdriver, "_train_epoch",
-                        lambda *args: epochs.append(1) or train_epoch(*args))
-    kept = keep_count(store.n, tau_schedule(0.7, 4)[1])
+    results, epochs = fault_at_stage(monkeypatch, vaks, condenser,
+                                     lambda c, *_: replace(c, member_ids=c.member_ids[1:]))
+    kept = keep_count(small_task[1].n, tau_schedule(0.7, 4)[1])
     with pytest.raises(DistillationError, match=f"^{method} seed 4: stage 2: condensed size "
                                                 f"{kept - 1} does not equal kept size {kept}$"):
         run_small(small_task, method=method, seed=4)
-    assert calls[1] == kept
+    assert results[1].size == kept
     assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
+
+
+def keeps_one_fewer(labeling, *_):
+    labeling.labels[labeling.ranks == labeling.labels.sum() - 1] = 0
+    return labeling
 
 
 @pytest.mark.parametrize("method", ["kcd", "random-subset"])
 def test_keep_count_is_checked_at_every_stage_boundary(small_task, monkeypatch, method):
     """A labeling that keeps one sample fewer than the schedule plans at
     stage 2 stops the run there, naming it, before stage 2 trains an epoch."""
-    real, calls, epochs = ogve.labeling_from_ranks, [], []
-
-    def keeps_one_fewer(ranks, keep_ratio):
-        labeling = real(ranks, keep_ratio)
-        calls.append(1)
-        if len(calls) == 2:
-            labeling.labels[labeling.ranks == labeling.labels.sum() - 1] = 0
-        return labeling
-
-    train_epoch = emdriver._train_epoch
-    monkeypatch.setattr(ogve, "labeling_from_ranks", keeps_one_fewer)
-    monkeypatch.setattr(emdriver, "_train_epoch",
-                        lambda *args: epochs.append(1) or train_epoch(*args))
+    results, epochs = fault_at_stage(monkeypatch, ogve, "labeling_from_ranks", keeps_one_fewer)
     kept = keep_count(small_task[1].n, tau_schedule(0.7, 4)[1])
     with pytest.raises(DistillationError, match=f"^{method} seed 4: stage 2: the labeling "
                                                 f"keeps {kept - 1} samples, the stage "
                                                 f"plans {kept}$"):
         run_small(small_task, method=method, seed=4)
-    assert len(calls) == 2
+    assert len(results) == 2
+    assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
+
+
+def with_id(condensed, field, i, new_id):
+    """condensed with entry i of its id array field set to new_id."""
+    ids = getattr(condensed, field).copy()
+    ids[i] = new_id
+    return replace(condensed, **{field: ids})
+
+
+def first_discarded(labeling):
+    return int(np.flatnonzero(labeling.labels == 0)[0])
+
+
+def off_simplex_row_1(condensed, *_):
+    probs = condensed.aug_probs.copy()
+    probs[1] *= 2.0
+    return replace(condensed, aug_probs=probs)
+
+
+# fault -> (corrupt(condensed, labeling, ...), the error after "stage 2: ",
+# formatted with the real stage-2 condensed set, and the runs it applies to)
+MEMBER_RUNS, BLEND_RUNS = ("kcd", "ogve-only"), ("kcd", "reuse-with-vaks")
+BOUNDARY_FAULTS = {
+    "member-swapped-for-a-discarded-id": (
+        lambda c, labeling, *_: with_id(c, "member_ids", 0, first_discarded(labeling)),
+        "a member is not a kept sample", MEMBER_RUNS),
+    "repeated-member": (
+        lambda c, *_: with_id(c, "member_ids", 0, c.member_ids[1]),
+        "a member repeats", MEMBER_RUNS),
+    "blended-id-not-a-member": (
+        lambda c, labeling, *_: with_id(c, "aug_ids", 0, first_discarded(labeling)),
+        "a blended id is not a member", BLEND_RUNS),
+    "repeated-blended-id": (
+        lambda c, *_: with_id(c, "aug_ids", 0, c.aug_ids[1]),
+        "a blended id repeats", BLEND_RUNS),
+    "blended-row-missing": (
+        lambda c, *_: replace(c, aug_probs=c.aug_probs[1:]),
+        "aug_probs has {rows} rows for {aug.size} blended ids", BLEND_RUNS),
+    "blended-row-off-the-simplex": (
+        off_simplex_row_1,
+        "the blended row of sample {aug[1]} is not a probability simplex (sum=2.00000000)",
+        BLEND_RUNS),
+}
+
+
+@pytest.mark.parametrize("fault, method", [(f, m) for f, (_, _, runs) in BOUNDARY_FAULTS.items()
+                                           for m in runs])
+def test_a_faulty_condensed_set_stops_the_run_at_its_boundary(small_task, monkeypatch,
+                                                              fault, method):
+    """A condensed set that breaks an invariant at stage 2 stops the run
+    there with an error naming the run, the stage and the invariant, before
+    stage 2 trains an epoch. A member swapped for a discarded id keeps every
+    size, so only the member check sees it."""
+    ds, store = small_task
+    corrupt, message, _ = BOUNDARY_FAULTS[fault]
+    condenser = "direct_selection" if method == "ogve-only" else "condense"
+    results, epochs = fault_at_stage(monkeypatch, vaks, condenser, corrupt)
+    labeling = random_labeling(store.n, 0.7) if method.startswith("reuse-") else None
+    job = Job(make_config(seed=4), init_student(store.dim, (8,), store.num_classes, 4),
+              method, labeling)
+    with pytest.raises(DistillationError) as caught:
+        run_group(store, ds, [job])
+    real = results[1]
+    assert str(caught.value) == f"{method} seed 4: stage 2: " + message.format(
+        aug=real.aug_ids, rows=real.aug_ids.size - 1)
     assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
 
 

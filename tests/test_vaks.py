@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kcdistill import vaks
-from kcdistill.knowledge import CondensedSet, build_store
+from kcdistill.knowledge import build_store
 from kcdistill.ogve import labeling_from_ranks
 from kcdistill.vaks import augment, condense, direct_selection, epsilon_schedule
 
@@ -221,15 +221,6 @@ class TestSummarize:
         condensed = condense(labeling, store, 0.3)
         assert condensed.size == 4
         assert np.array_equal(np.sort(condensed.aug_ids), np.sort(condensed.member_ids))
-
-    def test_overlap_rejected(self):
-        store, labeling = labeled_store(10, 0.7, seed=12)
-        condensed = condense(labeling, store, 0.3)
-        high = condensed.member_ids[:condensed.size - condensed.aug_ids.size]
-        aug = np.r_[high[0], condensed.aug_ids[1:]]
-        with pytest.raises(ValueError, match="duplicate member ids"):
-            CondensedSet(member_ids=np.r_[high, aug], aug_ids=aug,
-                         aug_probs=condensed.aug_probs)
 
     def test_size_equals_kept_count_across_grid(self):
         rng = np.random.default_rng(13)
