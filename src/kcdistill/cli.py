@@ -259,7 +259,10 @@ def cmd_report(args, parser) -> int:
     for p in paths:
         try:
             r = emdriver.RunRecord.load(p)
-            lines.append(f"{p},{r.method},{r.config['rho']},{r.seed},"
+            rho = r.config["rho"]
+            if isinstance(rho, bool) or not isinstance(rho, (int, float)):
+                raise ValueError(f"config field 'rho' must be a number, not {type(rho).__name__}")
+            lines.append(f"{p},{r.method},{rho},{r.seed},"
                          f"{r.final_accuracy:.10g},{r.cost.relative_cost:.10g},"
                          f"{r.cost.realized_relative_cost:.10g},{r.wall_time_s:.3f}")
             records.append((p, r))

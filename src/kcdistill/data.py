@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 CSV_FLOAT_FORMAT = "%.17g"
 _CSV_CHUNK_ROWS = 1024
+_GEN_CHUNK_ROWS = 8192
 _INT_LITERAL = re.compile(r"[+-]?[0-9]+")
 TRAIN_FILE = "train.csv"
 TEST_FILE = "test.csv"
@@ -94,17 +95,35 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
         raise ValueError("spread must be >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dims))
-    features = np.concatenate(
-        [centers[c] + spread * rng.standard_normal((n_per_class, dims)) for c in range(classes)]
-    )
+    features = np.empty((classes * n_per_class, dims))
+    for c in range(classes):
+        block = features[c * n_per_class:(c + 1) * n_per_class]
+        rng.standard_normal(out=block)
+        block *= spread
+        block += centers[c]
     labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
     perm = rng.permutation(labels.size)
     n_train = int(round(0.8 * labels.size))
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 
-    train_x, test_x = features[train_idx], features[test_idx]
-    del features  # the splits are fresh copies; do not hold the whole matrix too
+    # The train split is the generated matrix itself: train_idx is ascending,
+    # so train_idx[i] >= i and moving its rows forward chunk by chunk reads no
+    # row an earlier chunk overwrote. resize then shrinks the buffer in place.
+    # It refuses while anything else references the array, so no view of it
+    # is left; under a tracer, profiler or debugger the interpreter holds one
+    # more reference during the call, and the train rows are copied instead.
+    test_x = features[test_idx]
+    for start in range(0, n_train, _GEN_CHUNK_ROWS):
+        stop = min(start + _GEN_CHUNK_ROWS, n_train)
+        features[start:stop] = features[train_idx[start:stop]]
+    del block
+    try:
+        features.resize((n_train, dims))
+        train_x = features
+    except ValueError:
+        train_x = features[:n_train].copy()
+    del features
     mu = train_x.mean(axis=0)
     sigma = train_x.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)

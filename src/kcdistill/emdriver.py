@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -194,7 +195,8 @@ class RunRecord:
     final_labels (uint8) and final_ranks (int64, empty for full-kd) are
     arrays the record owns: construction copies them, so they share no
     memory with the run's or an imported labeling's arrays. to_dict turns
-    them into lists of ints."""
+    them into lists of ints; save and fingerprint encode the same JSON text
+    a slice at a time, so neither builds a list of all the elements."""
 
     method: str
     seed: int
@@ -213,14 +215,19 @@ class RunRecord:
         self.final_labels = np.array(self.final_labels, dtype=np.uint8)
         self.final_ranks = np.array(self.final_ranks, dtype=np.int64)
 
+    def _json_fields(self) -> dict:
+        """Each field in JSON terms, except that the label and rank arrays
+        stay arrays and nothing is copied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(stages=[asdict(s) for s in self.stages],
+                   epochs=[asdict(e) for e in self.epochs], cost=asdict(self.cost))
+        return out
+
     def to_dict(self) -> dict:
         """asdict(self) with the label and rank arrays as lists of ints."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._json_fields()
         out.update(
             config=copy.deepcopy(self.config),
-            stages=[asdict(s) for s in self.stages],
-            epochs=[asdict(e) for e in self.epochs],
-            cost=asdict(self.cost),
             final_labels=self.final_labels.tolist(),
             final_ranks=self.final_ranks.tolist(),
             student_dims=list(self.student_dims),
@@ -229,19 +236,33 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        payload = dict(payload)
-        payload["stages"] = [StageRecord(**s) for s in payload["stages"]]
-        payload["epochs"] = [EpochRow(**e) for e in payload["epochs"]]
-        payload["cost"] = CostReport(**payload["cost"])
+        """The record a to_dict payload describes. A payload that is not an
+        object with exactly the record's fields, each of its JSON type, raises
+        a ValueError that names the field."""
+        payload = _checked_fields(cls, payload, "record")
+        payload["stages"] = [StageRecord(**_checked_fields(StageRecord, s, f"stages[{i}]"))
+                             for i, s in enumerate(payload["stages"])]
+        payload["epochs"] = [EpochRow(**_checked_fields(EpochRow, e, f"epochs[{i}]"))
+                             for i, e in enumerate(payload["epochs"])]
+        payload["cost"] = CostReport(**_checked_fields(CostReport, payload["cost"], "cost"))
+        for name in ("final_labels", "final_ranks", "student_dims"):
+            if not {*map(type, payload[name])} <= {int}:
+                raise ValueError(f"record field {name!r} must be an array of integers")
         return cls(**payload)
 
     def fingerprint(self) -> str:
-        payload = self.to_dict()
+        """sha256 of json.dumps(to_dict() without wall_time_s, sort_keys=True)."""
+        payload = self._json_fields()
         payload.pop("wall_time_s")
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        digest = hashlib.sha256()
+        for chunk in _json_chunks(payload, indent=None, sort_keys=True):
+            digest.update(chunk.encode())
+        return digest.hexdigest()
 
     def save(self, path) -> None:
-        write_atomic(path, (json.dumps(self.to_dict(), indent=2) + "\n").encode())
+        """Write json.dumps(to_dict(), indent=2) and a newline, streamed."""
+        chunks = _json_chunks(self._json_fields(), indent=2, sort_keys=False)
+        write_atomic(path, (chunk.encode() for chunk in itertools.chain(chunks, ("\n",))))
 
     @classmethod
     def load(cls, path) -> "RunRecord":
@@ -261,6 +282,62 @@ class RunRecord:
         if not self.final_ranks.size:
             raise ValueError(f"{self.method} run carries no condensed labeling")
         return ValueLabeling(ranks=self.final_ranks, labels=self.final_labels)
+
+
+# JSON types of the annotations RunRecord and its nested records use; a
+# list[...] annotation is an array, and a bool is no number
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+               "list": list, "np.ndarray": list, "CostReport": dict}
+_ARRAY_CHUNK = 8192
+
+
+def _checked_fields(cls, payload, where: str) -> dict:
+    """A copy of payload, a JSON object with exactly the fields of dataclass
+    cls, each of the JSON type its annotation names. Raises a ValueError
+    naming the first field that is missing, unknown or of another type."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where} must be an object, not {type(payload).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in payload if key not in names]
+    if unknown:
+        raise ValueError(f"{where} has an unknown field {unknown[0]!r}")
+    for f in fields(cls):
+        if f.name not in payload:
+            raise ValueError(f"{where} has no field {f.name!r}")
+        value, want = payload[f.name], _JSON_TYPES[f.type.split("[")[0]]
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(f"{where} field {f.name!r} must be {f.type}, "
+                             f"not {type(value).__name__}")
+    return dict(payload)
+
+
+def _json_chunks(payload: dict, indent, sort_keys: bool):
+    """Yield json.dumps(payload, indent=indent, sort_keys=sort_keys) in
+    pieces, where payload's ndarray values (1-d integer arrays) stand for
+    lists of ints. Other values go through json.dumps whole; an array goes
+    out _ARRAY_CHUNK elements at a time through the C encoder, so no list
+    of all its elements is ever built. JSON strings hold no raw newline, so
+    indenting a value's text one level deeper is a replace of "\n"."""
+    item_sep = ", " if indent is None else ","
+    outer = "" if indent is None else "\n" + " " * indent
+    inner = "" if indent is None else outer + " " * indent
+    keys = sorted(payload) if sort_keys else payload
+    yield "{"
+    for i, key in enumerate(keys):
+        value = payload[key]
+        yield f"{item_sep if i else ''}{outer}{json.dumps(key)}: "
+        if not isinstance(value, np.ndarray):
+            yield json.dumps(value, indent=indent, sort_keys=sort_keys).replace("\n", outer)
+        elif not value.size:
+            yield "[]"
+        else:
+            yield "["
+            for start in range(0, value.size, _ARRAY_CHUNK):
+                part = value[start:start + _ARRAY_CHUNK].tolist()
+                text = json.dumps(part, separators=(item_sep + inner, ": "))[1:-1]
+                yield f"{item_sep if start else ''}{inner}{text}"
+            yield f"{outer}]"
+    yield ("" if indent is None else "\n") + "}"
 
 
 def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn.MlpModel:

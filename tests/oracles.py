@@ -3,8 +3,10 @@
 None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
-emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads) or in
-bulk (data.load_csv, data.save_csv, emdriver.RunRecord.to_dict).
+emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads,
+data.gen_gaussian_mixture), in bulk (data.load_csv, data.save_csv,
+emdriver.RunRecord.to_dict, knowledge.check_simplex) or in chunks
+(emdriver.RunRecord.fingerprint, emdriver.RunRecord.save).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
 literally: rank probability 1 - r/N, kept where it is >= the stage cutoff.
@@ -12,6 +14,8 @@ The library keeps the ranks < keep_count(N, tau) (ogve.labeling_from_ranks)
 and records the cutoff as StageRecord.threshold.
 """
 
+import hashlib
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -296,3 +300,54 @@ def record_dict(record) -> dict:
     out["final_labels"] = [int(v) for v in record.final_labels]
     out["final_ranks"] = [int(v) for v in record.final_ranks]
     return out
+
+
+def record_fingerprint(record) -> str:
+    """RunRecord.fingerprint as one json.dumps of the whole dict."""
+    payload = record.to_dict()
+    payload.pop("wall_time_s")
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def record_bytes(record) -> bytes:
+    """The bytes RunRecord.save writes, as one json.dumps of the whole dict."""
+    return (json.dumps(record.to_dict(), indent=2) + "\n").encode()
+
+
+def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: float,
+                         seed: int) -> Dataset:
+    """data.gen_gaussian_mixture with a fresh array per class block, one
+    concatenation and a fancy-indexed copy of each split."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(classes, dims))
+    features = np.concatenate(
+        [centers[c] + spread * rng.standard_normal((n_per_class, dims)) for c in range(classes)]
+    )
+    labels = np.repeat(np.arange(classes, dtype=np.int64), n_per_class)
+    perm = rng.permutation(labels.size)
+    n_train = int(round(0.8 * labels.size))
+    train_idx = np.sort(perm[:n_train])
+    test_idx = np.sort(perm[n_train:])
+    train_x, test_x = features[train_idx], features[test_idx]
+    mu = train_x.mean(axis=0)
+    sigma = train_x.std(axis=0)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    for x in (train_x, test_x):
+        x -= mu
+        x /= sigma
+    return Dataset(train_x, labels[train_idx], test_x, labels[test_idx], classes)
+
+
+def check_simplex(probs: np.ndarray, context) -> None:
+    """knowledge.check_simplex as a row scan alone: the first row that has a
+    negative entry or a sum off 1 by more than SIMPLEX_ATOL is named."""
+    ok = np.all(probs >= 0.0, axis=1) & (np.abs(probs.sum(axis=1) - 1.0) <= SIMPLEX_ATOL)
+    bad = np.flatnonzero(~ok)
+    if not bad.size:
+        return
+    p, where = probs[bad[0]], context(int(bad[0]))
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{where} is not a probability simplex: non-finite entry")
+    if np.any(p < 0.0):
+        raise ValueError(f"{where} is not a probability simplex: negative entry")
+    raise ValueError(f"{where} is not a probability simplex (sum={float(p.sum()):.8f})")

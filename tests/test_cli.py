@@ -348,17 +348,23 @@ class TestReport:
         assert "skipped 1 files" in err
 
     def test_hostile_records_are_skipped_by_name(self, workdir, tmp_path, capsys):
-        """A label outside uint8 and a config without rho each skip their
-        record with a named line; the good record is still summarized."""
+        """A label outside uint8, a config without rho or with a list for
+        it, a method that is a list and a seed that is a string each skip
+        their record with a named line; the good record is still summarized."""
         records_dir = tmp_path / "records"
         records_dir.mkdir()
         good_path = records_dir / "good.json"
         assert main(distill_args(workdir, good_path, ["--method", "kcd"])) == 0
         good = json.loads(good_path.read_text())
-        overflow = dict(good, final_labels=[300] + good["final_labels"][1:])
-        no_rho = dict(good, config={k: v for k, v in good["config"].items() if k != "rho"})
-        bad_paths = [records_dir / "overflow.json", records_dir / "no_rho.json"]
-        for path, payload in zip(bad_paths, (overflow, no_rho)):
+        bad = {
+            "overflow": dict(good, final_labels=[300] + good["final_labels"][1:]),
+            "no_rho": dict(good, config={k: v for k, v in good["config"].items() if k != "rho"}),
+            "method_list": dict(good, method=["kcd"]),
+            "seed_str": dict(good, seed="3"),
+            "rho_list": dict(good, config=dict(good["config"], rho=[0.7])),
+        }
+        bad_paths = [records_dir / f"{name}.json" for name in bad]
+        for path, payload in zip(bad_paths, bad.values()):
             path.write_text(json.dumps(payload))
         capsys.readouterr()
         out = tmp_path / "summary.csv"
@@ -368,9 +374,12 @@ class TestReport:
         assert len(lines) == 2 and lines[1].startswith(f"{good_path},kcd,")
         skipped = [line for line in capsys.readouterr().err.splitlines()
                    if line.startswith("skipped ")]
-        assert len(skipped) == 3 and skipped[-1] == "skipped 2 files"
+        assert len(skipped) == 6 and skipped[-1] == "skipped 5 files"
         for path in bad_paths:
             assert sum(line.startswith(f"skipped {path}: ") for line in skipped) == 1
+        for path, name in ((bad_paths[2], "method"), (bad_paths[3], "seed")):
+            assert any(line.startswith(f"skipped {path}: ValueError: record field '{name}'")
+                       for line in skipped)
 
 
 

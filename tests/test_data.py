@@ -1,9 +1,11 @@
 import math
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -51,6 +53,47 @@ class TestGenerator:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="classes"):
             gen_gaussian_mixture(1, 4, 10, 1.0, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(classes=st.integers(2, 10), dims=st.integers(1, 16),
+           per_class=st.integers(1, 3000), spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32))
+    @example(classes=2, dims=1, per_class=1, spread=1.0, seed=0)  # an empty test split
+    @example(classes=10, dims=16, per_class=3000, spread=1.0, seed=1)
+    def test_in_place_generation_is_the_concatenating_one(self, classes, dims, per_class,
+                                                         spread, seed):
+        got = gen_gaussian_mixture(classes, dims, per_class, spread, seed)
+        want = oracles.gen_gaussian_mixture(classes, dims, per_class, spread, seed)
+        for split in ("train_features", "train_labels", "test_features", "test_labels"):
+            a, b = getattr(got, split), getattr(want, split)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), split
+
+    @pytest.mark.parametrize("hook", [sys.settrace, sys.setprofile])
+    def test_generation_under_a_tracer_or_profiler_gives_the_same_dataset(self, hook):
+        """A tracer or profiler holds a reference to the matrix while its
+        resize runs, so resize refuses and the train rows are copied."""
+        def tracer(frame, event, arg):
+            return tracer
+        hook(tracer)
+        try:
+            got = gen_gaussian_mixture(3, 4, 50, 1.0, seed=6)
+        finally:
+            hook(None)
+        want = oracles.gen_gaussian_mixture(3, 4, 50, 1.0, seed=6)
+        for split in ("train_features", "train_labels", "test_features", "test_labels"):
+            assert getattr(got, split).tobytes() == getattr(want, split).tobytes(), split
+
+    def test_generation_peak_stays_under_1_95_times_what_it_returns(self):
+        """The one full-size temporary left is std's; generating into one
+        matrix and shrinking it in place holds no second copy of it."""
+        tracemalloc.start()
+        try:
+            ds = gen_gaussian_mixture(10, 16, 25000, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(getattr(ds, split).nbytes for split in
+                       ("train_features", "train_labels", "test_features", "test_labels"))
+        assert peak < 1.95 * returned, f"traced peak {peak / returned:.3f}x the returned bytes"
 
     def test_entropy_grows_with_spread(self):
         entropies = []

@@ -32,7 +32,14 @@ from kcdistill.data import gen_gaussian_mixture
 from kcdistill.knowledge import ValueLabeling, build_store
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
-from oracles import computation_ratio, rank_probability, ratio_threshold, record_dict
+from oracles import (
+    computation_ratio,
+    rank_probability,
+    ratio_threshold,
+    record_bytes,
+    record_dict,
+    record_fingerprint,
+)
 
 
 def make_config(seed=0, rho=0.7, epochs=12, stage_len=3, alpha=0.03, eps_m=0.3,
@@ -383,6 +390,23 @@ class TestStageThreshold:
         assert all(stage.threshold == lowest for stage in record.stages)
 
 
+def synthetic_record(n: int, ranked: bool) -> RunRecord:
+    """A record of n samples with a nested config holding NaN and inf, and
+    an empty rank array (as full-kd's) when not ranked."""
+    rng = np.random.default_rng(n)
+    return RunRecord(
+        method="kcd" if ranked else "full-kd", seed=3,
+        config={"rho": 0.7, "train": {"lr": 0.1, "dims": [4, [8]], "empty": {}},
+                "nan": float("nan"), "inf": float("-inf"), "note": "a\nb \u00e9"},
+        stages=[emdriver.StageRecord(1, 0.9, 0.1, n, n, 0, 0.5, "ab" * 8)],
+        epochs=[emdriver.EpochRow(1, 1, n, float("inf"), 0.5),
+                emdriver.EpochRow(2, 1, n, 0.25, float("nan"))],
+        cost=emdriver.CostReport(10 * n, 0.5, 0.51), final_accuracy=0.75,
+        final_labels=rng.integers(0, 2, n),
+        final_ranks=rng.permutation(n) if ranked else (),
+        student_dims=[4, 8, 3], param_digest="ff" * 32, wall_time_s=1.5)
+
+
 class TestRunRecord:
     @pytest.mark.parametrize("method", ["kcd", "full-kd"])
     def test_label_and_rank_fields_are_arrays_the_record_owns(self, small_task, method):
@@ -470,6 +494,77 @@ class TestRunRecord:
         path = tmp_path / "record.json"
         record.save(path)
         assert path.read_bytes() == (json.dumps(record_dict(record), indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("n, ranked", [
+        (0, False), (1, True), (12, False),
+        (emdriver._ARRAY_CHUNK - 1, True), (emdriver._ARRAY_CHUNK, True),
+        (emdriver._ARRAY_CHUNK + 1, False), (20_000, True),
+    ])
+    def test_streamed_encoding_matches_one_json_dumps(self, tmp_path, n, ranked):
+        """fingerprint and save encode the arrays in chunks; digest and bytes
+        are those of one json.dumps of to_dict, for a nested config with NaN
+        and inf, an empty rank array (full-kd) and sizes around a chunk."""
+        record = synthetic_record(n, ranked)
+        assert record.fingerprint() == record_fingerprint(record)
+        record.save(tmp_path / "record.json")
+        assert (tmp_path / "record.json").read_bytes() == record_bytes(record)
+        again = RunRecord.load(tmp_path / "record.json")
+        assert again.fingerprint() == record.fingerprint()
+
+    def test_fingerprint_of_a_200k_record_stays_under_2_mib(self):
+        record = synthetic_record(200_000, True)
+        tracemalloc.start()
+        try:
+            record.fingerprint()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("where, value, named", [
+        (("method",), ["kcd"], "record field 'method' must be str, not list"),
+        (("seed",), "3", "record field 'seed' must be int, not str"),
+        (("seed",), True, "record field 'seed' must be int, not bool"),
+        (("config",), [0.7], "record field 'config' must be dict, not list"),
+        (("final_accuracy",), "0.5", "record field 'final_accuracy' must be float, not str"),
+        (("final_labels",), "0101", "record field 'final_labels' must be np.ndarray, not str"),
+        (("final_labels", 0), 1.0, "record field 'final_labels' must be an array of integers"),
+        (("final_ranks", 1), None, "record field 'final_ranks' must be an array of integers"),
+        (("student_dims", 0), "4", "record field 'student_dims' must be an array of integers"),
+        (("stages", 0), 1, "stages[0] must be an object, not int"),
+        (("stages", 0, "aug_count"), 0.5, "stages[0] field 'aug_count' must be int, not float"),
+        (("epochs", 0, "train_loss"), None, "epochs[0] field 'train_loss' must be float, not NoneType"),
+        (("cost", "absolute_cost"), "10", "cost field 'absolute_cost' must be int, not str"),
+        (("cost",), 0.5, "record field 'cost' must be CostReport, not float"),
+    ])
+    def test_from_dict_names_a_field_of_the_wrong_type(self, where, value, named):
+        payload = synthetic_record(3, True).to_dict()
+        *path, last = where
+        holder = payload
+        for key in path:
+            holder = holder[key]
+        holder[last] = value
+        with pytest.raises(ValueError) as err:
+            RunRecord.from_dict(payload)
+        assert str(err.value) == named
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d.pop("seed"), "record has no field 'seed'"),
+        (lambda d: d.update(extra=1), "record has an unknown field 'extra'"),
+        (lambda d: d["epochs"][0].pop("stage"), "epochs[0] has no field 'stage'"),
+    ])
+    def test_from_dict_names_a_missing_or_unknown_field(self, edit, named):
+        payload = synthetic_record(3, True).to_dict()
+        edit(payload)
+        with pytest.raises(ValueError) as err:
+            RunRecord.from_dict(payload)
+        assert str(err.value) == named
+
+    def test_from_dict_takes_an_int_where_a_float_is_due(self):
+        payload = synthetic_record(3, True).to_dict()
+        payload.update(final_accuracy=1, wall_time_s=0)
+        record = RunRecord.from_dict(payload)
+        assert record.final_accuracy == 1 and record.wall_time_s == 0
 
     def test_epochs_csv_shape(self, small_task):
         _, record = run_small(small_task, seed=13, epochs=8, stage_len=2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kcdistill.data import gen_gaussian_mixture
 from kcdistill.knowledge import (
     CondensedSet,
@@ -13,6 +14,7 @@ from kcdistill.knowledge import (
     ValueLabeling,
     build_store,
     check_permutation,
+    check_simplex,
     export_labels,
     import_labels,
     load_labels,
@@ -49,6 +51,68 @@ def test_build_store_rejects_negative_entry():
     probs = np.array([[1.2, -0.2]])
     with pytest.raises(ValueError, match="not a probability simplex"):
         build_store(np.zeros((1, 2)), probs)
+
+
+def _simplex_verdict(check, probs):
+    try:
+        check(probs, lambda i: f"row {i}")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# entries the whole-array test must not wave through: sums a hair off 1 on
+# either side of the tolerance, signed zeros, tiny negatives and non-finite
+_EDGE_ENTRIES = [0.0, -0.0, -1e-300, -5e-324, 1e-6, -1e-6, 5e-7, 1.0000005e-6,
+                 np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 12), classes=st.integers(1, 6), data=st.data())
+def test_check_simplex_agrees_with_the_row_scan(rows, classes, data):
+    """The whole-array fast path only ever accepts: check_simplex gives the
+    row scan's verdict and message on every matrix, rows shifted off the
+    simplex by about the tolerance included."""
+    p = np.asarray(data.draw(st.lists(
+        st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                 min_size=classes, max_size=classes),
+        min_size=rows, max_size=rows)), dtype=np.float64)
+    sums = p.sum(axis=1, keepdims=True)
+    p = np.divide(p, sums, out=np.full_like(p, 1.0 / classes), where=sums > 0)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN entry or sum here
+        for _ in range(data.draw(st.integers(0, 3))):
+            r, c = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, classes - 1))
+            p[r, c] = data.draw(st.sampled_from(_EDGE_ENTRIES)) + data.draw(
+                st.sampled_from([0.0, p[r, c], 1.0 - (p[r].sum() - p[r, c])]))
+        for r in range(rows):
+            if data.draw(st.booleans()):
+                p[r, 0] += data.draw(st.sampled_from([1e-6, -1e-6, 5e-7, -5e-7, 9.99e-7, 1.01e-6]))
+        assert _simplex_verdict(check_simplex, p) == _simplex_verdict(oracles.check_simplex, p)
+
+
+@pytest.mark.parametrize("row, accepted", [
+    ([0.1 + 1e-6] + [0.1] * 9, False), ([0.1 - 1e-6] + [0.1] * 9, False),
+    ([0.1 + 6e-7] + [0.1] * 9, True), ([0.1 - 6e-7] + [0.1] * 9, True),
+    ([0.1 + 1.1e-6] + [0.1] * 9, False), ([0.1 - 1.1e-6] + [0.1] * 9, False),
+    ([0.25, 0.75, -0.0], True), ([0.25, 0.75, -5e-324], False), ([0.25, 0.75, -1e-300], False),
+    ([0.25, 0.75 + 1e-9, -1e-9], False), ([np.nan, 1.0], False), ([np.inf, 0.0], False),
+    ([1.0, -np.inf], False),
+])
+def test_check_simplex_decides_rows_at_its_edges_as_the_row_scan(row, accepted):
+    """Sums off 1 by about the tolerance, signed zero, tiny negatives and
+    non-finite entries in one row of an otherwise valid matrix."""
+    p = np.full((4, len(row)), 1.0 / len(row))
+    p[2] = row
+    with np.errstate(invalid="ignore"):
+        want = _simplex_verdict(oracles.check_simplex, p)
+        assert _simplex_verdict(check_simplex, p) == want
+    assert (want is None) == accepted
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_check_simplex_on_empty_arrays_is_the_row_scan(shape):
+    p = np.zeros(shape)
+    assert _simplex_verdict(check_simplex, p) == _simplex_verdict(oracles.check_simplex, p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
