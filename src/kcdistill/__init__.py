@@ -10,10 +10,8 @@ from .emdriver import (
     RunRecord,
     ScheduleConfig,
     init_student,
-    relative_cost,
     run,
     run_with_fixed_labels,
-    tau_schedule,
 )
 from .evaluation import accuracy, hamming_distance, ratio_sweep, reuse_run
 from .knowledge import (
@@ -27,8 +25,7 @@ from .knowledge import (
     load_labels,
     save_labels,
 )
-from .nn import MlpModel, TrainConfig, init_mlp, softmax, train_teacher
+from .nn import MlpModel, TrainConfig, softmax, train_teacher
 from .ogve import OgveConfig, ValueState, rank
-from .vaks import augment, epsilon_schedule
 
 __version__ = "0.1.0"

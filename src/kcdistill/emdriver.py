@@ -32,10 +32,10 @@ stack; per model it is the arithmetic of a lone run, bit for bit. Each run
 still keeps its own generators, ValueState, labeling, condensed set and
 RunRecord. Runs distill against the store's read-only teacher matrix; a
 blending stage adds its blended rows and where they go, O(N + aug * C), not
-a copy of the N x C matrix. run_group, the one entry that trains, checks a
-job list, groups it by shape key, spreads the groups over forked workers
-(one chunk per usable CPU) and hands back each student trained; run() is a
-list of one.
+a copy of the N x C matrix; an epoch writes them into each chunk of batches
+it gathers. run_group, the one entry that trains, checks a job list, groups
+it by shape key, spreads the groups over forked workers (one chunk per
+usable CPU) and hands back each student trained; run() is a list of one.
 
 Training batches are drawn by shuffling the ascending-sorted active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
@@ -289,6 +289,9 @@ class RunRecord:
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
                "list": list, "np.ndarray": list, "CostReport": dict}
 _ARRAY_CHUNK = 8192
+# rows an epoch gathers at once: bounds memory per run, and is below big-store's
+# 20,000 reference train rows, so tests/test_big_store_golden.py crosses chunks
+_EPOCH_CHUNK_ROWS = 8192
 
 
 def _checked_fields(cls, payload, where: str) -> dict:
@@ -350,9 +353,11 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     """One epoch of a lockstep group: run k shuffles its sorted active[k] and
     distills against the store's teacher probs with blends[k] applied: None,
     or (aug_at, aug_probs), where aug_at[i] is -1 or the row of aug_probs
-    that replaces sample i's. Every batch is one stacked step. Returns each
-    run's mean loss. A run that keeps a ValueState records each trained
-    sample's prediction entropy in it.
+    that replaces sample i's. Each chunk of whole batches of the order is
+    gathered once, each blend overwrites its rows in it once, and every batch
+    is one stacked step over views of the chunk. Returns each run's mean
+    loss. A run that keeps a ValueState records each trained sample's
+    prediction entropy in it.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -363,44 +368,40 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     order = np.stack([np.sort(ids)[run.train_rng.permutation(ids.size)]
                       for run, ids in zip(runs, active)])
     unstacked = stack.params.ndim == 1  # a group of one
-    starts = range(0, order.shape[1], tcfg.batch_size)
-    # per blending run and batch: where its blended rows go and which they are
-    blended = []
-    for k, blend in enumerate(blends):
-        if blend is not None:
-            at = blend[0].take(order[k])
-            pos = np.flatnonzero(at >= 0)
-            cuts = np.searchsorted(pos, starts[1:])
-            blended.append((k, np.split(pos % tcfg.batch_size, cuts), np.split(at[pos], cuts)))
     reads = any(run.values is not None for run in runs)
     entropies = np.empty(order.shape) if reads else None
     totals = np.zeros(len(runs))
-    hard_all = store.hard_labels if tcfg.hard_label_weight > 0.0 else None
-    for b, start in enumerate(starts):
-        ids = order[:, start:start + tcfg.batch_size]
+    chunk = tcfg.batch_size * max(1, _EPOCH_CHUNK_ROWS // tcfg.batch_size)
+    for lo in range(0, order.shape[1], chunk):
+        ids = order[:, lo:lo + chunk]
         rows = ids[0] if unstacked else ids
         # take gathers rows several times faster than fancy indexing, same values
-        batch_targets = store.teacher_probs.take(rows, axis=0)
-        for k, offsets, aug_rows in blended:
-            dest = batch_targets if unstacked else batch_targets[k]
-            dest[offsets[b]] = blends[k][1].take(aug_rows[b], axis=0)
-        loss, gw, gb, probs_1 = nn.loss_and_grads(
-            stack, store.features.take(rows, axis=0), batch_targets, tcfg.temperature,
-            None if hard_all is None else hard_all.take(rows, axis=0),
-            tcfg.hard_label_weight,
-        )
-        if not np.isfinite(loss).all():
-            bad = runs[int(np.argmin(np.isfinite(loss)))]
-            raise DistillationError(
-                f"{bad.name}: non-finite training loss at stage {stage}, epoch {epoch}")
-        try:
-            nn.sgd_step(stack, gw, gb, vel, lr, tcfg)
-        except FloatingPointError as exc:
-            bad = runs[exc.index[0] if exc.index else 0]
-            raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
-        if reads:
-            entropies[:, start:start + ids.shape[1]] = ogve.entropy_rows(probs_1)
-        totals += loss * ids.shape[1]
+        features = store.features.take(rows, axis=0)
+        targets = store.teacher_probs.take(rows, axis=0)
+        hard = store.hard_labels.take(rows, axis=0) if tcfg.hard_label_weight > 0.0 else None
+        for k, blend in enumerate(blends):
+            if blend is not None:
+                at = blend[0].take(ids[k])
+                pos = np.flatnonzero(at >= 0)
+                (targets if unstacked else targets[k])[pos] = blend[1].take(at[pos], axis=0)
+        for start in range(0, ids.shape[1], tcfg.batch_size):
+            batch = slice(start, start + tcfg.batch_size)
+            loss, gw, gb, probs_1 = nn.loss_and_grads(
+                stack, features[..., batch, :], targets[..., batch, :], tcfg.temperature,
+                None if hard is None else hard[..., batch], tcfg.hard_label_weight)
+            if not np.isfinite(loss).all():
+                bad = runs[int(np.argmin(np.isfinite(loss)))]
+                raise DistillationError(
+                    f"{bad.name}: non-finite training loss at stage {stage}, epoch {epoch}")
+            try:
+                nn.sgd_step(stack, gw, gb, vel, lr, tcfg)
+            except FloatingPointError as exc:
+                bad = runs[exc.index[0] if exc.index else 0]
+                raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
+            if reads:
+                entropies[:, lo:][:, batch] = ogve.entropy_rows(probs_1)
+            totals += loss * probs_1.shape[-2]
+        del features, targets, hard  # one chunk alive at a time, not two
     for k, run in enumerate(runs):
         if run.values is not None:
             ogve.observe_batch(run.values, order[k], entropies[k])
@@ -514,15 +515,12 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
         [r.student for r in runs])
     vel = np.zeros_like(stack.params)
     test_x, test_y = dataset.test_features, dataset.test_labels
-    forward_count = 0
 
     def run_epochs(count, active, blends, stage_no):
-        nonlocal forward_count
         for _ in range(count):
             epoch = len(runs[0].epochs) + 1
             losses = _train_epoch(stack, vel, runs, store, active, blends, tcfg,
                                   nn.lr_at_epoch(tcfg, epoch), stage_no, epoch)
-            forward_count += active[0].size
             accs = np.atleast_1d(accuracy(stack, test_x, test_y))
             for run, loss, acc in zip(runs, losses, accs):
                 run.epochs.append(EpochRow(epoch, stage_no, active[0].size,
@@ -544,6 +542,7 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
             ))
 
     wall = time.perf_counter() - started
+    forward_count = sum(row.active_size for row in runs[0].epochs)
     realized = forward_count / (n * sched.total_epochs)
     results = []
     for run, params in zip(runs, stack.params.reshape(len(runs), -1)):

@@ -19,6 +19,8 @@ import numpy as np
 
 from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling
 
+_CHUNK_ROWS = 8192
+
 
 def _best_to_worst(labeling: ValueLabeling) -> np.ndarray:
     """Sample ids from rank 0 down: the inverse of the ranks permutation,
@@ -55,10 +57,12 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
         raise ValueError(
             f"augment inputs must be equal length, got {k1l.size}, {k0.size}, {eps.size}"
         )
-    # in place; eps * p_b + p_a is p_a + eps * p_b bit for bit (IEEE + commutes)
+    # in place; eps * p_b + p_a is p_a + eps * p_b bit for bit (IEEE + commutes),
+    # and p_a comes a chunk of rows at a time, so no second n x C gather lives
     blended = store.teacher_probs.take(k0, axis=0)
     blended *= eps[:, None]
-    blended += store.teacher_probs.take(k1l, axis=0)
+    for s in range(0, k1l.size, _CHUNK_ROWS):
+        blended[s:s + _CHUNK_ROWS] += store.teacher_probs.take(k1l[s:s + _CHUNK_ROWS], axis=0)
     blended /= (1.0 + eps)[:, None]
     return blended
 
@@ -71,7 +75,7 @@ def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
     order = _best_to_worst(labeling)
     kept = labeling.labels[order] == 1
     members, discarded = order[kept], order[~kept]
-    del order, kept  # not alive beside augment's two n_low x C gathers
+    del order, kept  # not alive beside augment's n_low x C gather
     n_low = min(members.size, discarded.size)
     border = members[members.size - n_low:]
     schedule = np.full(n_low, float(eps_m)) if constant_eps else epsilon_schedule(n_low, eps_m)

@@ -6,7 +6,7 @@ ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
 emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads,
 data.gen_gaussian_mixture), in bulk (data.load_csv, data.save_csv,
 emdriver.RunRecord.to_dict, knowledge.check_simplex) or in chunks
-(emdriver.RunRecord.fingerprint, emdriver.RunRecord.save).
+(emdriver.RunRecord.fingerprint, emdriver.RunRecord.save, vaks.augment).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
 literally: rank probability 1 - r/N, kept where it is >= the stage cutoff.
@@ -351,3 +351,14 @@ def check_simplex(probs: np.ndarray, context) -> None:
     if np.any(p < 0.0):
         raise ValueError(f"{where} is not a probability simplex: negative entry")
     raise ValueError(f"{where} is not a probability simplex (sum={float(p.sum()):.8f})")
+
+
+def augment(k1l_ids, k0_ids, schedule, teacher_probs: np.ndarray) -> np.ndarray:
+    """vaks.augment as one whole-matrix expression: both n x C gathers alive
+    at once, (eps * p_b + p_a) / (1 + eps) row by row."""
+    eps = np.asarray(schedule, dtype=np.float64)
+    blended = teacher_probs.take(np.asarray(k0_ids, dtype=np.int64), axis=0)
+    blended *= eps[:, None]
+    blended += teacher_probs.take(np.asarray(k1l_ids, dtype=np.int64), axis=0)
+    blended /= (1.0 + eps)[:, None]
+    return blended

@@ -659,15 +659,26 @@ class TestTrainEpoch:
         _, store = small_task
         assert_epochs_match_per_batch_loop(store, [0, 1], TrainConfig(batch_size=7))
 
+    @pytest.mark.parametrize("chunk_rows", [None, 3, 7, 14, 22], ids=[
+        "one-chunk", "chunk-below-a-batch", "chunk-of-one-batch", "chunk-of-two-batches",
+        "chunk-not-whole-batches"])
     @pytest.mark.parametrize("ks, hard_label_weight", [
-        ([1], 0.0), ([0], 0.3), ([1], 0.3), ([0, 1], 0.3), ([2], 0.0), ([0, 1, 2], 0.3),
-    ], ids=["lone-own-matrix", "lone-hard-labels", "lone-own-matrix-hard-labels",
-            "pair-hard-labels", "lone-partial-blend", "trio-partial-blend-hard-labels"])
-    def test_row_gathers_match_fancy_indexing(self, small_task, ks, hard_label_weight):
-        """The take gathers of features, targets and hard labels and the
-        per-batch writes of blended rows, for a lone run (trained unstacked)
-        and for a stack, against the loop's fancy-index gathers."""
+        ([1], 0.0), ([0], 0.3), ([1], 0.3), ([0, 1], 0.0), ([0, 1], 0.3), ([2], 0.0),
+        ([0, 1, 2], 0.0), ([0, 1, 2], 0.3),
+    ], ids=["lone-own-matrix", "lone-hard-labels", "lone-own-matrix-hard-labels", "pair",
+            "pair-hard-labels", "lone-partial-blend", "trio-partial-blend",
+            "trio-partial-blend-hard-labels"])
+    def test_row_gathers_match_fancy_indexing(self, small_task, monkeypatch, ks,
+                                              hard_label_weight, chunk_rows):
+        """The per-chunk take gathers of features, targets and hard labels
+        and the per-chunk overwrite of blended rows, for a lone run (trained
+        unstacked) and for a stack, against the loop's fancy-index gathers.
+        At batch 7 a chunk of 3 or 7 rows is one batch, 14 two, and 22 is
+        rounded down to three; each epoch's 48 rows then cross chunk
+        boundaries with blended rows on both sides, and end in a short batch."""
         _, store = small_task
+        if chunk_rows is not None:
+            monkeypatch.setattr(emdriver, "_EPOCH_CHUNK_ROWS", chunk_rows)
         tcfg = TrainConfig(batch_size=7, temperature=2.0, hard_label_weight=hard_label_weight)
         assert_epochs_match_per_batch_loop(store, ks, tcfg)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kcdistill import vaks
 from kcdistill.knowledge import build_store
 from kcdistill.ogve import labeling_from_ranks
 from kcdistill.vaks import augment, condense, direct_selection, epsilon_schedule
+from oracles import augment as whole_matrix_augment
 
 
 def labeled_store(n, keep_ratio, seed=0, classes=4):
@@ -197,6 +200,38 @@ class TestAugment:
                 blended = augment([0], [1], [float(eps)], store)[0]
                 tv.append(0.5 * np.abs(blended - p_a).sum())
             assert np.all(np.diff(tv) >= -1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "7-row-chunk"])
+    def test_chunked_gather_equals_whole_matrix_expression(self, monkeypatch, chunk_rows):
+        """A borderline slice over two chunks long, whose last chunk is
+        short, blends to the whole-matrix expression's bits."""
+        if chunk_rows is not None:
+            monkeypatch.setattr(vaks, "_CHUNK_ROWS", chunk_rows)
+        n_low = 2 * vaks._CHUNK_ROWS + 3
+        rng = np.random.default_rng(10)
+        probs = rng.dirichlet(np.ones(5), size=2 * n_low + 1)
+        store = build_store(np.zeros((probs.shape[0], 1)), probs)
+        ids = rng.permutation(probs.shape[0])
+        k1l, k0, eps = ids[:n_low], ids[n_low:2 * n_low], epsilon_schedule(n_low, 0.3)
+        out = augment(k1l, k0, eps, store)
+        assert out.tobytes() == whole_matrix_augment(k1l, k0, eps, store.teacher_probs).tobytes()
+
+    def test_traced_peak_holds_one_gather_and_a_chunk(self):
+        """augment's traced peak stays under (n_low + chunk) x C float64s plus
+        its 1 + eps temporary and 64 KiB; the whole-matrix expression holds
+        two n_low x C gathers at once, which is over that budget here."""
+        n_low, c = 4 * vaks._CHUNK_ROWS, 8
+        rng = np.random.default_rng(11)
+        store = build_store(np.zeros((2 * n_low, 1)), rng.dirichlet(np.ones(c), size=2 * n_low))
+        ids = rng.permutation(2 * n_low)
+        k1l, k0, eps = ids[:n_low], ids[n_low:], epsilon_schedule(n_low, 0.3)
+        tracemalloc.start()
+        try:
+            augment(k1l, k0, eps, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n_low + vaks._CHUNK_ROWS) * c * 8 + n_low * 8 + 64 * 1024
 
 
 class TestSummarize:
