@@ -198,9 +198,12 @@ def cmd_train_teacher(args, parser) -> int:
 
 def cmd_distill(args, parser) -> int:
     config = _build_config(args, parser)
+    method = _METHOD_ALIASES.get(args.method, args.method)
+    if args.export_labels and method == emdriver.METHOD_FULL_KD:
+        raise ValueError(f"--export-labels needs a condensed labeling; a {method} run "
+                         "keeps every sample and carries none")
     _check_paths(args, *_record_outputs(args), ("--export-labels", args.export_labels))
     dataset, store = _load_run_inputs(args)
-    method = _METHOD_ALIASES.get(args.method, args.method)
     student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
                                     store.num_classes, args.seed)
     student, record = emdriver.run(config, store, student, dataset, method)

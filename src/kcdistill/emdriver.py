@@ -546,8 +546,7 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     realized = forward_count / (n * sched.total_epochs)
     results = []
     for run, params in zip(runs, stack.params.reshape(len(runs), -1)):
-        trained = run.student.copy()
-        trained.params[...] = params
+        trained = nn.MlpModel(run.student.layer_dims, params)
         # keeping every sample or an imported labeling ignores the tau schedule
         ideal = realized if run.label in (None, _imported) else relative_cost(
             run.config.schedule.tau_list)
@@ -599,16 +598,19 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
     job order, each student holding its trained parameters.
 
     Every job is checked before any run starts: only a reuse row takes a
-    labeling, and a hard-label weight needs a store with hard labels. Jobs
-    with one _shape_key train in lockstep; each shape group splits into at
-    most one chunk per usable CPU, and _pool_map spreads the chunks over
-    worker processes. A lone job trains an unstacked copy of its student.
-    Students take their trained parameters only after every chunk has
-    returned, so a failing job leaves every student as it was, on any CPU
-    count. Records and parameters are bit-identical to training each job alone.
+    labeling, a hard-label weight needs a store with hard labels, a student
+    takes the store's feature and class counts, and no two jobs share one
+    student object. Jobs with one _shape_key train in lockstep; each shape
+    group splits into at most one chunk per usable CPU, and _pool_map spreads
+    the chunks over worker processes. A lone job trains an unstacked copy of
+    its student. Students take their trained parameters only after every
+    chunk has returned, so a failing job leaves every student as it was, on
+    any CPU count. Records and parameters are bit-identical to training each
+    job alone.
     """
     jobs = [Job(*job) for job in jobs]
     groups: dict[tuple, list[int]] = {}
+    owners: dict[int, tuple] = {}  # id(student) -> (index, name) of its first job
     for i, job in enumerate(jobs):
         if job.method not in (ALL_METHODS if job.labeling is None else _METHODS):
             raise ValueError(f"unknown method {job.method!r}; expected one of {ALL_METHODS}")
@@ -623,6 +625,14 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
                              "an empty knowledge set")
         if job.config.train.hard_label_weight > 0.0 and store.hard_labels is None:
             raise ValueError(f"{name}: hard_label_weight > 0 needs a store with hard labels")
+        dims = job.student.layer_dims
+        if (dims[0], dims[-1]) != (store.dim, store.num_classes):
+            raise ValueError(f"{name}: student dims {dims} do not fit the store's "
+                             f"{store.dim} features and {store.num_classes} classes")
+        first, first_name = owners.setdefault(id(job.student), (i, name))
+        if first != i:
+            raise ValueError(f"job {first} ({first_name}) and job {i} ({name}) share "
+                             "one student object")
         groups.setdefault(_shape_key(store, job), []).append(i)
     chunks = [chunk.tolist() for group in groups.values()
               for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]

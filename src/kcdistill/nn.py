@@ -4,12 +4,10 @@ Teacher and student are plain MLPs (ReLU hidden layers, linear output). The
 distillation loss is the batch-mean cross-entropy between target soft labels
 and the student's softmax output, with an optional hard-label term.
 
-A model's parameters live in one contiguous float64 vector, all weight
-matrices first and then all biases, and ``weights[i]``/``biases[i]`` are
-reshaped views into it. That lets one SGD step update every layer with a few
-whole-vector operations. Write through the views (``w[...] = ...``,
-``w -= ...``); rebinding ``weights[i]`` to a new array detaches it from the
-vector and the optimizer would no longer see it.
+A model is built from ``(layer_dims, params)``: one contiguous float64
+vector in checkpoint order (per layer, the row-major weight matrix and then
+the bias), of which ``weights[i]``/``biases[i]`` are views. One SGD step thus
+updates every layer with a few whole-vector operations.
 
 A model may also be a stack of K same-shape models: ``params`` is then (K, P)
 and each weight a (K, fan_in, fan_out) view. ``forward``, ``loss_and_grads``
@@ -79,83 +77,73 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay_factor ** drops
 
 
-@dataclass
+def _layout(layer_dims) -> tuple[tuple[int, ...], int]:
+    """Checked layer dims and the parameter count of one model."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"layer_dims must list input, hidden..., classes; got {dims}")
+    return dims, sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _views(dims, params: np.ndarray) -> tuple[list, list]:
+    """Per layer, the weight and bias views of a (..., P) parameter vector."""
+    lead, weights, biases, at = params.shape[:-1], [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(params[..., at:at + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(params[..., at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+@dataclass(eq=False)
 class MlpModel:
     """Dense ReLU network whose parameters live in one flat vector.
 
-    ``params`` holds every weight matrix (row-major, layer order) and then
-    every bias; ``n_weight`` is the length of the weight part. The matrices
-    passed in are copied into ``params`` and ``weights``/``biases`` are
-    replaced by views of it, so in-place writes such as
-    ``model.weights[0][:] = 0`` change the model. Never rebind
-    ``weights[i]`` or ``biases[i]``: the new array would not be trained.
+    ``params`` is (..., P), each layer's row-major weight and then its bias,
+    copied into an owned float64 array. ``weights``/``biases`` are views of
+    it: write through them (``w[...] = ...``, ``w -= ...``); a rebound
+    ``weights[i]`` would not be trained. ``==`` is identity; compare two
+    models by ``param_bytes()``, the checkpoint's parameter bytes.
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-    n_weight: int = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
-        lead = arrays[0].shape[:-2] if self.weights else ()  # stack dimensions
-        sizes = [int(np.prod(a.shape[len(lead):])) for a in arrays]
-        self.params = (np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1)
-                       if arrays else np.empty(0))
-        self.n_weight = sum(sizes[:len(self.weights)])
-        views, offset = [], 0
-        for a, size in zip(arrays, sizes):
-            views.append(self.params[..., offset:offset + size].reshape(a.shape))
-            offset += size
-        self.weights = views[:len(self.weights)]
-        self.biases = views[len(self.weights):]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.layer_dims[-1])
-
-    @property
-    def input_dim(self) -> int:
-        return int(self.layer_dims[0])
+        self.layer_dims, size = _layout(self.layer_dims)
+        self.params = np.array(self.params, dtype=np.float64)
+        if self.params.shape[-1:] != (size,):
+            raise ValueError(f"params of shape {self.params.shape} do not hold the "
+                             f"{size} parameters of layer dims {self.layer_dims}")
+        self.weights, self.biases = _views(self.layer_dims, self.params)
 
     def __reduce__(self):
-        # pickling the arrays one by one would detach the views from params
-        return MlpModel, (self.layer_dims, list(self.weights), list(self.biases))
+        # pickling the views one by one would detach them from params
+        return MlpModel, (self.layer_dims, self.params)
 
     def copy(self) -> "MlpModel":
-        # __post_init__ copies the arrays into a fresh parameter vector
-        return MlpModel(layer_dims=tuple(self.layer_dims),
-                        weights=list(self.weights), biases=list(self.biases))
+        return MlpModel(self.layer_dims, self.params)
 
     def param_bytes(self) -> bytes:
-        """Parameters as little-endian float64, weight then bias per layer
-        (the checkpoint layout, also hashed into a run's param_digest)."""
-        chunks = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.astype("<f8").tobytes())
-            chunks.append(b.astype("<f8").tobytes())
-        return b"".join(chunks)
+        """Parameters as little-endian float64 (the checkpoint layout, also
+        hashed into a run's param_digest)."""
+        return self.params.astype("<f8").tobytes()
 
 
 def init_mlp(layer_dims, rng) -> MlpModel:
     """He-normal weights, zero biases. rng may be a seed or a Generator."""
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError(f"layer_dims must list input, hidden..., classes; got {dims}")
+    dims, size = _layout(layer_dims)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(gen.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases)
+    model = MlpModel(dims, np.zeros(size))
+    for w in model.weights:
+        w[...] = gen.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return model
 
 
 def stack_models(models) -> MlpModel:
     """One stacked model holding copies of same-shape models' parameters."""
-    return MlpModel(models[0].layer_dims,
-                    weights=[np.stack(w) for w in zip(*(m.weights for m in models))],
-                    biases=[np.stack(b) for b in zip(*(m.biases for m in models))])
+    return MlpModel(models[0].layer_dims, np.stack([m.params for m in models]))
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -163,8 +151,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     if h.ndim == 1:
         h = h[None, :]
-    if h.shape[-1] != model.input_dim:
-        raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.input_dim}")
+    if h.shape[-1] != model.layer_dims[0]:
+        raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.layer_dims[0]}")
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = h @ w
         h += b[..., None, :]
@@ -264,7 +252,11 @@ def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
     parameter changes; the error's ``index`` is the stack index of the first
     model with a bad gradient (``()`` for a single model).
     """
-    lead, grads = model.params.shape[:-1], (*grads_w, *grads_b)
+    lead, grads = model.params.shape[:-1], []
+    for gw, w, gb in zip(grads_w, model.weights, grads_b):
+        decayed = cfg.weight_decay * w
+        decayed += gw  # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
+        grads += (decayed, gb)
     # a single model takes the cheaper flat concatenation
     g = (np.concatenate([a.reshape(*lead, -1) for a in grads], axis=-1) if lead
          else np.concatenate(grads, axis=None))
@@ -279,9 +271,6 @@ def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
                 )
                 exc.index = index
                 raise exc
-    nw = model.n_weight
-    # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
-    g[..., :nw] += cfg.weight_decay * model.params[..., :nw]
     vel *= cfg.momentum
     vel += g
     model.params -= lr * vel
@@ -294,7 +283,7 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
     y = np.asarray(labels, dtype=np.int64)
     model = init_mlp(layer_dims, np.random.default_rng([seed, 0]))
     shuffle_rng = np.random.default_rng([seed, 1])
-    onehot = np.zeros((x.shape[0], model.num_classes))
+    onehot = np.zeros((x.shape[0], model.layer_dims[-1]))
     onehot[np.arange(x.shape[0]), y] = 1.0
     vel = np.zeros_like(model.params)
     for epoch in range(1, epochs + 1):
@@ -350,15 +339,8 @@ def load_model(path) -> MlpModel:
     dims = struct.unpack_from(f"<{n_dims}I", data, head.size)
     if n_dims < 2 or 0 in dims:
         raise bad(f"need 2 or more layer dims, none 0; got {n_dims} dims", 8)
-    expected = offset + 8 * sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+    expected = offset + 8 * _layout(dims)[1]
     if len(data) != expected:
         raise bad(f"file has {len(data)} bytes, its layer dims need {expected}",
                   min(len(data), expected))
-    # per layer: row-major weight matrix, then bias
-    params = np.frombuffer(data, dtype="<f8", offset=offset)
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(params[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
-        biases.append(params[at + fan_in * fan_out:at + (fan_in + 1) * fan_out])
-        at += (fan_in + 1) * fan_out
-    return MlpModel(layer_dims=tuple(int(d) for d in dims), weights=weights, biases=biases)
+    return MlpModel(dims, np.frombuffer(data, "<f8", offset=offset))

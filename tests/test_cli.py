@@ -144,6 +144,20 @@ class TestDistill:
         assert capsys.readouterr().err == f"error: {message}, got nan\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("inputs", ["present", "missing"])
+    def test_full_kd_label_export_is_refused_before_any_file_is_read(
+            self, workdir, tmp_path, capsys, inputs):
+        # with inputs present the run would train and write; missing, reading fails
+        root = workdir if inputs == "present" else tmp_path / "nowhere"
+        argv = ["distill", "--data", str(root / "data"),
+                "--teacher-probs", str(root / "teacher_probs.npy"),
+                "--method", "full-kd", "--export-labels", str(tmp_path / "l.kcl"),
+                "--out-record", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --export-labels") and "full-kd" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_data_dir_is_clean_error(self, workdir, tmp_path, capsys):
         code = main(["distill", "--data", str(tmp_path / "nowhere"),
                      "--teacher-probs", str(workdir / "teacher_probs.npy"),

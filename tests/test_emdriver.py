@@ -846,18 +846,31 @@ class TestLockstep:
         assert key("kcd", batch_size=32) != key("kcd")
         assert key("kcd", hidden=(8, 5)) != key("kcd")
 
-    @pytest.mark.parametrize("method, label_count, message", [
-        ("telepathy", None, "unknown method 'telepathy'; expected one of"),
-        ("reuse-with-vaks", None, "unknown method 'reuse-with-vaks'; expected one of"),
-        ("reuse-direct-select", 50,
+    @pytest.mark.parametrize("method, label_count, student, message", [
+        ("telepathy", None, "copy", "unknown method 'telepathy'; expected one of"),
+        ("reuse-with-vaks", None, "copy", "unknown method 'reuse-with-vaks'; expected one of"),
+        ("reuse-direct-select", 50, "copy",
          "^reuse-direct-select seed 0: label count 50 does not match store size 96$"),
-        ("kcd", 96, "^kcd seed 0: the method imports no labeling, but one was given$"),
-        ("full-kd", 96, "^full-kd seed 0: the method imports no labeling, but one was given$"),
+        ("kcd", 96, "copy", "^kcd seed 0: the method imports no labeling, but one was given$"),
+        ("full-kd", 96, "copy",
+         "^full-kd seed 0: the method imports no labeling, but one was given$"),
+        ("kcd", None, "wide",
+         r"^kcd seed 0: student dims \(7, 8, 4\) do not fit the store's 6 features and "
+         r"4 classes$"),
+        ("kcd", None, "three-class",
+         r"^kcd seed 0: student dims \(6, 8, 3\) do not fit the store's 6 features and "
+         r"4 classes$"),
+        # {} are the indices of the two jobs holding one student
+        ("kcd", None, "shared",
+         r"^job {} \(kcd seed 0\) and job {} \(kcd seed 0\) share one student object$"),
     ], ids=["unknown-method", "reuse-without-labeling", "labeling-of-wrong-size",
-            "labeling-for-a-ranking-method", "labeling-for-full-kd"])
+            "labeling-for-a-ranking-method", "labeling-for-full-kd",
+            "student-of-another-input-dim", "student-of-another-class-count",
+            "student-of-another-job"])
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_a_bad_job_anywhere_raises_before_any_run(self, small_task, monkeypatch,
-                                                       method, label_count, message, at):
+                                                       method, label_count, student,
+                                                       message, at):
         ds, store = small_task
         monkeypatch.setattr(emdriver, "_usable_cpus", lambda: 2)
 
@@ -869,8 +882,12 @@ class TestLockstep:
         jobs = [Job(make_config(seed=s), init_student(store.dim, (8,), store.num_classes, s), m)
                 for s, m in enumerate(("kcd", "full-kd", "kcd", "no-car"))]
         labeling = None if label_count is None else random_labeling(label_count, 0.7)
-        jobs.insert(at, Job(make_config(), jobs[0].student.copy(), method, labeling))
-        with pytest.raises(ValueError, match=message):
+        students = {"copy": jobs[0].student.copy(), "shared": jobs[0].student,
+                    "wide": init_student(store.dim + 1, (8,), store.num_classes, 0),
+                    "three-class": init_student(store.dim, (8,), store.num_classes - 1, 0)}
+        jobs.insert(at, Job(make_config(), students[student], method, labeling))
+        shared = (0, 1) if at == 0 else (0, at)  # the jobs holding jobs[0]'s student
+        with pytest.raises(ValueError, match=message.format(*shared)):
             run_group(store, ds, jobs)
 
     @pytest.mark.parametrize("poison, message", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kcdistill.data import DataFormatError
 
 from kcdistill.nn import (
+    MlpModel,
     TrainConfig,
     forward,
     init_mlp,
@@ -328,7 +329,7 @@ class TestFlatParams:
             for a, b in zip(model.weights + model.biases, weights + biases):
                 assert a.tobytes() == b.tobytes()
         assert vel.tobytes() == np.concatenate(
-            [v.ravel() for v in vel_w + vel_b]).tobytes()
+            [v.ravel() for vw, vb in zip(vel_w, vel_b) for v in (vw, vb)]).tobytes()
 
     def test_non_finite_bias_gradient_names_layer_and_leaves_params(self):
         model = init_mlp((4, 5, 3), 19)
@@ -342,19 +343,42 @@ class TestFlatParams:
         np.testing.assert_array_equal(model.params, before)
         assert not vel.any()
 
-    def test_layout_is_weights_then_biases(self):
+    def test_layout_is_the_checkpoint_layout(self, tmp_path):
         model = init_mlp((3, 4, 2), 20)
         assert model.params.size == 3 * 4 + 4 * 2 + 4 + 2
-        assert model.n_weight == 3 * 4 + 4 * 2
-        expected = np.concatenate([a.ravel() for a in model.weights + model.biases])
+        expected = np.concatenate([a.ravel() for w, b in zip(model.weights, model.biases)
+                                   for a in (w, b)])
         np.testing.assert_array_equal(model.params, expected)
+        assert model.params.tobytes() == model.param_bytes()
+        save_model(tmp_path / "m.bin", model)
+        assert (tmp_path / "m.bin").read_bytes()[12 + 4 * 3:] == model.param_bytes()
 
     def test_view_writes_land_in_params(self):
         model = init_mlp((3, 4, 2), 21)
         model.weights[1][2, 1] = 7.5
         model.biases[0][:] = -1.0
-        assert model.params[3 * 4 + 2 * 2 + 1] == 7.5
-        np.testing.assert_array_equal(model.params[model.n_weight:model.n_weight + 4], -1.0)
+        # layer 0 holds 3 * 4 weights, then 4 biases; layer 1's weights follow
+        assert model.params[3 * 4 + 4 + 2 * 2 + 1] == 7.5
+        np.testing.assert_array_equal(model.params[3 * 4:3 * 4 + 4], -1.0)
+
+    @pytest.mark.parametrize("params", [np.zeros(25), np.zeros(27), np.zeros((2, 25)),
+                                        np.float64(0.0)])
+    def test_params_of_the_wrong_length_are_refused(self, params):
+        with pytest.raises(ValueError, match=r"do not hold the 26 parameters of layer "
+                                             r"dims \(3, 4, 2\)$"):
+            MlpModel((3, 4, 2), params)
+
+    @pytest.mark.parametrize("dims", [(3,), (3, 0, 2), (3, -1, 2)])
+    def test_bad_dims_are_refused(self, dims):
+        for build in (lambda: init_mlp(dims, 0), lambda: MlpModel(dims, np.zeros(26))):
+            with pytest.raises(ValueError, match="layer_dims must list input, hidden"):
+                build()
+
+    def test_models_compare_by_param_bytes_not_eq(self):
+        model = init_mlp((3, 4, 2), 22)
+        twin = model.copy()
+        assert (model == twin) is False and model == model
+        assert twin.param_bytes() == model.param_bytes()
 
     def test_copy_and_checkpoint_are_independent_and_equal(self, tmp_path):
         model = init_mlp((3, 4, 2), 22)
@@ -414,13 +438,15 @@ class TestStackedModels:
         assert not any(a.any() for a in again.weights + again.biases)
 
     def test_views_write_through_to_the_stacked_vector(self):
-        stack = stack_models([init_mlp((3, 4, 2), seed) for seed in range(2)])
+        models = [init_mlp((3, 4, 2), seed) for seed in range(2)]
+        stack = stack_models(models)
         assert stack.params.shape == (2, 3 * 4 + 4 * 2 + 4 + 2)
-        assert stack.n_weight == 3 * 4 + 4 * 2
+        for k, model in enumerate(models):
+            assert stack.params[k].tobytes() == model.param_bytes()
         stack.weights[1][1, 2, 1] = 7.5
         stack.biases[0][1, :] = -1.0
-        assert stack.params[1, 3 * 4 + 2 * 2 + 1] == 7.5
-        np.testing.assert_array_equal(stack.params[1, stack.n_weight:stack.n_weight + 4], -1.0)
+        assert stack.params[1, 3 * 4 + 4 + 2 * 2 + 1] == 7.5
+        np.testing.assert_array_equal(stack.params[1, 3 * 4:3 * 4 + 4], -1.0)
 
     def test_non_finite_gradient_names_model_and_layer_and_moves_nothing(self):
         stack = stack_models([init_mlp((4, 5, 3), seed) for seed in range(3)])
