@@ -18,8 +18,8 @@ from . import data as datamod
 from . import emdriver, evaluation, knowledge, nn
 from .ogve import OgveConfig
 
-CLI_METHODS = ("full-kd", "kcd", "random", "ogve-only", "no-ovr", "no-car", "fixed-eps")
 _METHOD_ALIASES = {"random": emdriver.METHOD_RANDOM}
+CLI_METHODS = (*emdriver.ALL_METHODS, *_METHOD_ALIASES)
 
 OUT_DIR_ENV = "KCDISTILL_OUT_DIR"
 
@@ -37,9 +37,7 @@ def _csv(values) -> str:
 
 
 def _seed_list(text: str) -> list[int]:
-    if "," in text:
-        return _int_list(text)
-    return list(range(int(text)))
+    return _int_list(text) if "," in text else list(range(int(text)))
 
 
 def _run_dir(tag: str) -> Path:
@@ -107,9 +105,23 @@ def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConf
                                   eps_m=args.eps_m, train=train, seed=args.seed)
 
 
+def _load_teacher_probs(path) -> np.ndarray:
+    """The one real array in the .npy file at path; anything else (an .npz
+    archive, a text or pickle file, a complex or object array) is a
+    ValueError that names --teacher-probs and the path."""
+    with open(path, "rb") as fh:
+        try:
+            probs = np.lib.format.read_array(fh)
+        except ValueError as exc:
+            raise ValueError(f"--teacher-probs {path} is not a .npy file: {exc}") from None
+    if probs.dtype.kind not in "biuf":
+        raise ValueError(f"--teacher-probs {path} holds a {probs.dtype} array, not a real one")
+    return probs
+
+
 def _load_run_inputs(args):
     dataset = datamod.load_split_dir(args.data)
-    teacher_probs = np.load(args.teacher_probs)
+    teacher_probs = _load_teacher_probs(args.teacher_probs)
     if teacher_probs.shape[1:] != (dataset.class_count,):
         raise ValueError(
             f"teacher probs {args.teacher_probs} have shape {teacher_probs.shape}, "
@@ -133,9 +145,10 @@ def _record_outputs(args) -> list:
 
 
 def _check_paths(args, *outputs) -> None:
-    """Refuse, before any work, two outputs that resolve to one file and an
-    output that resolves to an input: the --data CSVs, --teacher-probs or
-    --labels. outputs are (flag, path) pairs; a None path is skipped."""
+    """Refuse, before any work, an output that is an existing directory, two
+    outputs that resolve to one file and an output that resolves to an
+    input: the --data CSVs, --teacher-probs or --labels. outputs are
+    (flag, path) pairs; a None path is skipped."""
     inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)]
     inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
                for key in ("teacher_probs", "labels") if hasattr(args, key)]
@@ -143,6 +156,8 @@ def _check_paths(args, *outputs) -> None:
     for flag, path in outputs:
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path} is a directory")
         real = os.path.realpath(path)
         if real in claimed:
             raise ValueError(f"{flag} {path} is the same file as {claimed[real]}")
@@ -237,6 +252,9 @@ def cmd_sweep(args, parser) -> int:
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValueError(f"--methods {args.methods!r} names {repeated[0]} twice")
     seeds, rho_grid = _seed_list(args.seeds), _float_list(args.rho_grid)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no seed")

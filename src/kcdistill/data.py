@@ -33,10 +33,13 @@ def read_only(a, dtype) -> np.ndarray:
     """a as a read-only C-contiguous array of dtype. An ndarray that already
     is one and owns its data is returned as it is: no one can write it, so
     it can be shared. Anything else (writable, a view, a list, another
-    dtype) is copied, so the caller's later writes cannot reach the result."""
+    dtype) is copied, so the caller's later writes cannot reach the result.
+    Complex values raise a ValueError rather than lose their imaginary parts."""
     if (type(a) is np.ndarray and a.dtype == dtype and a.base is None
             and a.flags.c_contiguous and not a.flags.writeable):
         return a
+    if np.iscomplexobj(a):
+        raise ValueError(f"complex values cannot be read as {np.dtype(dtype)}")
     a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a

@@ -6,7 +6,8 @@ observed value before the first ranking. At each stage boundary the complete
 store is re-ranked and the top round(tau_s * N) samples are kept, where
 tau_s = rho ** (s / S) decays to the final keep ratio rho; the kept set is
 then summarized (borderline soft labels blended with discarded ones) and the
-student trains on that fixed set for the rest of the stage.
+student trains on that fixed set, which vaks.direct_selection reads off the
+labeling, for the rest of the stage.
 
 The ideal relative cost of a schedule is mean(tau_s): each stage trains T
 epochs on a tau_s fraction of the store. The realized cost counts actual
@@ -19,8 +20,8 @@ Because keep counts are whole samples, realized - ideal is not bounded by
 (1 - rho**(1/S)) / I: at N=800, rho=0.5 the gap is 1.95e-3 against 1.82e-3.
 
 One stage loop serves every method and both reuse modes; a row of _METHODS
-says how a stage picks its labeling, how it condenses the kept set, and
-whether the run keeps a ValueState.
+says how a stage picks its labeling, how it blends the kept set, if at all,
+and whether the run keeps a ValueState.
 
 The loop trains a group of runs in lockstep. Runs form a group when they
 share a _shape_key: the store, the epochs and stage length, the TrainConfig,
@@ -29,15 +30,15 @@ full-kd, keep_count(N, tau_s) for the scheduled methods, the imported kept
 count for reuse rows). Their students become one stacked model, and each
 batch step, SGD update and per-epoch evaluation runs once for the whole
 stack; per model it is the arithmetic of a lone run, bit for bit. Each run
-still keeps its own generators, ValueState, labeling, condensed set and
-RunRecord. Runs distill against the store's read-only teacher matrix; a
-blending stage adds its blended rows and where they go, O(N + aug * C), not
-a copy of the N x C matrix; an epoch writes them into each chunk of batches
-it gathers. run_group, the one entry that trains, checks a job list, groups
-it by shape key, spreads the groups over forked workers (one chunk per
-usable CPU) and hands back each student trained; run() is a list of one.
+still keeps its own generators, ValueState, labeling, blend and RunRecord.
+Runs distill against the store's read-only teacher matrix; a blending stage
+adds its blended rows and where they go, O(N + aug * C), not a copy of the
+N x C matrix; an epoch writes them into each chunk of batches it gathers.
+run_group, the one entry that trains, checks a job list, groups it by shape
+key, spreads the groups over forked workers (one chunk per usable CPU) and
+hands back each student trained; run() is a list of one.
 
-Training batches are drawn by shuffling the ascending-sorted active ids with
+Training batches are drawn by shuffling the ascending active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
 identical randomness and differ only through which samples they select.
 """
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import nn, ogve, vaks
 from .data import Dataset, write_atomic
-from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling, check_simplex
+from .knowledge import KnowledgeStore, ValueLabeling, check_simplex
 from .nn import accuracy
 from .ogve import OgveConfig
 
@@ -270,11 +271,8 @@ class RunRecord:
 
     def epochs_csv(self) -> str:
         lines = ["epoch,stage,active_size,train_loss,eval_accuracy"]
-        for row in self.epochs:
-            lines.append(
-                f"{row.epoch},{row.stage},{row.active_size},"
-                f"{row.train_loss:.10g},{row.eval_accuracy:.10g}"
-            )
+        lines += [f"{row.epoch},{row.stage},{row.active_size},"
+                  f"{row.train_loss:.10g},{row.eval_accuracy:.10g}" for row in self.epochs]
         return "\n".join(lines) + "\n"
 
     def final_labeling(self) -> ValueLabeling:
@@ -350,14 +348,14 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
 
 def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
                  stage: int, epoch: int) -> np.ndarray:
-    """One epoch of a lockstep group: run k shuffles its sorted active[k] and
-    distills against the store's teacher probs with blends[k] applied: None,
-    or (aug_at, aug_probs), where aug_at[i] is -1 or the row of aug_probs
-    that replaces sample i's. Each chunk of whole batches of the order is
-    gathered once, each blend overwrites its rows in it once, and every batch
-    is one stacked step over views of the chunk. Returns each run's mean
-    loss. A run that keeps a ValueState records each trained sample's
-    prediction entropy in it.
+    """One epoch of a lockstep group: run k shuffles its active[k], which
+    must be ascending, and distills against the store's teacher probs with
+    blends[k] applied: None, or (aug_at, aug_probs), where aug_at[i] is -1 or
+    the row of aug_probs that replaces sample i's. Each chunk of whole batches
+    of the order is gathered once, each blend overwrites its rows in it once,
+    and every batch is one stacked step over views of the chunk. Returns each
+    run's mean loss. A run that keeps a ValueState records each trained
+    sample's prediction entropy in it.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -365,7 +363,7 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     the same prior state either way, and values are read only at stage
     boundaries, never inside an epoch.
     """
-    order = np.stack([np.sort(ids)[run.train_rng.permutation(ids.size)]
+    order = np.stack([ids[run.train_rng.permutation(ids.size)]
                       for run, ids in zip(runs, active)])
     unstacked = stack.params.ndim == 1  # a group of one
     reads = any(run.values is not None for run in runs)
@@ -427,37 +425,39 @@ class _Run:
         self.labels, self.ranks = np.ones(store.n, dtype=np.uint8), None
 
     def stage(self, s: int):
-        """Active ids, blend (see _train_epoch), rank threshold and blended
-        count, once _check_boundary has passed the stage's condensed set."""
+        """Active ids (ascending), blend (see _train_epoch), rank threshold
+        and blended count, once _check_boundary has passed the stage."""
         n = self.store.n
         if self.label is None:
             return np.arange(n), None, 1.0 / n, 0
         labeling = self.label(self, self.config.schedule.tau_list[s - 1])
-        condensed = self.condense(self, labeling)
+        # condense first: the kept ids need not live beside its gathers
+        condensed = None if self.condense is None else self.condense(self, labeling)
         blend = _check_boundary(self, s, labeling, condensed)
+        active = vaks.direct_selection(labeling)
         self.labels, self.ranks = labeling.labels, labeling.ranks
         # 1 - r/N for the largest kept rank r: 1 - (keep_count(n, tau_s) - 1)/N
         # when the labeling follows the schedule
-        threshold = 1.0 - self.ranks[self.labels == 1].max() / n
-        return condensed.member_ids, blend, threshold, condensed.aug_ids.size
+        threshold = 1.0 - self.ranks[active].max() / n
+        return active, blend, threshold, 0 if blend is None else blend[1].shape[0]
 
 
-def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed: CondensedSet):
+def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed):
     """Check stage s's hand-over in O(N): the labeling keeps the planned count,
-    the members are its kept samples, each once, and the blended ids are distinct
-    members with one aug_probs row each, on the simplex. Returns the blend."""
-    labels, members, aug = labeling.labels, condensed.member_ids, condensed.aug_ids
-    kept, planned, rows = int(np.count_nonzero(labels)), run.sizes[s - 1], len(condensed.aug_probs)
+    and the condensed set, if any, blends distinct kept samples with one
+    aug_probs row each, on the simplex. Returns the blend."""
+    labels, planned = labeling.labels, run.sizes[s - 1]
+    kept = int(np.count_nonzero(labels))
     try:
         if kept != planned:
             raise ValueError(f"the labeling keeps {kept} samples, the stage plans {planned}")
-        if members.size != kept:
-            raise ValueError(f"condensed size {members.size} does not equal kept size {kept}")
-        for ids, kind, of in ((members, "member", "kept sample"), (aug, "blended id", "member")):
-            if ids.size and (ids.min() < 0 or ids.max() >= labels.size or not labels[ids].all()):
-                raise ValueError(f"a {kind} is not a {of}")
-            if np.bincount(ids).max(initial=0) > 1:
-                raise ValueError(f"a {kind} repeats")
+        if condensed is None:
+            return None
+        aug, rows = condensed.aug_ids, len(condensed.aug_probs)
+        if aug.size and (aug.min() < 0 or aug.max() >= labels.size or not labels[aug].all()):
+            raise ValueError("a blended id is not a kept sample")
+        if np.bincount(aug).max(initial=0) > 1:
+            raise ValueError("a blended id repeats")
         if rows != aug.size:
             raise ValueError(f"aug_probs has {rows} rows for {aug.size} blended ids")
         check_simplex(condensed.aug_probs, lambda j: f"the blended row of sample {aug[j]}")
@@ -484,21 +484,18 @@ def _summary(run, labeling, constant_eps=False):
     return vaks.condense(labeling, run.store, run.config.eps_m, constant_eps=constant_eps)
 
 
-def _kept(run, labeling):
-    return vaks.direct_selection(labeling)
-
-
-# method -> (stage labeling(run, tau), or None to keep every sample with its
-# original soft label; condenser(run, labeling); whether it reads values)
+# method -> (stage labeling(run, tau), or None to keep every sample; the
+# condenser(run, labeling) that blends the kept set, or None to train it on its
+# original soft labels; whether it reads values)
 _METHODS = {
     METHOD_KCD: (_by_value, _summary, True),
     METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), True),
-    METHOD_OGVE_ONLY: (_by_value, _kept, True),
-    METHOD_NO_OVR: (partial(_by_value, source="latest"), _kept, True),
-    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), _kept, True),
-    METHOD_RANDOM: (_at_random, _kept, False),
+    METHOD_OGVE_ONLY: (_by_value, None, True),
+    METHOD_NO_OVR: (partial(_by_value, source="latest"), None, True),
+    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), None, True),
+    METHOD_RANDOM: (_at_random, None, False),
     METHOD_FULL_KD: (None, None, False),
-    f"reuse-{REUSE_DIRECT}": (_imported, _kept, False),
+    f"reuse-{REUSE_DIRECT}": (_imported, None, False),
     f"reuse-{REUSE_VAKS}": (_imported, _summary, False),
 }
 

@@ -16,8 +16,7 @@ from .nn import accuracy
 
 
 def hamming_distance(labels_a, labels_b) -> int:
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
     if a.shape != b.shape:
         raise ValueError(f"label length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
@@ -71,11 +70,7 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
 
 
 def sweep_rows_to_csv(rows) -> str:
-    header = "rho,seed,method,accuracy,relative_cost,realized_relative_cost"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['rho']},{r['seed']},{r['method']},{r['accuracy']:.10g},"
-            f"{r['relative_cost']:.10g},{r['realized_relative_cost']:.10g}"
-        )
+    lines = ["rho,seed,method,accuracy,relative_cost,realized_relative_cost"]
+    lines += [f"{r['rho']},{r['seed']},{r['method']},{r['accuracy']:.10g},"
+              f"{r['relative_cost']:.10g},{r['realized_relative_cost']:.10g}" for r in rows]
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ runs over whole arrays at once and names the first offending sample or record.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,21 +112,16 @@ class ValueLabeling:
 
 @dataclass
 class CondensedSet:
-    """One stage's knowledge, a plain record checked by emdriver._check_boundary.
+    """One stage's blend, a plain record checked by emdriver._check_boundary.
 
-    member_ids lists the kept sample ids. aug_ids, a subset of the members,
-    lists the borderline samples whose soft labels were blended, and row j of
-    the len(aug_ids) x C matrix aug_probs is the blended label of aug_ids[j].
-    Every other member distills against the store's original teacher probs.
+    aug_ids lists the borderline kept samples whose soft labels were blended,
+    and row j of the len(aug_ids) x C matrix aug_probs is the blended label of
+    aug_ids[j]. The stage trains on its labeling's kept samples; every one
+    outside aug_ids distills against the store's original teacher probs.
     """
 
-    member_ids: np.ndarray
-    aug_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    aug_probs: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
-
-    @property
-    def size(self) -> int:
-        return int(self.member_ids.size)
+    aug_ids: np.ndarray
+    aug_probs: np.ndarray
 
 
 class KnowledgeStore:

@@ -66,9 +66,7 @@ class TrainConfig:
         """Defaults for desk-scale runs: late step decay at 62.5/75/87.5% of
         the run, mirroring the usual decay-late-in-training recipe."""
         decay = tuple(int(np.floor(f * total_epochs)) for f in (0.625, 0.75, 0.875))
-        kwargs = dict(lr_decay_epochs=decay)
-        kwargs.update(overrides)
-        return cls(**kwargs)
+        return cls(**{"lr_decay_epochs": decay, **overrides})
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:

@@ -1,16 +1,16 @@
 """Value-adaptive knowledge summary.
 
-condense turns a stage's labeling into its condensed set in one pass. The
-kept samples (label 1), ordered best first, are the members. The last
-min(|K0|, |K1|) of them, the lowest-ranked kept samples, form the borderline
-slice. Each borderline soft label is blended with the soft label of its
-rank-aligned discarded partner (the j-th borderline sample with the j-th
-best discarded one) under a linearly growing blend ratio, so the borderline
-samples nearest the cut absorb the most outside knowledge. The condensed
-set's aug_ids are the borderline slice and its aug_probs the blended matrix,
-one row per borderline sample. direct_selection keeps the members alone.
-Neither checks its result: the stage loop checks each condensed set against
-its labeling (emdriver._check_boundary) before the stage trains.
+direct_selection turns a stage's labeling into the ids the stage trains on:
+its kept samples (label 1), ascending. condense turns it into the stage's
+blend. Ordered best first, the last min(|K0|, |K1|) kept samples, the
+lowest-ranked ones, form the borderline slice. Each borderline soft label is
+blended with the soft label of its rank-aligned discarded partner (the j-th
+borderline sample with the j-th best discarded one) under a linearly growing
+blend ratio, so the borderline samples nearest the cut absorb the most
+outside knowledge. The condensed set's aug_ids are the borderline slice and
+its aug_probs the blended matrix, one row per borderline sample. Neither
+checks its result: the stage loop checks each blend against its labeling
+(emdriver._check_boundary) before the stage trains.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ import numpy as np
 from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling
 
 _CHUNK_ROWS = 8192
-
-
-def _best_to_worst(labeling: ValueLabeling) -> np.ndarray:
-    """Sample ids from rank 0 down: the inverse of the ranks permutation,
-    built by one O(N) scatter; equal to np.argsort(labeling.ranks)."""
-    order = np.empty(labeling.n, dtype=np.int64)
-    order[labeling.ranks] = np.arange(labeling.n)
-    return order
 
 
 def epsilon_schedule(n: int, eps_m: float) -> np.ndarray:
@@ -69,10 +61,12 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
 
 def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
              constant_eps: bool = False) -> CondensedSet:
-    """The kept samples, best first, with the borderline slice blended under
+    """The borderline slice of the kept samples, blended under
     epsilon_schedule, or under eps_m throughout with constant_eps (the
     non-adaptive variant)."""
-    order = _best_to_worst(labeling)
+    # sample ids from rank 0 down: np.argsort(labeling.ranks) by one O(N) scatter
+    order = np.empty(labeling.n, dtype=np.int64)
+    order[labeling.ranks] = np.arange(labeling.n)
     kept = labeling.labels[order] == 1
     members, discarded = order[kept], order[~kept]
     del order, kept  # not alive beside augment's n_low x C gather
@@ -80,10 +74,9 @@ def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
     border = members[members.size - n_low:]
     schedule = np.full(n_low, float(eps_m)) if constant_eps else epsilon_schedule(n_low, eps_m)
     blended = augment(border, discarded[:n_low], schedule, store)
-    return CondensedSet(member_ids=members, aug_ids=border, aug_probs=blended)
+    return CondensedSet(aug_ids=border, aug_probs=blended)
 
 
-def direct_selection(labeling: ValueLabeling) -> CondensedSet:
-    """Kept samples only, best first, original soft labels, no blending."""
-    order = _best_to_worst(labeling)
-    return CondensedSet(member_ids=order[labeling.labels[order] == 1])
+def direct_selection(labeling: ValueLabeling) -> np.ndarray:
+    """The ids a stage trains on: its kept samples, ascending."""
+    return np.flatnonzero(labeling.labels)

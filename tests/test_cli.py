@@ -176,9 +176,43 @@ class TestDistill:
         assert f"{wide} have shape (48, 4)" in err
         assert f"{workdir / 'data'} has 3 classes" in err
 
+    @pytest.mark.parametrize("kind, message", [
+        ("npz", "is not a .npy file: the magic string is not correct"),
+        ("text", "is not a .npy file: the magic string is not correct"),
+        ("empty", "is not a .npy file: EOF: reading magic string"),
+        ("complex", "holds a complex128 array, not a real one"),
+        ("object", "is not a .npy file: Object arrays cannot be loaded"),
+    ], ids=["npz", "text", "empty", "complex", "object"])
+    def test_bad_teacher_probs_file_is_refused_before_training(self, workdir, tmp_path,
+                                                               capsys, kind, message):
+        """A --teacher-probs file that is not one real .npy array stops the
+        run with a message naming the flag and the path; no record is written."""
+        probs = np.load(workdir / "teacher_probs.npy")
+        path = tmp_path / f"bad.{kind}"
+        if kind == "npz":
+            np.savez(path, probs=probs)
+        elif kind == "text":
+            np.savetxt(path, probs, delimiter=",")
+        elif kind == "empty":
+            path.write_bytes(b"")
+        else:
+            bad = probs.astype(complex) if kind == "complex" else probs.astype(object)
+            with open(path, "wb") as fh:
+                np.save(fh, bad, allow_pickle=True)
+        argv = distill_args(workdir, tmp_path / "r.json")
+        argv[argv.index("--teacher-probs") + 1] = str(path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: --teacher-probs {path} {message}")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_method_alias_random(self, workdir, tmp_path):
         out = tmp_path / "rand.json"
         main(distill_args(workdir, out, ["--method", "random", "--seed", "7"]))
+        assert RunRecord.load(out).method == "random-subset"
+
+    def test_every_method_name_is_accepted(self, workdir, tmp_path):
+        out = tmp_path / "rand.json"
+        assert main(distill_args(workdir, out, ["--method", "random-subset", "--seed", "7"])) == 0
         assert RunRecord.load(out).method == "random-subset"
 
     def test_record_config_echo_reproduces_run(self, workdir, tmp_path):
@@ -263,8 +297,30 @@ class TestReuseAndSweep:
         code = main(["sweep", "--methods", "kcd,kcdd", "--data", str(workdir / "data"),
                      "--teacher-probs", str(workdir / "teacher_probs.npy"), "--out", str(out)])
         assert code == 1
-        assert "unknown --methods ['kcdd']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown --methods ['kcdd']" in err and "'random-subset'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("methods, twice", [("random,random-subset", "random-subset"),
+                                                ("kcd,ogve-only,kcd", "kcd")])
+    def test_sweep_refuses_a_method_named_twice_before_reading(self, tmp_path, capsys,
+                                                                methods, twice):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--methods", methods, "--data", str(tmp_path / "absent"),
+                     "--teacher-probs", str(tmp_path / "absent.npy"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --methods {methods!r} names {twice} twice\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_takes_the_method_names_distill_takes(self, workdir, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--rho-grid", "0.7", "--seeds", "1", "--methods", "random-subset",
+                     "--data", str(workdir / "data"),
+                     "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                     "--student-hidden", "6", "--epochs", "4", "--stage-len", "2",
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("0.7,0,random-subset,")
 
     @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--seeds", "-3"),
                                              ("--rho-grid", "")])
@@ -454,8 +510,9 @@ class TestAtomicCliWrites:
 
 
 class TestOutputPathCollisions:
-    """A command refuses, before any work, two outputs that are one file and
-    an output that is one of its inputs; nothing under the directory changes."""
+    """A command refuses, before any work, two outputs that are one file, an
+    output that is one of its inputs and an output that is an existing
+    directory; nothing under the directory changes."""
 
     RUN = ["--data", "{d}/data", "--teacher-probs", "{d}/t.npy", "--student-hidden", "6",
            "--epochs", "2", "--stage-len", "1"]
@@ -518,3 +575,16 @@ class TestOutputPathCollisions:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "is the same file as" in err
         assert self.snapshot(inputs) == before
+
+    @pytest.mark.parametrize("command, flag", [("distill", "--out-record"), ("sweep", "--out"),
+                                               ("train-teacher", "--out-model")])
+    def test_an_output_directory_is_refused_before_any_work(self, inputs, capsys,
+                                                            command, flag):
+        (inputs / "out").mkdir()
+        probs = ["--out-probs", "{d}/p.npy"] if command == "train-teacher" else []
+        argv = [a.format(d=inputs) for a in self.COMMANDS[command] + probs + [flag, "{d}/out"]]
+        before = self.snapshot(inputs)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} {inputs / 'out'} is a directory\n"
+        assert self.snapshot(inputs) == before
+        assert list((inputs / "out").iterdir()) == []

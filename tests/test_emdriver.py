@@ -597,10 +597,11 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
     unstacked, against the old one-student loop run per student on its
     whole target matrix: fancy-index gathers, every batch's entropies folded
     as it goes. Run 0 trains the even ids on the store's matrix (no blend),
-    run 1 the odd ids descending with a blend that replaces every row by a
-    rolled copy, run 2 the upper half with a blend of every third sample."""
+    run 1 the odd ids with a blend that replaces every row by a rolled copy,
+    run 2 the upper half with a blend of every third sample; every active
+    array is ascending, as _train_epoch requires."""
     n = store.n
-    actives = [np.arange(0, n, 2), np.arange(1, n, 2)[::-1], np.arange(n // 2, n)]
+    actives = [np.arange(0, n, 2), np.arange(1, n, 2), np.arange(n // 2, n)]
     rolled = np.roll(store.teacher_probs, 1, axis=0)
     every_third = np.where(np.arange(n) % 3 == 0, np.arange(n) // 3, -1)
     blends = [None, (np.arange(n), rolled), (every_third, rolled[::3])]
@@ -681,6 +682,35 @@ class TestTrainEpoch:
             monkeypatch.setattr(emdriver, "_EPOCH_CHUNK_ROWS", chunk_rows)
         tcfg = TrainConfig(batch_size=7, temperature=2.0, hard_label_weight=hard_label_weight)
         assert_epochs_match_per_batch_loop(store, ks, tcfg)
+
+    @pytest.mark.parametrize("method", ["kcd", "fixed-eps", "ogve-only", "no-ovr", "no-car",
+                                        "random-subset", "reuse-direct-select",
+                                        "reuse-with-vaks"])
+    def test_a_stage_trains_on_its_labelings_kept_ids(self, small_task, monkeypatch, method):
+        """Every selecting method hands each stage what vaks.direct_selection
+        returns for the stage's labeling: np.flatnonzero(labels), ascending."""
+        _, store = small_task
+        labeling = random_labeling(store.n, 0.7) if method.startswith("reuse-") else None
+        student = init_student(store.dim, (8,), store.num_classes, 0)
+        stage_run = emdriver._Run(store, make_config(), student, method, labeling)
+        if stage_run.values is not None:
+            rng = np.random.default_rng(0)
+            ogve.observe_batch(stage_run.values, np.arange(store.n), rng.random(store.n))
+        real, selected = vaks.direct_selection, []
+        monkeypatch.setattr(vaks, "direct_selection",
+                            lambda labeling: selected.append(real(labeling)) or selected[-1])
+        for s in (1, 2, 3):
+            active = stage_run.stage(s)[0]
+            assert active is selected[-1] and active.dtype == np.int64
+            assert active.tobytes() == np.flatnonzero(stage_run.labels).tobytes()
+        assert len(selected) == 3
+
+    def test_full_kd_stage_trains_on_every_sample(self, small_task, monkeypatch):
+        _, store = small_task
+        student = init_student(store.dim, (8,), store.num_classes, 0)
+        monkeypatch.setattr(vaks, "direct_selection", None)
+        active = emdriver._Run(store, make_config(), student, "full-kd").stage(1)[0]
+        assert active.tobytes() == np.arange(store.n).tobytes()
 
     def test_unblended_stage_targets_are_the_store_matrix(self, small_task):
         """A stage that blends nothing returns no blend: it trains from the
@@ -991,22 +1021,6 @@ def fault_at_stage(monkeypatch, module, name, corrupt, stage=2):
     return results, epochs
 
 
-@pytest.mark.parametrize("method, condenser", [("kcd", "condense"),
-                                               ("ogve-only", "direct_selection")])
-def test_condensed_size_is_checked_against_the_kept_count(small_task, monkeypatch,
-                                                          method, condenser):
-    """A condenser that drops a member at stage 2 stops the run there, naming
-    it, before stage 2 trains an epoch."""
-    results, epochs = fault_at_stage(monkeypatch, vaks, condenser,
-                                     lambda c, *_: replace(c, member_ids=c.member_ids[1:]))
-    kept = keep_count(small_task[1].n, tau_schedule(0.7, 4)[1])
-    with pytest.raises(DistillationError, match=f"^{method} seed 4: stage 2: condensed size "
-                                                f"{kept - 1} does not equal kept size {kept}$"):
-        run_small(small_task, method=method, seed=4)
-    assert results[1].size == kept
-    assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
-
-
 def keeps_one_fewer(labeling, *_):
     labeling.labels[labeling.ranks == labeling.labels.sum() - 1] = 0
     return labeling
@@ -1026,11 +1040,11 @@ def test_keep_count_is_checked_at_every_stage_boundary(small_task, monkeypatch, 
     assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
 
 
-def with_id(condensed, field, i, new_id):
-    """condensed with entry i of its id array field set to new_id."""
-    ids = getattr(condensed, field).copy()
+def with_aug_id(condensed, i, new_id):
+    """condensed with blended id i set to new_id."""
+    ids = condensed.aug_ids.copy()
     ids[i] = new_id
-    return replace(condensed, **{field: ids})
+    return replace(condensed, aug_ids=ids)
 
 
 def first_discarded(labeling):
@@ -1045,19 +1059,13 @@ def off_simplex_row_1(condensed, *_):
 
 # fault -> (corrupt(condensed, labeling, ...), the error after "stage 2: ",
 # formatted with the real stage-2 condensed set, and the runs it applies to)
-MEMBER_RUNS, BLEND_RUNS = ("kcd", "ogve-only"), ("kcd", "reuse-with-vaks")
+BLEND_RUNS = ("kcd", "reuse-with-vaks")
 BOUNDARY_FAULTS = {
-    "member-swapped-for-a-discarded-id": (
-        lambda c, labeling, *_: with_id(c, "member_ids", 0, first_discarded(labeling)),
-        "a member is not a kept sample", MEMBER_RUNS),
-    "repeated-member": (
-        lambda c, *_: with_id(c, "member_ids", 0, c.member_ids[1]),
-        "a member repeats", MEMBER_RUNS),
-    "blended-id-not-a-member": (
-        lambda c, labeling, *_: with_id(c, "aug_ids", 0, first_discarded(labeling)),
-        "a blended id is not a member", BLEND_RUNS),
+    "blended-id-not-kept": (
+        lambda c, labeling, *_: with_aug_id(c, 0, first_discarded(labeling)),
+        "a blended id is not a kept sample", BLEND_RUNS),
     "repeated-blended-id": (
-        lambda c, *_: with_id(c, "aug_ids", 0, c.aug_ids[1]),
+        lambda c, *_: with_aug_id(c, 0, c.aug_ids[1]),
         "a blended id repeats", BLEND_RUNS),
     "blended-row-missing": (
         lambda c, *_: replace(c, aug_probs=c.aug_probs[1:]),
@@ -1075,12 +1083,11 @@ def test_a_faulty_condensed_set_stops_the_run_at_its_boundary(small_task, monkey
                                                               fault, method):
     """A condensed set that breaks an invariant at stage 2 stops the run
     there with an error naming the run, the stage and the invariant, before
-    stage 2 trains an epoch. A member swapped for a discarded id keeps every
-    size, so only the member check sees it."""
+    stage 2 trains an epoch. A blended id swapped for a discarded one keeps
+    every size, so only the kept-sample check sees it."""
     ds, store = small_task
     corrupt, message, _ = BOUNDARY_FAULTS[fault]
-    condenser = "direct_selection" if method == "ogve-only" else "condense"
-    results, epochs = fault_at_stage(monkeypatch, vaks, condenser, corrupt)
+    results, epochs = fault_at_stage(monkeypatch, vaks, "condense", corrupt)
     labeling = random_labeling(store.n, 0.7) if method.startswith("reuse-") else None
     job = Job(make_config(seed=4), init_student(store.dim, (8,), store.num_classes, 4),
               method, labeling)

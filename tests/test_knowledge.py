@@ -1,5 +1,6 @@
 import pickle
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -163,6 +164,13 @@ def test_fresh_value_state_is_unobserved():
     assert np.all(np.isnan(state.last_values))
 
 
+def test_store_refuses_complex_teacher_probs():
+    """A complex array is refused, not cast: a cast would drop its imaginary parts."""
+    probs = np.full((2, 2), 0.5) + 0.25j
+    with pytest.raises(ValueError, match="^complex values cannot be read as float64$"):
+        build_store(np.zeros((2, 3)), probs)
+
+
 def test_store_is_read_only_and_holds_no_value_state():
     store = simple_store()
     for attr in ("values", "last_values", "frequencies", "reset_value_state"):
@@ -314,13 +322,13 @@ class TestLabelSerialization:
 
 
 class TestCondensedSet:
-    def test_provenance_derived_from_aug(self):
-        cs = CondensedSet(member_ids=np.array([3, 5]), aug_ids=np.array([5]),
-                          aug_probs=np.array([[0.5, 0.5]]))
-        assert cs.size == 2
-        assert list(np.setdiff1d(cs.member_ids, cs.aug_ids)) == [3]
+    def test_holds_only_the_blend(self):
+        cs = CondensedSet(aug_ids=np.array([5]), aug_probs=np.array([[0.5, 0.5]]))
+        assert [f.name for f in fields(cs)] == ["aug_ids", "aug_probs"]
         assert list(cs.aug_ids) == [5]
         assert cs.aug_probs.shape == (1, 2)
+        with pytest.raises(TypeError):
+            CondensedSet(aug_ids=np.array([5]))
 
 
 # a ten-record stream: 16 header bytes, then 9 bytes per record

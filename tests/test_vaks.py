@@ -38,22 +38,21 @@ def oracle_blend(store, labeling, schedule):
 
 
 class TestPartition:
-    """condense and direct_selection split the labeling as the argsort oracle."""
+    """direct_selection and condense split the labeling as the argsort oracle."""
 
-    def test_best_to_worst_is_argsort_of_ranks(self):
+    def test_selection_and_blend_match_the_argsort_oracle(self):
         for seed, n in enumerate((1, 2, 10, 257)):
             store, labeling = labeled_store(n, 0.6, seed=seed)
-            order = vaks._best_to_worst(labeling)
-            assert order.dtype == np.int64
-            assert np.array_equal(order, np.argsort(labeling.ranks))
-            kept, _, _ = oracle_split(labeling)
-            assert np.array_equal(direct_selection(labeling).member_ids, kept)
-            assert np.array_equal(condense(labeling, store, 0.3).member_ids, kept)
+            kept, _, n_low = oracle_split(labeling)
+            selected = direct_selection(labeling)
+            assert selected.dtype == np.int64
+            assert np.array_equal(selected, np.sort(kept))
+            assert np.array_equal(condense(labeling, store, 0.3).aug_ids, kept[kept.size - n_low:])
 
     def test_borderline_matches_discarded_size(self):
         store, labeling = labeled_store(10, 0.7)
         condensed = condense(labeling, store, 0.3)
-        assert condensed.size - condensed.aug_ids.size == 4
+        assert direct_selection(labeling).size - condensed.aug_ids.size == 4
         assert condensed.aug_ids.size == 3
         assert oracle_split(labeling)[1].size == 3
 
@@ -62,24 +61,21 @@ class TestPartition:
         condensed = condense(labeling, store, 0.3)
         assert condensed.aug_ids.size == 0
         assert condensed.aug_probs.shape[0] == 0
-        assert np.array_equal(condensed.member_ids, np.argsort(labeling.ranks))
+        assert np.array_equal(direct_selection(labeling), np.arange(10))
 
     def test_clamp_when_discarded_outnumbers_kept(self):
         store, labeling = labeled_store(10, 0.4)
         condensed = condense(labeling, store, 0.3)
         kept, discarded, n_low = oracle_split(labeling)
         assert (kept.size, discarded.size, n_low) == (4, 6, 4)
-        assert condensed.size - condensed.aug_ids.size == 0
         assert np.array_equal(condensed.aug_ids, kept)
-        assert np.array_equal(condensed.member_ids, kept)
+        assert np.array_equal(direct_selection(labeling), np.sort(kept))
 
-    def test_lists_ordered_by_rank(self):
+    def test_lists_ordered(self):
         store, labeling = labeled_store(30, 0.6, seed=3)
         condensed = condense(labeling, store, 0.3)
-        for ids in (condensed.member_ids, condensed.aug_ids,
-                    direct_selection(labeling).member_ids):
-            ranks = labeling.ranks[ids]
-            assert np.all(np.diff(ranks) > 0)  # strictly better-to-worse
+        assert np.all(np.diff(labeling.ranks[condensed.aug_ids]) > 0)  # better-to-worse
+        assert np.all(np.diff(direct_selection(labeling)) > 0)  # ascending ids
         # the partners, seen through the blend: the best discarded ids in order
         border, oracle = oracle_blend(store, labeling,
                                       epsilon_schedule(condensed.aug_ids.size, 0.3))
@@ -89,19 +85,18 @@ class TestPartition:
     def test_partition_covers_everything_disjointly(self):
         store, labeling = labeled_store(25, 0.52, seed=4)
         condensed = condense(labeling, store, 0.3)
-        kept, discarded, _ = oracle_split(labeling)
-        assert np.array_equal(np.sort(condensed.member_ids), np.flatnonzero(labeling.labels))
-        assert np.isin(condensed.aug_ids, condensed.member_ids).all()
-        combined = np.concatenate([condensed.member_ids, discarded])
+        _, discarded, _ = oracle_split(labeling)
+        selected = direct_selection(labeling)
+        assert np.array_equal(selected, np.flatnonzero(labeling.labels))
+        assert np.isin(condensed.aug_ids, selected).all()
+        combined = np.concatenate([selected, discarded])
         assert np.array_equal(np.sort(combined), np.arange(25))
 
     def test_borderline_has_lowest_kept_scores(self):
         store, labeling = labeled_store(20, 0.7, seed=5)
-        condensed = condense(labeling, store, 0.3)
-        aug = condensed.aug_ids
-        high = condensed.member_ids[:condensed.size - aug.size]
+        aug = condense(labeling, store, 0.3).aug_ids
+        high = np.setdiff1d(direct_selection(labeling), aug)
         assert high.size and aug.size
-        assert np.array_equal(condensed.member_ids[high.size:], aug)
         assert labeling.ranks[high].max() < labeling.ranks[aug].min()
 
 
@@ -238,24 +233,25 @@ class TestSummarize:
     def test_disjoint_union_size(self):
         store, labeling = labeled_store(10, 0.7, seed=10)
         condensed = condense(labeling, store, 0.3)
-        assert condensed.size == 7
-        assert condensed.size - condensed.aug_ids.size == 4
+        selected = direct_selection(labeling)
+        assert selected.size == 7
+        assert selected.size - condensed.aug_ids.size == 4
         assert condensed.aug_ids.size == 3
         assert condensed.aug_probs.shape == (3, 4)
-        assert np.isin(condensed.aug_ids, condensed.member_ids).all()
+        assert np.isin(condensed.aug_ids, selected).all()
 
     def test_empty_borderline_keeps_originals(self):
         store, labeling = labeled_store(10, 1.0)
         condensed = condense(labeling, store, 0.3)
-        assert condensed.size == 10
+        assert direct_selection(labeling).size == 10
         assert condensed.aug_ids.size == 0
         assert condensed.aug_probs.shape[0] == 0
 
     def test_clamped_case_all_augmented(self):
         store, labeling = labeled_store(10, 0.4, seed=11)
         condensed = condense(labeling, store, 0.3)
-        assert condensed.size == 4
-        assert np.array_equal(np.sort(condensed.aug_ids), np.sort(condensed.member_ids))
+        assert np.array_equal(np.sort(condensed.aug_ids), direct_selection(labeling))
+        assert condensed.aug_ids.size == 4
 
     def test_size_equals_kept_count_across_grid(self):
         rng = np.random.default_rng(13)
@@ -263,14 +259,14 @@ class TestSummarize:
             n = int(rng.integers(2, 120))
             ratio = float(rng.uniform(0.05, 1.0))
             store, labeling = labeled_store(n, ratio, seed=int(rng.integers(1e6)))
-            condensed = condense(labeling, store, 0.3)
-            assert condensed.size == int(labeling.labels.sum())
+            k1 = int(labeling.labels.sum())
+            assert direct_selection(labeling).size == k1
+            assert condense(labeling, store, 0.3).aug_ids.size == min(k1, n - k1)
 
     def test_deterministic(self):
         store, labeling = labeled_store(20, 0.6, seed=14)
         a = condense(labeling, store, 0.3)
         b = condense(labeling, store, 0.3)
-        assert np.array_equal(a.member_ids, b.member_ids)
         assert np.array_equal(a.aug_ids, b.aug_ids)
         assert np.array_equal(a.aug_probs, b.aug_probs)
 
@@ -279,14 +275,11 @@ class TestSummarize:
         condensed = condense(labeling, store, 0.3, constant_eps=True)
         border, oracle = oracle_blend(store, labeling, [0.3] * 3)
         assert np.array_equal(condensed.aug_ids, border)
-        assert np.array_equal(condensed.member_ids, oracle_split(labeling)[0])
         np.testing.assert_allclose(condensed.aug_probs, oracle, rtol=1e-12)
 
     def test_direct_selection_keeps_originals(self):
         _, labeling = labeled_store(10, 0.7, seed=16)
-        condensed = direct_selection(labeling)
-        assert condensed.size == 7
-        assert condensed.aug_ids.size == 0
-        assert condensed.aug_probs.shape[0] == 0
-        kept_ranks = labeling.ranks[condensed.member_ids]
-        assert np.all(np.diff(kept_ranks) > 0)
+        selected = direct_selection(labeling)
+        assert selected.size == 7
+        assert np.array_equal(selected, np.sort(oracle_split(labeling)[0]))
+        assert labeling.ranks[selected].max() == 6  # the top seven ranks
