@@ -21,7 +21,7 @@ Because keep counts are whole samples, realized - ideal is not bounded by
 
 One stage loop serves every method and both reuse modes; a row of _METHODS
 says how a stage picks its labeling, how it blends the kept set, if at all,
-and whether the run keeps a ValueState.
+and how the run builds its ValueState, if it keeps one.
 
 The loop trains a group of runs in lockstep. Runs form a group when they
 share a _shape_key: the store, the epochs and stage length, the TrainConfig,
@@ -414,9 +414,9 @@ class _Run:
                  method: str, fixed: ValueLabeling | None = None):
         self.store, self.config, self.student, self.method, self.fixed = (
             store, config, student, method, fixed)
-        self.label, self.condense, reads_values = _METHODS[method]
+        self.label, self.condense, value_state = _METHODS[method]
         self.sizes = _stage_sizes(store.n, method, config.schedule, fixed)
-        self.values = ogve.ValueState(store.n) if reads_values else None
+        self.values = value_state(store.n) if value_state else None
         self.select_rng = np.random.default_rng([config.seed, 2])
         self.train_rng = np.random.default_rng([config.seed, 1])
         self.name = f"{method} seed {config.seed}"
@@ -468,8 +468,8 @@ def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed):
     return (aug_at, condensed.aug_probs) if aug.size else None
 
 
-def _by_value(run, tau, cfg=None, source="mean"):
-    return ogve.label_by_ratio(run.values, cfg or run.config.ogve, tau, value_source=source)
+def _by_value(run, tau, cfg=None):
+    return ogve.label_by_ratio(run.values, cfg or run.config.ogve, tau)
 
 
 def _at_random(run, tau):
@@ -486,17 +486,17 @@ def _summary(run, labeling, constant_eps=False):
 
 # method -> (stage labeling(run, tau), or None to keep every sample; the
 # condenser(run, labeling) that blends the kept set, or None to train it on its
-# original soft labels; whether it reads values)
+# original soft labels; the run's ValueState(n), or None to keep none)
 _METHODS = {
-    METHOD_KCD: (_by_value, _summary, True),
-    METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), True),
-    METHOD_OGVE_ONLY: (_by_value, None, True),
-    METHOD_NO_OVR: (partial(_by_value, source="latest"), None, True),
-    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), None, True),
-    METHOD_RANDOM: (_at_random, None, False),
-    METHOD_FULL_KD: (None, None, False),
-    f"reuse-{REUSE_DIRECT}": (_imported, None, False),
-    f"reuse-{REUSE_VAKS}": (_imported, _summary, False),
+    METHOD_KCD: (_by_value, _summary, ogve.ValueState),
+    METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), ogve.ValueState),
+    METHOD_OGVE_ONLY: (_by_value, None, ogve.ValueState),
+    METHOD_NO_OVR: (_by_value, None, partial(ogve.ValueState, latest=True)),
+    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), None, ogve.ValueState),
+    METHOD_RANDOM: (_at_random, None, None),
+    METHOD_FULL_KD: (None, None, None),
+    f"reuse-{REUSE_DIRECT}": (_imported, None, None),
+    f"reuse-{REUSE_VAKS}": (_imported, _summary, None),
 }
 
 

@@ -1,8 +1,9 @@
 """Online global value estimation.
 
 Each training forward pass yields a prediction entropy for every sample it
-touches; those observations are folded into a per-sample running mean in the
-run's own ValueState. At a stage boundary every sample is ranked by the
+touches; those observations are folded into one value per sample in the
+run's own ValueState: their running mean, or for the no-ovr ablation the
+latest one. At a stage boundary every sample is ranked by the
 frequency-weighted score value * frequency**alpha (descending) and a stage
 with keep ratio tau_s keeps the samples of rank < round(tau_s * N). The
 stage's StageRecord.threshold is 1 - r/N for the largest kept rank r.
@@ -21,13 +22,14 @@ from .knowledge import ValueLabeling
 
 
 class ValueState:
-    """One run's estimate for n samples: running mean entropy (NaN until
-    observed), latest observation (for no-ovr) and passes observed."""
+    """One run's estimate for n samples: a value (NaN until observed) and
+    the passes observed. The value is the running mean of the observed
+    entropies, or with latest=True (no-ovr) the latest observation."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, latest: bool = False):
         self.values = np.full(n, np.nan)
-        self.last_values = np.full(n, np.nan)
         self.frequencies = np.zeros(n, dtype=np.int64)
+        self.latest = latest
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,11 @@ def entropy_rows(probs: np.ndarray) -> np.ndarray:
 
 
 def observe_batch(state: ValueState, sample_ids, new_values) -> None:
-    """Apply the running-mean update to a batch of distinct samples: a first
-    observation becomes the value, a later one gives
-    ((F-1)/F) * previous + value/F at frequency F. One gather and one
-    scatter per array; the mean is computed in place."""
+    """Fold a batch of distinct samples' observations into the state: a
+    first observation becomes the value, a later one gives
+    ((F-1)/F) * previous + value/F at frequency F, or replaces the value in
+    a latest state. One gather and one scatter per array; the mean is
+    computed in place."""
     ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(new_values, dtype=np.float64)
     if ids.size != vals.size:
@@ -66,36 +69,30 @@ def observe_batch(state: ValueState, sample_ids, new_values) -> None:
         raise ValueError("observed values must be finite and >= 0")
     freq = state.frequencies.take(ids)
     freq += 1
-    f = freq.astype(np.float64)
-    mean = state.values.take(ids)  # NaN at a first observation: overwritten below
-    mean *= (f - 1.0) / f
-    mean += vals / f
-    np.copyto(mean, vals, where=freq == 1)
-    state.values.put(ids, mean)
-    state.last_values.put(ids, vals)
+    if not state.latest:
+        f = freq.astype(np.float64)
+        mean = state.values.take(ids)  # NaN at a first observation: overwritten below
+        mean *= (f - 1.0) / f
+        mean += vals / f
+        np.copyto(mean, vals, where=freq == 1)
+        vals = mean
+    state.values.put(ids, vals)
     state.frequencies.put(ids, freq)
 
 
-def cost_aware_scores(state: ValueState, cfg: OgveConfig,
-                      value_source: str = "mean") -> np.ndarray:
+def cost_aware_scores(state: ValueState, cfg: OgveConfig) -> np.ndarray:
     """Vectorized scores over every sample; unobserved entries get -inf so
     they sort below every observed sample."""
-    if value_source == "mean":
-        values = state.values
-    elif value_source == "latest":
-        values = state.last_values
-    else:
-        raise ValueError(f"unknown value_source {value_source!r}")
     observed = state.frequencies > 0
     with np.errstate(invalid="ignore"):
-        raw = values * state.frequencies.astype(np.float64) ** cfg.alpha
+        raw = state.values * state.frequencies.astype(np.float64) ** cfg.alpha
     return np.where(observed, raw, -np.inf)
 
 
-def rank(state: ValueState, cfg: OgveConfig, value_source: str = "mean") -> np.ndarray:
+def rank(state: ValueState, cfg: OgveConfig) -> np.ndarray:
     """Rank positions 0..N-1 (0 = highest score), descending by score with
     ties broken by ascending sample id."""
-    return ranks_from_scores(cost_aware_scores(state, cfg, value_source))
+    return ranks_from_scores(cost_aware_scores(state, cfg))
 
 
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -140,7 +137,6 @@ def labeling_from_ranks(ranks: np.ndarray, keep_ratio: float) -> ValueLabeling:
     return ValueLabeling(ranks=ranks, labels=ranks < keep_count(ranks.size, keep_ratio))
 
 
-def label_by_ratio(state: ValueState, cfg: OgveConfig, keep_ratio: float,
-                   value_source: str = "mean") -> ValueLabeling:
+def label_by_ratio(state: ValueState, cfg: OgveConfig, keep_ratio: float) -> ValueLabeling:
     """Rank every sample and label the top round(keep_ratio * N) as kept."""
-    return labeling_from_ranks(rank(state, cfg, value_source), keep_ratio)
+    return labeling_from_ranks(rank(state, cfg), keep_ratio)

@@ -196,6 +196,32 @@ def running_means(values, frequencies, new_values) -> np.ndarray:
     return np.where(first, vals, ((freq - 1) / freq) * np.where(first, 0.0, values) + vals / freq)
 
 
+class TwoArrayValues:
+    """A value state that folds every observation two ways side by side: the
+    running mean into values and the observation itself into last_values.
+    ogve.ValueState keeps one of the two: values by default, last_values
+    with latest=True."""
+
+    def __init__(self, n: int):
+        self.values = np.full(n, np.nan)
+        self.last_values = np.full(n, np.nan)
+        self.frequencies = np.zeros(n, dtype=np.int64)
+
+    def observe(self, sample_ids, new_values) -> None:
+        """Fold a batch of distinct samples, as ogve.observe_batch does."""
+        ids = np.asarray(sample_ids, dtype=np.int64)
+        vals = np.asarray(new_values, dtype=np.float64)
+        freq = self.frequencies[ids] + 1
+        f = freq.astype(np.float64)
+        mean = self.values[ids]
+        mean *= (f - 1.0) / f
+        mean += vals / f
+        np.copyto(mean, vals, where=freq == 1)
+        self.values[ids] = mean
+        self.last_values[ids] = vals
+        self.frequencies[ids] = freq
+
+
 def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
     """Score used for ranking: running value times frequency**alpha."""
     if record.frequency < 1:

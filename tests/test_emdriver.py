@@ -33,6 +33,7 @@ from kcdistill.knowledge import ValueLabeling, build_store
 from kcdistill.nn import TrainConfig
 from kcdistill.ogve import OgveConfig, keep_count
 from oracles import (
+    TwoArrayValues,
     computation_ratio,
     rank_probability,
     ratio_threshold,
@@ -592,11 +593,13 @@ class TestRunRecord:
             record.cost.realized_relative_cost * store.n * 12, rel=1e-12)
 
 
-def assert_epochs_match_per_batch_loop(store, ks, tcfg):
-    """Two epochs of _train_epoch over the runs ks, one run alone trained
-    unstacked, against the old one-student loop run per student on its
-    whole target matrix: fancy-index gathers, every batch's entropies folded
-    as it goes. Run 0 trains the even ids on the store's matrix (no blend),
+def assert_epochs_match_per_batch_loop(store, ks, tcfg, method="kcd"):
+    """Two epochs of _train_epoch over the runs ks of method, one run alone
+    trained unstacked, against the old one-student loop run per student on
+    its whole target matrix: fancy-index gathers, every batch's entropies
+    folded as it goes into the two-array oracle, whose running means (or
+    latest observations, for no-ovr) and frequencies the run's ValueState
+    must hold. Run 0 trains the even ids on the store's matrix (no blend),
     run 1 the odd ids with a blend that replaces every row by a rolled copy,
     run 2 the upper half with a blend of every third sample; every active
     array is ascending, as _train_epoch requires."""
@@ -618,7 +621,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
         if blend is not None:
             blended = blend[0] >= 0
             target[blended] = blend[1][blend[0][blended]]
-        values = ogve.ValueState(n)
+        values = TwoArrayValues(n)
         student, vel, rng = fresh(k)
         for _ in range(2):
             ids = np.sort(active)
@@ -629,14 +632,14 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
                     student, store.features[batch], target[batch], tcfg.temperature,
                     None if hard is None else hard[batch], tcfg.hard_label_weight)
                 nn.sgd_step(student, gw, gb, vel, tcfg.lr, tcfg)
-                ogve.observe_batch(values, batch, ogve.entropy_rows(probs_1))
-        expected.append(((values.values, values.last_values, values.frequencies),
-                         student.params.copy()))
+                values.observe(batch, ogve.entropy_rows(probs_1))
+        folded = values.last_values if method == "no-ovr" else values.values
+        expected.append(((folded, values.frequencies), student.params.copy()))
 
     runs = []
     for k in ks:
         student, _, rng = fresh(k)
-        runs.append(emdriver._Run(store, make_config(seed=k), student, "kcd"))
+        runs.append(emdriver._Run(store, make_config(seed=k), student, method))
         runs[-1].train_rng = rng
     stack = (runs[0].student if len(runs) == 1
              else nn.stack_models([run.student for run in runs]))
@@ -647,7 +650,7 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg):
     assert stack.params.ndim == (1 if len(runs) == 1 else 2)
     for run, params, (expected_values, expected_params) in zip(
             runs, stack.params.reshape(len(runs), -1), expected):
-        got = (run.values.values, run.values.last_values, run.values.frequencies)
+        got = (run.values.values, run.values.frequencies)
         for a, b in zip(got, expected_values):
             assert a.tobytes() == b.tobytes()
         assert params.tobytes() == expected_params.tobytes()
@@ -659,6 +662,12 @@ class TestTrainEpoch:
         blending every row, against the old one-student loop run per student."""
         _, store = small_task
         assert_epochs_match_per_batch_loop(store, [0, 1], TrainConfig(batch_size=7))
+
+    def test_no_ovr_epoch_keeps_the_latest_observation(self, small_task):
+        """The same group epoch for no-ovr runs: each sample's value is its
+        last entropy, not the running mean."""
+        _, store = small_task
+        assert_epochs_match_per_batch_loop(store, [0, 1], TrainConfig(batch_size=7), "no-ovr")
 
     @pytest.mark.parametrize("chunk_rows", [None, 3, 7, 14, 22], ids=[
         "one-chunk", "chunk-below-a-batch", "chunk-of-one-batch", "chunk-of-two-batches",

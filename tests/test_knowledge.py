@@ -157,11 +157,13 @@ def test_store_arrays_immutable():
 
 
 def test_fresh_value_state_is_unobserved():
-    state = ValueState(5)
-    assert state.values.shape == state.last_values.shape == state.frequencies.shape == (5,)
-    assert np.all(state.frequencies == 0)
-    assert np.all(np.isnan(state.values))
-    assert np.all(np.isnan(state.last_values))
+    """One value and one frequency per sample, whichever the fold rule."""
+    for state in (ValueState(5), ValueState(5, latest=True)):
+        arrays = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2
+        assert state.values.shape == state.frequencies.shape == (5,)
+        assert np.all(state.frequencies == 0)
+        assert np.all(np.isnan(state.values))
 
 
 def test_store_refuses_complex_teacher_probs():

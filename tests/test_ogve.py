@@ -18,6 +18,7 @@ from kcdistill.ogve import (
     ranks_from_scores,
 )
 from oracles import (
+    TwoArrayValues,
     ValueRecord,
     binarize,
     cost_aware_score,
@@ -137,7 +138,6 @@ class TestObserveBatch:
             assert state.frequencies[i] == rec.frequency
             if rec.frequency:
                 assert state.values[i] == pytest.approx(rec.value, rel=1e-12)
-                assert state.last_values[i] >= 0
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
@@ -155,26 +155,41 @@ class TestObserveBatch:
     def test_in_place_update_is_the_where_expression_bit_for_bit(self, data, n):
         """Batches of distinct ids over a state with some samples already
         observed (any frequency) and some not: every batch writes exactly
-        the np.where running mean, -0.0 and 0.0 kept apart, its
-        observations as the latest values and frequency + 1, and touches
-        no other sample."""
+        the np.where running mean, -0.0 and 0.0 kept apart, and frequency
+        + 1, and touches no other sample."""
         state = ValueState(n)
         seen = data.draw(hnp.arrays(np.bool_, n))
         state.frequencies[seen] = data.draw(hnp.arrays(np.int64, n, elements=st.integers(1, 10**6)))[seen]
         state.values[seen] = data.draw(hnp.arrays(np.float64, n, elements=OBSERVED))[seen]
-        state.last_values[seen] = state.values[seen]
         for _ in range(data.draw(st.integers(1, 4))):
             ids = np.array(data.draw(st.permutations(range(n))))[:data.draw(st.integers(0, n))]
             vals = data.draw(hnp.arrays(np.float64, ids.size, elements=OBSERVED))
             want = running_means(state.values[ids], state.frequencies[ids], vals)
-            before = [a.copy() for a in (state.values, state.last_values, state.frequencies)]
+            before = [a.copy() for a in (state.values, state.frequencies)]
             observe_batch(state, ids, vals)
             assert state.values[ids].tobytes() == want.tobytes()
-            assert state.last_values[ids].tobytes() == vals.tobytes()
-            assert np.array_equal(state.frequencies[ids], before[2][ids] + 1)
+            assert np.array_equal(state.frequencies[ids], before[1][ids] + 1)
             rest = np.setdiff1d(np.arange(n), ids)
-            for now, then in zip((state.values, state.last_values, state.frequencies), before):
+            for now, then in zip((state.values, state.frequencies), before):
                 assert now[rest].tobytes() == then[rest].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 24))
+    def test_both_fold_rules_match_the_two_array_oracle(self, data, n):
+        """Over a random sequence of batches of distinct ids, a default
+        state's values are the oracle's running means and a latest state's
+        its latest observations, bit for bit, with the oracle's frequencies."""
+        mean, latest, oracle = ValueState(n), ValueState(n, latest=True), TwoArrayValues(n)
+        for _ in range(data.draw(st.integers(0, 8))):
+            ids = np.array(data.draw(st.permutations(range(n))))[:data.draw(st.integers(0, n))]
+            vals = data.draw(hnp.arrays(np.float64, ids.size, elements=OBSERVED))
+            for state in (mean, latest):
+                observe_batch(state, ids, vals)
+            oracle.observe(ids, vals)
+        assert mean.values.tobytes() == oracle.values.tobytes()
+        assert latest.values.tobytes() == oracle.last_values.tobytes()
+        for state in (mean, latest):
+            assert state.frequencies.tobytes() == oracle.frequencies.tobytes()
 
 
 class TestCostAwareScore:
@@ -255,13 +270,17 @@ class TestRank:
         for f in transforms:
             assert np.array_equal(ranks_from_scores(f(scores)), base)
 
-    def test_latest_value_source(self):
-        state = state_with_scores([1.0, 2.0])
-        state.last_values[:] = [5.0, 0.5]
-        mean_ranks = rank(state, OgveConfig(alpha=0.0), value_source="mean")
-        latest_ranks = rank(state, OgveConfig(alpha=0.0), value_source="latest")
-        assert list(mean_ranks) == [1, 0]
-        assert list(latest_ranks) == [0, 1]
+    def test_latest_state_ranks_by_the_latest_observation(self):
+        """Sample 0 sees 0.0 then 5.0 (mean 2.5), sample 1 sees 5.5 then 0.5
+        (mean 3.0): the running mean ranks sample 1 first, the latest
+        observation sample 0."""
+        ranks = []
+        for latest in (False, True):
+            state = ValueState(2, latest=latest)
+            observe_batch(state, [0, 1], [0.0, 5.5])
+            observe_batch(state, [0, 1], [5.0, 0.5])
+            ranks.append(list(rank(state, OgveConfig(alpha=0.0))))
+        assert ranks == [[1, 0], [0, 1]]
 
 
 SPECIAL_SCORES = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
