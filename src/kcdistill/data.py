@@ -45,6 +45,14 @@ def read_only(a, dtype) -> np.ndarray:
     return a
 
 
+def first_non_finite_row(features: np.ndarray) -> int | None:
+    """The first row of a 2-d array that holds a NaN or inf, or None. A
+    whole-array test accepts; only an array it fails pays the row scan."""
+    if np.isfinite(features).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
+
+
 @dataclass
 class Dataset:
     """A train split and a held-out test split, each array stored read-only
@@ -63,9 +71,9 @@ class Dataset:
             labels = read_only(getattr(self, f"{split}_labels"), np.int64)
             if features.ndim != 2 or features.shape[0] != labels.size:
                 raise ValueError(f"{split} features must be N x D with one label per row")
-            bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-            if bad.size:
-                raise ValueError(f"{split} row {bad[0]}: non-finite feature value")
+            bad = first_non_finite_row(features)
+            if bad is not None:
+                raise ValueError(f"{split} row {bad}: non-finite feature value")
             if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
                 raise ValueError(f"{split} labels must lie in [0, class_count)")
             setattr(self, f"{split}_features", features)
@@ -389,9 +397,9 @@ def _parse_lines(path: Path, raw: bytes, class_count: int | None):
         row = _first_bad_row(rows, dim)
         raise error(row, _row_fault(rows[row], dim)) from None
     features, labels = parsed["f"], parsed["label"]
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise error(bad[0], "non-finite feature cell")
+    bad = first_non_finite_row(features)
+    if bad is not None:
+        raise error(bad, "non-finite feature cell")
     unknown = labels < 0
     if class_count is not None:
         unknown |= labels >= class_count

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_only, write_atomic
+from .data import first_non_finite_row, read_only, write_atomic
 
 SIMPLEX_ATOL = 1e-6
 
@@ -125,8 +125,8 @@ class CondensedSet:
 
 
 class KnowledgeStore:
-    """All knowledge points: read-only features, teacher soft labels and
-    optional hard labels. Each array goes through data.read_only, so a
+    """All knowledge points: read-only finite features, teacher soft labels
+    and optional hard labels. Each array goes through data.read_only, so a
     Dataset's split is shared, not copied, and any other input is copied."""
 
     def __init__(self, features: np.ndarray, teacher_probs: np.ndarray,
@@ -144,6 +144,9 @@ class KnowledgeStore:
                 f"dataset and teacher_probs lengths differ: "
                 f"{features.shape[0]} vs {teacher_probs.shape[0]}"
             )
+        bad = first_non_finite_row(features)
+        if bad is not None:
+            raise ValueError(f"sample {bad}: non-finite feature value")
         check_simplex(teacher_probs, lambda i: f"sample {i}: teacher_probs")
         if hard_labels is not None:
             hard_labels = read_only(hard_labels, np.int64)
@@ -172,9 +175,9 @@ class KnowledgeStore:
         return int(self.teacher_probs.shape[1])
 
 
-def build_store(dataset, teacher_probs, hard_labels=None) -> KnowledgeStore:
+def build_store(features, teacher_probs, hard_labels=None) -> KnowledgeStore:
     """Materialize the knowledge set from (N, D) features and cached teacher outputs."""
-    return KnowledgeStore(dataset, teacher_probs, hard_labels)
+    return KnowledgeStore(features, teacher_probs, hard_labels)
 
 
 def export_labels(labeling: ValueLabeling) -> bytes:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from kcdistill.data import gen_gaussian_mixture
+from kcdistill.data import first_non_finite_row, gen_gaussian_mixture
 from kcdistill.knowledge import (
     CondensedSet,
     LabelStreamError,
@@ -123,6 +124,25 @@ def test_build_store_names_first_non_finite_row(bad):
     probs[3, 0] = 0.9
     with pytest.raises(ValueError, match="sample 2: teacher_probs .*non-finite entry"):
         build_store(np.zeros((4, 3)), probs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_store_names_first_non_finite_feature_row(bad):
+    """A non-finite feature is refused when the store is built, naming the
+    first bad sample, not at the first training step of a run."""
+    features = np.random.default_rng(0).normal(size=(8, 3))
+    features[5, 1] = bad
+    features[7, 0] = np.inf
+    with pytest.raises(ValueError, match="^sample 5: non-finite feature value$"):
+        build_store(features, np.full((8, 3), 1 / 3), np.zeros(8, dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                  elements=st.sampled_from([0.0, 1.5, np.nan, np.inf, -np.inf])))
+def test_first_non_finite_row_is_the_row_scan(features):
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    assert first_non_finite_row(features) == (int(bad[0]) if bad.size else None)
 
 
 @pytest.mark.parametrize("label", [-1, 2])
