@@ -24,12 +24,9 @@ CLI_METHODS = (*emdriver.ALL_METHODS, *_METHOD_ALIASES)
 OUT_DIR_ENV = "KCDISTILL_OUT_DIR"
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _items(text: str, kind=str) -> list:
+    """The comma-separated entries of text as kind, blank entries dropped."""
+    return [kind(t.strip()) for t in text.split(",") if t.strip()]
 
 
 def _csv(values) -> str:
@@ -37,7 +34,7 @@ def _csv(values) -> str:
 
 
 def _seed_list(text: str) -> list[int]:
-    return _int_list(text) if "," in text else list(range(int(text)))
+    return _items(text, int) if "," in text else list(range(int(text)))
 
 
 def _run_dir(tag: str) -> Path:
@@ -95,7 +92,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConf
     except ValueError as exc:
         parser.error(str(exc))
     decay = {} if args.lr_decay_epochs is None else dict(
-        lr_decay_epochs=_int_list(args.lr_decay_epochs))
+        lr_decay_epochs=_items(args.lr_decay_epochs, int))
     train = nn.TrainConfig.desk_default(
         args.epochs, lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
         batch_size=args.batch_size, lr_decay_factor=args.lr_decay_factor,
@@ -197,7 +194,7 @@ def cmd_train_teacher(args, parser) -> int:
     dataset = datamod.load_split_dir(args.data)
     cfg = nn.TrainConfig.desk_default(args.epochs, lr=args.lr,
                                       batch_size=args.batch_size)
-    dims = (dataset.dim, *_int_list(args.hidden), dataset.class_count)
+    dims = (dataset.dim, *_items(args.hidden, int), dataset.class_count)
     model, probs = nn.train_teacher(dataset.train_features, dataset.train_labels,
                                     dims, cfg, args.epochs, args.seed)
     nn.save_model(args.out_model, model)
@@ -219,7 +216,7 @@ def cmd_distill(args, parser) -> int:
                          "keeps every sample and carries none")
     _check_paths(args, *_record_outputs(args), ("--export-labels", args.export_labels))
     dataset, store = _load_run_inputs(args)
-    student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
+    student = emdriver.init_student(store.dim, _items(args.student_hidden, int),
                                     store.num_classes, args.seed)
     student, record = emdriver.run(config, store, student, dataset, method)
     record_path = _persist_record(record, args, f"{method}-s{args.seed}")
@@ -236,7 +233,7 @@ def cmd_reuse(args, parser) -> int:
     _check_paths(args, *_record_outputs(args))
     dataset, store = _load_run_inputs(args)
     labeling = knowledge.load_labels(args.labels)
-    student = emdriver.init_student(store.dim, _int_list(args.student_hidden),
+    student = emdriver.init_student(store.dim, _items(args.student_hidden, int),
                                     store.num_classes, args.seed)
     student, record = evaluation.reuse_run(labeling, config, store, dataset,
                                            args.mode, student)
@@ -248,21 +245,23 @@ def cmd_reuse(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     base = _build_config(args, parser)
-    methods = [_METHOD_ALIASES.get(m, m) for m in args.methods.split(",")]
+    methods = [_METHOD_ALIASES.get(m, m) for m in _items(args.methods)]
+    if not methods:
+        raise ValueError(f"--methods {args.methods!r} names no method")
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise ValueError(f"--methods {args.methods!r} names {repeated[0]} twice")
-    seeds, rho_grid = _seed_list(args.seeds), _float_list(args.rho_grid)
+    seeds, rho_grid = _seed_list(args.seeds), _items(args.rho_grid, float)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no seed")
     if not rho_grid:
         raise ValueError(f"--rho-grid {args.rho_grid!r} names no keep ratio")
     _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)
-    rows = evaluation.ratio_sweep(store, dataset, base, _int_list(args.student_hidden),
+    rows = evaluation.ratio_sweep(store, dataset, base, _items(args.student_hidden, int),
                                   rho_grid=rho_grid, seeds=seeds, methods=methods)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

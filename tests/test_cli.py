@@ -322,8 +322,22 @@ class TestReuseAndSweep:
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("0.7,0,random-subset,")
 
+    def test_sweep_drops_blank_list_entries(self, workdir, tmp_path):
+        """Every comma list takes spaces and a trailing comma, as --seeds
+        and --rho-grid always did."""
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--rho-grid", "0.7,", "--seeds", "1,", "--methods", "kcd, random,",
+                     "--data", str(workdir / "data"),
+                     "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                     "--student-hidden", "6,", "--lr-decay-epochs", " 2, ,3",
+                     "--epochs", "4", "--stage-len", "2", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",")[:3] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["0.7", "1", "kcd"], ["0.7", "1", "random-subset"]]
+
     @pytest.mark.parametrize("flag, value", [("--seeds", "0"), ("--seeds", "-3"),
-                                             ("--rho-grid", "")])
+                                             ("--rho-grid", ""), ("--methods", ""),
+                                             ("--methods", " , ")])
     def test_sweep_rejects_an_empty_grid_before_reading(self, tmp_path, capsys, flag, value):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--data", str(tmp_path / "absent"),
