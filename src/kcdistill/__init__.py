@@ -2,7 +2,7 @@
 knowledge set: online per-sample value estimation, adaptive knowledge
 summarization, and cost accounting around a plain teacher-student trainer."""
 
-from .data import Dataset, gen_gaussian_mixture, load_csv
+from .data import DataFormatError, Dataset, gen_gaussian_mixture, load_csv
 from .emdriver import (
     CostReport,
     DistillConfig,
@@ -17,7 +17,6 @@ from .evaluation import accuracy, hamming_distance, ratio_sweep, reuse_run
 from .knowledge import (
     CondensedSet,
     KnowledgeStore,
-    LabelStreamError,
     ValueLabeling,
     build_store,
     export_labels,

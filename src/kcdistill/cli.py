@@ -24,17 +24,23 @@ CLI_METHODS = (*emdriver.ALL_METHODS, *_METHOD_ALIASES)
 OUT_DIR_ENV = "KCDISTILL_OUT_DIR"
 
 
-def _items(text: str, kind=str) -> list:
-    """The comma-separated entries of text as kind, blank entries dropped."""
-    return [kind(t.strip()) for t in text.split(",") if t.strip()]
+def _items(args, key: str, kind=str) -> list:
+    """The comma-separated entries of the list flag args.<key> as kind, blank
+    entries dropped; an entry kind rejects is a ValueError naming the flag."""
+    text = getattr(args, key)
+    try:
+        return [kind(t.strip()) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--{key.replace('_', '-')} {text!r}: {exc}") from None
 
 
 def _csv(values) -> str:
     return ",".join(map(str, values))
 
 
-def _seed_list(text: str) -> list[int]:
-    return _items(text, int) if "," in text else list(range(int(text)))
+def _seed_list(args) -> list[int]:
+    seeds = _items(args, "seeds", int)
+    return seeds if "," in args.seeds or not seeds else list(range(seeds[0]))
 
 
 def _run_dir(tag: str) -> Path:
@@ -92,7 +98,7 @@ def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConf
     except ValueError as exc:
         parser.error(str(exc))
     decay = {} if args.lr_decay_epochs is None else dict(
-        lr_decay_epochs=_items(args.lr_decay_epochs, int))
+        lr_decay_epochs=_items(args, "lr_decay_epochs", int))
     train = nn.TrainConfig.desk_default(
         args.epochs, lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
         batch_size=args.batch_size, lr_decay_factor=args.lr_decay_factor,
@@ -144,29 +150,28 @@ def _record_outputs(args) -> list:
 def _check_paths(args, *outputs) -> None:
     """Refuse, before any work, an output that is an existing directory, two
     outputs that resolve to one file and an output that resolves to an
-    input: the --data CSVs, --teacher-probs or --labels. outputs are
-    (flag, path) pairs; a None path is skipped."""
-    inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)]
+    input: the --data CSVs, --teacher-probs or --labels. Then make each
+    output's missing parent directories. outputs are (flag, path) pairs; a
+    None path is skipped."""
+    inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)
+              if hasattr(args, "data")]
     inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
                for key in ("teacher_probs", "labels") if hasattr(args, key)]
     claimed = {os.path.realpath(path): f"input {flag} {path}" for flag, path in inputs}
+    outputs = [(flag, path) for flag, path in outputs if path is not None]
     for flag, path in outputs:
-        if path is None:
-            continue
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path} is a directory")
         real = os.path.realpath(path)
         if real in claimed:
             raise ValueError(f"{flag} {path} is the same file as {claimed[real]}")
         claimed[real] = f"{flag} {path}"
+    for _, path in outputs:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
-    if args.out_record:
-        record_path = Path(args.out_record)
-        record_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        record_path = _run_dir(tag) / "record.json"
+    record_path = Path(args.out_record) if args.out_record else _run_dir(tag) / "record.json"
     record.save(record_path)
     datamod.write_atomic(_metrics_path(args, record_path), record.epochs_csv().encode())
     return record_path
@@ -190,11 +195,12 @@ def cmd_gen_data(args, parser) -> int:
 def cmd_train_teacher(args, parser) -> int:
     # the path np.save(args.out_probs, probs) writes to
     probs_path = str(args.out_probs).removesuffix(".npy") + ".npy"
+    hidden = _items(args, "hidden", int)
     _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
     dataset = datamod.load_split_dir(args.data)
     cfg = nn.TrainConfig.desk_default(args.epochs, lr=args.lr,
                                       batch_size=args.batch_size)
-    dims = (dataset.dim, *_items(args.hidden, int), dataset.class_count)
+    dims = (dataset.dim, *hidden, dataset.class_count)
     model, probs = nn.train_teacher(dataset.train_features, dataset.train_labels,
                                     dims, cfg, args.epochs, args.seed)
     nn.save_model(args.out_model, model)
@@ -214,10 +220,10 @@ def cmd_distill(args, parser) -> int:
     if args.export_labels and method == emdriver.METHOD_FULL_KD:
         raise ValueError(f"--export-labels needs a condensed labeling; a {method} run "
                          "keeps every sample and carries none")
+    hidden = _items(args, "student_hidden", int)
     _check_paths(args, *_record_outputs(args), ("--export-labels", args.export_labels))
     dataset, store = _load_run_inputs(args)
-    student = emdriver.init_student(store.dim, _items(args.student_hidden, int),
-                                    store.num_classes, args.seed)
+    student = emdriver.init_student(store.dim, hidden, store.num_classes, args.seed)
     student, record = emdriver.run(config, store, student, dataset, method)
     record_path = _persist_record(record, args, f"{method}-s{args.seed}")
     if args.export_labels:
@@ -230,11 +236,11 @@ def cmd_distill(args, parser) -> int:
 
 def cmd_reuse(args, parser) -> int:
     config = _build_config(args, parser)
+    hidden = _items(args, "student_hidden", int)
     _check_paths(args, *_record_outputs(args))
     dataset, store = _load_run_inputs(args)
     labeling = knowledge.load_labels(args.labels)
-    student = emdriver.init_student(store.dim, _items(args.student_hidden, int),
-                                    store.num_classes, args.seed)
+    student = emdriver.init_student(store.dim, hidden, store.num_classes, args.seed)
     student, record = evaluation.reuse_run(labeling, config, store, dataset,
                                            args.mode, student)
     record_path = _persist_record(record, args, f"reuse-{args.mode}-s{args.seed}")
@@ -245,7 +251,7 @@ def cmd_reuse(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     base = _build_config(args, parser)
-    methods = [_METHOD_ALIASES.get(m, m) for m in _items(args.methods)]
+    methods = [_METHOD_ALIASES.get(m, m) for m in _items(args, "methods")]
     if not methods:
         raise ValueError(f"--methods {args.methods!r} names no method")
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
@@ -254,23 +260,23 @@ def cmd_sweep(args, parser) -> int:
     repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
     if repeated:
         raise ValueError(f"--methods {args.methods!r} names {repeated[0]} twice")
-    seeds, rho_grid = _seed_list(args.seeds), _items(args.rho_grid, float)
+    seeds, rho_grid = _seed_list(args), _items(args, "rho_grid", float)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no seed")
     if not rho_grid:
         raise ValueError(f"--rho-grid {args.rho_grid!r} names no keep ratio")
+    hidden = _items(args, "student_hidden", int)
     _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)
-    rows = evaluation.ratio_sweep(store, dataset, base, _items(args.student_hidden, int),
+    rows = evaluation.ratio_sweep(store, dataset, base, hidden,
                                   rho_grid=rho_grid, seeds=seeds, methods=methods)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    datamod.write_atomic(out, evaluation.sweep_rows_to_csv(rows).encode())
-    print(f"wrote {len(rows)} sweep rows to {out}")
+    datamod.write_atomic(args.out, evaluation.sweep_rows_to_csv(rows).encode())
+    print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 
 def cmd_report(args, parser) -> int:
+    _check_paths(args, ("--out-csv", args.out_csv))
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
     records = []
@@ -293,7 +299,6 @@ def cmd_report(args, parser) -> int:
     if not records:
         raise ValueError(f"no run records found under {records_dir}")
     out = Path(args.out_csv)
-    out.parent.mkdir(parents=True, exist_ok=True)
     datamod.write_atomic(out, ("\n".join(lines) + "\n").encode())
     print(f"wrote {len(records)} record summaries to {out}")
     if args.emit_plot_data:
@@ -393,8 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ValueError, OSError, emdriver.DistillationError,
-            knowledge.LabelStreamError, datamod.DataFormatError) as exc:
+    except (ValueError, OSError, emdriver.DistillationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

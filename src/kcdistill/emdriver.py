@@ -45,7 +45,6 @@ identical randomness and differ only through which samples they select.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
 import json
@@ -195,9 +194,9 @@ class RunRecord:
 
     final_labels (uint8) and final_ranks (int64, empty for full-kd) are
     arrays the record owns: construction copies them, so they share no
-    memory with the run's or an imported labeling's arrays. to_dict turns
-    them into lists of ints; save and fingerprint encode the same JSON text
-    a slice at a time, so neither builds a list of all the elements."""
+    memory with the run's or an imported labeling's arrays. save and
+    fingerprint encode them as lists of ints, a slice at a time, so neither
+    builds a list of all the elements."""
 
     method: str
     seed: int
@@ -224,22 +223,11 @@ class RunRecord:
                    epochs=[asdict(e) for e in self.epochs], cost=asdict(self.cost))
         return out
 
-    def to_dict(self) -> dict:
-        """asdict(self) with the label and rank arrays as lists of ints."""
-        out = self._json_fields()
-        out.update(
-            config=copy.deepcopy(self.config),
-            final_labels=self.final_labels.tolist(),
-            final_ranks=self.final_ranks.tolist(),
-            student_dims=list(self.student_dims),
-        )
-        return out
-
     @classmethod
     def from_dict(cls, payload: dict) -> "RunRecord":
-        """The record a to_dict payload describes. A payload that is not an
-        object with exactly the record's fields, each of its JSON type, raises
-        a ValueError that names the field."""
+        """The record a payload in save's JSON form describes. A payload that
+        is not an object with exactly the record's fields, each of its JSON
+        type, raises a ValueError that names the field."""
         payload = _checked_fields(cls, payload, "record")
         payload["stages"] = [StageRecord(**_checked_fields(StageRecord, s, f"stages[{i}]"))
                              for i, s in enumerate(payload["stages"])]
@@ -252,7 +240,7 @@ class RunRecord:
         return cls(**payload)
 
     def fingerprint(self) -> str:
-        """sha256 of json.dumps(to_dict() without wall_time_s, sort_keys=True)."""
+        """sha256 of json.dumps(the fields but wall_time_s, sort_keys=True)."""
         payload = self._json_fields()
         payload.pop("wall_time_s")
         digest = hashlib.sha256()
@@ -261,7 +249,7 @@ class RunRecord:
         return digest.hexdigest()
 
     def save(self, path) -> None:
-        """Write json.dumps(to_dict(), indent=2) and a newline, streamed."""
+        """Write json.dumps(the fields, indent=2) and a newline, streamed."""
         chunks = _json_chunks(self._json_fields(), indent=2, sort_keys=False)
         write_atomic(path, (chunk.encode() for chunk in itertools.chain(chunks, ("\n",))))
 
@@ -506,8 +494,9 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     as it was; wall_time_s is the group's."""
     started = time.perf_counter()
     sched, tcfg, n = runs[0].config.schedule, runs[0].config.train, store.n
-    # a group of one trains an unstacked copy: the stack axis would cost a
-    # lone run ~4% per step at batch 512
+    # a group of one trains an unstacked copy: as a stack of one, a train step
+    # at batch 512 took 1.01-1.03x as long, and a lone big-store run 1.00x
+    # (kcd) to 1.02x (ogve-only), on one CPU
     stack = runs[0].student.copy() if len(runs) == 1 else nn.stack_models(
         [r.student for r in runs])
     vel = np.zeros_like(stack.params)

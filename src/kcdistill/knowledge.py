@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import first_non_finite_row, read_only, write_atomic
+from .data import DataFormatError, first_non_finite_row, read_only, write_atomic
 
 SIMPLEX_ATOL = 1e-6
 
@@ -23,18 +23,6 @@ LABEL_VERSION = 1
 _LABEL_HEADER = struct.Struct("<4sIQ")
 # packed, 9 bytes per record: the byte layout of struct format "<IIB"
 _LABEL_RECORD = np.dtype([("sample_id", "<u4"), ("rank", "<u4"), ("label", "u1")])
-
-
-class LabelStreamError(ValueError):
-    """A serialized label stream could not be parsed. args holds (message,
-    offset), so the error pickles, e.g. out of a worker process."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(message, offset)
-        self.offset = offset
-
-    def __str__(self) -> str:
-        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 def check_simplex(probs: np.ndarray, context) -> None:
@@ -190,24 +178,26 @@ def export_labels(labeling: ValueLabeling) -> bytes:
     return _LABEL_HEADER.pack(LABEL_MAGIC, LABEL_VERSION, labeling.n) + records.tobytes()
 
 
+def _bad_stream(message: str, offset: int) -> DataFormatError:
+    return DataFormatError(f"{message} (byte offset {offset})")
+
+
 def import_labels(stream: bytes) -> ValueLabeling:
-    """Parse a label stream produced by export_labels; round-trips bit-exactly."""
+    """Parse a label stream produced by export_labels; round-trips bit-exactly.
+    A bad stream raises a DataFormatError that ends with its byte offset."""
     data = bytes(stream)
     if len(data) < _LABEL_HEADER.size:
-        raise LabelStreamError(
-            f"truncated header: got {len(data)} bytes, need {_LABEL_HEADER.size}", len(data)
-        )
+        raise _bad_stream(
+            f"truncated header: got {len(data)} bytes, need {_LABEL_HEADER.size}", len(data))
     magic, version, n = _LABEL_HEADER.unpack_from(data, 0)
     if magic != LABEL_MAGIC:
-        raise LabelStreamError(f"bad magic {magic!r}", 0)
+        raise _bad_stream(f"bad magic {magic!r}", 0)
     if version != LABEL_VERSION:
-        raise LabelStreamError(f"unsupported version {version}", 4)
+        raise _bad_stream(f"unsupported version {version}", 4)
     expected = _LABEL_HEADER.size + n * _LABEL_RECORD.itemsize
     if len(data) != expected:
-        raise LabelStreamError(
-            f"stream length {len(data)} does not match header (expected {expected})",
-            min(len(data), expected),
-        )
+        raise _bad_stream(f"stream length {len(data)} does not match header "
+                          f"(expected {expected})", min(len(data), expected))
     records = np.frombuffer(data, dtype=_LABEL_RECORD, count=n, offset=_LABEL_HEADER.size)
     sids, labels = records["sample_id"], records["label"]
     out_of_order = sids != np.arange(n)
@@ -216,8 +206,8 @@ def import_labels(stream: bytes) -> ValueLabeling:
         i = int(bad[0])
         offset = _LABEL_HEADER.size + i * _LABEL_RECORD.itemsize
         if out_of_order[i]:
-            raise LabelStreamError(f"record {i} has out-of-order sample_id {sids[i]}", offset)
-        raise LabelStreamError(f"record {i} has non-binary label {labels[i]}", offset)
+            raise _bad_stream(f"record {i} has out-of-order sample_id {sids[i]}", offset)
+        raise _bad_stream(f"record {i} has non-binary label {labels[i]}", offset)
     ranks = records["rank"].astype(np.int64)
     try:
         return ValueLabeling(ranks=ranks, labels=labels.copy())
@@ -227,7 +217,7 @@ def import_labels(stream: bytes) -> ValueLabeling:
         repeat[np.unique(ranks, return_index=True)[1]] = False
         bad = np.flatnonzero(repeat | (ranks >= n))
         offset = _LABEL_HEADER.size + (int(bad[0]) * _LABEL_RECORD.itemsize + 4 if bad.size else 0)
-        raise LabelStreamError(f"invalid labeling content: {exc}", offset) from None
+        raise _bad_stream(f"invalid labeling content: {exc}", offset) from None
 
 
 def save_labels(path, labeling: ValueLabeling) -> None:
@@ -235,5 +225,10 @@ def save_labels(path, labeling: ValueLabeling) -> None:
 
 
 def load_labels(path) -> ValueLabeling:
+    """import_labels of the file at path; its DataFormatError names the path."""
     with open(path, "rb") as fh:
-        return import_labels(fh.read())
+        stream = fh.read()
+    try:
+        return import_labels(stream)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

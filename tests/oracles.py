@@ -5,7 +5,7 @@ quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
 emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads,
 data.gen_gaussian_mixture), in bulk (data.load_csv, data.save_csv,
-emdriver.RunRecord.to_dict, knowledge.check_simplex) or in chunks
+knowledge.check_simplex) or in chunks
 (emdriver.RunRecord.fingerprint, emdriver.RunRecord.save, vaks.augment).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
@@ -317,8 +317,9 @@ def csv_bytes(features, labels) -> bytes:
 
 
 def record_dict(record) -> dict:
-    """RunRecord.to_dict through dataclasses.asdict's deep copy, with the
-    label and rank arrays as lists of int() per element."""
+    """The record's fields as RunRecord.save and fingerprint encode them,
+    through dataclasses.asdict's deep copy, with the label and rank arrays
+    as lists of int() per element."""
     out = asdict(record)
     out["stages"] = [asdict(s) for s in record.stages]
     out["epochs"] = [asdict(e) for e in record.epochs]
@@ -330,14 +331,14 @@ def record_dict(record) -> dict:
 
 def record_fingerprint(record) -> str:
     """RunRecord.fingerprint as one json.dumps of the whole dict."""
-    payload = record.to_dict()
+    payload = record_dict(record)
     payload.pop("wall_time_s")
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def record_bytes(record) -> bytes:
     """The bytes RunRecord.save writes, as one json.dumps of the whole dict."""
-    return (json.dumps(record.to_dict(), indent=2) + "\n").encode()
+    return (json.dumps(record_dict(record), indent=2) + "\n").encode()
 
 
 def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: float,

@@ -362,6 +362,53 @@ class TestReuseAndSweep:
         assert list(tmp_path.iterdir()) == []
 
 
+    def test_bad_label_file_names_the_file_and_offset(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.kcl"
+        bad.write_bytes(b"XXXX" + bytes(21))
+        code = main(["reuse", "--labels", str(bad), "--mode", "with-vaks",
+                     "--data", str(workdir / "data"),
+                     "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                     "--out-record", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: bad magic b'XXXX' (byte offset 0)\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+
+class TestListFlags:
+    """Each comma-list flag is parsed before any file is read or written; an
+    entry of the wrong type is an error that names the flag and its text."""
+
+    RUN = ["--data", "{d}/absent", "--teacher-probs", "{d}/absent.npy"]
+    COMMANDS = {
+        "train-teacher": ["train-teacher", "--data", "{d}/absent", "--out-model", "{d}/t/t.bin",
+                          "--out-probs", "{d}/t/p.npy"],
+        "distill": ["distill", *RUN, "--out-record", "{d}/r/r.json"],
+        "reuse": ["reuse", "--labels", "{d}/absent.kcl", "--mode", "with-vaks", *RUN,
+                  "--out-record", "{d}/r/r.json"],
+        "sweep": ["sweep", *RUN, "--out", "{d}/s/sweep.csv"],
+    }
+
+    @pytest.mark.parametrize("command, flag, value, fault", [
+        ("train-teacher", "--hidden", "4,x", "invalid literal for int() with base 10: 'x'"),
+        ("train-teacher", "--hidden", "4, 1.5,", "invalid literal for int() with base 10: '1.5'"),
+        ("distill", "--student-hidden", "6,six", "invalid literal for int() with base 10: 'six'"),
+        ("distill", "--lr-decay-epochs", "2,,3e", "invalid literal for int() with base 10: '3e'"),
+        ("reuse", "--student-hidden", "x", "invalid literal for int() with base 10: 'x'"),
+        ("reuse", "--lr-decay-epochs", " - ", "invalid literal for int() with base 10: '-'"),
+        ("sweep", "--rho-grid", "0.5,half", "could not convert string to float: 'half'"),
+        ("sweep", "--seeds", "3,y", "invalid literal for int() with base 10: 'y'"),
+        ("sweep", "--seeds", "two", "invalid literal for int() with base 10: 'two'"),
+        ("sweep", "--student-hidden", "6,?", "invalid literal for int() with base 10: '?'"),
+    ])
+    def test_bad_entry_is_named_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                        flag, value, fault):
+        # the inputs are absent: reading one would fail with another message
+        argv = [a.format(d=tmp_path) for a in self.COMMANDS[command]] + [flag, value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} {value!r}: {fault}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReport:
     def test_hamming_csv_holds_each_pair_distance(self, workdir, tmp_path):
         """summary_hamming.csv has a row and a column per record: symmetric,
@@ -602,3 +649,44 @@ class TestOutputPathCollisions:
         assert capsys.readouterr().err == f"error: {flag} {inputs / 'out'} is a directory\n"
         assert self.snapshot(inputs) == before
         assert list((inputs / "out").iterdir()) == []
+
+
+class TestOutputDirectories:
+    """Once every refusal has passed, a command makes the missing parent
+    directories of each output it names, before any work."""
+
+    def test_train_teacher_writes_into_new_directories(self, workdir, tmp_path):
+        model, probs = tmp_path / "nodir" / "t.bin", tmp_path / "p" / "q" / "probs.npy"
+        assert main(["train-teacher", "--data", str(workdir / "data"), "--hidden", "4",
+                     "--epochs", "1", "--out-model", str(model), "--out-probs", str(probs)]) == 0
+        assert load_model(model).layer_dims == (4, 4, 3)
+        assert np.load(probs).shape == (48, 3)
+
+    def test_distill_writes_into_new_directories(self, workdir, tmp_path):
+        record, metrics = tmp_path / "rec" / "r.json", tmp_path / "m" / "metrics.csv"
+        labels = tmp_path / "missing" / "l.kcl"
+        assert main(distill_args(workdir, record, ["--out-metrics", str(metrics),
+                                                   "--export-labels", str(labels)])) == 0
+        assert load_labels(labels) == RunRecord.load(record).final_labeling()
+        assert metrics.read_text().startswith("epoch,stage,")
+
+    def test_sweep_and_report_write_into_new_directories(self, workdir, tmp_path):
+        sweep, summary = tmp_path / "s" / "sweep.csv", tmp_path / "sum" / "summary.csv"
+        assert main(["sweep", "--rho-grid", "1.0", "--seeds", "1", "--methods", "kcd",
+                     "--data", str(workdir / "data"),
+                     "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                     "--student-hidden", "6", "--epochs", "2", "--stage-len", "1",
+                     "--out", str(sweep)]) == 0
+        assert sweep.read_text().startswith("rho,seed,method")
+        assert main(distill_args(workdir, tmp_path / "records" / "r.json")) == 0
+        assert main(["report", "--records", str(tmp_path / "records"),
+                     "--out-csv", str(summary)]) == 0
+        assert summary.read_text().splitlines()[1].split(",")[1] == "kcd"
+
+    def test_a_refused_command_makes_no_directory(self, workdir, tmp_path, capsys):
+        argv = distill_args(workdir, tmp_path / "a" / "r.json",
+                            ["--out-metrics", str(tmp_path / "b" / "m.csv"),
+                             "--export-labels", str(tmp_path / "b" / "m.csv")])
+        assert main(argv) == 1
+        assert "is the same file as" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -455,9 +455,11 @@ class TestRunRecord:
         assert again.cost == record.cost
 
     @pytest.mark.parametrize("method", ["kcd", "full-kd"])
-    def test_list_fields_are_plain_ints_with_unchanged_fingerprint(self, small_task, method):
+    def test_list_fields_are_plain_ints_with_unchanged_fingerprint(self, small_task, tmp_path,
+                                                                    method):
         _, record = run_small(small_task, method=method, seed=17)
-        out = record.to_dict()
+        record.save(tmp_path / "record.json")
+        out = json.loads((tmp_path / "record.json").read_text())
         labels, ranks = out["final_labels"], out["final_ranks"]
         assert all(type(v) is int for v in labels + ranks + out["student_dims"])
         # the lists as an element-wise int() over the run's arrays built them
@@ -470,11 +472,12 @@ class TestRunRecord:
         assert digest == record.fingerprint()
 
     def test_mutating_the_dict_leaves_the_record(self, small_task):
+        """record_dict, the payload the from_dict tests edit, is a deep copy."""
         _, record = run_small(small_task, seed=18)
         fingerprint = record.fingerprint()
         before = record_dict(record)
         arrays = record.final_labels.tobytes(), record.final_ranks.tobytes()
-        out = record.to_dict()
+        out = record_dict(record)
         for key in ("final_labels", "final_ranks", "student_dims"):
             out[key][0] += 1
             out[key].append(7)
@@ -490,8 +493,6 @@ class TestRunRecord:
     @pytest.mark.parametrize("method", ["kcd", "full-kd"])
     def test_save_writes_the_bytes_of_an_asdict_copy(self, small_task, tmp_path, method):
         _, record = run_small(small_task, method=method, seed=19)
-        assert record.to_dict() == record_dict(record)
-        assert list(record.to_dict()) == list(record_dict(record))
         path = tmp_path / "record.json"
         record.save(path)
         assert path.read_bytes() == (json.dumps(record_dict(record), indent=2) + "\n").encode()
@@ -503,7 +504,7 @@ class TestRunRecord:
     ])
     def test_streamed_encoding_matches_one_json_dumps(self, tmp_path, n, ranked):
         """fingerprint and save encode the arrays in chunks; digest and bytes
-        are those of one json.dumps of to_dict, for a nested config with NaN
+        are those of one json.dumps of record_dict, for a nested config with NaN
         and inf, an empty rank array (full-kd) and sizes around a chunk."""
         record = synthetic_record(n, ranked)
         assert record.fingerprint() == record_fingerprint(record)
@@ -539,7 +540,7 @@ class TestRunRecord:
         (("cost",), 0.5, "record field 'cost' must be CostReport, not float"),
     ])
     def test_from_dict_names_a_field_of_the_wrong_type(self, where, value, named):
-        payload = synthetic_record(3, True).to_dict()
+        payload = record_dict(synthetic_record(3, True))
         *path, last = where
         holder = payload
         for key in path:
@@ -555,14 +556,14 @@ class TestRunRecord:
         (lambda d: d["epochs"][0].pop("stage"), "epochs[0] has no field 'stage'"),
     ])
     def test_from_dict_names_a_missing_or_unknown_field(self, edit, named):
-        payload = synthetic_record(3, True).to_dict()
+        payload = record_dict(synthetic_record(3, True))
         edit(payload)
         with pytest.raises(ValueError) as err:
             RunRecord.from_dict(payload)
         assert str(err.value) == named
 
     def test_from_dict_takes_an_int_where_a_float_is_due(self):
-        payload = synthetic_record(3, True).to_dict()
+        payload = record_dict(synthetic_record(3, True))
         payload.update(final_accuracy=1, wall_time_s=0)
         record = RunRecord.from_dict(payload)
         assert record.final_accuracy == 1 and record.wall_time_s == 0

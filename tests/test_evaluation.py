@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kcdistill import emdriver
+from kcdistill.data import DataFormatError
 from kcdistill.emdriver import (
     DistillConfig,
     DistillationError,
@@ -21,7 +22,6 @@ from kcdistill.evaluation import (
     reuse_run,
     sweep_rows_to_csv,
 )
-from kcdistill.knowledge import LabelStreamError
 from kcdistill.nn import TrainConfig, init_mlp
 from kcdistill.ogve import OgveConfig
 
@@ -180,7 +180,7 @@ def fail_on_two(job, context):
     if job == 2:
         raise DistillationError(f"stage 2, epoch 7: seed {job} diverged")
     if job == 3:
-        raise LabelStreamError(f"bad magic in job {job}", 0)
+        raise DataFormatError(f"bad magic in job {job} (byte offset 0)")
     return job
 
 
@@ -322,8 +322,8 @@ class TestParallelSweep:
 
     def test_label_stream_error_crosses_worker(self, pools, monkeypatch):
         usable_cpus(monkeypatch, 2)
-        with pytest.raises(LabelStreamError) as caught:
+        with pytest.raises(DataFormatError) as caught:
             _pool_map(fail_on_two, [1, 3], None)
         assert pools == [2]
-        assert caught.value.offset == 0
+        assert type(caught.value) is DataFormatError
         assert str(caught.value) == "bad magic in job 3 (byte offset 0)"

@@ -1,4 +1,5 @@
 import pickle
+import re
 import struct
 from dataclasses import fields
 
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from kcdistill.data import first_non_finite_row, gen_gaussian_mixture
+from kcdistill.data import DataFormatError, first_non_finite_row, gen_gaussian_mixture
 from kcdistill.knowledge import (
     CondensedSet,
-    LabelStreamError,
     ValueLabeling,
     build_store,
     check_permutation,
@@ -274,30 +274,39 @@ class TestLabelSerialization:
         save_labels(path, labeling)
         assert load_labels(path) == labeling
 
+    def test_file_error_names_the_path_and_offset(self, tmp_path):
+        path = tmp_path / "bad.kcl"
+        path.write_bytes(b"XXXX" + export_labels(make_labeling())[4:])
+        with pytest.raises(DataFormatError) as caught:
+            load_labels(path)
+        assert str(caught.value) == f"{path}: bad magic b'XXXX' (byte offset 0)"
+
     def test_truncated_stream(self):
         blob = export_labels(make_labeling())
-        with pytest.raises(LabelStreamError, match="byte offset"):
+        with pytest.raises(DataFormatError, match="byte offset"):
             import_labels(blob[:-3])
 
     def test_error_pickles_with_message_and_offset(self):
-        err = pickle.loads(pickle.dumps(LabelStreamError("bad magic", 0)))
-        assert isinstance(err, LabelStreamError)
-        assert str(err) == "bad magic (byte offset 0)"
-        assert err.offset == 0
+        with pytest.raises(DataFormatError) as caught:
+            import_labels(b"XXXX" + export_labels(make_labeling())[4:])
+        err = pickle.loads(pickle.dumps(caught.value))
+        assert type(err) is DataFormatError
+        assert str(err) == "bad magic b'XXXX' (byte offset 0)"
+        assert offset_of(err) == 0
 
     def test_truncated_header(self):
-        with pytest.raises(LabelStreamError, match="truncated header"):
+        with pytest.raises(DataFormatError, match="truncated header"):
             import_labels(b"KC")
 
     def test_bad_magic(self):
         blob = export_labels(make_labeling())
-        with pytest.raises(LabelStreamError, match="bad magic"):
+        with pytest.raises(DataFormatError, match="bad magic"):
             import_labels(b"XXXX" + blob[4:])
 
     def test_bad_version(self):
         blob = bytearray(export_labels(make_labeling()))
         blob[4] = 99
-        with pytest.raises(LabelStreamError, match="unsupported version"):
+        with pytest.raises(DataFormatError, match="unsupported version"):
             import_labels(bytes(blob))
 
     def test_bytes_match_struct_layout(self):
@@ -312,7 +321,7 @@ class TestLabelSerialization:
         blob = bytearray(export_labels(make_labeling()))
         start = 16 + 9 * record
         blob[start:start + 4] = (7).to_bytes(4, "little")
-        with pytest.raises(LabelStreamError,
+        with pytest.raises(DataFormatError,
                            match=f"record {record} has out-of-order sample_id 7 "
                                  f"\\(byte offset {start}\\)"):
             import_labels(bytes(blob))
@@ -322,7 +331,7 @@ class TestLabelSerialization:
         blob = bytearray(export_labels(make_labeling()))
         start = 16 + 9 * record
         blob[start + 8] = 2
-        with pytest.raises(LabelStreamError,
+        with pytest.raises(DataFormatError,
                            match=f"record {record} has non-binary label 2 "
                                  f"\\(byte offset {start}\\)"):
             import_labels(bytes(blob))
@@ -331,7 +340,7 @@ class TestLabelSerialization:
         blob = bytearray(export_labels(make_labeling()))
         blob[16 + 9 * 4:16 + 9 * 4 + 4] = (0).to_bytes(4, "little")
         blob[16 + 9 * 2 + 8] = 3
-        with pytest.raises(LabelStreamError, match="record 2 has non-binary label 3"):
+        with pytest.raises(DataFormatError, match="record 2 has non-binary label 3"):
             import_labels(bytes(blob))
 
     def test_corrupt_rank_content(self):
@@ -339,7 +348,7 @@ class TestLabelSerialization:
         blob = bytearray(export_labels(labeling))
         # overwrite first record's rank with an out-of-range value
         blob[20:24] = (2 ** 20).to_bytes(4, "little")
-        with pytest.raises(LabelStreamError):
+        with pytest.raises(DataFormatError):
             import_labels(bytes(blob))
 
 
@@ -359,12 +368,17 @@ FUZZ_BLOB = export_labels(FUZZ_LABELING)
 label_fuzz = settings(max_examples=60, deadline=None)
 
 
+def offset_of(err: DataFormatError) -> int:
+    """The byte offset an import_labels error ends with."""
+    return int(re.fullmatch(r".* \(byte offset (\d+)\)", str(err), re.S).group(1))
+
+
 def assert_stream_rejected(blob, offset=None):
-    with pytest.raises(LabelStreamError, match="byte offset") as caught:
+    with pytest.raises(DataFormatError, match="byte offset") as caught:
         import_labels(blob)
-    assert 0 <= caught.value.offset <= len(blob)
+    assert 0 <= offset_of(caught.value) <= len(blob)
     if offset is not None:
-        assert caught.value.offset == offset
+        assert offset_of(caught.value) == offset
     return caught.value
 
 
@@ -376,7 +390,7 @@ def with_rank(record, rank):
 
 
 class TestHostileLabelStream:
-    """import_labels on corrupt streams: every failure is a LabelStreamError
+    """import_labels on corrupt streams: every failure is a DataFormatError
     whose byte offset lies inside the stream; nothing else escapes."""
 
     def test_truncation_at_every_length(self):
@@ -406,8 +420,8 @@ class TestHostileLabelStream:
         flipped[bit // 8] ^= 1 << (bit % 8)
         try:
             labeling = import_labels(bytes(flipped))
-        except LabelStreamError as err:
-            assert 16 <= err.offset < len(flipped)
+        except DataFormatError as err:
+            assert 16 <= offset_of(err) < len(flipped)
         else:
             assert export_labels(labeling) == bytes(flipped)
 
