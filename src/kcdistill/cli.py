@@ -275,8 +275,18 @@ def cmd_sweep(args, parser) -> int:
     return 0
 
 
+def _plot_paths(out_csv) -> tuple[Path, Path]:
+    """The rho curve and Hamming matrix files --emit-plot-data writes beside
+    --out-csv."""
+    out = Path(out_csv)
+    return (out.with_name(out.stem + "_rho_curve.csv"),
+            out.with_name(out.stem + "_hamming.csv"))
+
+
 def cmd_report(args, parser) -> int:
-    _check_paths(args, ("--out-csv", args.out_csv))
+    plots = _plot_paths(args.out_csv) if args.emit_plot_data else ()
+    _check_paths(args, ("--out-csv", args.out_csv),
+                 *(("--emit-plot-data", path) for path in plots))
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
     records = []
@@ -301,12 +311,12 @@ def cmd_report(args, parser) -> int:
     out = Path(args.out_csv)
     datamod.write_atomic(out, ("\n".join(lines) + "\n").encode())
     print(f"wrote {len(records)} record summaries to {out}")
-    if args.emit_plot_data:
-        _emit_plot_data(records, out)
+    if plots:
+        _emit_plot_data(records, *plots)
     return 0
 
 
-def _emit_plot_data(records, out_csv: Path) -> None:
+def _emit_plot_data(records, curve_path: Path, ham_path: Path) -> None:
     by_key: dict[tuple, list[float]] = {}
     for _, r in records:
         by_key.setdefault((r.method, r.config["rho"]), []).append(r.final_accuracy)
@@ -314,7 +324,6 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     for (method, rho), accs in sorted(by_key.items()):
         arr = np.asarray(accs)
         curve.append(f"{method},{rho},{arr.mean():.10g},{arr.std():.10g},{arr.size}")
-    curve_path = out_csv.with_name(out_csv.stem + "_rho_curve.csv")
     datamod.write_atomic(curve_path, ("\n".join(curve) + "\n").encode())
 
     sized: dict[int, list[tuple[str, np.ndarray]]] = {}
@@ -324,7 +333,6 @@ def _emit_plot_data(records, out_csv: Path) -> None:
     ham = ["record," + ",".join(name for name, _ in biggest)]
     ham += [name + "," + ",".join(str(evaluation.hamming_distance(a, b)) for _, b in biggest)
             for name, a in biggest]
-    ham_path = out_csv.with_name(out_csv.stem + "_hamming.csv")
     datamod.write_atomic(ham_path, ("\n".join(ham) + "\n").encode())
 
 

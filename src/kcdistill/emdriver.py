@@ -35,7 +35,8 @@ Runs distill against the store's read-only teacher matrix; a blending stage
 adds its blended rows and where they go, O(N + aug * C), not a copy of the
 N x C matrix; an epoch writes them into each chunk of batches it gathers.
 run_group, the one entry that trains, checks a job list, groups it by shape
-key, spreads the groups over forked workers (one chunk per usable CPU) and
+key, halves a group only while it holds more than one usable CPU's share
+of the work, spreads the chunks over forked workers, largest first, and
 hands back each student trained; run() is a list of one.
 
 Training batches are drawn by shuffling the ascending active ids with
@@ -190,7 +191,9 @@ class DistillConfig:
 @dataclass(eq=False)
 class RunRecord:
     """Everything needed to audit or reproduce a run. Compare records with
-    fingerprint(), which covers everything but wall_time_s.
+    fingerprint(), which covers everything but wall_time_s. wall_time_s is
+    the time of the whole lockstep group the run trained in, so every
+    record of a group claims all of it.
 
     final_labels (uint8) and final_ranks (int64, empty for full-kd) are
     arrays the record owns: construction copies them, so they share no
@@ -586,9 +589,10 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
     Every job is checked before any run starts: only a reuse row takes a
     labeling, a hard-label weight needs a store with hard labels, a student
     takes the store's feature and class counts, and no two jobs share one
-    student object. Jobs with one _shape_key train in lockstep; each shape
-    group splits into at most one chunk per usable CPU, and _pool_map spreads
-    the chunks over worker processes. A lone job trains an unstacked copy of
+    student object. Jobs with one _shape_key train in lockstep; _chunks
+    splits a shape group only while it holds more than a usable CPU's share
+    of the work, and _pool_map spreads the chunks over worker processes,
+    largest first. A lone job trains an unstacked copy of
     its student. Students take their trained parameters only after every
     chunk has returned, so a failing job leaves every student as it was, on
     any CPU count. Records and parameters are bit-identical to training each
@@ -620,14 +624,38 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
             raise ValueError(f"job {first} ({first_name}) and job {i} ({name}) share "
                              "one student object")
         groups.setdefault(_shape_key(store, job), []).append(i)
-    chunks = [chunk.tolist() for group in groups.values()
-              for chunk in np.array_split(group, min(_usable_cpus(), len(group)))]
+    chunks = _chunks(groups, _usable_cpus())
     got = _pool_map(_train_chunk, [[jobs[i] for i in c] for c in chunks], (store, dataset))
     # every chunk has returned: only now may any student change
     trained = dict(zip((i for c in chunks for i in c), (t for g in got for t in g)))
     for i, job in enumerate(jobs):
         job.student.params[...] = trained[i][0]
     return [(job.student, trained[i][1]) for i, job in enumerate(jobs)]
+
+
+def _chunks(groups: dict[tuple, list[int]], cpus: int) -> list[list[int]]:
+    """The job indices of the shape groups (key -> indices) cut into chunks,
+    largest first. A chunk's work is its run count times the sum of its
+    group's stage sizes, the key's last element. From whole groups, the
+    largest chunk of two or more runs is halved while it holds more than
+    1/cpus of the total work: a stack trains faster whole than in parts,
+    so a group splits only to keep the workers busy. With one CPU nothing
+    splits."""
+    def work(chunk):
+        size, ids = chunk
+        return size * len(ids)
+
+    chunks = [(sum(key[-1]), group) for key, group in groups.items()]
+    total = sum(map(work, chunks))
+    while True:
+        big = max((c for c in chunks if len(c[1]) > 1), key=work, default=None)
+        if big is None or work(big) * cpus <= total:
+            break
+        size, ids = chunks.pop(chunks.index(big))
+        half = (len(ids) + 1) // 2
+        chunks += [(size, ids[:half]), (size, ids[half:])]
+    chunks.sort(key=work, reverse=True)
+    return [ids for _, ids in chunks]
 
 
 def _train_chunk(jobs, context) -> list:

@@ -46,27 +46,44 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     Returns one dict per (rho, seed, method) with accuracy and cost fields,
     ready to serialize as CSV rows, in rho, then seed, then method order.
 
-    Each run gets a fresh init_student for its seed. A bad rho raises while
-    the jobs are built and a bad method when emdriver.run_group checks them,
-    both before any run starts. run_group trains the runs that share a shape
-    key in lockstep: at one rho every scheduled method and seed keeps the
-    same set sizes, and full-kd keeps N at any rho. Rows are bit-identical
-    to one emdriver.run call per job.
+    Every rho is checked before any job is built, and a bad method when
+    emdriver.run_group checks the jobs, both before any run starts. Each
+    distinct run trains once, with a fresh init_student for its seed:
+    full-kd keeps all N samples at any rho, so one full-kd run per seed
+    fills its row at every rho. run_group trains the runs that share a
+    shape key in lockstep: at one rho every scheduled method and seed keeps
+    the same set sizes. Rows are bit-identical to one emdriver.run call per
+    row.
     """
+    schedules = {rho: replace(base_config.schedule, rho=rho) for rho in rho_grid}
     grid = list(itertools.product(rho_grid, seeds, methods))
-    jobs = [emdriver.Job(
-        replace(base_config, schedule=replace(base_config.schedule, rho=rho), seed=seed),
-        emdriver.init_student(store.dim, student_hidden, store.num_classes, seed), method)
-        for rho, seed, method in grid]
-    trained = emdriver.run_group(store, dataset, jobs)
-    return [{
-        "rho": rho,
-        "seed": seed,
-        "method": method,
-        "accuracy": record.final_accuracy,
-        "relative_cost": record.cost.relative_cost,
-        "realized_relative_cost": record.cost.realized_relative_cost,
-    } for (rho, seed, method), (_, record) in zip(grid, trained)]
+    jobs: dict[tuple, emdriver.Job] = {}
+    for rho, seed, method in grid:
+        key = _sweep_key(rho, seed, method)
+        if key not in jobs:
+            jobs[key] = emdriver.Job(
+                replace(base_config, schedule=schedules[rho], seed=seed),
+                emdriver.init_student(store.dim, student_hidden, store.num_classes, seed),
+                method)
+    trained = emdriver.run_group(store, dataset, list(jobs.values()))
+    records = {key: record for key, (_, record) in zip(jobs, trained)}
+    rows = []
+    for rho, seed, method in grid:
+        record = records[_sweep_key(rho, seed, method)]
+        rows.append({
+            "rho": rho,
+            "seed": seed,
+            "method": method,
+            "accuracy": record.final_accuracy,
+            "relative_cost": record.cost.relative_cost,
+            "realized_relative_cost": record.cost.realized_relative_cost,
+        })
+    return rows
+
+
+def _sweep_key(rho, seed, method) -> tuple:
+    """The run that fills a sweep row: full-kd's does not depend on rho."""
+    return (None if method == emdriver.METHOD_FULL_KD else rho, seed, method)
 
 
 def sweep_rows_to_csv(rows) -> str:

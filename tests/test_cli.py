@@ -453,6 +453,20 @@ class TestReport:
         assert (tmp_path / "summary_rho_curve.csv").exists()
         assert (tmp_path / "summary_hamming.csv").exists()
 
+    @pytest.mark.parametrize("taken", ["summary_rho_curve.csv", "summary_hamming.csv"])
+    def test_a_plot_file_that_is_a_directory_is_refused_before_any_write(
+            self, workdir, tmp_path, capsys, taken):
+        records_dir = tmp_path / "records"
+        assert main(distill_args(workdir, records_dir / "r.json", ["--seed", "10"])) == 0
+        out = tmp_path / "o"
+        (out / taken).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["report", "--records", str(records_dir),
+                     "--out-csv", str(out / "summary.csv"), "--emit-plot-data"]) == 1
+        assert capsys.readouterr().err == f"error: --emit-plot-data {out / taken} is a directory\n"
+        assert list(out.iterdir()) == [out / taken]
+        assert list((out / taken).iterdir()) == []
+
     def test_report_without_records_errors(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

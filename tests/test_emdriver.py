@@ -886,6 +886,33 @@ class TestLockstep:
         assert key("kcd", batch_size=32) != key("kcd")
         assert key("kcd", hidden=(8, 5)) != key("kcd")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 1000), min_size=1, max_size=4),
+                              st.integers(1, 20)), min_size=1, max_size=6),
+           st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_chunks_split_groups_only_for_the_cpus(self, shapes, cpus, rnd):
+        """Chunks partition the job indices, each inside one shape group, come
+        largest first by work (runs times the sum of the key's stage sizes),
+        and no chunk of two or more runs holds more than 1/cpus of the work;
+        with one CPU every group stays whole."""
+        ids = list(range(sum(count for _, count in shapes)))
+        rnd.shuffle(ids)
+        groups, at = {}, 0
+        for g, (sizes, count) in enumerate(shapes):
+            groups[("group", g, tuple(sizes))] = sorted(ids[at:at + count])
+            at += count
+        work_of = {i: sum(key[-1]) for key, group in groups.items() for i in group}
+        group_of = {i: key for key, group in groups.items() for i in group}
+        chunks = emdriver._chunks(groups, cpus)
+        assert sorted(i for chunk in chunks for i in chunk) == sorted(ids)
+        assert all(chunk and len({group_of[i] for i in chunk}) == 1 for chunk in chunks)
+        work = [sum(work_of[i] for i in chunk) for chunk in chunks]
+        total = sum(work)
+        assert work == sorted(work, reverse=True)
+        assert all(w * cpus <= total for w, chunk in zip(work, chunks) if len(chunk) > 1)
+        if cpus == 1:
+            assert sorted(chunks) == sorted(groups.values())
+
     @pytest.mark.parametrize("method, label_count, student, message", [
         ("telepathy", None, "copy", "unknown method 'telepathy'; expected one of"),
         ("reuse-with-vaks", None, "copy", "unknown method 'reuse-with-vaks'; expected one of"),

@@ -184,6 +184,19 @@ def fail_on_two(job, context):
     return job
 
 
+def spy_groups(monkeypatch) -> list:
+    """Wrap emdriver._execute, in this process, to record the sorted (rho,
+    method, seed) of each group it trains."""
+    groups, real = [], emdriver._execute
+
+    def spy(store, dataset, runs):
+        groups.append(sorted((r.config.schedule.rho, r.method, r.config.seed) for r in runs))
+        return real(store, dataset, runs)
+
+    monkeypatch.setattr(emdriver, "_execute", spy)
+    return groups
+
+
 class TestParallelSweep:
     GRID = dict(rho_grid=(0.5, 1.0), seeds=(3, 4),
                 methods=("kcd", "full-kd", "random-subset"))
@@ -199,25 +212,44 @@ class TestParallelSweep:
         assert sweep_rows_to_csv(rows) == sweep_rows_to_csv(self.serial_rows(small_task))
 
     def test_one_cpu_runs_whole_groups_in_process(self, small_task, pools, monkeypatch):
-        """With one usable CPU each shape group trains in one lockstep call:
-        kcd and random-subset at rho 0.5, and full-kd with every run at rho
-        1.0, whose sets are all N."""
+        """With one usable CPU each shape group trains in one lockstep call,
+        the most work first: full-kd, once per seed (built at the grid's
+        first rho), with every run at rho 1.0, whose sets are all N; then
+        kcd and random-subset at rho 0.5."""
         ds, store = small_task
         usable_cpus(monkeypatch, 1)
-        groups, real = [], emdriver._execute
+        groups = spy_groups(monkeypatch)
+        rows = ratio_sweep(store, ds, small_config(), (8,), **self.GRID)
+        assert pools == []
+        assert groups == [
+            sorted([(0.5, "full-kd", s) for s in (3, 4)]
+                   + [(1.0, m, s) for m in ("kcd", "random-subset") for s in (3, 4)]),
+            [(0.5, m, s) for m in ("kcd", "random-subset") for s in (3, 4)],
+        ]
+        assert rows == self.serial_rows(small_task)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_full_kd_trains_once_per_seed(self, small_task, pools, monkeypatch, tmp_path,
+                                          cpus):
+        """full-kd keeps every sample at any rho, so a sweep with full-kd at
+        two rho trains each full-kd seed once, in process or in a worker,
+        and its rows equal one run per row."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, cpus)
+        log, real = tmp_path / "runs.txt", emdriver._execute
 
         def spy(store, dataset, runs):
-            groups.append(sorted((r.config.schedule.rho, r.method, r.config.seed) for r in runs))
+            with open(log, "a") as fh:  # one append per group, from any process
+                fh.write("".join(f"{r.method} {r.config.seed}\n" for r in runs))
             return real(store, dataset, runs)
 
         monkeypatch.setattr(emdriver, "_execute", spy)
         rows = ratio_sweep(store, ds, small_config(), (8,), **self.GRID)
-        assert pools == []
-        assert groups == [
-            [(0.5, m, s) for m in ("kcd", "random-subset") for s in (3, 4)],
-            sorted([(0.5, "full-kd", s) for s in (3, 4)]
-                   + [(1.0, m, s) for m in self.GRID["methods"] for s in (3, 4)]),
-        ]
+        assert pools == ([2] if cpus == 2 else [])
+        trained = log.read_text().splitlines()
+        assert sorted(t for t in trained if t.startswith("full-kd")) == ["full-kd 3",
+                                                                         "full-kd 4"]
+        assert len(trained) == 10  # 12 rows; full-kd at rho 1.0 reuses rho 0.5's runs
         assert rows == self.serial_rows(small_task)
 
     def test_pool_records_equal_lone_runs(self, small_task, pools, monkeypatch):
@@ -312,6 +344,18 @@ class TestParallelSweep:
         grid = {**dict(rho_grid=(0.5,), seeds=(0,), methods=("kcd",)), **kwargs}
         with pytest.raises(ValueError, match=message):
             ratio_sweep(store, ds, small_config(), (8,), **grid)
+        assert pools == []
+
+    def test_a_bad_rho_raises_when_only_full_kd_runs(self, small_task, pools, monkeypatch):
+        """full-kd trains once per seed whatever the grid, yet every rho is
+        still checked before any run."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, 2)
+        groups = spy_groups(monkeypatch)
+        with pytest.raises(ValueError, match=r"rho must be in \(0, 1\], got 1.5"):
+            ratio_sweep(store, ds, small_config(), (8,), rho_grid=(0.5, 1.5), seeds=(0,),
+                        methods=("full-kd",))
+        assert groups == []
         assert pools == []
 
     def test_worker_error_reaches_caller(self, pools, monkeypatch):
