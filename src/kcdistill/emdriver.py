@@ -278,9 +278,11 @@ class RunRecord:
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
                "list": list, "np.ndarray": list, "CostReport": dict}
 _ARRAY_CHUNK = 8192
-# rows an epoch gathers at once: bounds memory per run, and is below big-store's
-# 20,000 reference train rows, so tests/test_big_store_golden.py crosses chunks
-_EPOCH_CHUNK_ROWS = 8192
+# bytes of feature and teacher rows an epoch gathers at once per run: bounds
+# memory per run whatever the feature and class counts. At 16 features and 10
+# classes it is 8192 rows, below big-store's 20,000 reference train rows, so
+# tests/test_big_store_golden.py crosses chunks
+_EPOCH_CHUNK_BYTES = 8192 * (16 + 10) * 8
 
 
 def _checked_fields(cls, payload, where: str) -> dict:
@@ -343,10 +345,13 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     must be ascending, and distills against the store's teacher probs with
     blends[k] applied: None, or (aug_at, aug_probs), where aug_at[i] is -1 or
     the row of aug_probs that replaces sample i's. Each chunk of whole batches
-    of the order is gathered once, each blend overwrites its rows in it once,
-    and every batch is one stacked step over views of the chunk. Returns each
-    run's mean loss. A run that keeps a ValueState records each trained
-    sample's prediction entropy in it.
+    of the order (at most _EPOCH_CHUNK_BYTES of feature and teacher rows per
+    run, and at least one batch) is gathered once, each blend overwrites its
+    rows in it once, and every batch is one stacked step over views of the
+    chunk. Returns each run's mean loss. A run that keeps a ValueState
+    records each trained sample's temperature-1 prediction entropy in it,
+    which the step writes (nn.loss_and_grads's entropy_out); when no run
+    keeps one, none is computed.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -359,8 +364,11 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     unstacked = stack.params.ndim == 1  # a group of one
     reads = any(run.values is not None for run in runs)
     entropies = np.empty(order.shape) if reads else None
+    step_entropies = entropies[0] if reads and unstacked else entropies
     totals = np.zeros(len(runs))
-    chunk = tcfg.batch_size * max(1, _EPOCH_CHUNK_ROWS // tcfg.batch_size)
+    row_bytes = (store.features.itemsize * store.dim
+                 + store.teacher_probs.itemsize * store.num_classes)
+    chunk = tcfg.batch_size * max(1, _EPOCH_CHUNK_BYTES // (row_bytes * tcfg.batch_size))
     for lo in range(0, order.shape[1], chunk):
         ids = order[:, lo:lo + chunk]
         rows = ids[0] if unstacked else ids
@@ -377,7 +385,8 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
             batch = slice(start, start + tcfg.batch_size)
             loss, gw, gb, probs_1 = nn.loss_and_grads(
                 stack, features[..., batch, :], targets[..., batch, :], tcfg.temperature,
-                None if hard is None else hard[..., batch], tcfg.hard_label_weight)
+                None if hard is None else hard[..., batch], tcfg.hard_label_weight,
+                step_entropies[..., lo:][..., batch] if reads else None)
             if not np.isfinite(loss).all():
                 bad = runs[int(np.argmin(np.isfinite(loss)))]
                 raise DistillationError(
@@ -387,8 +396,6 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
             except FloatingPointError as exc:
                 bad = runs[exc.index[0] if exc.index else 0]
                 raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
-            if reads:
-                entropies[:, lo:][:, batch] = ogve.entropy_rows(probs_1)
             totals += loss * probs_1.shape[-2]
         del features, targets, hard  # one chunk alive at a time, not two
     for k, run in enumerate(runs):

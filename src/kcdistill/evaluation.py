@@ -46,16 +46,19 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     Returns one dict per (rho, seed, method) with accuracy and cost fields,
     ready to serialize as CSV rows, in rho, then seed, then method order.
 
-    Every rho is checked before any job is built, and a bad method when
-    emdriver.run_group checks the jobs, both before any run starts. Each
+    Every rho and every method is checked before any job is built. Each
     distinct run trains once, with a fresh init_student for its seed:
-    full-kd keeps all N samples at any rho, so one full-kd run per seed
-    fills its row at every rho. run_group trains the runs that share a
-    shape key in lockstep: at one rho every scheduled method and seed keeps
-    the same set sizes. Rows are bit-identical to one emdriver.run call per
-    row.
+    full-kd keeps all N samples at any rho, and at rho 1.0 every scheduled
+    method keeps all N at every stage and blends nothing, so one full-kd
+    run per seed fills full-kd's rows at every rho and every method's row
+    at rho 1.0. run_group trains the runs that share a shape key in
+    lockstep: at one rho every scheduled method and seed keeps the same set
+    sizes. Rows are bit-identical to one emdriver.run call per row.
     """
     schedules = {rho: replace(base_config.schedule, rho=rho) for rho in rho_grid}
+    for method in methods:  # a row at rho 1.0 alone would train no run of its method
+        if method not in emdriver.ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {emdriver.ALL_METHODS}")
     grid = list(itertools.product(rho_grid, seeds, methods))
     jobs: dict[tuple, emdriver.Job] = {}
     for rho, seed, method in grid:
@@ -64,7 +67,7 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
             jobs[key] = emdriver.Job(
                 replace(base_config, schedule=schedules[rho], seed=seed),
                 emdriver.init_student(store.dim, student_hidden, store.num_classes, seed),
-                method)
+                key[2])
     trained = emdriver.run_group(store, dataset, list(jobs.values()))
     records = {key: record for key, (_, record) in zip(jobs, trained)}
     rows = []
@@ -82,8 +85,11 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
 
 
 def _sweep_key(rho, seed, method) -> tuple:
-    """The run that fills a sweep row: full-kd's does not depend on rho."""
-    return (None if method == emdriver.METHOD_FULL_KD else rho, seed, method)
+    """The (rho, seed, method) of the run that fills a sweep row: full-kd's
+    does not depend on rho, and at rho 1.0 every method's row is full-kd's."""
+    if method == emdriver.METHOD_FULL_KD or rho == 1.0:
+        return (None, seed, emdriver.METHOD_FULL_KD)
+    return (rho, seed, method)
 
 
 def sweep_rows_to_csv(rows) -> str:

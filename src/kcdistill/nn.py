@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ogve
 from .data import DataFormatError, write_atomic
 
 PROB_FLOOR = 1e-12
@@ -171,6 +172,28 @@ def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float
     return acc if acc.ndim else float(acc)
 
 
+# below this many rows (stack x batch) np.maximum.reduce finds each row's
+# max faster than a running np.maximum over the columns; above it the columns
+# win (at 10 classes, 1.1x at 128 rows, 2.9x at 512). Both are exact, so
+# both give one result.
+_COLUMN_MAX_ROWS = 112
+
+
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a float64 array, written over it."""
+    if z.size < _COLUMN_MAX_ROWS * z.shape[-1]:
+        top = np.maximum.reduce(z, axis=-1, keepdims=True)
+    else:
+        top = np.maximum(z[..., 0], z[..., -1])
+        for j in range(1, z.shape[-1] - 1):
+            np.maximum(top, z[..., j], out=top)
+        top = top[..., None]
+    z -= top
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
@@ -180,24 +203,24 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _kd_loss(t: np.ndarray, s: np.ndarray):
-    """Batch-mean cross-entropy -sum(p_T log p_S) over the last two axes, with
-    student probs floored at 1e-12; np.add.reduce(x) / n is bitwise np.mean."""
-    if t.shape != s.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {s.shape}")
-    log_s = np.log(np.maximum(s, PROB_FLOOR))
-    return np.add.reduce(-np.add.reduce(t * log_s, axis=-1), axis=-1) / t.shape[-2]
-
-
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
                    temperature: float = 1.0, hard_labels=None,
-                   hard_label_weight: float = 0.0):
+                   hard_label_weight: float = 0.0, entropy_out=None):
     """Soft-target loss plus analytic parameter gradients.
 
     Returns (loss, weight grads, bias grads, temperature-1 probs); for a
-    stacked model x is (K, B, D) and the loss a (K,) array. The hard term,
-    when weighted, is a standard cross-entropy at temperature 1 added on top
-    of the soft term.
+    stacked model x is (K, B, D) and the loss a (K,) array. The soft term is
+    the batch-mean -sum(t log p_T) with p_T floored at PROB_FLOOR before the
+    log. The hard term, when weighted, is a standard cross-entropy at
+    temperature 1 added on top of the soft term.
+
+    The softmax, the floored log and dlogits are each computed in place in
+    one array. Given entropy_out, a (..., B) float64 array, the step writes
+    each row's temperature-1 prediction entropy -sum(p log p) into it. At
+    temperature 1 with every prob >= PROB_FLOOR the floor changes no prob,
+    so the entropy comes from the loss's log, bit for bit
+    ogve.entropy_rows; otherwise (temperature != 1, a prob below the floor,
+    or a NaN) ogve.entropy_rows runs on the temperature-1 probs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
@@ -209,12 +232,28 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
         h = acts[-1] @ w
         h += b[..., None, :]
         acts.append(np.maximum(h, 0.0, out=h))
-    logits = acts[-1] @ model.weights[-1] + model.biases[-1][..., None, :]
+    logits = acts[-1] @ model.weights[-1]
+    logits += model.biases[-1][..., None, :]
 
-    probs_t = softmax(logits, temperature)
-    probs_1 = probs_t if temperature == 1.0 else softmax(logits, 1.0)
-    loss = _kd_loss(targets, probs_t)
-    dlogits = (probs_t - targets) / (temperature * batch)
+    if temperature == 1.0:
+        probs_t = probs_1 = _softmax_in_place(logits)
+    else:
+        probs_t = _softmax_in_place(logits / temperature)
+        probs_1 = _softmax_in_place(logits)
+    if targets.shape != probs_t.shape:
+        raise ValueError(f"shape mismatch: {targets.shape} vs {probs_t.shape}")
+    log_s = np.maximum(probs_t, PROB_FLOOR)
+    np.log(log_s, out=log_s)
+    if entropy_out is not None:
+        if temperature == 1.0 and probs_1.size and probs_1.min() >= PROB_FLOOR:
+            np.negative(np.add.reduce(probs_1 * log_s, axis=-1), out=entropy_out)
+        else:
+            entropy_out[...] = ogve.entropy_rows(probs_1)
+    # np.add.reduce(rows) / batch is bitwise np.mean
+    rows = np.add.reduce(np.multiply(targets, log_s, out=log_s), axis=-1)
+    loss = np.add.reduce(np.negative(rows, out=rows), axis=-1) / batch
+    dlogits = np.subtract(probs_t, targets, out=log_s)
+    dlogits /= temperature * batch
     if hard_label_weight > 0.0:
         if hard_labels is None:
             raise ValueError("hard_label_weight > 0 requires hard labels")
@@ -223,7 +262,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
         loss = loss + hard_label_weight * np.mean(-np.log(picked), axis=-1)
         onehot = np.zeros_like(probs_1)
         np.put_along_axis(onehot, y, 1.0, axis=-1)
-        dlogits = dlogits + hard_label_weight * (probs_1 - onehot) / batch
+        dlogits += hard_label_weight * (probs_1 - onehot) / batch
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)

@@ -45,7 +45,12 @@ class OgveConfig:
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Prediction entropy -sum(p log p) along the last axis, with 0 log 0
-    taken as 0; a row holding a NaN comes back NaN."""
+    taken as 0; a row holding a NaN comes back NaN.
+
+    A train step at temperature 1 whose probs are all >= nn.PROB_FLOOR
+    reads the same entropies, bit for bit, off its loss's log instead
+    (nn.loss_and_grads's entropy_out); at any other temperature, or with a
+    prob below the floor or a NaN, the step calls this function."""
     p = np.asarray(probs, dtype=np.float64)
     if p.size and p.min() > 0.0:
         # no 0 and no NaN: the masked terms below, bit for bit, without np.where

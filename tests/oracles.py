@@ -3,9 +3,9 @@
 None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
-emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads,
-data.gen_gaussian_mixture), in bulk (data.load_csv, data.save_csv,
-knowledge.check_simplex) or in chunks
+emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads and its
+entropies, data.gen_gaussian_mixture), in bulk (data.load_csv,
+data.save_csv, knowledge.check_simplex) or in chunks
 (emdriver.RunRecord.fingerprint, emdriver.RunRecord.save, vaks.augment).
 
 rank_probability, binarize and ratio_threshold state the paper's keep rule
@@ -49,12 +49,32 @@ def computation_ratio(tau_list, stage_len: int, n_points: int,
     return condensed / full
 
 
+def softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    """Softmax along the last axis with a fresh array per operation and the
+    row max from np.maximum.reduce; nn.loss_and_grads works in one array
+    and takes a large step's row max column by column."""
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def soft_loss(t: np.ndarray, s: np.ndarray):
+    """Batch-mean cross-entropy -sum(p_T log p_S) over the last two axes, with
+    student probs floored at nn.PROB_FLOOR; np.add.reduce(x) / n is bitwise
+    np.mean."""
+    if t.shape != s.shape:
+        raise ValueError(f"shape mismatch: {t.shape} vs {s.shape}")
+    log_s = np.log(np.maximum(s, nn.PROB_FLOOR))
+    return np.add.reduce(-np.add.reduce(t * log_s, axis=-1), axis=-1) / t.shape[-2]
+
+
 def kd_loss(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     """Batch-mean cross-entropy -sum(p_T log p_S); student probs are floored
     at 1e-12 before the log."""
     t = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
     s = np.atleast_2d(np.asarray(student_probs, dtype=np.float64))
-    return float(nn._kd_loss(t, s))
+    return float(soft_loss(t, s))
 
 
 def logits(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
@@ -68,9 +88,9 @@ def logits(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(model: nn.MlpModel, x, target_probs, temperature: float = 1.0,
                    hard_labels=None, hard_label_weight: float = 0.0):
-    """nn.loss_and_grads with a fresh array per forward operation: each
-    hidden layer's pre-activation z is kept, and the backward pass masks
-    the ReLU with z > 0."""
+    """nn.loss_and_grads with a fresh array per operation: each hidden
+    layer's pre-activation z is kept, the backward pass masks the ReLU with
+    z > 0, and the softmax, the loss and dlogits each build new arrays."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
     batch = x.shape[-2]
@@ -81,9 +101,9 @@ def loss_and_grads(model: nn.MlpModel, x, target_probs, temperature: float = 1.0
         h = np.maximum(z, 0.0)
         acts.append(h)
     out = h @ model.weights[-1] + model.biases[-1][..., None, :]
-    probs_t = nn.softmax(out, temperature)
-    probs_1 = probs_t if temperature == 1.0 else nn.softmax(out, 1.0)
-    loss = nn._kd_loss(targets, probs_t)
+    probs_t = softmax(out, temperature)
+    probs_1 = probs_t if temperature == 1.0 else softmax(out, 1.0)
+    loss = soft_loss(targets, probs_t)
     dlogits = (probs_t - targets) / (temperature * batch)
     if hard_label_weight > 0.0:
         y = np.asarray(hard_labels, dtype=np.int64)[..., None]
@@ -161,10 +181,11 @@ def prediction_entropy(student_probs) -> float:
 
 def masked_entropy_rows(probs) -> np.ndarray:
     """-sum(p log p) along the last axis with every entry that is not > 0
-    masked to a 0 term: the two np.where passes ogve.entropy_rows skips
-    when no entry is 0 or NaN."""
+    masked to a 0 * p term, so 0 log 0 is 0 and a row holding a NaN sums to
+    NaN: the two np.where passes ogve.entropy_rows skips when no entry is 0
+    or NaN."""
     p = np.asarray(probs, dtype=np.float64)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0 * p)
     return -np.add.reduce(terms, axis=-1)
 
 

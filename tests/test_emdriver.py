@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import sys
 import threading
@@ -689,7 +690,8 @@ class TestTrainEpoch:
         boundaries with blended rows on both sides, and end in a short batch."""
         _, store = small_task
         if chunk_rows is not None:
-            monkeypatch.setattr(emdriver, "_EPOCH_CHUNK_ROWS", chunk_rows)
+            row_bytes = 8 * (store.dim + store.num_classes)
+            monkeypatch.setattr(emdriver, "_EPOCH_CHUNK_BYTES", chunk_rows * row_bytes)
         tcfg = TrainConfig(batch_size=7, temperature=2.0, hard_label_weight=hard_label_weight)
         assert_epochs_match_per_batch_loop(store, ks, tcfg)
 
@@ -799,18 +801,23 @@ class TestMethodTable:
         assert reuse.cost.relative_cost == reuse.cost.realized_relative_cost < 1.0
 
     def test_methods_that_read_no_value_compute_none(self, small_task, monkeypatch):
+        """No entropy is asked of a step, or computed apart from one, and no
+        value is observed, unless a run keeps a ValueState."""
         calls = []
 
-        def spy(name):
-            real = getattr(ogve, name)
+        def spy(owner, name, label, asked=lambda arguments: True):
+            real = getattr(owner, name)
 
-            def counted(*args):
-                calls.append(name)
-                return real(*args)
-            monkeypatch.setattr(ogve, name, counted)
+            def counted(*args, **kwargs):
+                if asked(inspect.signature(real).bind(*args, **kwargs).arguments):
+                    calls.append(label)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
 
-        spy("entropy_rows")
-        spy("observe_batch")
+        spy(nn, "loss_and_grads", "entropy_rows",
+            lambda arguments: arguments.get("entropy_out") is not None)
+        spy(ogve, "entropy_rows", "entropy_rows")
+        spy(ogve, "observe_batch", "observe_batch")
         ds, store = small_task
         for method in ("full-kd", "random-subset"):
             run_small(small_task, method=method, seed=19)

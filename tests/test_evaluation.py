@@ -213,20 +213,32 @@ class TestParallelSweep:
 
     def test_one_cpu_runs_whole_groups_in_process(self, small_task, pools, monkeypatch):
         """With one usable CPU each shape group trains in one lockstep call,
-        the most work first: full-kd, once per seed (built at the grid's
-        first rho), with every run at rho 1.0, whose sets are all N; then
-        kcd and random-subset at rho 0.5."""
+        the most work first: kcd and random-subset at rho 0.5; then full-kd,
+        once per seed (built at the grid's first rho), which also fills
+        every row at rho 1.0."""
         ds, store = small_task
         usable_cpus(monkeypatch, 1)
         groups = spy_groups(monkeypatch)
         rows = ratio_sweep(store, ds, small_config(), (8,), **self.GRID)
         assert pools == []
         assert groups == [
-            sorted([(0.5, "full-kd", s) for s in (3, 4)]
-                   + [(1.0, m, s) for m in ("kcd", "random-subset") for s in (3, 4)]),
             [(0.5, m, s) for m in ("kcd", "random-subset") for s in (3, 4)],
+            [(0.5, "full-kd", s) for s in (3, 4)],
         ]
         assert rows == self.serial_rows(small_task)
+
+    def test_every_method_at_rho_one_is_one_full_kd_run_per_seed(self, small_task, pools,
+                                                                monkeypatch):
+        """At rho 1.0 every scheduled method keeps all N samples at every
+        stage and blends nothing, so one full-kd run per seed fills every
+        method's row, and each row equals that method trained alone."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, 1)
+        groups = spy_groups(monkeypatch)
+        grid = dict(rho_grid=(1.0,), seeds=(3, 4), methods=emdriver.ALL_METHODS)
+        rows = ratio_sweep(store, ds, small_config(), (8,), **grid)
+        assert groups == [[(1.0, "full-kd", 3), (1.0, "full-kd", 4)]]
+        assert rows == self.serial_rows(small_task, grid)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_full_kd_trains_once_per_seed(self, small_task, pools, monkeypatch, tmp_path,
@@ -249,7 +261,7 @@ class TestParallelSweep:
         trained = log.read_text().splitlines()
         assert sorted(t for t in trained if t.startswith("full-kd")) == ["full-kd 3",
                                                                          "full-kd 4"]
-        assert len(trained) == 10  # 12 rows; full-kd at rho 1.0 reuses rho 0.5's runs
+        assert len(trained) == 6  # 12 rows; every row at rho 1.0 reuses full-kd's runs
         assert rows == self.serial_rows(small_task)
 
     def test_pool_records_equal_lone_runs(self, small_task, pools, monkeypatch):
@@ -275,12 +287,12 @@ class TestParallelSweep:
                 assert student.params.tobytes() == alone_student.params.tobytes()
                 assert record.fingerprint() == alone_record.fingerprint()
 
-    def serial_rows(self, small_task):
+    def serial_rows(self, small_task, grid=GRID):
         ds, store = small_task
         expected = []
-        for rho in self.GRID["rho_grid"]:
-            for seed in self.GRID["seeds"]:
-                for method in self.GRID["methods"]:
+        for rho in grid["rho_grid"]:
+            for seed in grid["seeds"]:
+                for method in grid["methods"]:
                     config = small_config(seed=seed, rho=rho)
                     student = init_student(store.dim, (8,), store.num_classes, seed)
                     _, record = run_baseline(config, store, student, ds, method)
@@ -328,6 +340,7 @@ class TestParallelSweep:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(methods=("kcd", "telepathy")), "unknown method 'telepathy'"),
+        (dict(rho_grid=(1.0,), methods=("kcd", "telepathy")), "unknown method 'telepathy'"),
         (dict(rho_grid=(0.5, 1.5)), r"rho must be in \(0, 1\], got 1.5"),
         (dict(rho_grid=(0.0,)), r"rho must be in \(0, 1\], got 0.0"),
     ])

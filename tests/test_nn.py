@@ -7,9 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kcdistill import ogve
 from kcdistill.data import DataFormatError
 
 from kcdistill.nn import (
+    PROB_FLOOR,
     MlpModel,
     TrainConfig,
     forward,
@@ -157,17 +159,23 @@ class TestGradients:
 class TestLossAndGradsOracle:
     @settings(max_examples=150, deadline=None)
     @given(dims=st.sampled_from([(4, 3), (5, 6, 4), (6, 8, 5, 4)]),
-           stack=st.sampled_from([0, 1, 3]), batch=st.integers(1, 9),
+           stack=st.sampled_from([0, 1, 3]),
+           batch=st.one_of(st.integers(1, 9), st.integers(50, 200)),
            seed=st.integers(0, 2**32 - 1), zero_rows=st.integers(0, 3),
-           nan_row=st.booleans(),
-           terms=st.sampled_from([(1.0, 0.0), (2.0, 0.3), (0.5, 1.0)]))
+           nan_row=st.booleans(), scale=st.sampled_from([1.0, 40.0, 1e4]),
+           terms=st.sampled_from([(1.0, 0.0), (1.0, 0.3), (2.0, 0.0), (2.0, 0.3),
+                                  (0.5, 1.0)]))
     def test_in_place_forward_is_the_fresh_array_oracle_bit_for_bit(
-            self, dims, stack, batch, seed, zero_rows, nan_row, terms):
+            self, dims, stack, batch, seed, zero_rows, nan_row, scale, terms):
         """loss_and_grads on an unstacked model (stack 0) or a stack of K
         equals the oracle's fresh-array forward with its pre-activation
-        mask. Zero input rows meet zero biases in exact 0.0 pre-activations,
-        and a NaN input row makes that row's pre-activations NaN (in the
-        last model only, so a stack keeps finite models beside it)."""
+        mask, and the entropies it writes are the masked terms of the
+        oracle's temperature-1 probs. Zero input rows meet zero biases in
+        exact 0.0 pre-activations, and a NaN input row makes that row's
+        pre-activations NaN (in the last model only, so a stack keeps finite
+        models beside it). Up to 27 rows the row max is np.maximum.reduce's,
+        from 150 to 600 rows the threshold is crossed; scaled inputs give
+        probs below PROB_FLOOR (scale 40) and exact zeros (scale 1e4)."""
         rng = np.random.default_rng(seed)
         models = [init_mlp(dims, rng) for _ in range(max(stack, 1))]
         for m in models:
@@ -175,19 +183,42 @@ class TestLossAndGradsOracle:
                 b[...] = rng.normal(size=b.shape) * (rng.random(b.shape) < 0.5)
         model = stack_models(models) if stack else models[0]
         lead = (stack,) if stack else ()
-        x = rng.normal(size=(*lead, batch, dims[0]))
+        x = rng.normal(size=(*lead, batch, dims[0])) * scale
         x[..., :zero_rows, :] = 0.0
         if nan_row:
             x.reshape(-1, batch, dims[0])[-1, -1, 0] = np.nan
         targets = rng.dirichlet(np.ones(dims[-1]), size=(*lead, batch))
         hard = rng.integers(0, dims[-1], size=(*lead, batch))
-        got = loss_and_grads(model, x, targets, terms[0], hard, terms[1])
+        entropies = np.full((*lead, batch), -1.0)
+        got = loss_and_grads(model, x, targets, terms[0], hard, terms[1],
+                             entropy_out=entropies)
         want = oracles.loss_and_grads(model, x, targets, terms[0], hard, terms[1])
         loss, gw, gb, probs = got
         assert np.shape(loss) == lead
         assert np.asarray(loss).tobytes() == np.asarray(want[0]).tobytes()
         for a, b in zip([*gw, *gb, probs], [*want[1], *want[2], want[3]]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert entropies.tobytes() == oracles.masked_entropy_rows(want[3]).tobytes()
+
+    @pytest.mark.parametrize("temperature, scale, reads_log", [
+        (1.0, 1.0, True), (1.0, 40.0, False), (2.0, 1.0, False)])
+    def test_entropy_comes_from_the_loss_log_only_at_t1_above_the_floor(
+            self, monkeypatch, temperature, scale, reads_log):
+        """At temperature 1 with every prob >= PROB_FLOOR the step calls no
+        ogve.entropy_rows; at temperature 2, or with a prob below the floor,
+        it calls it once, on the temperature-1 probs."""
+        calls = []
+        real = ogve.entropy_rows
+        monkeypatch.setattr(ogve, "entropy_rows", lambda p: calls.append(p) or real(p))
+        model = init_mlp((4, 6, 3), 5)
+        x = np.random.default_rng(5).normal(size=(20, 4)) * scale
+        t = np.full((20, 3), 1 / 3)
+        entropies = np.empty(20)
+        *_, probs = loss_and_grads(model, x, t, temperature, entropy_out=entropies)
+        assert (probs.min() >= PROB_FLOOR) == (scale == 1.0)
+        assert len(calls) == (0 if reads_log else 1)
+        assert all(p is probs for p in calls)
+        assert entropies.tobytes() == real(probs).tobytes()
 
 
 class TestSgd:
