@@ -178,9 +178,12 @@ def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
 
 
 def cmd_gen_data(args, parser) -> int:
+    out = Path(args.out)
+    splits = [out / datamod.TRAIN_FILE, out / datamod.TEST_FILE]
+    outputs = [*splits, *map(datamod.twin_path, splits), out / "meta.json"]
+    _check_paths(args, *[("--out", path) for path in outputs])
     dataset = datamod.gen_gaussian_mixture(args.classes, args.dims, args.per_class,
                                            args.spread, args.seed)
-    out = Path(args.out)
     datamod.save_split_dir(out, dataset)
     n_train, n_test = dataset.train_labels.size, dataset.test_labels.size
     meta = {

@@ -3,10 +3,16 @@
 Generated features are standardized per dimension against the train split so
 models see zero-mean unit-variance inputs; the written CSVs carry the
 standardized values, so a reload never re-standardizes.
+
+save_csv writes a binary twin beside each CSV (twin_path): the arrays it
+formatted and the sha256 of the bytes it wrote. load_csv takes its arrays
+from a twin whose digest matches the CSV and parses the CSV otherwise, so the
+CSV stays the only authority and deleting a twin only costs speed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import re
@@ -166,17 +172,27 @@ def _header(dim: int) -> str:
     return ",".join([f"f{i}" for i in range(dim)] + ["label"])
 
 
+def twin_path(path) -> Path:
+    """Where save_csv writes the binary twin of the CSV at path."""
+    path = Path(path)
+    return path.with_name(path.name + ".npz")
+
+
 def save_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
     """Rows are f0..f{D-1},label with floats at 17 significant digits,
     formatted _CSV_CHUNK_ROWS rows per % call and streamed through
-    write_atomic."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    write_atomic. Then the twin, an uncompressed .npz of the very features
+    (float64, N x D) and labels (int64, N) and the sha256 of the CSV bytes
+    as written, goes through write_atomic too."""
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
     if features.shape[0] != labels.size:
         raise ValueError(f"{features.shape[0]} feature rows but {labels.size} labels")
     dim = features.shape[1]
     header = _header(dim)
     row_format = ",".join([CSV_FLOAT_FORMAT] * dim + ["%d"]) + "\n"
+
+    digest = hashlib.sha256()
 
     def chunks():
         yield f"{header}\n".encode()
@@ -187,7 +203,16 @@ def save_csv(path, features: np.ndarray, labels: np.ndarray) -> None:
             cells[:, dim] = labels[start:stop]
             yield ((row_format * (stop - start)) % tuple(cells.ravel().tolist())).encode()
 
-    write_atomic(path, chunks())
+    def hashed(chunks):
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    write_atomic(path, hashed(chunks()))
+    twin = io.BytesIO()
+    np.savez(twin, features=features, labels=labels,
+             sha256=np.frombuffer(digest.digest(), dtype=np.uint8))
+    write_atomic(twin_path(path), (twin.getbuffer(),))
 
 
 def _parse_rows(lines: list[str], dim: int) -> np.ndarray:
@@ -372,6 +397,39 @@ def _plain_rows(raw: bytes):
     return features, labels
 
 
+def _twin_rows(path: Path, raw: bytes):
+    """The (features, labels) save_csv wrote beside these CSV bytes, read-only,
+    or None. The twin counts only when it loads without pickles, its digest
+    is sha256(raw), and it holds int64 labels and float64 features of the
+    CSV's N > 0 rows by its header's D columns: a corrupt npy header can
+    shorten an array unseen, since a member read short skips the zip's CRC
+    check."""
+    try:  # np.load leaves a file it opened open when the zip is corrupt
+        with open(twin_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as twin:
+            digest = twin["sha256"]
+            if digest.dtype != np.uint8 or digest.tobytes() != hashlib.sha256(raw).digest():
+                return None
+            features, labels = twin["features"], twin["labels"]
+    except Exception:
+        # a corrupt twin raises from zipfile, the npy header parser and more;
+        # one that cannot be read is ignored like a missing one
+        return None
+    rows, dim = raw.count(b"\n") - 1, raw.count(b",", 0, raw.find(b"\n"))
+    if not (features.dtype == np.float64 and labels.dtype == np.int64 and rows > 0
+            and features.shape == (rows, dim) and labels.shape == (rows,)):
+        return None
+    arrays = []
+    for a in (features, labels):
+        if type(a.base) is np.ndarray and a.base.base is None and a.flags.c_contiguous:
+            # a is np.load's reshaped view of the flat array it read into:
+            # take that array, reshaped in place (same size, so no copy)
+            a.base.resize(a.shape, refcheck=False)
+            a = a.base
+        a.setflags(write=False)  # so the Dataset keeps them uncopied
+        arrays.append(a)
+    return tuple(arrays)
+
+
 def _parse_lines(path: Path, raw: bytes, class_count: int | None):
     """Parse CSV bytes line by line into (features, labels), raising a
     DataFormatError that names the line of the first fault it finds."""
@@ -414,12 +472,16 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
     split and the test split is empty.
 
     Blank and whitespace-only lines are skipped. Every error names its line.
-    A plain file (the layout save_csv writes) is parsed with array
-    operations; any other file, or one that fails a check, is parsed line by
-    line, so the values and the error are the same either way."""
+    The arrays come from the file's twin when its digest matches the bytes
+    (_twin_rows); otherwise a plain file (the layout save_csv writes) is
+    parsed with array operations. Any other file, or one whose arrays fail a
+    check, is parsed line by line, so the values and the error are the same
+    either way."""
     path = Path(path)
     raw = path.read_bytes()
-    parsed = _plain_rows(raw)
+    parsed = _twin_rows(path, raw)
+    if parsed is None:
+        parsed = _plain_rows(raw)
     if parsed is None or not (np.isfinite(parsed[0]).all() and parsed[1].min() >= 0 and (
             class_count is None or parsed[1].max() < class_count)):
         parsed = _parse_lines(path, raw, class_count)  # the parse that names a faulty line

@@ -203,6 +203,17 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
+def _bias_grad(delta: np.ndarray) -> np.ndarray:
+    """np.add.reduce(delta, axis=-2), bit for bit but for a NaN's sign. On a
+    C-contiguous delta of more than one column that reduce adds the rows in
+    order, as einsum does without an inner-loop call per row; with one column
+    it sums pairwise. A NaN sum may take its sign from another operand (an
+    input NaN against an inf - inf one); sgd_step refuses any NaN gradient."""
+    if delta.flags.c_contiguous and delta.shape[-1] > 1:
+        return np.einsum("...ij->...j", delta)
+    return np.add.reduce(delta, axis=-2)
+
+
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
                    temperature: float = 1.0, hard_labels=None,
                    hard_label_weight: float = 0.0, entropy_out=None):
@@ -268,12 +279,12 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     grads_b = [None] * len(model.biases)
     delta = dlogits
     grads_w[-1] = acts[-1].swapaxes(-1, -2) @ delta
-    grads_b[-1] = np.add.reduce(delta, axis=-2)
+    grads_b[-1] = _bias_grad(delta)
     for layer in range(len(model.weights) - 2, -1, -1):
         # a ReLU output is > 0 exactly where its input is (both False at NaN)
         delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (acts[layer + 1] > 0.0)
         grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
-        grads_b[layer] = np.add.reduce(delta, axis=-2)
+        grads_b[layer] = _bias_grad(delta)
     return loss, grads_w, grads_b, probs_1
 
 

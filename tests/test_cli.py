@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from kcdistill import data
 from kcdistill.cli import _run_dir, main
 from kcdistill.data import load_split_dir
 from kcdistill.emdriver import RunRecord
@@ -44,6 +45,21 @@ class TestGenData:
         meta = json.loads((workdir / "data" / "meta.json").read_text())
         assert meta["classes"] == 3
         assert meta["n_train"] + meta["n_test"] == 60
+
+    def test_writes_a_twin_of_each_split(self, workdir):
+        for name in ("train.csv", "test.csv"):
+            path = workdir / "data" / name
+            assert data._twin_rows(path, path.read_bytes()) is not None
+
+    @pytest.mark.parametrize("blocked", ["train.csv", "test.csv", "train.csv.npz",
+                                         "test.csv.npz", "meta.json"])
+    def test_an_output_directory_is_refused_before_any_write(self, tmp_path, capsys, blocked):
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        assert main(["gen-data", "--classes", "3", "--dims", "2", "--per-class", "5",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out {tmp_path / 'out' / blocked} is a directory\n")
+        assert os.listdir(tmp_path / "out") == [blocked]
 
     def test_deterministic_regeneration(self, workdir, tmp_path):
         again = tmp_path / "data2"
@@ -549,6 +565,7 @@ class TestAtomicCliWrites:
         return {
             "train.csv": gen_data,
             "test.csv": gen_data,
+            "train.csv.npz": gen_data,
             "meta.json": gen_data,
             "tprobs.npy": ["train-teacher", "--data", str(workdir / "data"), "--hidden", "4",
                            "--epochs", "1", "--out-model", str(out / "t.bin"),
@@ -564,7 +581,8 @@ class TestAtomicCliWrites:
 
     @pytest.mark.parametrize("target", ["meta.json", "m.csv", "sweep.csv", "summary.csv",
                                         "summary_rho_curve.csv", "summary_hamming.csv",
-                                        "train.csv", "test.csv", "tprobs.npy"])
+                                        "train.csv", "test.csv", "train.csv.npz",
+                                        "tprobs.npy"])
     def test_interrupted_write_keeps_old_file(self, workdir, record_dir, tmp_path,
                                               monkeypatch, capsys, target):
         out = tmp_path / "out"

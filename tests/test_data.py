@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -437,6 +438,8 @@ class TestPlainRows:
 
         monkeypatch.setattr(data, "_parse_rows", no_lines)
         monkeypatch.setattr(data, "_PLAIN_CHUNK", 7)  # many chunk boundaries
+        for name in ("train.csv.npz", "test.csv.npz"):
+            (tmp_path / name).unlink()  # a twin would take the arrays parser's place
         again = load_split_dir(tmp_path)
         for name in ("train_features", "train_labels", "test_features", "test_labels"):
             assert getattr(again, name).tobytes() == getattr(ds, name).tobytes(), name
@@ -478,9 +481,180 @@ class TestPlainRows:
         save_split_dir(tmp_path, ds)
         monkeypatch.setattr(data, "_X87_LONG_DOUBLE", False)
         assert data._plain_rows((tmp_path / "train.csv").read_bytes()) is None
+        for name in ("train.csv.npz", "test.csv.npz"):
+            (tmp_path / name).unlink()
         again = load_split_dir(tmp_path)
         assert again.train_features.tobytes() == ds.train_features.tobytes()
         assert again.test_labels.tobytes() == ds.test_labels.tobytes()
+
+
+# -- the binary twin save_csv writes beside each CSV ---------------------------
+
+def _outcome(loader, path, class_count=None):
+    """(features bytes, labels, class count) of a load, or its error message."""
+    try:
+        ds = loader(path, class_count)
+    except DataFormatError as exc:
+        return str(exc)
+    return ds.train_features.tobytes(), ds.train_labels.tolist(), ds.class_count
+
+
+TWIN_FEATURES = np.array([[1.5, -0.25], [3.0, 0.125], [-2.0, 1e-300]])
+TWIN_LABELS = np.array([2, 0, 1])
+
+
+def _saved(tmp_path, features=TWIN_FEATURES, labels=TWIN_LABELS):
+    """A CSV and its twin as save_csv writes them; the path and the bytes."""
+    path = tmp_path / "rows.csv"
+    save_csv(path, features, labels)
+    return path, path.read_bytes()
+
+
+def _savez_twin(path, features, labels, **members):
+    """Write a twin of the CSV at path by hand: its digest, the given arrays
+    and any extra members; a member given as None is left out."""
+    arrays = {"features": features, "labels": labels,
+              "sha256": np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)}
+    arrays.update(members)
+    np.savez(data.twin_path(path), **{k: v for k, v in arrays.items() if v is not None})
+
+
+class TestTwin:
+    @csv_props
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.tuples(st.lists(FLOATS, min_size=dim, max_size=dim), st.integers(0, 4)),
+        min_size=1, max_size=8)), st.booleans())
+    def test_twin_backed_loads_are_the_oracle_bit_for_bit(self, tmp_path_factory, rows,
+                                                          counted):
+        features = np.array([cells for cells, _ in rows], dtype=np.float64)
+        labels = np.array([label for _, label in rows], dtype=np.int64)
+        path = tmp_path_factory.mktemp("twin") / "rows.csv"
+        save_csv(path, features, labels)
+        raw = path.read_bytes()
+        twin = data._twin_rows(path, raw)
+        assert twin is not None
+        assert twin[0].tobytes() == features.tobytes() and twin[1].tolist() == labels.tolist()
+        class_count = 5 if counted else None
+        assert _outcome(load_csv, path, class_count) == _outcome(oracles.load_csv, path,
+                                                                 class_count)
+
+    def test_a_valid_twin_is_used_and_kept_uncopied(self, tmp_path, monkeypatch):
+        ds = gen_gaussian_mixture(4, 5, 30, 1.1, seed=8)
+        save_split_dir(tmp_path, ds)
+
+        def no_parse(*args):
+            raise AssertionError("a file with a valid twin was parsed")
+
+        twins, real = [], data._twin_rows
+
+        def spy(*args):
+            twins.append(real(*args))
+            return twins[-1]
+
+        monkeypatch.setattr(data, "_plain_rows", no_parse)
+        monkeypatch.setattr(data, "_parse_lines", no_parse)
+        monkeypatch.setattr(data, "_twin_rows", spy)
+        again = load_split_dir(tmp_path)
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            assert getattr(again, name).tobytes() == getattr(ds, name).tobytes(), name
+        (train_x, train_y), (test_x, test_y) = twins
+        assert again.train_features is train_x and again.train_labels is train_y
+        assert again.test_features is test_x and again.test_labels is test_y
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.replace(b"1.5,", b"1.25,", 1),
+        lambda raw: raw + b"4.5,4.5,0\n",
+        lambda raw: raw.replace(b"\n", b"\r\n"),
+        lambda raw: raw.replace(b"\n", b"\n\n", 1),
+        lambda raw: raw.replace(b"3,", b"x,", 1),
+        lambda raw: raw.replace(b"0.125", b"nan", 1),
+    ], ids=["cell edited", "row appended", "crlf", "blank line", "bad cell", "nan cell"])
+    @pytest.mark.parametrize("class_count", [None, 3])
+    def test_a_stale_twin_is_ignored(self, tmp_path, edit, class_count):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(edit(raw))
+        assert data._twin_rows(path, path.read_bytes()) is None
+        assert _outcome(load_csv, path, class_count) == _outcome(oracles.load_csv, path,
+                                                                 class_count)
+
+    @pytest.mark.parametrize("broken", [
+        "truncated zip", "missing member", "float32 features", "pickled member", "directory",
+        "wrong digest", "fewer rows", "other width", "npy file"])
+    @pytest.mark.parametrize("cell", ["0.125", "nan"])
+    def test_a_broken_twin_is_ignored(self, tmp_path, broken, cell):
+        """Each twin matches the CSV's bytes (the nan cell's too) but for
+        the one fault named."""
+        features, labels = TWIN_FEATURES, TWIN_LABELS
+        path, _ = _saved(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"0.125", cell.encode()))
+        twin = data.twin_path(path)
+        if broken == "truncated zip":
+            _savez_twin(path, features, labels)
+            twin.write_bytes(twin.read_bytes()[:len(twin.read_bytes()) // 2])
+        elif broken == "missing member":
+            _savez_twin(path, features, None)
+        elif broken == "float32 features":
+            _savez_twin(path, features.astype(np.float32), labels)
+        elif broken == "pickled member":
+            _savez_twin(path, features, labels.astype(object))
+        elif broken == "directory":
+            twin.unlink()
+            twin.mkdir()
+        elif broken == "wrong digest":
+            _savez_twin(path, features, labels, sha256=np.zeros(32, dtype=np.uint8))
+        elif broken == "fewer rows":
+            _savez_twin(path, features[:2], labels[:2])
+        elif broken == "other width":
+            _savez_twin(path, features[:, :1], labels)
+        else:
+            np.save(twin, features)
+            twin.with_name(twin.name + ".npy").rename(twin)
+        assert data._twin_rows(path, path.read_bytes()) is None
+        got = _outcome(load_csv, path)
+        assert got == _outcome(oracles.load_csv, path)
+        assert (got == f"{path}: line 3: non-finite feature cell") == (cell == "nan")
+
+    def test_no_bit_flip_of_a_twin_gives_other_arrays(self, tmp_path):
+        """A flip in array data fails the zip's CRC check, and one in an npy
+        header leaves the shapes or dtypes at odds with the CSV; any twin
+        that still loads holds the arrays save_csv wrote. One bit of each
+        byte is flipped, cycling through the eight."""
+        path, raw = _saved(tmp_path)
+        twin = data.twin_path(path)
+        good = twin.read_bytes()
+        want = data._twin_rows(path, raw)
+        loaded = 0
+        for at in range(len(good)):
+            flipped = bytearray(good)
+            flipped[at] ^= 1 << at % 8
+            twin.write_bytes(flipped)
+            got = data._twin_rows(path, raw)
+            if got is not None:
+                loaded += 1
+                assert got[0].tobytes() == want[0].tobytes() and got[0].shape == (3, 2)
+                assert got[1].tolist() == want[1].tolist()
+        assert 0 < loaded < len(good)  # flips in zip timestamps and the like are harmless
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_a_twin_label_outside_the_class_range_names_its_line(self, tmp_path, label):
+        path, _ = _saved(tmp_path, np.zeros((3, 2)), np.array([0, 1, label]))
+        assert data._twin_rows(path, path.read_bytes()) is not None
+        with pytest.raises(DataFormatError,
+                           match=f"rows.csv: line 4: unknown label value {label}$"):
+            load_csv(path, class_count=2)
+
+    def test_a_header_only_file_is_empty_despite_its_twin(self, tmp_path):
+        path, _ = _saved(tmp_path, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        assert data.twin_path(path).is_file()
+        with pytest.raises(DataFormatError, match="rows.csv: empty dataset$"):
+            load_csv(path)
+
+    def test_a_twin_is_written_after_its_csv(self, tmp_path, monkeypatch):
+        order, real = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: order.append(os.path.basename(dst))
+                            or real(src, dst))
+        _saved(tmp_path)
+        assert order == ["rows.csv", "rows.csv.npz"]
 
 
 class TestSplitDir:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kcdistill import ogve
+from kcdistill import nn, ogve
 from kcdistill.data import DataFormatError
 
 from kcdistill.nn import (
@@ -199,6 +199,38 @@ class TestLossAndGradsOracle:
         for a, b in zip([*gw, *gb, probs], [*want[1], *want[2], want[3]]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert entropies.tobytes() == oracles.masked_entropy_rows(want[3]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (3,), (2, 2)]), rows=st.integers(0, 70),
+           cols=st.one_of(st.just(1), st.integers(2, 12)),
+           layout=st.sampled_from(["c", "fortran", "every-other-row", "every-other-column"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bias_grad_is_the_row_reduce_bit_for_bit(self, lead, rows, cols, layout, seed):
+        """The einsum path (C-contiguous, two or more columns) and the
+        reduce it falls back to give np.add.reduce(axis=-2)'s bits, with
+        +-0, +-inf, NaN and magnitudes from 1e-300 to 1e300. Only a NaN's
+        sign may differ, where an input NaN meets the NaN of inf - inf."""
+        rng = np.random.default_rng(seed)
+        shape = (*lead, 2 * rows, 2 * cols) if layout.startswith("every") else (
+            *lead, rows, cols)
+        delta = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        cells = rng.random(shape)
+        delta[cells < 0.1] = 0.0
+        delta[(cells >= 0.1) & (cells < 0.2)] = -0.0
+        delta[cells > 0.97] = np.inf
+        delta[cells > 0.98] = -np.inf
+        delta[cells > 0.995] = np.nan
+        delta = {"c": delta, "fortran": np.asfortranarray(delta),
+                 "every-other-row": delta[..., ::2, :],
+                 "every-other-column": delta[..., ::2]}[layout]
+        with np.errstate(invalid="ignore"):
+            got, want = nn._bias_grad(delta), np.add.reduce(delta, axis=-2)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        if not np.isnan(delta).any():  # every NaN is inf - inf's: the same bits
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("temperature, scale, reads_log", [
         (1.0, 1.0, True), (1.0, 40.0, False), (2.0, 1.0, False)])
