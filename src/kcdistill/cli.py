@@ -199,10 +199,12 @@ def cmd_train_teacher(args, parser) -> int:
     # the path np.save(args.out_probs, probs) writes to
     probs_path = str(args.out_probs).removesuffix(".npy") + ".npy"
     hidden = _items(args, "hidden", int)
-    _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
-    dataset = datamod.load_split_dir(args.data)
+    if args.epochs < 0:
+        raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
     cfg = nn.TrainConfig.desk_default(args.epochs, lr=args.lr,
                                       batch_size=args.batch_size)
+    _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
+    dataset = datamod.load_split_dir(args.data)
     dims = (dataset.dim, *hidden, dataset.class_count)
     model, probs = nn.train_teacher(dataset.train_features, dataset.train_labels,
                                     dims, cfg, args.epochs, args.seed)
@@ -409,7 +411,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser)
-    except (ValueError, OSError, emdriver.DistillationError) as exc:
+    except (ValueError, OSError, FloatingPointError, emdriver.DistillationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,12 @@ and each weight a (K, fan_in, fan_out) view. ``forward``, ``loss_and_grads``
 and ``sgd_step`` take any leading stack dimensions and do per model exactly
 the arithmetic of a single model (``np.matmul`` hands every slice to the same
 BLAS call), so a stacked step is bit-identical to a loop over the models.
+
+train_classifier, the teacher's hard-label trainer, does not call them: one
+fused loop per batch writes every gradient into a preallocated vector laid
+out like ``params`` and updates in place. Its parameters are bit for bit
+those of loss_and_grads against one-hot targets followed by sgd_step, and
+its two errors are theirs.
 """
 
 from __future__ import annotations
@@ -203,15 +209,16 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _bias_grad(delta: np.ndarray) -> np.ndarray:
-    """np.add.reduce(delta, axis=-2), bit for bit but for a NaN's sign. On a
-    C-contiguous delta of more than one column that reduce adds the rows in
-    order, as einsum does without an inner-loop call per row; with one column
-    it sums pairwise. A NaN sum may take its sign from another operand (an
-    input NaN against an inf - inf one); sgd_step refuses any NaN gradient."""
+def _bias_grad(delta: np.ndarray, out=None) -> np.ndarray:
+    """np.add.reduce(delta, axis=-2), bit for bit but for a NaN's sign, into
+    out if given. On a C-contiguous delta of more than one column that reduce
+    adds the rows in order, as einsum does without an inner-loop call per
+    row; with one column it sums pairwise. A NaN sum may take its sign from
+    another operand (an input NaN against an inf - inf one); sgd_step refuses
+    any NaN gradient."""
     if delta.flags.c_contiguous and delta.shape[-1] > 1:
-        return np.einsum("...ij->...j", delta)
-    return np.add.reduce(delta, axis=-2)
+        return np.einsum("...ij->...j", delta, out=out)
+    return np.add.reduce(delta, axis=-2, out=out)
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
@@ -288,6 +295,21 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
     return loss, grads_w, grads_b, probs_1
 
 
+def _check_grads(grads_w, grads_b, index=()) -> None:
+    """Raise FloatingPointError if the weight or bias gradient of some layer
+    of the model at stack index ``index`` (``()`` for a single model) holds a
+    non-finite value. The error names the first such layer and its largest
+    finite |weight gradient|, and carries ``index``."""
+    for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
+        gw, gb = gw[index], gb[index]
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
+            finite = np.abs(gw[np.isfinite(gw)])
+            exc = FloatingPointError(f"non-finite gradient in layer {i} (|grad| max "
+                                     f"{finite.max() if finite.size else 'n/a'})")
+            exc.index = index
+            raise exc
+
+
 def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
              cfg: TrainConfig) -> None:
     """Momentum SGD update with decoupled-from-loss weight decay on weights;
@@ -310,49 +332,119 @@ def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
          else np.concatenate(grads, axis=None))
     if not np.isfinite(g).all():
         index = np.unravel_index(int(np.argmin(np.isfinite(g).all(axis=-1))), lead)
-        for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
-            gw, gb = gw[index], gb[index]
-            if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-                exc = FloatingPointError(
-                    f"non-finite gradient in layer {i} "
-                    f"(|grad| max {np.max(np.abs(gw[np.isfinite(gw)])) if np.any(np.isfinite(gw)) else 'n/a'})"
-                )
-                exc.index = index
-                raise exc
+        _check_grads(grads_w, grads_b, index)
     vel *= cfg.momentum
     vel += g
     model.params -= lr * vel
 
 
+# every step checks its own loss and gradient (and train_teacher its probs),
+# so numpy's overflow and invalid-value warnings would only repeat the error
+@np.errstate(over="ignore", invalid="ignore")
 def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
                      cfg: TrainConfig, epochs: int, seed: int) -> MlpModel:
-    """Hard-label training: soft-target loss against one-hot targets."""
+    """Hard-label training at temperature 1: per batch, loss_and_grads against
+    one-hot targets and then sgd_step, bit for bit, in one fused loop.
+
+    Against a one-hot row the soft loss is -log(max(p_y, PROB_FLOOR)) and
+    dlogits is p less 1.0 at y (every other term adds or subtracts 0.0). The
+    gradients are written into one preallocated vector laid out like params,
+    the weight decay is added to it in place (IEEE addition commutes), and
+    the momentum step runs in place. A non-finite loss raises "training
+    diverged" for its epoch and a non-finite gradient sgd_step's error,
+    both before any parameter changes. cfg's temperature must be 1 and its
+    hard_label_weight 0: hard labels are the only targets here.
+    """
+    for name, value, ok, rule in (
+        ("epochs", epochs, epochs >= 0, ">= 0"),
+        ("temperature", cfg.temperature, cfg.temperature == 1.0, "1 to train on hard labels"),
+        ("hard_label_weight", cfg.hard_label_weight, cfg.hard_label_weight == 0.0,
+         "0 to train on hard labels"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value}")
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     model = init_mlp(layer_dims, np.random.default_rng([seed, 0]))
+    dims, weights, biases = model.layer_dims, model.weights, model.biases
+    n = x.shape[0]
+    if y.shape != (n,) or (n and (y.min() < 0 or y.max() >= dims[-1])):
+        raise ValueError(f"labels must be a ({n},) array of class ids in [0, {dims[-1]})")
     shuffle_rng = np.random.default_rng([seed, 1])
-    onehot = np.zeros((x.shape[0], model.layer_dims[-1]))
-    onehot[np.arange(x.shape[0]), y] = 1.0
+    rows = max(1, min(cfg.batch_size, n))
+    grad = np.empty_like(model.params)
     vel = np.zeros_like(model.params)
+    step = np.empty_like(model.params)
+    grads_w, grads_b = _views(dims, grad)
+    decay_w = _views(dims, step)[0]  # step holds wd * params, then lr * vel
+    outs = [np.empty((rows, d)) for d in dims[1:]]  # each layer's output, logits last
+    deltas = [np.empty((rows, d)) for d in dims[1:-1]]
+    masks = [np.empty((rows, d)) for d in dims[1:-1]]
+    # where each sample's row starts in the flat view of its batch's logits
+    flat = outs[-1].reshape(-1)
+    at_row = np.arange(n) % rows * dims[-1]
+    # one gather buffer for all epochs: a fresh one each epoch moves glibc's
+    # mmap threshold, and with it big-store's peak RSS by 2-3 MB
+    xs, at_y = np.empty(x.shape), np.empty(n, dtype=np.int64)
     for epoch in range(1, epochs + 1):
         lr = lr_at_epoch(cfg, epoch)
-        order = shuffle_rng.permutation(x.shape[0])
-        for start in range(0, order.size, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, gw, gb, _ = loss_and_grads(model, x.take(idx, axis=0),
-                                             onehot.take(idx, axis=0))
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
-            sgd_step(model, gw, gb, vel, lr, cfg)
+        order = shuffle_rng.permutation(n)
+        x.take(order, axis=0, out=xs)
+        y.take(order, out=at_y)
+        at_y += at_row
+        for start in range(0, n, rows):
+            at = at_y[start:start + rows]
+            b = at.size
+            acts = [xs[start:start + rows]]
+            for w, bias, out in zip(weights[:-1], biases[:-1], outs):
+                h = np.matmul(acts[-1], w, out=out[:b])
+                h += bias
+                acts.append(np.maximum(h, 0.0, out=h))
+            p = np.matmul(acts[-1], weights[-1], out=outs[-1][:b])
+            p += biases[-1]
+            _softmax_in_place(p)
+            p_y = flat[at]
+            flat[at] = p_y - 1.0
+            p /= b
+            delta = p
+            for layer in range(len(weights) - 1, -1, -1):
+                np.matmul(acts[layer].T, delta, out=grads_w[layer])
+                _bias_grad(delta, out=grads_b[layer])
+                if layer:
+                    # a ReLU output is > 0 exactly where its input is; the
+                    # mask is 1.0 or 0.0, as the product casts a bool mask
+                    mask = np.greater(acts[layer], 0.0, out=masks[layer - 1][:b])
+                    delta = np.matmul(delta, weights[layer].T, out=deltas[layer - 1][:b])
+                    delta *= mask
+            # a non-finite loss has a NaN prob row, which makes the last bias
+            # gradient NaN: one check of the gradient covers both errors
+            if not np.isfinite(grad).all():
+                loss = np.add.reduce(-np.log(np.maximum(p_y, PROB_FLOOR))) / b
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"training diverged: non-finite loss at epoch {epoch}")
+                _check_grads(grads_w, grads_b)
+            np.multiply(model.params, cfg.weight_decay, out=step)
+            for gw, decay in zip(grads_w, decay_w):
+                gw += decay
+            vel *= cfg.momentum
+            vel += grad
+            model.params -= np.multiply(vel, lr, out=step)
     return model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_teacher(features: np.ndarray, labels: np.ndarray, layer_dims,
                   cfg: TrainConfig, epochs: int, seed: int):
     """Train the teacher on hard labels and cache its soft labels over the
-    same samples. The returned probabilities are temperature-1 softmax rows."""
+    same samples. The returned probabilities are temperature-1 softmax rows.
+    A last step that leaves the parameters too large for a finite forward
+    pass raises "training diverged" rather than return non-finite probs."""
     model = train_classifier(features, labels, layer_dims, cfg, epochs, seed)
     probs = softmax(forward(model, np.asarray(features, dtype=np.float64)), 1.0)
+    if not np.isfinite(probs).all():
+        raise FloatingPointError(
+            f"training diverged: non-finite teacher probs after epoch {epochs}")
     return model, probs
 
 

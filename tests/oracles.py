@@ -4,7 +4,8 @@ None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
 emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads and its
-entropies, data.gen_gaussian_mixture), in bulk (data.load_csv,
+entropies, data.gen_gaussian_mixture), in one fused loop
+(nn.train_classifier), in bulk (data.load_csv,
 data.save_csv, knowledge.check_simplex) or in chunks
 (emdriver.RunRecord.fingerprint, emdriver.RunRecord.save, vaks.augment).
 
@@ -121,6 +122,30 @@ def loss_and_grads(model: nn.MlpModel, x, target_probs, temperature: float = 1.0
         grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
         grads_b[layer] = np.add.reduce(delta, axis=-2)
     return loss, grads_w, grads_b, probs_1
+
+
+def train_classifier(features, labels, layer_dims, cfg: nn.TrainConfig, epochs: int,
+                     seed: int) -> nn.MlpModel:
+    """nn.train_classifier as a loop of library steps: per batch, one-hot
+    targets through nn.loss_and_grads, a finite-loss check, nn.sgd_step."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    model = nn.init_mlp(layer_dims, np.random.default_rng([seed, 0]))
+    shuffle_rng = np.random.default_rng([seed, 1])
+    onehot = np.zeros((x.shape[0], model.layer_dims[-1]))
+    onehot[np.arange(x.shape[0]), y] = 1.0
+    vel = np.zeros_like(model.params)
+    for epoch in range(1, epochs + 1):
+        lr = nn.lr_at_epoch(cfg, epoch)
+        order = shuffle_rng.permutation(x.shape[0])
+        for start in range(0, order.size, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, gw, gb, _ = nn.loss_and_grads(model, x.take(idx, axis=0),
+                                                onehot.take(idx, axis=0))
+            if not np.isfinite(loss):
+                raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
+            nn.sgd_step(model, gw, gb, vel, lr, cfg)
+    return model
 
 
 def finite_difference_check(model: nn.MlpModel, x: np.ndarray, target_probs: np.ndarray,

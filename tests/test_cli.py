@@ -109,6 +109,34 @@ class TestTrainTeacher:
         assert not (tmp_path / "t.bin").exists()
 
 
+    @pytest.mark.parametrize("epochs, lr, message", [
+        ("30", "1e12", "non-finite loss at epoch 5"),
+        ("1", "1e300", "non-finite teacher probs after epoch 1"),
+    ])
+    def test_diverging_training_is_a_clean_error(self, workdir, tmp_path, capsys, epochs,
+                                                 lr, message):
+        code = main(["train-teacher", "--data", str(workdir / "data"), "--hidden", "16,16",
+                     "--epochs", epochs, "--seed", "1", "--lr", lr,
+                     "--out-model", str(tmp_path / "t.bin"),
+                     "--out-probs", str(tmp_path / "t.npy")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: training diverged: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-2", "--epochs must be >= 0, got -2"),
+        ("--lr", "nan", "lr must be finite and >= 0, got nan"),
+    ])
+    def test_bad_option_is_refused_before_any_file_is_read(self, tmp_path, capsys, flag,
+                                                            value, message):
+        # --data does not exist: reading it would fail with another message
+        code = main(["train-teacher", "--data", str(tmp_path / "nowhere"), flag, value,
+                     "--out-model", str(tmp_path / "out" / "t.bin"),
+                     "--out-probs", str(tmp_path / "out" / "t.npy")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 class TestDistill:
     def test_record_written_with_metrics(self, workdir, tmp_path, capsys):
         out = tmp_path / "rec.json"

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kcdistill import nn, ogve
@@ -321,6 +321,105 @@ class TestTraining:
         _, probs_a = train_teacher(x, y, (4, 6, 3), cfg, 5, seed=42)
         _, probs_b = train_teacher(x, y, (4, 6, 3), cfg, 5, seed=42)
         np.testing.assert_array_equal(probs_a, probs_b)
+
+
+def fused_and_step_loop(x, y, dims, cfg, epochs, seed):
+    """Each trainer's outcome: its parameter bytes, or its error's type and
+    message. numpy's warnings are off, as in nn.train_classifier."""
+    outcomes = []
+    for train in (train_classifier, oracles.train_classifier):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes.append(train(x, y, dims, cfg, epochs, seed).param_bytes())
+        except FloatingPointError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+class TestFusedTraining:
+    """nn.train_classifier's fused loop against the loop of library steps
+    it replaces (oracles.train_classifier)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(hidden=st.lists(st.integers(1, 12), max_size=2), dim=st.integers(1, 6),
+           classes=st.integers(2, 5), n=st.integers(1, 40), batch=st.integers(1, 45),
+           epochs=st.integers(0, 3), decay=st.lists(st.integers(0, 3), max_size=3),
+           factor=st.sampled_from([0.1, 0.5]), lr=st.sampled_from([0.05, 0.5]),
+           momentum=st.sampled_from([0.0, 0.9]), weight_decay=st.sampled_from([0.0, 5e-4, 0.05]),
+           scale=st.sampled_from([1.0, 40.0]), zero_rows=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    @example(hidden=[1], dim=3, classes=4, n=7, batch=1, epochs=2, decay=[1], factor=0.1,
+             lr=0.05, momentum=0.9, weight_decay=5e-4, scale=1.0, zero_rows=1, seed=0)
+    @example(hidden=[8, 1], dim=2, classes=3, n=23, batch=5, epochs=3, decay=[1, 2],
+             factor=0.5, lr=0.5, momentum=0.9, weight_decay=0.05, scale=40.0, zero_rows=0,
+             seed=1)
+    def test_params_are_the_step_loops_bit_for_bit(self, hidden, dim, classes, n, batch,
+                                                    epochs, decay, factor, lr, momentum,
+                                                    weight_decay, scale, zero_rows, seed):
+        """0-2 hidden layers of width 1 or more, batches that do not divide
+        N (a tail of 1 included), 0-3 epochs with lr decay. Scaled inputs
+        floor probs below PROB_FLOOR; zero rows meet zero biases in exact
+        0.0 pre-activations."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim)) * scale
+        x[:zero_rows] = 0.0
+        y = rng.integers(0, classes, size=n)
+        cfg = TrainConfig(lr=lr, momentum=momentum, weight_decay=weight_decay,
+                          batch_size=batch, lr_decay_epochs=tuple(decay),
+                          lr_decay_factor=factor)
+        dims = (dim, *hidden, classes)
+        fused, loop = fused_and_step_loop(x, y, dims, cfg, epochs, seed % 100)
+        assert fused == loop
+
+    @pytest.mark.parametrize("lr, epoch", [(1e12, 4), (1e200, 1)])
+    def test_huge_lr_diverges_at_the_step_loops_epoch(self, lr, epoch):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 4)), rng.integers(0, 3, size=40)
+        fused, loop = fused_and_step_loop(x, y, (4, 8, 3), TrainConfig(lr=lr, batch_size=8),
+                                          6, 1)
+        assert fused == loop == (
+            FloatingPointError, f"training diverged: non-finite loss at epoch {epoch}")
+
+    def test_non_finite_gradient_is_sgd_steps_error(self):
+        """Inputs near 1e150 keep some losses finite while a gradient
+        overflows; the fused loop then raises sgd_step's error."""
+        messages = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            x, y = rng.normal(size=(6, 2)) * 1e150, rng.integers(0, 2, size=6)
+            fused, loop = fused_and_step_loop(x, y, (2, 2, 2, 2),
+                                              TrainConfig(batch_size=3), 3, seed)
+            assert fused == loop
+            if isinstance(fused, tuple):
+                messages.append(fused[1])
+        assert any(m.startswith("non-finite gradient in layer ") for m in messages)
+
+    def test_teacher_refuses_non_finite_probs_after_the_last_step(self):
+        """One finite step at lr 1e300 leaves weights no forward pass can
+        take: the teacher raises instead of returning NaN probs."""
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(8, 3)), rng.integers(0, 2, size=8)
+        cfg = TrainConfig(lr=1e300, batch_size=8)
+        assert np.isfinite(train_classifier(x, y, (3, 4, 2), cfg, 1, 0).params).all()
+        with pytest.raises(FloatingPointError, match=r"^training diverged: non-finite "
+                                                     r"teacher probs after epoch 1$"):
+            train_teacher(x, y, (3, 4, 2), cfg, 1, 0)
+
+    def test_refuses_negative_epochs(self):
+        with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -2$"):
+            train_classifier(np.zeros((4, 2)), np.zeros(4, int), (2, 2), TrainConfig(), -2, 0)
+
+    @pytest.mark.parametrize("field, value", [("temperature", 2.0),
+                                              ("hard_label_weight", 0.5)])
+    def test_refuses_soft_target_settings(self, field, value):
+        cfg = TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            train_classifier(np.zeros((4, 2)), np.zeros(4, int), (2, 2), cfg, 1, 0)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [0, -1, 1, 0], [0, 1, 2, 0]])
+    def test_refuses_labels_that_are_not_class_ids(self, labels):
+        with pytest.raises(ValueError, match=r"^labels must be a \(4,\) array of class ids"):
+            train_classifier(np.zeros((4, 2)), np.array(labels), (2, 2), TrainConfig(), 1, 0)
 
 
 class TestCheckpoint:
