@@ -215,7 +215,7 @@ def cmd_train_teacher(args, parser) -> int:
     train_acc = evaluation.accuracy(model, dataset.train_features, dataset.train_labels)
     test_acc = evaluation.accuracy(model, dataset.test_features, dataset.test_labels)
     print(f"teacher dims={dims} train_acc={train_acc:.4f} test_acc={test_acc:.4f} "
-          f"probs={args.out_probs}")
+          f"probs={probs_path}")
     return 0
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 CSV_FLOAT_FORMAT = "%.17g"
 _CSV_CHUNK_ROWS = 1024
@@ -253,150 +252,6 @@ def _first_bad_row(rows: list[str], dim: int) -> int:
     return lo
 
 
-# The array parser of plain CSV files (_plain_rows). Each cell is read as the
-# _CELL_BYTES bytes that end where it ends, three little-endian 8-byte words,
-# whole rows of about _PLAIN_CHUNK cells at a time.
-_CELL_BYTES = 24
-_PLAIN_CHUNK = 8192
-# mant / 10**frac rounded once to a 64-bit significand and then to float64 is
-# the correctly rounded float64 unless the first rounding lands on a float64
-# midpoint, which shows in the significand's low 11 bits. That needs x87
-# extended long doubles at full precision: 2**63 + 1 keeps its last bit, in
-# the low 8 of 16 bytes.
-_X87_LONG_DOUBLE = (np.dtype(np.longdouble).itemsize == 16 and int(
-    np.array([np.longdouble(2) ** 63 + 1]).view("<u8")[0]) == 2 ** 63 + 1)
-_POW10 = np.cumprod([1] + [10] * (_CELL_BYTES - 1), dtype=np.longdouble)  # exact: 5**23 < 2**64
-_POW10_U64 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-_LEAD_MASKS = np.array([[(1 << 8 * min(max(n - 8 * k, 0), 8)) - 1 for k in range(3)]
-                        for n in range(_CELL_BYTES + 1)], dtype=np.uint64)
-
-
-_DOT_TALLY = np.array([16 + 2 ** 32, 8 + 2 ** 32, 2 ** 32], dtype=np.uint64)
-# b in each byte of a word
-_ONES, _LOW7, _HIGH4, _LOW4, _ZEROS, _DOTS, _SIXES, _THREES = (
-    np.uint64(b * 0x0101010101010101) for b in (0x01, 0x7F, 0xF0, 0x0F, 0x30, 0x2E, 0x06, 0x33))
-
-
-def _decode_cells(cells: np.ndarray, lens: np.ndarray, neg: np.ndarray):
-    """Read m cells of the form -?[0-9]*.?[0-9]* at once. cells is (m,
-    _CELL_BYTES) uint8, row i the bytes that end where cell i ends; lens
-    and neg are the cells' lengths and whether they start with '-'.
-    Returns (mant, frac, dots, ok): when ok, cell i is (-)mant[i] /
-    10**frac[i] exactly and holds dots[i] (0 or 1) '.'."""
-    words = cells.view("<u8")  # (m, 3): row byte j is byte j % 8 of word j // 8
-    lead = _CELL_BYTES - np.minimum(lens, _CELL_BYTES) + neg
-    words ^= (words ^ _ZEROS) & np.take(_LEAD_MASKS, lead, axis=0)  # bytes before the digits read '0'
-    x = words ^ _DOTS
-    units = ~(((x & _LOW7) + _LOW7) | x | _LOW7) >> 7  # 0x01 in each '.' byte
-    words ^= units * 0x1E  # and each '.' reads '0'
-    digits = ((words & _HIGH4) | (((words + _SIXES) & _HIGH4) >> 4)) == _THREES
-    # 8 ASCII digits, most significant in the low byte, to their value
-    words &= _LOW4
-    words *= 10 << 8 | 1
-    words >>= 8
-    words &= 0x00FF00FF00FF00FF
-    words *= 100 << 16 | 1
-    words >>= 16
-    words &= 0x0000FFFF0000FFFF
-    words *= 10000 << 32 | 1
-    words >>= 32
-    whole = words[:, 0] * 10 ** 16 + words[:, 1] * 10 ** 8 + words[:, 2]  # '.' read as 0
-    # byte j of units * _ONES counts the '.' in bytes 0..j: its top byte is the
-    # word's count, and the sum of its bytes is 8 - (byte of the '.') for one.
-    # Each word adds that sum, 8 per later word for each '.', and the count
-    # times 2**32: the low half is then 1 + the digits after a lone '.'.
-    upto = units * _ONES
-    tally = (upto * _ONES >> 56) + (upto >> 56) * _DOT_TALLY
-    tally = tally[:, 0] + tally[:, 1] + tally[:, 2]
-    dots = (tally >> 32).astype(np.int64)
-    frac = np.where(dots == 1, (tally & 0xFFFFFFFF).astype(np.intp) - 1, 0)
-    tail = whole % _POW10_U64[np.minimum(frac, 19)]
-    mant = np.where(dots == 1, tail + (whole - tail) // 10, whole)
-    ok = (digits[:, 0] & digits[:, 1] & digits[:, 2] & (words[:, 0] < 1000)  # whole < 10**19
-          & (dots <= 1) & (lens <= _CELL_BYTES) & (lens - neg - dots >= 1))
-    return mant, frac, dots, ok
-
-
-def _nearest_double(mant: np.ndarray, frac: np.ndarray):
-    """(value, tie): mant / 10**frac as float64, and where the long double
-    quotient sat on a float64 midpoint, so that value may be the wrong
-    neighbour."""
-    quotient = mant.astype(np.longdouble) / _POW10[frac]
-    significand = quotient.view("<u8")[::2]
-    return quotient.astype(np.float64), significand & 0x7FF == 0x400
-
-
-def _plain_rows(raw: bytes):
-    """CSV bytes in the plain layout as (features, labels), read-only and
-    bit for bit what _parse_rows makes of them, or None for any other file.
-
-    Plain is the layout save_csv writes: the header, then rows of D+1 cells
-    split by ',' and each ended by '\\n', no blank line and no whitespace,
-    and labels of the form -?[0-9]+, at most _CELL_BYTES long and below
-    2**63 in magnitude. Feature cells of the form -?[0-9]*.?[0-9]* up to
-    _CELL_BYTES long, with digits below 10**19, are read with array
-    operations; any other feature cell, and one whose rounding the long
-    double leaves open, goes through float(), which parses cells of
-    [0-9+-.e] as _parse_rows does. A cell with another byte, or one float()
-    rejects, makes the file not plain."""
-    if not _X87_LONG_DOUBLE or not raw.endswith(b"\n"):
-        return None
-    head = raw.index(b"\n")
-    dim = raw.count(b",", 0, head)
-    width = dim + 1
-    if raw[:head] != _header(dim).encode():
-        return None
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf <= ord(","))  # ',', newlines, exponent signs, whitespace
-    kinds = buf[ends]
-    if (kinds == ord("+")).any():
-        ends = ends[kinds != ord("+")]
-        kinds = buf[ends]
-    ends, kinds = ends[width:], kinds[width:]
-    if not ends.size or ends.size % width:
-        return None
-    kinds = kinds.reshape(-1, width)
-    if (kinds[:, :-1] != ord(",")).any() or (kinds[:, -1] != ord("\n")).any():
-        return None
-    rows = ends.size // width
-    features = np.empty((rows, dim))
-    labels = np.empty(rows, dtype=np.int64)
-    step = max(1, _PLAIN_CHUNK // width)  # rows per chunk
-    for r0 in range(0, rows, step):
-        last = ends[r0 * width:(r0 + step) * width]
-        first = np.concatenate(([ends[r0 * width - 1] + 1 if r0 else head + 1], last[:-1] + 1))
-        lens = last - first
-        neg = buf[first] == ord("-")
-        # the _CELL_BYTES bytes that end at each cell's end, '\0' before the file
-        lo = last[0] - _CELL_BYTES
-        span = buf[max(lo, 0):last[-1]]
-        if lo < 0:
-            span = np.concatenate((np.zeros(-lo, dtype=np.uint8), span))
-        cells = sliding_window_view(span, _CELL_BYTES)[last - last[0]]
-        mant, frac, dots, ok = _decode_cells(cells, lens, neg)
-        value, tie = _nearest_double(mant, frac)
-        value = np.where(neg, -value, value).reshape(-1, width)
-        label = np.s_[dim::width]
-        if not (ok[label].all() and (dots[label] == 0).all() and (mant[label] < 2 ** 63).all()):
-            return None
-        label_mant = mant[label].astype(np.int64)
-        labels[r0:r0 + step] = np.where(neg[label], -label_mant, label_mant)
-        features[r0:r0 + step] = value[:, :dim]
-        redo = ~(ok & ~tie).reshape(-1, width)
-        redo[:, dim] = False
-        for r, c in zip(*np.nonzero(redo)):
-            cell = raw[first[r * width + c]:last[r * width + c]]
-            if cell.translate(None, b"0123456789+-.e"):  # float() also takes spaces, '_', other digits
-                return None
-            try:
-                features[r0 + r, c] = float(cell)
-            except ValueError:
-                return None
-    for a in (features, labels):
-        a.setflags(write=False)  # so the Dataset keeps them uncopied
-    return features, labels
-
-
 def _twin_rows(path: Path, raw: bytes):
     """The (features, labels) save_csv wrote beside these CSV bytes, read-only,
     or None. The twin counts only when it loads without pickles, its digest
@@ -434,7 +289,12 @@ def _parse_lines(path: Path, raw: bytes, class_count: int | None):
     """Parse CSV bytes line by line into (features, labels), raising a
     DataFormatError that names the line of the first fault it finds."""
     with io.TextIOWrapper(io.BytesIO(raw)) as text:  # decoded and newlines as open(path)
-        lines = text.read().splitlines()
+        try:
+            lines = text.read().splitlines()
+        except UnicodeDecodeError as exc:  # read() decodes raw whole: start is a file offset
+            lineno = len((raw[:exc.start].decode(exc.encoding) + "_").splitlines())
+            raise DataFormatError(f"{path}: line {lineno}: not {exc.encoding}: {exc.reason} "
+                                  f"(byte offset {exc.start})") from None
     if not lines:
         raise DataFormatError(f"{path}: empty dataset")
     header = lines[0].split(",")
@@ -473,15 +333,12 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
 
     Blank and whitespace-only lines are skipped. Every error names its line.
     The arrays come from the file's twin when its digest matches the bytes
-    (_twin_rows); otherwise a plain file (the layout save_csv writes) is
-    parsed with array operations. Any other file, or one whose arrays fail a
-    check, is parsed line by line, so the values and the error are the same
+    (_twin_rows). Any other file, or one whose twin's arrays fail a check,
+    is parsed by _parse_lines, so the values and the error are the same
     either way."""
     path = Path(path)
     raw = path.read_bytes()
     parsed = _twin_rows(path, raw)
-    if parsed is None:
-        parsed = _plain_rows(raw)
     if parsed is None or not (np.isfinite(parsed[0]).all() and parsed[1].min() >= 0 and (
             class_count is None or parsed[1].max() < class_count)):
         parsed = _parse_lines(path, raw, class_count)  # the parse that names a faulty line

@@ -109,6 +109,28 @@ class TestTrainTeacher:
         assert not (tmp_path / "t.bin").exists()
 
 
+    def test_a_byte_that_is_not_utf8_is_a_clean_error(self, workdir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(workdir / "data", data_dir)
+        raw = (data_dir / "train.csv").read_bytes()
+        at = raw.index(b"\n", raw.index(b"\n") + 1) + 2  # in the second data row
+        (data_dir / "train.csv").write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        code = main(["train-teacher", "--data", str(data_dir), "--hidden", "4",
+                     "--epochs", "1", "--out-model", str(tmp_path / "t.bin"),
+                     "--out-probs", str(tmp_path / "t.npy")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {data_dir / 'train.csv'}: line 3: not utf-8: "
+                                           f"invalid start byte (byte offset {at})\n")
+        assert not (tmp_path / "t.bin").exists()
+
+    def test_prints_the_probs_path_it_wrote(self, workdir, tmp_path, capsys):
+        code = main(["train-teacher", "--data", str(workdir / "data"), "--hidden", "4",
+                     "--epochs", "1", "--out-model", str(tmp_path / "t.bin"),
+                     "--out-probs", str(tmp_path / "tprobs")])
+        assert code == 0
+        assert capsys.readouterr().out.rstrip("\n").endswith(f" probs={tmp_path / 'tprobs.npy'}")
+        assert (tmp_path / "tprobs.npy").is_file()
+
     @pytest.mark.parametrize("epochs, lr, message", [
         ("30", "1e12", "non-finite loss at epoch 5"),
         ("1", "1e300", "non-finite teacher probs after epoch 1"),

@@ -204,6 +204,19 @@ class TestCsv:
         with pytest.raises(DataFormatError, match=f"line 4: non-integer label {cell!r}$"):
             load_csv(labels)
 
+    @pytest.mark.parametrize("raw, line, offset, reason", [
+        (b"f0,label\n1.5,0\n2\xff5,1\n", 3, 16, "invalid start byte"),
+        (b"f0,label\r\n1.5,0\r\n\r\n2\xe25,1\r\n", 4, 20, "invalid continuation byte"),
+        (b"\xfff0,label\n1.5,0\n", 1, 0, "invalid start byte"),
+    ])
+    def test_a_byte_that_is_not_utf8_names_its_line_and_offset(self, tmp_path, raw, line,
+                                                               offset, reason):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: line {line}: not utf-8: {reason} (byte offset {offset})"
+
     def test_several_faults_name_one_of_their_lines(self, tmp_path):
         path = tmp_path / "faults.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n1.0,x,0\n1.0,2.0\n1.0,2.0,y\n")
@@ -235,8 +248,8 @@ NON_FINITE = ["nan", "inf", "-inf", "Infinity", "+nan", "1e400", "-1e999"]
 def csv_files(draw, plain=False):
     """A well-formed CSV text, with its dimension, class count and the lines
     of its data rows (as indexes into text.splitlines()). A plain one has
-    the layout load_csv reads with array operations: no blank line, no
-    whitespace, no '+' label, and every line ended by '\\n'."""
+    save_csv's layout: no blank line, no whitespace, no '+' label, and every
+    line ended by '\\n'."""
     pads = st.just("") if plain else PADS
     dim = draw(st.integers(1, 4))
     classes = draw(st.integers(1, 5))
@@ -267,6 +280,15 @@ def _error(loader, path, class_count=None) -> str:
     with pytest.raises(DataFormatError) as exc:
         loader(path, class_count)
     return str(exc.value)
+
+
+def _outcome(loader, path, class_count=None):
+    """(features bytes, labels, class count) of a load, or its error message."""
+    try:
+        ds = loader(path, class_count)
+    except DataFormatError as exc:
+        return str(exc)
+    return ds.train_features.tobytes(), ds.train_labels.tolist(), ds.class_count
 
 
 class TestCsvOracle:
@@ -342,162 +364,60 @@ class TestCsvOracle:
         assert path.read_bytes() == oracles.csv_bytes(features, labels)
 
 
-# -- the array parser of plain files against the line parser ------------------
+# -- layouts save_csv never writes ---------------------------------------------
 
-# cells of the array parser's form, and others that only float() reads
-DECIMAL_CELLS = st.one_of(
-    st.from_regex(r"-?[0-9]{0,13}\.?[0-9]{0,13}", fullmatch=True),
-    st.builds(lambda sign, digits, at: sign + digits[:at] + "." + digits[at:],
-              st.sampled_from(["", "-"]), st.from_regex(r"[0-9]{17,21}", fullmatch=True),
-              st.integers(0, 21)),
-    FLOAT_CELLS,
-    st.sampled_from(["+5", "5.", ".5", "-.5", "-0", "0", "1e5", "-1.5e+300", "1e400", ".", "-",
-                     "", "1.2.3", "--1", "1-2", "9007199254740993", "00000000000000000000001.5",
-                     "1000000000000000000000.05", "-100000000000000000000000"]),
-)
-PLAIN_LABELS = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
-                         st.sampled_from(["007", "-0", "9223372036854775808", "1" * 25]))
-
-
-def _line_rows(raw: bytes):
-    """What the line parser makes of CSV bytes in the plain layout, or None
-    when it rejects a row."""
-    lines = raw.decode().splitlines()
-    try:
-        parsed = data._parse_rows(lines[1:], len(lines[0].split(",")) - 1)
-    except ValueError:
-        return None
-    return parsed["f"], parsed["label"]
-
-
-needs_x87 = pytest.mark.skipif(not data._X87_LONG_DOUBLE,
-                               reason="the array parser needs x87 long doubles")
-
-
-def _same_rows(got, want) -> None:
-    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
-    assert got[1].dtype == np.int64 and got[1].tolist() == want[1].tolist()
-
-
-class TestPlainRows:
-    """load_csv reads a file in save_csv's layout with array operations
-    (data._plain_rows); the values and errors are the line parser's."""
-
-    @needs_x87
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
-        st.tuples(st.lists(DECIMAL_CELLS, min_size=dim, max_size=dim), PLAIN_LABELS),
-        min_size=1, max_size=8)))
-    def test_plain_cells_read_as_the_line_parser(self, rows):
-        dim = len(rows[0][0])
-        lines = [data._header(dim)] + [",".join(cells + [label]) for cells, label in rows]
-        raw = ("\n".join(lines) + "\n").encode()
-        got, want = data._plain_rows(raw), _line_rows(raw)
-        if want is None:  # a row the line parser rejects is never read
-            assert got is None
-        elif any(abs(int(label)) >= 2**63 or len(label) > data._CELL_BYTES
-                 for _, label in rows):
-            assert got is None
-        else:  # every other file the line parser reads is plain
-            _same_rows(got, want)
-            assert not (got[0].flags.writeable or got[1].flags.writeable)
-
-    @needs_x87
-    def test_midpoint_cells_round_as_the_line_parser(self, monkeypatch):
-        """Odd integers between 2**53 and 2**54 lie halfway between two
-        float64; among 18 random digits with a '.' somewhere the long double
-        quotient lands on a float64 midpoint about once in 2048 cells."""
-        rng = np.random.default_rng(3)
-        halfway = (rng.integers(2**53, 2**54, 400) | 1).tolist()
-        digits = ["".join(map(str, row)) for row in rng.integers(0, 10, (20000, 18))]
-        cells = [str(n) for n in halfway] + [
-            "-" * int(neg) + d[:at] + "." + d[at:]
-            for d, at, neg in zip(digits, rng.integers(0, 19, len(digits)).tolist(),
-                                  rng.integers(0, 2, len(digits)).tolist())]
-        lines = [data._header(4)] + [",".join(cells[i:i + 4]) + ",0"
-                                     for i in range(0, len(cells), 4)]
-        raw = ("\n".join(lines) + "\n").encode()
-        ties, nearest = [], data._nearest_double
-
-        def spy(mant, frac):
-            value, tie = nearest(mant, frac)
-            ties.append(int(tie.sum()))
-            return value, tie
-
-        monkeypatch.setattr(data, "_nearest_double", spy)
-        _same_rows(data._plain_rows(raw), _line_rows(raw))
-        assert sum(ties) >= 400
-
-    @needs_x87
-    def test_save_csv_files_never_reach_the_line_parser(self, tmp_path, monkeypatch):
-        ds = gen_gaussian_mixture(4, 5, 30, 1.1, seed=8)
-        save_split_dir(tmp_path, ds)
-
-        def no_lines(*args):
-            raise AssertionError("a save_csv file went to the line parser")
-
-        monkeypatch.setattr(data, "_parse_rows", no_lines)
-        monkeypatch.setattr(data, "_PLAIN_CHUNK", 7)  # many chunk boundaries
-        for name in ("train.csv.npz", "test.csv.npz"):
-            (tmp_path / name).unlink()  # a twin would take the arrays parser's place
-        again = load_split_dir(tmp_path)
-        for name in ("train_features", "train_labels", "test_features", "test_labels"):
-            assert getattr(again, name).tobytes() == getattr(ds, name).tobytes(), name
+class TestOtherLayouts:
+    """Files written elsewhere, or edited since, have no valid twin and go
+    through the line parser; their values and errors are the oracle's."""
 
     @pytest.mark.parametrize("text", [
         "f0,label\r\n1.5,0\r\n", "f0,label\n1.5,0\n\n2.5,1\n", "f0,label\n 1.5,0\n",
         "f0,label\n1.5,\t0\n", "f0,label\n1.5,0", "f0,label\n1.5,+1\n", "f0,label\n1.5E3,0\n",
-        "f0,label\n1.5,9223372036854775808\n", "f0,label\n1.5,-9223372036854775808\n",
-        "f0,label\n1.5,1.0\n", "f0,label\n1_5,0\n", "f0,label\n\u0661,0\n", "f0,label\ninf,0\n",
+        "f0,label\n1.5,-9223372036854775808\n", "f0,label\n1.5,1.0\n", "f0,label\ninf,0\n",
         '"f0",label\n1.5,0\n', "\ufefff0,label\n1.5,0\n", "f0,label\n", "", 'f0,label\n"1",0\n',
         "f0,f1,label\n1,2,0\n1,0\n", "f0,f1,label\n1,2,0\n1,2,3,0\n", "f0,f1,label\n1\n2,0\n",
-    ], ids=["crlf", "blank line", "space", "tab", "no last newline", "plus label",
-            "capital E", "label past int64", "int64 min label", "decimal label", "underscore",
-            "arabic digit", "inf", "quoted header", "bom", "header only", "empty",
-            "quoted cell", "short row", "long row", "row split over lines"])
-    def test_other_files_go_to_the_line_parser(self, text):
-        """Each is read or rejected by the line parser, as the oracle tests
-        check; the array parser passes on all of them."""
-        assert data._plain_rows(text.encode()) is None
+    ], ids=["crlf", "blank line", "space", "tab", "no last newline", "plus label", "capital E",
+            "int64 min label", "decimal label", "inf", "quoted header", "bom", "header only",
+            "empty", "quoted cell", "short row", "long row", "row split over lines"])
+    def test_each_loads_as_the_oracle(self, tmp_path, text):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path) == _outcome(oracles.load_csv, path)
 
-    @needs_x87
+    @pytest.mark.parametrize("text, fault", [
+        ("f0,label\n1_5,0\n", "non-numeric feature cell"),
+        ("f0,label\n\u0661,0\n", "non-numeric feature cell"),
+        ("f0,label\n1.5,9223372036854775808\n", "unknown label value 9223372036854775808"),
+    ], ids=["underscore", "arabic digit", "label past int64"])
+    def test_where_the_oracle_differs_the_library_names_the_line(self, tmp_path, text, fault):
+        """float() and int() take the first two; the oracle's int64 array
+        overflows on the third."""
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path) == f"{path}: line 2: {fault}"
+
     @pytest.mark.parametrize("cell, label, class_count, fault", [
         ("1e400", "1", None, "non-finite feature cell"),
         ("-1e999", "1", None, "non-finite feature cell"),
         ("0.5", "-3", None, "unknown label value -3"),
-        ("0.5", "5", 3, "unknown label value 5"),
     ])
-    def test_a_fault_in_a_plain_file_names_its_line(self, tmp_path, cell, label, class_count,
-                                                    fault):
+    def test_a_fault_names_its_line(self, tmp_path, cell, label, class_count, fault):
         path = tmp_path / "rows.csv"
         path.write_text(f"f0,f1,label\n1.5,2.5,0\n-0.25,{cell},{label}\n3,4,1\n")
-        assert data._plain_rows(path.read_bytes()) is not None
         with pytest.raises(DataFormatError, match=f"rows.csv: line 3: {fault}$"):
             load_csv(path, class_count)
 
-    def test_without_x87_long_doubles_every_file_goes_to_the_line_parser(self, tmp_path,
-                                                                         monkeypatch):
+    def test_a_split_without_twins_round_trips_bit_for_bit(self, tmp_path):
         ds = gen_gaussian_mixture(3, 4, 20, 1.0, seed=2)
         save_split_dir(tmp_path, ds)
-        monkeypatch.setattr(data, "_X87_LONG_DOUBLE", False)
-        assert data._plain_rows((tmp_path / "train.csv").read_bytes()) is None
         for name in ("train.csv.npz", "test.csv.npz"):
             (tmp_path / name).unlink()
         again = load_split_dir(tmp_path)
-        assert again.train_features.tobytes() == ds.train_features.tobytes()
-        assert again.test_labels.tobytes() == ds.test_labels.tobytes()
+        for name in ("train_features", "train_labels", "test_features", "test_labels"):
+            assert getattr(again, name).tobytes() == getattr(ds, name).tobytes(), name
 
 
 # -- the binary twin save_csv writes beside each CSV ---------------------------
-
-def _outcome(loader, path, class_count=None):
-    """(features bytes, labels, class count) of a load, or its error message."""
-    try:
-        ds = loader(path, class_count)
-    except DataFormatError as exc:
-        return str(exc)
-    return ds.train_features.tobytes(), ds.train_labels.tolist(), ds.class_count
-
 
 TWIN_FEATURES = np.array([[1.5, -0.25], [3.0, 0.125], [-2.0, 1e-300]])
 TWIN_LABELS = np.array([2, 0, 1])
@@ -551,7 +471,6 @@ class TestTwin:
             twins.append(real(*args))
             return twins[-1]
 
-        monkeypatch.setattr(data, "_plain_rows", no_parse)
         monkeypatch.setattr(data, "_parse_lines", no_parse)
         monkeypatch.setattr(data, "_twin_rows", spy)
         again = load_split_dir(tmp_path)
