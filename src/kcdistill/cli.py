@@ -262,14 +262,16 @@ def cmd_sweep(args, parser) -> int:
     unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
     if unknown:
         raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
-    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
-    if repeated:
-        raise ValueError(f"--methods {args.methods!r} names {repeated[0]} twice")
     seeds, rho_grid = _seed_list(args), _items(args, "rho_grid", float)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no seed")
     if not rho_grid:
         raise ValueError(f"--rho-grid {args.rho_grid!r} names no keep ratio")
+    for flag, text, values in (("--methods", args.methods, methods),
+                               ("--seeds", args.seeds, seeds),
+                               ("--rho-grid", args.rho_grid, rho_grid)):
+        if twice := [v for i, v in enumerate(values) if v in values[:i]]:
+            raise ValueError(f"{flag} {text!r} names {twice[0]} twice")
     hidden = _items(args, "student_hidden", int)
     _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)

@@ -339,7 +339,7 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
     return nn.init_mlp(dims, np.random.default_rng([seed, 0]))
 
 
-def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
+def _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg, lr,
                  stage: int, epoch: int) -> np.ndarray:
     """One epoch of a lockstep group: run k shuffles its active[k], which
     must be ascending, and distills against the store's teacher probs with
@@ -348,10 +348,10 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
     of the order (at most _EPOCH_CHUNK_BYTES of feature and teacher rows per
     run, and at least one batch) is gathered once, each blend overwrites its
     rows in it once, and every batch is one stacked step over views of the
-    chunk. Returns each run's mean loss. A run that keeps a ValueState
-    records each trained sample's temperature-1 prediction entropy in it,
-    which the step writes (nn.loss_and_grads's entropy_out); when no run
-    keeps one, none is computed.
+    chunk, written into buffers (nn.StepBuffers). Returns each run's mean
+    loss. A run that keeps a ValueState records each trained sample's
+    temperature-1 prediction entropy in it, which the step writes
+    (nn.loss_and_grads's entropy_out); when no run keeps one, none is made.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -383,16 +383,16 @@ def _train_epoch(stack, vel, runs, store, active, blends, tcfg, lr,
                 (targets if unstacked else targets[k])[pos] = blend[1].take(at[pos], axis=0)
         for start in range(0, ids.shape[1], tcfg.batch_size):
             batch = slice(start, start + tcfg.batch_size)
-            loss, gw, gb, probs_1 = nn.loss_and_grads(
+            loss, grad, probs_1 = nn.loss_and_grads(
                 stack, features[..., batch, :], targets[..., batch, :], tcfg.temperature,
                 None if hard is None else hard[..., batch], tcfg.hard_label_weight,
-                step_entropies[..., lo:][..., batch] if reads else None)
+                step_entropies[..., lo:][..., batch] if reads else None, buffers)
             if not np.isfinite(loss).all():
                 bad = runs[int(np.argmin(np.isfinite(loss)))]
                 raise DistillationError(
                     f"{bad.name}: non-finite training loss at stage {stage}, epoch {epoch}")
             try:
-                nn.sgd_step(stack, gw, gb, vel, lr, tcfg)
+                nn.sgd_step(stack, grad, vel, lr, tcfg, buffers)
             except FloatingPointError as exc:
                 bad = runs[exc.index[0] if exc.index else 0]
                 raise DistillationError(f"{bad.name}: stage {stage}, epoch {epoch}: {exc}") from None
@@ -509,13 +509,13 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     # (kcd) to 1.02x (ogve-only), on one CPU
     stack = runs[0].student.copy() if len(runs) == 1 else nn.stack_models(
         [r.student for r in runs])
-    vel = np.zeros_like(stack.params)
+    vel, buffers = np.zeros_like(stack.params), nn.StepBuffers(stack, min(tcfg.batch_size, n))
     test_x, test_y = dataset.test_features, dataset.test_labels
 
     def run_epochs(count, active, blends, stage_no):
         for _ in range(count):
             epoch = len(runs[0].epochs) + 1
-            losses = _train_epoch(stack, vel, runs, store, active, blends, tcfg,
+            losses = _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg,
                                   nn.lr_at_epoch(tcfg, epoch), stage_no, epoch)
             accs = np.atleast_1d(accuracy(stack, test_x, test_y))
             for run, loss, acc in zip(runs, losses, accs):

@@ -15,11 +15,9 @@ and ``sgd_step`` take any leading stack dimensions and do per model exactly
 the arithmetic of a single model (``np.matmul`` hands every slice to the same
 BLAS call), so a stacked step is bit-identical to a loop over the models.
 
-train_classifier, the teacher's hard-label trainer, does not call them: one
-fused loop per batch writes every gradient into a preallocated vector laid
-out like ``params`` and updates in place. Its parameters are bit for bit
-those of loss_and_grads against one-hot targets followed by sgd_step, and
-its two errors are theirs.
+A train step is loss_and_grads, then sgd_step, writing into a StepBuffers
+(the gradient into one vector laid out like ``params``). train_classifier,
+the teacher's trainer, runs the same passes behind a class-id head.
 """
 
 from __future__ import annotations
@@ -151,29 +149,37 @@ def stack_models(models) -> MlpModel:
     return MlpModel(models[0].layer_dims, np.stack([m.params for m in models]))
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch; hidden layers are ReLU, output is linear."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[None, :]
-    if h.shape[-1] != model.layer_dims[0]:
-        raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.layer_dims[0]}")
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = h @ w
+def _forward(model: MlpModel, h: np.ndarray, outs) -> np.ndarray:
+    """The logits of a batch h through ReLU hidden layers and a linear output,
+    layer i's output written into outs[i] (a fresh array where it is None)."""
+    for w, b, out in zip(model.weights[:-1], model.biases[:-1], outs):
+        h = np.matmul(h, w, out=out)
         h += b[..., None, :]
         np.maximum(h, 0.0, out=h)
-    h = h @ model.weights[-1]
+    h = np.matmul(h, model.weights[-1], out=outs[-1])
     h += model.biases[-1][..., None, :]
     return h
 
 
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Logits for a batch; hidden layers are ReLU, output is linear."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if h.shape[-1] != model.layer_dims[0]:
+        raise ValueError(f"input dim {h.shape[-1]} does not match model dim {model.layer_dims[0]}")
+    return _forward(model, h, [None] * len(model.weights))
+
+
 def accuracy(model: MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax-correct predictions on a frozen model; one per
-    model, as an array, for a stacked model."""
+    model, as an array, for a stacked model. labels holds one class id per
+    feature row."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty split")
+    if y.shape != (rows := np.atleast_2d(x).shape[-2],):
+        raise ValueError(f"need one label per feature row, {rows} in shape ({rows},); "
+                         f"got {y.size} in shape {y.shape}")
     acc = np.mean(np.argmax(forward(model, x), axis=-1) == y, axis=-1)
     return acc if acc.ndim else float(acc)
 
@@ -203,10 +209,7 @@ def _softmax_in_place(z: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0.0:
         raise ValueError("temperature must be > 0")
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    return _softmax_in_place(np.asarray(logits, dtype=np.float64) / temperature)
 
 
 def _bias_grad(delta: np.ndarray, out=None) -> np.ndarray:
@@ -221,38 +224,84 @@ def _bias_grad(delta: np.ndarray, out=None) -> np.ndarray:
     return np.add.reduce(delta, axis=-2, out=out)
 
 
+class StepBuffers:
+    """What the train steps of one model (or stack) write, for batches of up
+    to ``rows`` rows: each layer's output (logits last), the hidden deltas,
+    the floored log (then dlogits), a scratch vector and ``grad``, laid out
+    like ``params``. No result depends on the buffers a step is given."""
+
+    def __init__(self, model: MlpModel, rows: int):
+        dims, shape, self.rows = model.layer_dims, model.params.shape, int(rows)
+        self.key, lead = (dims, shape), shape[:-1]
+        self.outs, self.deltas = ([np.empty((*lead, self.rows, d)) for d in widths]
+                                  for widths in (dims[1:], dims[1:-1]))
+        self.log = np.empty((*lead, self.rows, dims[-1]))
+        self.grad, self.scratch = np.empty(shape), np.empty(shape)
+        self.grads_w, self.grads_b = _views(dims, self.grad)
+        self.decay = list(zip(self.grads_w, _views(dims, self.scratch)[0]))
+        self._cuts = {}
+
+    def cut(self, model: MlpModel, batch: int) -> tuple:
+        """What a step of batch rows writes: views of the outputs, transposed
+        hidden outputs, deltas and log (built once per batch size), then the
+        gradient views and grad. A model of another shape, or more rows, is
+        refused before any write."""
+        if (model_key := (model.layer_dims, model.params.shape)) != self.key:
+            raise ValueError("buffers for layer dims {} and params of shape {} got layer dims "
+                             "{} and params of shape {}".format(*self.key, *model_key))
+        if batch > self.rows:
+            raise ValueError(f"a batch of {batch} rows does not fit buffers of {self.rows} rows")
+        views = self._cuts.get(batch)
+        if views is None:
+            outs, deltas = ([a[..., :batch, :] for a in arrays] for arrays in (self.outs,
+                                                                             self.deltas))
+            views = self._cuts[batch] = (outs, [h.swapaxes(-1, -2) for h in outs[:-1]], deltas,
+                                         self.log[..., :batch, :], self.grads_w, self.grads_b,
+                                         self.grad)
+        return views
+
+
+def _backward(model: MlpModel, x: np.ndarray, delta: np.ndarray, views: tuple) -> np.ndarray:
+    """Every gradient of a step, from its dlogits (delta) and the outputs its
+    forward pass wrote into views (StepBuffers.cut), written into grad."""
+    outs, outs_t, deltas, _, grads_w, grads_b, grad = views
+    acts_t = [x.swapaxes(-1, -2), *outs_t]
+    for layer in range(len(acts_t) - 1, -1, -1):
+        np.matmul(acts_t[layer], delta, out=grads_w[layer])
+        _bias_grad(delta, out=grads_b[layer])
+        if layer:
+            # a ReLU output is > 0 exactly where its input is (both False at
+            # NaN); read for the last time, it becomes the 1.0/0.0 mask
+            mask = np.greater(outs[layer - 1], 0.0, out=outs[layer - 1])
+            delta = np.matmul(delta, model.weights[layer].swapaxes(-1, -2),
+                              out=deltas[layer - 1])
+            delta *= mask
+    return grad
+
+
 def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
                    temperature: float = 1.0, hard_labels=None,
-                   hard_label_weight: float = 0.0, entropy_out=None):
-    """Soft-target loss plus analytic parameter gradients.
+                   hard_label_weight: float = 0.0, entropy_out=None, buffers=None):
+    """Soft-target loss and its gradient: (loss, grad, temperature-1 probs).
+    For a stacked model x is (K, B, D) and the loss a (K,) array. The soft
+    term is the batch-mean -sum(t log p_T), p_T floored at PROB_FLOOR before
+    the log; the hard term, when weighted, is a cross-entropy at temperature
+    1 added on top.
 
-    Returns (loss, weight grads, bias grads, temperature-1 probs); for a
-    stacked model x is (K, B, D) and the loss a (K,) array. The soft term is
-    the batch-mean -sum(t log p_T) with p_T floored at PROB_FLOOR before the
-    log. The hard term, when weighted, is a standard cross-entropy at
-    temperature 1 added on top of the soft term.
-
-    The softmax, the floored log and dlogits are each computed in place in
-    one array. Given entropy_out, a (..., B) float64 array, the step writes
-    each row's temperature-1 prediction entropy -sum(p log p) into it. At
-    temperature 1 with every prob >= PROB_FLOOR the floor changes no prob,
-    so the entropy comes from the loss's log, bit for bit
-    ogve.entropy_rows; otherwise (temperature != 1, a prob below the floor,
-    or a NaN) ogve.entropy_rows runs on the temperature-1 probs.
+    The step writes into buffers (a StepBuffers of the model's shape and at
+    least B rows), or into its own: grad is buffers.grad, the probs a view of
+    them, both overwritten by their next step. The softmax, the floored log
+    and dlogits are each computed in place in one array. Given entropy_out,
+    a (..., B) float64 array, each row's temperature-1 prediction entropy
+    -sum(p log p) is written into it: at temperature 1 with every prob >=
+    PROB_FLOOR from the loss's log (bit for bit ogve.entropy_rows, as the
+    floor changes no prob), otherwise by ogve.entropy_rows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(target_probs, dtype=np.float64))
     batch = x.shape[-2]
-
-    # forward's in-place layers, keeping each ReLU output for the backward pass
-    acts = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = acts[-1] @ w
-        h += b[..., None, :]
-        acts.append(np.maximum(h, 0.0, out=h))
-    logits = acts[-1] @ model.weights[-1]
-    logits += model.biases[-1][..., None, :]
-
+    views = (StepBuffers(model, batch) if buffers is None else buffers).cut(model, batch)
+    logits = _forward(model, x, views[0])
     if temperature == 1.0:
         probs_t = probs_1 = _softmax_in_place(logits)
     else:
@@ -260,7 +309,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
         probs_1 = _softmax_in_place(logits)
     if targets.shape != probs_t.shape:
         raise ValueError(f"shape mismatch: {targets.shape} vs {probs_t.shape}")
-    log_s = np.maximum(probs_t, PROB_FLOOR)
+    log_s = np.maximum(probs_t, PROB_FLOOR, out=views[3])
     np.log(log_s, out=log_s)
     if entropy_out is not None:
         if temperature == 1.0 and probs_1.size and probs_1.min() >= PROB_FLOOR:
@@ -281,61 +330,42 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, target_probs: np.ndarray,
         onehot = np.zeros_like(probs_1)
         np.put_along_axis(onehot, y, 1.0, axis=-1)
         dlogits += hard_label_weight * (probs_1 - onehot) / batch
-
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    delta = dlogits
-    grads_w[-1] = acts[-1].swapaxes(-1, -2) @ delta
-    grads_b[-1] = _bias_grad(delta)
-    for layer in range(len(model.weights) - 2, -1, -1):
-        # a ReLU output is > 0 exactly where its input is (both False at NaN)
-        delta = (delta @ model.weights[layer + 1].swapaxes(-1, -2)) * (acts[layer + 1] > 0.0)
-        grads_w[layer] = acts[layer].swapaxes(-1, -2) @ delta
-        grads_b[layer] = _bias_grad(delta)
-    return loss, grads_w, grads_b, probs_1
+    return loss, _backward(model, x, dlogits, views), probs_1
 
 
-def _check_grads(grads_w, grads_b, index=()) -> None:
-    """Raise FloatingPointError if the weight or bias gradient of some layer
-    of the model at stack index ``index`` (``()`` for a single model) holds a
-    non-finite value. The error names the first such layer and its largest
-    finite |weight gradient|, and carries ``index``."""
-    for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
-        gw, gb = gw[index], gb[index]
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            finite = np.abs(gw[np.isfinite(gw)])
-            exc = FloatingPointError(f"non-finite gradient in layer {i} (|grad| max "
-                                     f"{finite.max() if finite.size else 'n/a'})")
-            exc.index = index
-            raise exc
-
-
-def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
-             cfg: TrainConfig) -> None:
-    """Momentum SGD update with decoupled-from-loss weight decay on weights;
-    vel is the momentum buffer, laid out like model.params and updated in place.
-
-    Per element this is the per-layer rule vel = momentum * vel + (g + wd * w)
-    for weights and vel = momentum * vel + g for biases, then p -= lr * vel,
-    applied to the whole parameter vector (or stack of them) at once. A
-    non-finite gradient raises, naming the first bad layer, before any
+def sgd_step(model: MlpModel, grad: np.ndarray, vel: np.ndarray, lr: float,
+             cfg: TrainConfig, buffers=None) -> None:
+    """Momentum SGD with weight decay on the weights, in place: per element
+    vel = momentum * vel + (g + wd * w) for weights and vel = momentum * vel
+    + g for biases, then p -= lr * vel, over the whole parameter vector (or
+    stack). grad and vel are laid out like params; the decay is added into
+    grad, with buffers' scratch vector when grad is buffers.grad. A
+    non-finite gradient raises, naming the first bad layer, before vel or a
     parameter changes; the error's ``index`` is the stack index of the first
-    model with a bad gradient (``()`` for a single model).
-    """
-    lead, grads = model.params.shape[:-1], []
-    for gw, w, gb in zip(grads_w, model.weights, grads_b):
-        decayed = cfg.weight_decay * w
-        decayed += gw  # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
-        grads += (decayed, gb)
-    # a single model takes the cheaper flat concatenation
-    g = (np.concatenate([a.reshape(*lead, -1) for a in grads], axis=-1) if lead
-         else np.concatenate(grads, axis=None))
-    if not np.isfinite(g).all():
-        index = np.unravel_index(int(np.argmin(np.isfinite(g).all(axis=-1))), lead)
-        _check_grads(grads_w, grads_b, index)
+    model with a bad gradient (``()`` for a single model)."""
+    if grad.shape != model.params.shape:
+        raise ValueError(f"a gradient of shape {grad.shape} for params of shape "
+                         f"{model.params.shape}")
+    if buffers is not None and grad is buffers.grad:
+        scratch, decay = buffers.scratch, buffers.decay
+    else:
+        scratch = np.empty_like(model.params)
+        decay = zip(_views(model.layer_dims, grad)[0], _views(model.layer_dims, scratch)[0])
+    np.multiply(model.params, cfg.weight_decay, out=scratch)
+    for gw, decayed in decay:
+        gw += decayed  # weights only: adding 0 * bias could turn a -0.0 gradient into +0.0
+    if not np.isfinite(grad).all():
+        index = np.unravel_index(int(np.argmin(np.isfinite(grad).all(axis=-1))), grad.shape[:-1])
+        for i, (gw, gb) in enumerate(zip(*_views(model.layer_dims, grad[index]))):
+            if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
+                finite = np.abs(gw[np.isfinite(gw)])
+                exc = FloatingPointError(f"non-finite gradient in layer {i} (|grad| max "
+                                         f"{finite.max() if finite.size else 'n/a'})")
+                exc.index = index
+                raise exc
     vel *= cfg.momentum
-    vel += g
-    model.params -= lr * vel
+    vel += grad
+    model.params -= np.multiply(vel, lr, out=scratch)
 
 
 # every step checks its own loss and gradient (and train_teacher its probs),
@@ -343,18 +373,14 @@ def sgd_step(model: MlpModel, grads_w, grads_b, vel: np.ndarray, lr: float,
 @np.errstate(over="ignore", invalid="ignore")
 def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
                      cfg: TrainConfig, epochs: int, seed: int) -> MlpModel:
-    """Hard-label training at temperature 1: per batch, loss_and_grads against
-    one-hot targets and then sgd_step, bit for bit, in one fused loop.
-
-    Against a one-hot row the soft loss is -log(max(p_y, PROB_FLOOR)) and
-    dlogits is p less 1.0 at y (every other term adds or subtracts 0.0). The
-    gradients are written into one preallocated vector laid out like params,
-    the weight decay is added to it in place (IEEE addition commutes), and
-    the momentum step runs in place. A non-finite loss raises "training
+    """Hard-label training at temperature 1: per batch, bit for bit
+    loss_and_grads against one-hot targets and then sgd_step. The step
+    takes class ids as targets: against a one-hot row the soft loss is
+    -log(max(p_y, PROB_FLOOR)) and dlogits is p less 1.0 at y (every other
+    term adds or subtracts 0.0). A non-finite loss raises "training
     diverged" for its epoch and a non-finite gradient sgd_step's error,
     both before any parameter changes. cfg's temperature must be 1 and its
-    hard_label_weight 0: hard labels are the only targets here.
-    """
+    hard_label_weight 0: hard labels are the only targets here."""
     for name, value, ok, rule in (
         ("epochs", epochs, epochs >= 0, ">= 0"),
         ("temperature", cfg.temperature, cfg.temperature == 1.0, "1 to train on hard labels"),
@@ -363,26 +389,17 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
     ):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value}")
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
     model = init_mlp(layer_dims, np.random.default_rng([seed, 0]))
-    dims, weights, biases = model.layer_dims, model.weights, model.biases
-    n = x.shape[0]
-    if y.shape != (n,) or (n and (y.min() < 0 or y.max() >= dims[-1])):
-        raise ValueError(f"labels must be a ({n},) array of class ids in [0, {dims[-1]})")
+    n, classes = x.shape[0], model.layer_dims[-1]
+    if y.shape != (n,) or (n and (y.min() < 0 or y.max() >= classes)):
+        raise ValueError(f"labels must be a ({n},) array of class ids in [0, {classes})")
     shuffle_rng = np.random.default_rng([seed, 1])
     rows = max(1, min(cfg.batch_size, n))
-    grad = np.empty_like(model.params)
-    vel = np.zeros_like(model.params)
-    step = np.empty_like(model.params)
-    grads_w, grads_b = _views(dims, grad)
-    decay_w = _views(dims, step)[0]  # step holds wd * params, then lr * vel
-    outs = [np.empty((rows, d)) for d in dims[1:]]  # each layer's output, logits last
-    deltas = [np.empty((rows, d)) for d in dims[1:-1]]
-    masks = [np.empty((rows, d)) for d in dims[1:-1]]
+    vel, buffers = np.zeros_like(model.params), StepBuffers(model, rows)
     # where each sample's row starts in the flat view of its batch's logits
-    flat = outs[-1].reshape(-1)
-    at_row = np.arange(n) % rows * dims[-1]
+    flat = buffers.outs[-1].reshape(-1)
+    at_row = np.arange(n) % rows * classes
     # one gather buffer for all epochs: a fresh one each epoch moves glibc's
     # mmap threshold, and with it big-store's peak RSS by 2-3 MB
     xs, at_y = np.empty(x.shape), np.empty(n, dtype=np.int64)
@@ -394,42 +411,21 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
         at_y += at_row
         for start in range(0, n, rows):
             at = at_y[start:start + rows]
-            b = at.size
-            acts = [xs[start:start + rows]]
-            for w, bias, out in zip(weights[:-1], biases[:-1], outs):
-                h = np.matmul(acts[-1], w, out=out[:b])
-                h += bias
-                acts.append(np.maximum(h, 0.0, out=h))
-            p = np.matmul(acts[-1], weights[-1], out=outs[-1][:b])
-            p += biases[-1]
-            _softmax_in_place(p)
+            batch, views = xs[start:start + rows], buffers.cut(model, at.size)
+            p = _softmax_in_place(_forward(model, batch, views[0]))
             p_y = flat[at]
             flat[at] = p_y - 1.0
-            p /= b
-            delta = p
-            for layer in range(len(weights) - 1, -1, -1):
-                np.matmul(acts[layer].T, delta, out=grads_w[layer])
-                _bias_grad(delta, out=grads_b[layer])
-                if layer:
-                    # a ReLU output is > 0 exactly where its input is; the
-                    # mask is 1.0 or 0.0, as the product casts a bool mask
-                    mask = np.greater(acts[layer], 0.0, out=masks[layer - 1][:b])
-                    delta = np.matmul(delta, weights[layer].T, out=deltas[layer - 1][:b])
-                    delta *= mask
-            # a non-finite loss has a NaN prob row, which makes the last bias
-            # gradient NaN: one check of the gradient covers both errors
-            if not np.isfinite(grad).all():
-                loss = np.add.reduce(-np.log(np.maximum(p_y, PROB_FLOOR))) / b
+            p /= at.size
+            try:
+                sgd_step(model, _backward(model, batch, p, views), vel, lr, cfg, buffers)
+            except FloatingPointError:
+                # a non-finite loss has a NaN prob row, which makes the last
+                # bias gradient NaN: sgd_step refuses every such step
+                loss = np.add.reduce(-np.log(np.maximum(p_y, PROB_FLOOR))) / at.size
                 if not np.isfinite(loss):
                     raise FloatingPointError(
-                        f"training diverged: non-finite loss at epoch {epoch}")
-                _check_grads(grads_w, grads_b)
-            np.multiply(model.params, cfg.weight_decay, out=step)
-            for gw, decay in zip(grads_w, decay_w):
-                gw += decay
-            vel *= cfg.momentum
-            vel += grad
-            model.params -= np.multiply(vel, lr, out=step)
+                        f"training diverged: non-finite loss at epoch {epoch}") from None
+                raise
     return model
 
 
@@ -441,7 +437,7 @@ def train_teacher(features: np.ndarray, labels: np.ndarray, layer_dims,
     A last step that leaves the parameters too large for a finite forward
     pass raises "training diverged" rather than return non-finite probs."""
     model = train_classifier(features, labels, layer_dims, cfg, epochs, seed)
-    probs = softmax(forward(model, np.asarray(features, dtype=np.float64)), 1.0)
+    probs = _softmax_in_place(forward(model, np.asarray(features, dtype=np.float64)))
     if not np.isfinite(probs).all():
         raise FloatingPointError(
             f"training diverged: non-finite teacher probs after epoch {epochs}")

@@ -4,7 +4,7 @@ None of these is on a training path: the library computes the same
 quantities over whole arrays (ogve.ValueState, ogve.observe_batch,
 ogve.cost_aware_scores, ogve.entropy_rows, ogve.ranks_from_scores,
 emdriver.relative_cost), in place (nn.forward, nn.loss_and_grads and its
-entropies, data.gen_gaussian_mixture), in one fused loop
+entropies, nn.sgd_step, data.gen_gaussian_mixture), behind a class-id head
 (nn.train_classifier), in bulk (data.load_csv,
 data.save_csv, knowledge.check_simplex) or in chunks
 (emdriver.RunRecord.fingerprint, emdriver.RunRecord.save, vaks.augment).
@@ -124,6 +124,17 @@ def loss_and_grads(model: nn.MlpModel, x, target_probs, temperature: float = 1.0
     return loss, grads_w, grads_b, probs_1
 
 
+def per_layer_sgd_step(weights, biases, vel_w, vel_b, grads_w, grads_b, lr: float,
+                       cfg: nn.TrainConfig) -> None:
+    """nn.sgd_step as the per-layer momentum rule, with a fresh array per
+    operation: each list entry is rebound, nothing is written in place."""
+    for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
+        vel_w[i] = cfg.momentum * vel_w[i] + (gw + cfg.weight_decay * weights[i])
+        weights[i] = weights[i] - lr * vel_w[i]
+        vel_b[i] = cfg.momentum * vel_b[i] + gb
+        biases[i] = biases[i] - lr * vel_b[i]
+
+
 def train_classifier(features, labels, layer_dims, cfg: nn.TrainConfig, epochs: int,
                      seed: int) -> nn.MlpModel:
     """nn.train_classifier as a loop of library steps: per batch, one-hot
@@ -140,11 +151,11 @@ def train_classifier(features, labels, layer_dims, cfg: nn.TrainConfig, epochs: 
         order = shuffle_rng.permutation(x.shape[0])
         for start in range(0, order.size, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, gw, gb, _ = nn.loss_and_grads(model, x.take(idx, axis=0),
-                                                onehot.take(idx, axis=0))
+            loss, grad, _ = nn.loss_and_grads(model, x.take(idx, axis=0),
+                                              onehot.take(idx, axis=0))
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged: non-finite loss at epoch {epoch}")
-            nn.sgd_step(model, gw, gb, vel, lr, cfg)
+            nn.sgd_step(model, grad, vel, lr, cfg)
     return model
 
 
@@ -154,7 +165,8 @@ def finite_difference_check(model: nn.MlpModel, x: np.ndarray, target_probs: np.
     """Max relative error between analytic and central-difference gradients on
     n_coords randomly chosen parameter coordinates."""
     rng = np.random.default_rng(seed)
-    _, grads_w, grads_b, _ = nn.loss_and_grads(model, x, target_probs, temperature)
+    _, grad, _ = nn.loss_and_grads(model, x, target_probs, temperature)
+    grads_w, grads_b = nn._views(model.layer_dims, grad)
     worst = 0.0
     params = [(model.weights[i], grads_w[i]) for i in range(len(model.weights))]
     params += [(model.biases[i], grads_b[i]) for i in range(len(model.biases))]

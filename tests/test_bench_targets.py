@@ -40,3 +40,8 @@ def test_cli_files_reference_ops_feed_every_counting_hook(tmp_path):
     assert dict(recorder.errors) == {}
     for counter in ("data.csv_rows", "knowledge.label_bytes", "emdriver.kp"):
         assert recorder.counts[counter] > 0, counter
+    # student steps go through the traced names (nn.steps counts them), and
+    # the teacher's steps stay inside its opaque span
+    assert recorder.calls["nn.loss_and_grads"] > 0
+    assert recorder.calls["nn.sgd_step"] > 0
+    assert recorder.self_s["nn.teacher"] > 0

@@ -378,6 +378,21 @@ class TestReuseAndSweep:
         assert capsys.readouterr().err == f"error: --methods {methods!r} names {twice} twice\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, twice", [("--seeds", "1,1", "1"),
+                                                    ("--seeds", "3, 2,3,", "3"),
+                                                    ("--rho-grid", "0.5,0.7,.50", "0.5")])
+    def test_sweep_refuses_a_seed_or_ratio_named_twice_before_reading(self, tmp_path, capsys,
+                                                                      flag, value, twice):
+        """A repeated entry would write the same rows twice and skew any
+        mean or std taken over them."""
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--methods", "kcd", flag, value,
+                     "--data", str(tmp_path / "absent"),
+                     "--teacher-probs", str(tmp_path / "absent.npy"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} {value!r} names {twice} twice\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_takes_the_method_names_distill_takes(self, workdir, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--rho-grid", "0.7", "--seeds", "1", "--methods", "random-subset",

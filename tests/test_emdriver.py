@@ -630,10 +630,10 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg, method="kcd"):
             order = ids[rng.permutation(ids.size)]
             for start in range(0, order.size, tcfg.batch_size):
                 batch = order[start:start + tcfg.batch_size]
-                _, gw, gb, probs_1 = nn.loss_and_grads(
+                _, grad, probs_1 = nn.loss_and_grads(
                     student, store.features[batch], target[batch], tcfg.temperature,
                     None if hard is None else hard[batch], tcfg.hard_label_weight)
-                nn.sgd_step(student, gw, gb, vel, tcfg.lr, tcfg)
+                nn.sgd_step(student, grad, vel, tcfg.lr, tcfg)
                 values.observe(batch, ogve.entropy_rows(probs_1))
         folded = values.last_values if method == "no-ovr" else values.values
         expected.append(((folded, values.frequencies), student.params.copy()))
@@ -645,9 +645,9 @@ def assert_epochs_match_per_batch_loop(store, ks, tcfg, method="kcd"):
         runs[-1].train_rng = rng
     stack = (runs[0].student if len(runs) == 1
              else nn.stack_models([run.student for run in runs]))
-    vel = np.zeros_like(stack.params)
+    vel, buffers = np.zeros_like(stack.params), nn.StepBuffers(stack, tcfg.batch_size)
     for epoch in (1, 2):
-        emdriver._train_epoch(stack, vel, runs, store, actives, blends, tcfg,
+        emdriver._train_epoch(stack, vel, buffers, runs, store, actives, blends, tcfg,
                               tcfg.lr, 1, epoch)
     assert stack.params.ndim == (1 if len(runs) == 1 else 2)
     for run, params, (expected_values, expected_params) in zip(
@@ -974,14 +974,14 @@ class TestLockstep:
         real, calls = nn.loss_and_grads, []
 
         def poisoned(*args):
-            loss, gw, gb, probs = real(*args)
+            loss, grad, probs = real(*args)
             calls.append(1)
             if len(calls) == 3:  # first batch of epoch 2: 96 samples are 2 batches
                 if poison == "gradient":
-                    gw[0][1, 0, 0] = np.inf
+                    grad[1, 0] = np.inf  # model 1, layer 0's first weight
                 else:
                     loss[1] = np.nan
-            return loss, gw, gb, probs
+            return loss, grad, probs
 
         monkeypatch.setattr(nn, "loss_and_grads", poisoned)
         one_cpu(monkeypatch)
@@ -1034,11 +1034,11 @@ class TestLockstep:
         real, shapes = nn.loss_and_grads, []
 
         def poisoned(model, x, *args):
-            loss, gw, gb, probs = real(model, x, *args)
+            loss, grad, probs = real(model, x, *args)
             shapes.append(x.shape)
             if len(shapes) == 3:
-                gw[0][0, 0] = np.inf
-            return loss, gw, gb, probs
+                grad[0] = np.inf  # layer 0's first weight
+            return loss, grad, probs
 
         monkeypatch.setattr(nn, "loss_and_grads", poisoned)
         with pytest.raises(DistillationError,

@@ -1,6 +1,7 @@
 import math
 import pickle
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ from kcdistill.nn import (
 )
 import oracles
 from oracles import finite_difference_check, kd_loss, logits
+
+
+def layer_grads(model, grad):
+    """Per layer, the weight and bias views of a params-shaped gradient."""
+    return nn._views(model.layer_dims, grad)
+
+
+def flat_grad(grads_w, grads_b):
+    """Per-layer gradients laid out like params (stacked or not)."""
+    lead = grads_w[0].shape[:-2]
+    return np.concatenate([a.reshape(*lead, -1) for gw, gb in zip(grads_w, grads_b)
+                           for a in (gw, gb)], axis=-1)
 
 
 class TestForwardSoftmax:
@@ -77,6 +90,30 @@ class TestForwardSoftmax:
         with pytest.raises(ValueError, match="dim"):
             forward(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("rows", [3, 111, 112, 400])
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    def test_softmax_is_the_fresh_array_oracle_bit_for_bit(self, rows, temperature):
+        """nn.softmax runs the step's in-place softmax, whose row max comes
+        from the columns from 112 rows up; a row of -inf and a NaN row stay
+        as the oracle leaves them."""
+        z = np.random.default_rng(rows).normal(size=(rows, 7)) * 30.0
+        z[0], z[1, 3] = -np.inf, np.nan
+        with np.errstate(invalid="ignore"):
+            got, want = softmax(z, temperature), oracles.softmax(z, temperature)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("labels", [[1], [0, 1, 2, 0, 1, 2], [[0], [1], [2], [0], [1]]])
+    def test_accuracy_refuses_labels_that_are_not_one_per_row(self, stacked, labels):
+        """One label against five rows used to broadcast and score 0.0."""
+        model = init_mlp((3, 4), 0)
+        model = stack_models([model, model]) if stacked else model
+        with pytest.raises(ValueError, match=rf"^need one label per feature row, 5 in shape "
+                                             rf"\(5,\); got {np.size(labels)} in shape "
+                                             rf"\({len(labels)},"):
+            nn.accuracy(model, np.zeros((5, 3)), np.array(labels))
+        assert np.size(nn.accuracy(model, np.zeros((5, 3)), np.zeros(5, int))) == 1 + stacked
+
 
 class TestKdLoss:
     def test_self_distillation_gives_target_entropy(self):
@@ -117,7 +154,7 @@ class TestGradients:
         x = np.array([[0.5, -1.0, 2.0]])
         t = np.array([[1.0, 0.0]])
         probs = softmax(forward(model, x))
-        _, gw, gb, _ = loss_and_grads(model, x, t)
+        gw, gb = layer_grads(model, loss_and_grads(model, x, t)[1])
         np.testing.assert_allclose(gw[0], x.T @ (probs - t), rtol=1e-12)
         np.testing.assert_allclose(gb[0], (probs - t)[0], rtol=1e-12)
 
@@ -138,9 +175,9 @@ class TestGradients:
         hard = rng.integers(0, 4, size=6)
 
         def wrapped_loss():
-            loss, gw, gb, _ = loss_and_grads(model, x, targets, temperature=2.0,
-                                             hard_labels=hard, hard_label_weight=0.3)
-            return loss, gw, gb
+            loss, grad, _ = loss_and_grads(model, x, targets, temperature=2.0,
+                                           hard_labels=hard, hard_label_weight=0.3)
+            return (loss, *layer_grads(model, grad))
 
         loss, gw, gb = wrapped_loss()
         step = 1e-5
@@ -193,7 +230,8 @@ class TestLossAndGradsOracle:
         got = loss_and_grads(model, x, targets, terms[0], hard, terms[1],
                              entropy_out=entropies)
         want = oracles.loss_and_grads(model, x, targets, terms[0], hard, terms[1])
-        loss, gw, gb, probs = got
+        loss, grad, probs = got
+        gw, gb = layer_grads(model, grad)
         assert np.shape(loss) == lead
         assert np.asarray(loss).tobytes() == np.asarray(want[0]).tobytes()
         for a, b in zip([*gw, *gb, probs], [*want[1], *want[2], want[3]]):
@@ -260,8 +298,8 @@ class TestSgd:
         cfg = TrainConfig(lr=0.0, weight_decay=0.0)
         x = np.random.default_rng(8).normal(size=(4, 3))
         t = np.full((4, 2), 0.5)
-        _, gw, gb, _ = loss_and_grads(model, x, t)
-        sgd_step(model, gw, gb, np.zeros_like(model.params), 0.0, cfg)
+        _, grad, _ = loss_and_grads(model, x, t)
+        sgd_step(model, grad, np.zeros_like(model.params), 0.0, cfg)
         for w0, w1 in zip(before, model.weights):
             np.testing.assert_array_equal(w0, w1)
 
@@ -271,18 +309,17 @@ class TestSgd:
         gw = [np.array([[np.inf, 0.0], [0.0, 0.0]])]
         gb = [np.zeros(2)]
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            sgd_step(model, gw, gb, np.zeros_like(model.params), 0.1, cfg)
+            sgd_step(model, flat_grad(gw, gb), np.zeros_like(model.params), 0.1, cfg)
 
     def test_momentum_accumulates(self):
         model = init_mlp((2, 2), 11)
         model.weights[0][:] = 1.0
         cfg = TrainConfig(momentum=0.9, weight_decay=0.0)
         vel = np.zeros_like(model.params)
-        g = [np.ones((2, 2))]
-        zeros = [np.zeros(2)]
-        sgd_step(model, g, zeros, vel, 0.1, cfg)
+        g = flat_grad([np.ones((2, 2))], [np.zeros(2)])
+        sgd_step(model, g.copy(), vel, 0.1, cfg)
         first = model.weights[0][0, 0]
-        sgd_step(model, g, zeros, vel, 0.1, cfg)
+        sgd_step(model, g.copy(), vel, 0.1, cfg)
         second = model.weights[0][0, 0]
         assert first == pytest.approx(0.9)
         assert second == pytest.approx(0.9 - 0.1 * 1.9)
@@ -462,15 +499,6 @@ class TestTrainConfigValidation:
 
 
 class TestFlatParams:
-    @staticmethod
-    def per_layer_step(weights, biases, vel_w, vel_b, grads_w, grads_b, lr, cfg):
-        """The per-layer momentum rule the flat update must reproduce."""
-        for i, (gw, gb) in enumerate(zip(grads_w, grads_b)):
-            vel_w[i] = cfg.momentum * vel_w[i] + (gw + cfg.weight_decay * weights[i])
-            weights[i] = weights[i] - lr * vel_w[i]
-            vel_b[i] = cfg.momentum * vel_b[i] + gb
-            biases[i] = biases[i] - lr * vel_b[i]
-
     def test_flat_sgd_matches_per_layer_oracle(self):
         model = init_mlp((5, 7, 6, 3), 17)
         cfg = TrainConfig(momentum=0.9, weight_decay=5e-3)
@@ -483,11 +511,12 @@ class TestFlatParams:
         for step in range(6):
             x = rng.normal(size=(9, 5))
             t = rng.dirichlet(np.ones(3), size=9)
-            _, gw, gb, _ = loss_and_grads(model, x, t)
+            _, grad, _ = loss_and_grads(model, x, t)
+            gw, gb = layer_grads(model, grad)
             gb[1][0] = -0.0  # a signed zero must survive on a bias
             lr = 0.05 if step < 3 else 0.005
-            self.per_layer_step(weights, biases, vel_w, vel_b, gw, gb, lr, cfg)
-            sgd_step(model, gw, gb, vel, lr, cfg)
+            oracles.per_layer_sgd_step(weights, biases, vel_w, vel_b, gw, gb, lr, cfg)
+            sgd_step(model, grad, vel, lr, cfg)
             for a, b in zip(model.weights + model.biases, weights + biases):
                 assert a.tobytes() == b.tobytes()
         assert vel.tobytes() == np.concatenate(
@@ -501,7 +530,7 @@ class TestFlatParams:
         gb = [np.ones_like(b) for b in model.biases]
         gb[1][2] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite gradient in layer 1"):
-            sgd_step(model, gw, gb, vel, 0.1, TrainConfig())
+            sgd_step(model, flat_grad(gw, gb), vel, 0.1, TrainConfig())
         np.testing.assert_array_equal(model.params, before)
         assert not vel.any()
 
@@ -574,18 +603,20 @@ class TestStackedModels:
         for k, model in enumerate(models):
             assert forward(stack, x[k])[k].tobytes() == forward(model, x[k]).tobytes()
         vel = np.zeros_like(stack.params)
-        loss, gw, gb, probs = loss_and_grads(stack, x, t, temperature, hard, hard_weight)
-        sgd_step(stack, gw, gb, vel, 0.05, cfg)
+        loss, grad, probs = loss_and_grads(stack, x, t, temperature, hard, hard_weight)
+        gw, gb = layer_grads(stack, grad.copy())  # sgd_step adds the decay into grad
+        sgd_step(stack, grad, vel, 0.05, cfg)
         assert loss.shape == (3,)
         for k, model in enumerate(models):
-            loss_k, gw_k, gb_k, probs_k = loss_and_grads(model, x[k], t[k], temperature,
-                                                         hard[k], hard_weight)
+            loss_k, grad_k, probs_k = loss_and_grads(model, x[k], t[k], temperature,
+                                                     hard[k], hard_weight)
+            gw_k, gb_k = layer_grads(model, grad_k)
             assert loss[k] == loss_k and np.isfinite(loss_k)
             assert probs[k].tobytes() == probs_k.tobytes()
             for stacked, alone in zip(gw + gb, gw_k + gb_k):
                 assert stacked[k].tobytes() == alone.tobytes()
             vel_k = np.zeros_like(model.params)
-            sgd_step(model, gw_k, gb_k, vel_k, 0.05, cfg)
+            sgd_step(model, grad_k, vel_k, 0.05, cfg)
             assert stack.params[k].tobytes() == model.params.tobytes()
             assert vel[k].tobytes() == vel_k.tobytes()
 
@@ -619,9 +650,99 @@ class TestStackedModels:
         gw[1][2, 0, 1] = np.nan
         gb[0][1, 3] = np.inf
         with pytest.raises(FloatingPointError, match="non-finite gradient in layer 0") as caught:
-            sgd_step(stack, gw, gb, vel, 0.1, TrainConfig())
+            sgd_step(stack, flat_grad(gw, gb), vel, 0.1, TrainConfig())
         assert caught.value.index == (1,)
         np.testing.assert_array_equal(stack.params, before)
+        assert not vel.any()
+
+
+class TestStepBuffers:
+    """One StepBuffers reused across steps of different batch sizes gives
+    the oracle's step and the step without buffers, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.sampled_from([(4, 3), (5, 6, 4), (6, 8, 1, 4)]),
+           stack=st.sampled_from([0, 1, 3]),
+           rows=st.one_of(st.integers(1, 9), st.integers(40, 130)), tail=st.floats(0.0, 1.0),
+           terms=st.sampled_from([(1.0, 0.0), (2.0, 0.3)]), scale=st.sampled_from([1.0, 40.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_full_tail_full_steps_are_the_oracle_and_the_unbuffered_step(
+            self, dims, stack, rows, tail, terms, scale, seed):
+        """A full batch, a tail batch (1 to all rows) and a full batch
+        again, through one set of buffers: each step's loss, gradient,
+        probs and entropies, and the parameters and vel after sgd_step,
+        equal oracles.loss_and_grads with oracles.per_layer_sgd_step, and a
+        twin model's steps without buffers. A hidden layer of width 1 takes
+        the one-column bias gradient; scale 40 floors probs."""
+        rng = np.random.default_rng(seed)
+        models = [init_mlp(dims, rng) for _ in range(max(stack, 1))]
+        for m in models:
+            for b in m.biases:
+                b[...] = rng.normal(size=b.shape)
+        model = stack_models(models) if stack else models[0]
+        twin, lead = model.copy(), ((stack,) if stack else ())
+        ow, ob = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+        vw, vb = [np.zeros_like(w) for w in ow], [np.zeros_like(b) for b in ob]
+        vel, twin_vel = np.zeros_like(model.params), np.zeros_like(model.params)
+        buffers, cfg = nn.StepBuffers(model, rows), TrainConfig(weight_decay=5e-3)
+        for batch in (rows, max(1, round(tail * rows)), rows):
+            x = rng.normal(size=(*lead, batch, dims[0])) * scale
+            targets = rng.dirichlet(np.ones(dims[-1]), size=(*lead, batch))
+            hard = rng.integers(0, dims[-1], size=(*lead, batch))
+            args = (targets, terms[0], hard, terms[1])
+            entropies, twin_entropies = np.full((2, *lead, batch), -1.0)
+            loss, grad, probs = loss_and_grads(model, x, *args, entropies, buffers)
+            assert grad is buffers.grad
+            want = oracles.loss_and_grads(SimpleNamespace(weights=ow, biases=ob), x, *args)
+            twin_loss, twin_grad, twin_probs = loss_and_grads(twin, x, *args, twin_entropies)
+            for got in (loss, twin_loss):
+                assert np.asarray(got).tobytes() == np.asarray(want[0]).tobytes()
+            for got in (grad, twin_grad):
+                assert got.tobytes() == flat_grad(want[1], want[2]).tobytes()
+            for got in (probs, twin_probs):
+                assert got.shape == want[3].shape and got.tobytes() == want[3].tobytes()
+            for got in (entropies, twin_entropies):
+                assert got.tobytes() == oracles.masked_entropy_rows(want[3]).tobytes()
+            oracles.per_layer_sgd_step(ow, ob, vw, vb, want[1], want[2], 0.05, cfg)
+            sgd_step(model, grad, vel, 0.05, cfg, buffers)
+            sgd_step(twin, twin_grad, twin_vel, 0.05, cfg)
+            for params, velocity in ((model.params, vel), (twin.params, twin_vel)):
+                assert params.tobytes() == flat_grad(ow, ob).tobytes()
+                assert velocity.tobytes() == flat_grad(vw, vb).tobytes()
+
+    def test_sgd_step_decays_a_gradient_that_is_not_the_buffers(self):
+        """Given buffers and another gradient, sgd_step decays that gradient,
+        as it does without buffers."""
+        model, cfg = init_mlp((4, 6, 3), 0), TrainConfig(weight_decay=0.05)
+        twin, buffers = model.copy(), nn.StepBuffers(model, 8)
+        grad = np.random.default_rng(0).normal(size=model.params.shape)
+        vel, twin_vel = np.zeros_like(model.params), np.zeros_like(model.params)
+        sgd_step(model, grad.copy(), vel, 0.1, cfg, buffers)
+        sgd_step(twin, grad.copy(), twin_vel, 0.1, cfg)
+        assert model.params.tobytes() == twin.params.tobytes()
+        assert vel.tobytes() == twin_vel.tobytes()
+
+    def test_a_batch_or_model_that_does_not_fit_is_refused_before_any_write(self):
+        model = init_mlp((4, 6, 3), 0)
+        buffers = nn.StepBuffers(model, 8)
+        arrays = [buffers.grad, buffers.scratch, buffers.log, *buffers.outs, *buffers.deltas]
+        for a in arrays:
+            a.fill(7.0)
+        vel, t = np.zeros_like(model.params), np.full((9, 3), 1 / 3)
+        with pytest.raises(ValueError, match=r"^a batch of 9 rows does not fit buffers of 8 "
+                                             r"rows$"):
+            loss_and_grads(model, np.zeros((9, 4)), t, buffers=buffers)
+        for other, dims, shape in ((stack_models([model, model]), r"\(4, 6, 3\)", r"\(2, 51\)"),
+                                   (init_mlp((4, 5, 4), 0), r"\(4, 5, 4\)", r"\(49,\)")):
+            with pytest.raises(ValueError, match=r"^buffers for layer dims \(4, 6, 3\) and "
+                                                 r"params of shape \(51,\) got layer dims "
+                                                 rf"{dims} and params of shape {shape}$"):
+                loss_and_grads(other, np.zeros((2, 4)), t[:2, :other.layer_dims[-1]],
+                               buffers=buffers)
+        with pytest.raises(ValueError, match=r"^a gradient of shape \(50,\) for params of "
+                                             r"shape \(51,\)$"):
+            sgd_step(model, np.zeros(50), vel, 0.1, TrainConfig(), buffers)
+        assert all((a == 7.0).all() for a in arrays)
         assert not vel.any()
 
 
