@@ -15,7 +15,6 @@ from .emdriver import (
 )
 from .evaluation import accuracy, hamming_distance, ratio_sweep, reuse_run
 from .knowledge import (
-    CondensedSet,
     KnowledgeStore,
     ValueLabeling,
     build_store,
@@ -25,6 +24,6 @@ from .knowledge import (
     save_labels,
 )
 from .nn import MlpModel, TrainConfig, softmax, train_teacher
-from .ogve import OgveConfig, ValueState, rank
+from .ogve import ValueState, rank
 
 __version__ = "0.1.0"

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import data as datamod
 from . import emdriver, evaluation, knowledge, nn
-from .ogve import OgveConfig
+from .emdriver import DistillConfig, ScheduleConfig
+from .nn import TrainConfig
 
 _METHOD_ALIASES = {"random": emdriver.METHOD_RANDOM}
 CLI_METHODS = (*emdriver.ALL_METHODS, *_METHOD_ALIASES)
@@ -59,30 +60,34 @@ def _run_dir(tag: str) -> Path:
 
 
 def _add_schedule_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=0.7, help="final keep ratio")
-    p.add_argument("--alpha", type=float, default=0.03, help="frequency weight exponent")
-    p.add_argument("--eps-m", type=float, default=0.3, help="max soft-label blend ratio")
-    p.add_argument("--epochs", type=int, default=60, help="total training epochs I")
-    p.add_argument("--stage-len", type=int, default=10, help="epochs per stage T")
+    p.add_argument("--rho", type=float, default=ScheduleConfig.rho, help="final keep ratio")
+    p.add_argument("--alpha", type=float, default=DistillConfig.alpha,
+                   help="frequency weight exponent")
+    p.add_argument("--eps-m", type=float, default=DistillConfig.eps_m,
+                   help="max soft-label blend ratio")
+    p.add_argument("--epochs", type=int, default=ScheduleConfig.total_epochs,
+                   help="total training epochs I")
+    p.add_argument("--stage-len", type=int, default=ScheduleConfig.stage_len,
+                   help="epochs per stage T")
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr-decay-epochs", type=str, default=None,
                    help="csv of decay epochs; default 62.5/75/87.5%% of the run")
-    p.add_argument("--lr-decay-factor", type=float, default=0.1)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--hard-label-weight", type=float, default=0.0)
+    p.add_argument("--lr-decay-factor", type=float, default=TrainConfig.lr_decay_factor)
+    p.add_argument("--temperature", type=float, default=TrainConfig.temperature)
+    p.add_argument("--hard-label-weight", type=float, default=TrainConfig.hard_label_weight)
 
 
 def _add_run_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset directory (train.csv/test.csv)")
     p.add_argument("--teacher-probs", required=True, help=".npy of cached teacher soft labels")
     p.add_argument("--student-hidden", type=str, default=_csv(nn.DEFAULT_STUDENT_HIDDEN))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=DistillConfig.seed)
 
 
 def _add_run_io_args(p: argparse.ArgumentParser) -> None:
@@ -91,21 +96,17 @@ def _add_run_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-metrics", type=str, default=None)
 
 
-def _build_config(args, parser: argparse.ArgumentParser) -> emdriver.DistillConfig:
-    try:
-        schedule = emdriver.ScheduleConfig(
-            total_epochs=args.epochs, stage_len=args.stage_len, rho=args.rho)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _build_config(args) -> DistillConfig:
+    schedule = ScheduleConfig(total_epochs=args.epochs, stage_len=args.stage_len, rho=args.rho)
     decay = {} if args.lr_decay_epochs is None else dict(
         lr_decay_epochs=_items(args, "lr_decay_epochs", int))
-    train = nn.TrainConfig.desk_default(
+    train = TrainConfig.desk_default(
         args.epochs, lr=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
         batch_size=args.batch_size, lr_decay_factor=args.lr_decay_factor,
         temperature=args.temperature, hard_label_weight=args.hard_label_weight, **decay,
     )
-    return emdriver.DistillConfig(schedule=schedule, ogve=OgveConfig(alpha=args.alpha),
-                                  eps_m=args.eps_m, train=train, seed=args.seed)
+    return DistillConfig(schedule=schedule, alpha=args.alpha, eps_m=args.eps_m, train=train,
+                         seed=args.seed)
 
 
 def _load_teacher_probs(path) -> np.ndarray:
@@ -147,16 +148,17 @@ def _record_outputs(args) -> list:
             ("--out-metrics", _metrics_path(args, args.out_record))]
 
 
-def _check_paths(args, *outputs) -> None:
+def _check_paths(args, *outputs, extra_inputs=()) -> None:
     """Refuse, before any work, an output that is an existing directory, two
     outputs that resolve to one file and an output that resolves to an
-    input: the --data CSVs, --teacher-probs or --labels. Then make each
-    output's missing parent directories. outputs are (flag, path) pairs; a
-    None path is skipped."""
+    input: the --data CSVs, --teacher-probs, --labels or one of extra_inputs.
+    Then make each output's missing parent directories. outputs and
+    extra_inputs are (flag, path) pairs; a None output is skipped."""
     inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)
               if hasattr(args, "data")]
     inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
                for key in ("teacher_probs", "labels") if hasattr(args, key)]
+    inputs += extra_inputs
     claimed = {os.path.realpath(path): f"input {flag} {path}" for flag, path in inputs}
     outputs = [(flag, path) for flag, path in outputs if path is not None]
     for flag, path in outputs:
@@ -177,7 +179,7 @@ def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
     return record_path
 
 
-def cmd_gen_data(args, parser) -> int:
+def cmd_gen_data(args) -> int:
     out = Path(args.out)
     splits = [out / datamod.TRAIN_FILE, out / datamod.TEST_FILE]
     outputs = [*splits, *map(datamod.twin_path, splits), out / "meta.json"]
@@ -195,14 +197,13 @@ def cmd_gen_data(args, parser) -> int:
     return 0
 
 
-def cmd_train_teacher(args, parser) -> int:
+def cmd_train_teacher(args) -> int:
     # the path np.save(args.out_probs, probs) writes to
     probs_path = str(args.out_probs).removesuffix(".npy") + ".npy"
     hidden = _items(args, "hidden", int)
     if args.epochs < 0:
         raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
-    cfg = nn.TrainConfig.desk_default(args.epochs, lr=args.lr,
-                                      batch_size=args.batch_size)
+    cfg = TrainConfig.desk_default(args.epochs, lr=args.lr, batch_size=args.batch_size)
     _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
     dataset = datamod.load_split_dir(args.data)
     dims = (dataset.dim, *hidden, dataset.class_count)
@@ -219,8 +220,8 @@ def cmd_train_teacher(args, parser) -> int:
     return 0
 
 
-def cmd_distill(args, parser) -> int:
-    config = _build_config(args, parser)
+def cmd_distill(args) -> int:
+    config = _build_config(args)
     method = _METHOD_ALIASES.get(args.method, args.method)
     if args.export_labels and method == emdriver.METHOD_FULL_KD:
         raise ValueError(f"--export-labels needs a condensed labeling; a {method} run "
@@ -239,8 +240,8 @@ def cmd_distill(args, parser) -> int:
     return 0
 
 
-def cmd_reuse(args, parser) -> int:
-    config = _build_config(args, parser)
+def cmd_reuse(args) -> int:
+    config = _build_config(args)
     hidden = _items(args, "student_hidden", int)
     _check_paths(args, *_record_outputs(args))
     dataset, store = _load_run_inputs(args)
@@ -254,8 +255,8 @@ def cmd_reuse(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    base = _build_config(args, parser)
+def cmd_sweep(args) -> int:
+    base = _build_config(args)
     methods = [_METHOD_ALIASES.get(m, m) for m in _items(args, "methods")]
     if not methods:
         raise ValueError(f"--methods {args.methods!r} names no method")
@@ -290,12 +291,13 @@ def _plot_paths(out_csv) -> tuple[Path, Path]:
             out.with_name(out.stem + "_hamming.csv"))
 
 
-def cmd_report(args, parser) -> int:
-    plots = _plot_paths(args.out_csv) if args.emit_plot_data else ()
-    _check_paths(args, ("--out-csv", args.out_csv),
-                 *(("--emit-plot-data", path) for path in plots))
+def cmd_report(args) -> int:
     records_dir = Path(args.records)
     paths = sorted(records_dir.glob("**/*.json"))
+    plots = _plot_paths(args.out_csv) if args.emit_plot_data else ()
+    _check_paths(args, ("--out-csv", args.out_csv),
+                 *(("--emit-plot-data", path) for path in plots),
+                 extra_inputs=[("--records", path) for path in paths])
     records = []
     lines = ["record,method,rho,seed,final_accuracy,relative_cost,"
              "realized_relative_cost,wall_time_s"]
@@ -365,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--hidden", type=str, default=_csv(nn.DEFAULT_TEACHER_HIDDEN))
     p.add_argument("--epochs", type=int, default=80)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-probs", required=True)
@@ -409,10 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args)
     except (ValueError, OSError, FloatingPointError, emdriver.DistillationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,23 +21,10 @@ Because keep counts are whole samples, realized - ideal is not bounded by
 
 One stage loop serves every method and both reuse modes; a row of _METHODS
 says how a stage picks its labeling, how it blends the kept set, if at all,
-and how the run builds its ValueState, if it keeps one.
-
-The loop trains a group of runs in lockstep. Runs form a group when they
-share a _shape_key: the store, the epochs and stage length, the TrainConfig,
-the student's layer dims and the active-set size of every stage (N for
-full-kd, keep_count(N, tau_s) for the scheduled methods, the imported kept
-count for reuse rows). Their students become one stacked model, and each
-batch step, SGD update and per-epoch evaluation runs once for the whole
-stack; per model it is the arithmetic of a lone run, bit for bit. Each run
-still keeps its own generators, ValueState, labeling, blend and RunRecord.
-Runs distill against the store's read-only teacher matrix; a blending stage
-adds its blended rows and where they go, O(N + aug * C), not a copy of the
-N x C matrix; an epoch writes them into each chunk of batches it gathers.
-run_group, the one entry that trains, checks a job list, groups it by shape
-key, halves a group only while it holds more than one usable CPU's share
-of the work, spreads the chunks over forked workers, largest first, and
-hands back each student trained; run() is a list of one.
+and how the run builds its ValueState, if it keeps one. run_group is the one
+entry that trains. Runs that share a _shape_key train in lockstep as one
+stacked model: each batch step, SGD update and evaluation runs once for the
+stack, and per model it is the arithmetic of a lone run, bit for bit.
 
 Training batches are drawn by shuffling the ascending active ids with
 a dedicated generator stream, so two methods with equal stage sizes consume
@@ -65,7 +52,6 @@ from . import nn, ogve, vaks
 from .data import Dataset, write_atomic
 from .knowledge import KnowledgeStore, ValueLabeling, check_simplex
 from .nn import accuracy
-from .ogve import OgveConfig
 
 METHOD_KCD = "kcd"
 METHOD_FULL_KD = "full-kd"
@@ -74,12 +60,6 @@ METHOD_OGVE_ONLY = "ogve-only"
 METHOD_NO_OVR = "no-ovr"
 METHOD_NO_CAR = "no-car"
 METHOD_FIXED_EPS = "fixed-eps"
-ALL_METHODS = (METHOD_KCD, METHOD_FULL_KD, METHOD_RANDOM, METHOD_OGVE_ONLY,
-               METHOD_NO_OVR, METHOD_NO_CAR, METHOD_FIXED_EPS)
-
-REUSE_DIRECT = "direct-select"
-REUSE_VAKS = "with-vaks"
-REUSE_MODES = (REUSE_DIRECT, REUSE_VAKS)
 
 
 class DistillationError(RuntimeError):
@@ -166,22 +146,25 @@ class EpochRow:
 
 @dataclass
 class DistillConfig:
+    """alpha is OGVE's frequency exponent, eps_m VAKS's blend ceiling."""
+
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    ogve: OgveConfig = field(default_factory=OgveConfig)
+    alpha: float = 0.03
     eps_m: float = 0.3
     train: nn.TrainConfig = field(default_factory=nn.TrainConfig)
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.eps_m < np.inf:
-            raise ValueError(f"eps_m must be finite and >= 0, got {self.eps_m}")
+        for name in ("alpha", "eps_m"):
+            if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails both
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def echo(self) -> dict:
         return {
             "total_epochs": self.schedule.total_epochs,
             "stage_len": self.schedule.stage_len,
             "rho": self.schedule.rho,
-            "alpha": self.ogve.alpha,
+            "alpha": self.alpha,
             "eps_m": self.eps_m,
             "seed": self.seed,
             "train": asdict(self.train),
@@ -342,16 +325,18 @@ def init_student(input_dim: int, hidden_dims, num_classes: int, seed: int) -> nn
 def _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg, lr,
                  stage: int, epoch: int) -> np.ndarray:
     """One epoch of a lockstep group: run k shuffles its active[k], which
-    must be ascending, and distills against the store's teacher probs with
-    blends[k] applied: None, or (aug_at, aug_probs), where aug_at[i] is -1 or
-    the row of aug_probs that replaces sample i's. Each chunk of whole batches
-    of the order (at most _EPOCH_CHUNK_BYTES of feature and teacher rows per
-    run, and at least one batch) is gathered once, each blend overwrites its
-    rows in it once, and every batch is one stacked step over views of the
-    chunk, written into buffers (nn.StepBuffers). Returns each run's mean
-    loss. A run that keeps a ValueState records each trained sample's
-    temperature-1 prediction entropy in it, which the step writes
-    (nn.loss_and_grads's entropy_out); when no run keeps one, none is made.
+    must be ascending, and distills against the store's read-only teacher
+    probs with blends[k] applied: None, or (aug_at, aug_probs), where
+    aug_at[i] is -1 or the row of aug_probs that replaces sample i's, so a
+    blend takes O(N + aug * C), not a copy of the N x C matrix. Each chunk of
+    whole batches of the order (at most _EPOCH_CHUNK_BYTES of feature and
+    teacher rows per run, and at least one batch) is gathered once, each
+    blend overwrites its rows in it once, and every batch is one stacked
+    step over views of the chunk, written into buffers (nn.StepBuffers).
+    Returns each run's mean loss. A run that keeps a ValueState records each
+    trained sample's temperature-1 prediction entropy in it, which the step
+    writes (nn.loss_and_grads's entropy_out); when no run keeps one, none is
+    made.
 
     The entropies are folded into the value state once, after the last
     batch. That gives the same values as folding after every batch: an id
@@ -442,8 +427,9 @@ class _Run:
 
 def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed):
     """Check stage s's hand-over in O(N): the labeling keeps the planned count,
-    and the condensed set, if any, blends distinct kept samples with one
-    aug_probs row each, on the simplex. Returns the blend."""
+    and the blend (aug_ids, aug_probs), if any, blends distinct kept samples
+    with one aug_probs row each, on the simplex. Returns it in _train_epoch's
+    form."""
     labels, planned = labeling.labels, run.sizes[s - 1]
     kept = int(np.count_nonzero(labels))
     try:
@@ -451,23 +437,23 @@ def _check_boundary(run: _Run, s: int, labeling: ValueLabeling, condensed):
             raise ValueError(f"the labeling keeps {kept} samples, the stage plans {planned}")
         if condensed is None:
             return None
-        aug, rows = condensed.aug_ids, len(condensed.aug_probs)
+        aug, aug_probs = condensed
         if aug.size and (aug.min() < 0 or aug.max() >= labels.size or not labels[aug].all()):
             raise ValueError("a blended id is not a kept sample")
         if np.bincount(aug).max(initial=0) > 1:
             raise ValueError("a blended id repeats")
-        if rows != aug.size:
-            raise ValueError(f"aug_probs has {rows} rows for {aug.size} blended ids")
-        check_simplex(condensed.aug_probs, lambda j: f"the blended row of sample {aug[j]}")
+        if len(aug_probs) != aug.size:
+            raise ValueError(f"aug_probs has {len(aug_probs)} rows for {aug.size} blended ids")
+        check_simplex(aug_probs, lambda j: f"the blended row of sample {aug[j]}")
     except ValueError as exc:
         raise DistillationError(f"{run.name}: stage {s}: {exc}") from None
     aug_at = np.full(labels.size, -1)
     aug_at[aug] = np.arange(aug.size)
-    return (aug_at, condensed.aug_probs) if aug.size else None
+    return (aug_at, aug_probs) if aug.size else None
 
 
-def _by_value(run, tau, cfg=None):
-    return ogve.label_by_ratio(run.values, cfg or run.config.ogve, tau)
+def _by_value(run, tau, alpha=None):
+    return ogve.label_by_ratio(run.values, run.config.alpha if alpha is None else alpha, tau)
 
 
 def _at_random(run, tau):
@@ -484,20 +470,34 @@ def _summary(run, labeling, constant_eps=False):
 
 # method -> (stage labeling(run, tau), or None to keep every sample; the
 # condenser(run, labeling) that blends the kept set, or None to train it on its
-# original soft labels; the run's ValueState(n), or None to keep none)
+# original soft labels; the run's ValueState(n), or None to keep none). The
+# one registry: a row added here trains. Rows that import their labeling are
+# the reuse-<mode> rows; the others, in this order, are ALL_METHODS, which
+# orders a sweep's rows.
 _METHODS = {
     METHOD_KCD: (_by_value, _summary, ogve.ValueState),
-    METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), ogve.ValueState),
+    METHOD_FULL_KD: (None, None, None),
+    METHOD_RANDOM: (_at_random, None, None),
     METHOD_OGVE_ONLY: (_by_value, None, ogve.ValueState),
     METHOD_NO_OVR: (_by_value, None, partial(ogve.ValueState, latest=True)),
-    METHOD_NO_CAR: (partial(_by_value, cfg=OgveConfig(alpha=0.0)), None, ogve.ValueState),
-    METHOD_RANDOM: (_at_random, None, None),
-    METHOD_FULL_KD: (None, None, None),
-    f"reuse-{REUSE_DIRECT}": (_imported, None, None),
-    f"reuse-{REUSE_VAKS}": (_imported, _summary, None),
+    METHOD_NO_CAR: (partial(_by_value, alpha=0.0), None, ogve.ValueState),
+    METHOD_FIXED_EPS: (_by_value, partial(_summary, constant_eps=True), ogve.ValueState),
+    "reuse-direct-select": (_imported, None, None),
+    "reuse-with-vaks": (_imported, _summary, None),
 }
 
 
+def _method_names(imported: bool) -> tuple[str, ...]:
+    return tuple(m for m, row in _METHODS.items() if (row[0] is _imported) == imported)
+
+
+ALL_METHODS = _method_names(False)
+REUSE_MODES = tuple(m.removeprefix("reuse-") for m in _method_names(True))
+
+
+# each step checks its own loss and gradient, so numpy's overflow and
+# invalid-value warnings would only repeat the DistillationError
+@np.errstate(over="ignore", invalid="ignore")
 def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[tuple]:
     """The stage loop for a group of runs that share a shape_key. Returns a
     (trained parameters, record) pair per run and leaves every run's student
@@ -593,26 +593,26 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
     """Train any list of Jobs; returns a (student, record) pair per job, in
     job order, each student holding its trained parameters.
 
-    Every job is checked before any run starts: only a reuse row takes a
-    labeling, a hard-label weight needs a store with hard labels, a student
-    takes the store's feature and class counts, and no two jobs share one
-    student object. Jobs with one _shape_key train in lockstep; _chunks
-    splits a shape group only while it holds more than a usable CPU's share
-    of the work, and _pool_map spreads the chunks over worker processes,
-    largest first. A lone job trains an unstacked copy of
-    its student. Students take their trained parameters only after every
-    chunk has returned, so a failing job leaves every student as it was, on
-    any CPU count. Records and parameters are bit-identical to training each
-    job alone.
+    Every job is checked against _METHODS as it stands and before any run
+    starts: only a reuse row takes a labeling, and one must, a hard-label
+    weight needs a store with hard labels, a student takes the store's
+    feature and class counts, and no two jobs share one student object. Jobs
+    with one _shape_key train in lockstep, in the chunks _chunks cuts, which
+    _pool_map spreads over worker processes. Students take their trained
+    parameters only after every chunk has returned, so a failing job leaves
+    every student as it was, on any CPU count. Records and parameters are
+    bit-identical to training each job alone.
     """
     jobs = [Job(*job) for job in jobs]
     groups: dict[tuple, list[int]] = {}
     owners: dict[int, tuple] = {}  # id(student) -> (index, name) of its first job
     for i, job in enumerate(jobs):
-        if job.method not in (ALL_METHODS if job.labeling is None else _METHODS):
-            raise ValueError(f"unknown method {job.method!r}; expected one of {ALL_METHODS}")
+        row = _METHODS.get(job.method)
+        if row is None or (job.labeling is None and row[0] is _imported):
+            raise ValueError(f"unknown method {job.method!r}; "
+                             f"expected one of {_method_names(False)}")
         name = f"{job.method} seed {job.config.seed}"
-        if job.labeling is not None and _METHODS[job.method][0] is not _imported:
+        if job.labeling is not None and row[0] is not _imported:
             raise ValueError(f"{name}: the method imports no labeling, but one was given")
         if job.labeling is not None and job.labeling.n != store.n:
             raise ValueError(f"{name}: label count {job.labeling.n} does not match store "

@@ -2,9 +2,8 @@
 
 The store is the immutable record of what the teacher says about each training
 sample: its arrays are read-only, so runs in any number of threads may share
-one. A run's value estimate lives in its own ogve.ValueState, a stage's blended
-soft labels in a CondensedSet that emdriver._check_boundary checks. Each check
-runs over whole arrays at once and names the first offending sample or record.
+one. A run's value estimate lives in its own ogve.ValueState. Each check runs
+over whole arrays at once and names the first offending sample or record.
 """
 
 from __future__ import annotations
@@ -96,20 +95,6 @@ class ValueLabeling:
         if not isinstance(other, ValueLabeling):
             return NotImplemented
         return np.array_equal(self.ranks, other.ranks) and np.array_equal(self.labels, other.labels)
-
-
-@dataclass
-class CondensedSet:
-    """One stage's blend, a plain record checked by emdriver._check_boundary.
-
-    aug_ids lists the borderline kept samples whose soft labels were blended,
-    and row j of the len(aug_ids) x C matrix aug_probs is the blended label of
-    aug_ids[j]. The stage trains on its labeling's kept samples; every one
-    outside aug_ids distills against the store's original teacher probs.
-    """
-
-    aug_ids: np.ndarray
-    aug_probs: np.ndarray
 
 
 class KnowledgeStore:

@@ -14,8 +14,6 @@ by the same constant and cannot change any ranking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .knowledge import ValueLabeling
@@ -30,17 +28,6 @@ class ValueState:
         self.values = np.full(n, np.nan)
         self.frequencies = np.zeros(n, dtype=np.int64)
         self.latest = latest
-
-
-@dataclass(frozen=True)
-class OgveConfig:
-    """alpha is the exponent applied to training frequency when ranking."""
-
-    alpha: float = 0.03
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
@@ -85,19 +72,21 @@ def observe_batch(state: ValueState, sample_ids, new_values) -> None:
     state.frequencies.put(ids, freq)
 
 
-def cost_aware_scores(state: ValueState, cfg: OgveConfig) -> np.ndarray:
-    """Vectorized scores over every sample; unobserved entries get -inf so
-    they sort below every observed sample."""
+def cost_aware_scores(state: ValueState, alpha: float) -> np.ndarray:
+    """Vectorized scores value * frequency**alpha over every sample;
+    unobserved entries get -inf so they sort below every observed sample."""
+    if not 0.0 <= alpha < np.inf:  # NaN fails both
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     observed = state.frequencies > 0
     with np.errstate(invalid="ignore"):
-        raw = state.values * state.frequencies.astype(np.float64) ** cfg.alpha
+        raw = state.values * state.frequencies.astype(np.float64) ** alpha
     return np.where(observed, raw, -np.inf)
 
 
-def rank(state: ValueState, cfg: OgveConfig) -> np.ndarray:
+def rank(state: ValueState, alpha: float) -> np.ndarray:
     """Rank positions 0..N-1 (0 = highest score), descending by score with
     ties broken by ascending sample id."""
-    return ranks_from_scores(cost_aware_scores(state, cfg))
+    return ranks_from_scores(cost_aware_scores(state, alpha))
 
 
 def ranks_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -142,6 +131,6 @@ def labeling_from_ranks(ranks: np.ndarray, keep_ratio: float) -> ValueLabeling:
     return ValueLabeling(ranks=ranks, labels=ranks < keep_count(ranks.size, keep_ratio))
 
 
-def label_by_ratio(state: ValueState, cfg: OgveConfig, keep_ratio: float) -> ValueLabeling:
+def label_by_ratio(state: ValueState, alpha: float, keep_ratio: float) -> ValueLabeling:
     """Rank every sample and label the top round(keep_ratio * N) as kept."""
-    return labeling_from_ranks(rank(state, cfg), keep_ratio)
+    return labeling_from_ranks(rank(state, alpha), keep_ratio)

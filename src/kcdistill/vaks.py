@@ -7,17 +7,17 @@ lowest-ranked ones, form the borderline slice. Each borderline soft label is
 blended with the soft label of its rank-aligned discarded partner (the j-th
 borderline sample with the j-th best discarded one) under a linearly growing
 blend ratio, so the borderline samples nearest the cut absorb the most
-outside knowledge. The condensed set's aug_ids are the borderline slice and
-its aug_probs the blended matrix, one row per borderline sample. Neither
-checks its result: the stage loop checks each blend against its labeling
-(emdriver._check_boundary) before the stage trains.
+outside knowledge. The blend is the pair (aug_ids, aug_probs): the
+borderline slice and the blended matrix, one row per borderline sample.
+Neither function checks its result: the stage loop checks each blend against
+its labeling (emdriver._check_boundary) before the stage trains.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .knowledge import CondensedSet, KnowledgeStore, ValueLabeling
+from .knowledge import KnowledgeStore, ValueLabeling
 
 _CHUNK_ROWS = 8192
 
@@ -60,10 +60,10 @@ def augment(k1l_ids, k0_ids, schedule, store: KnowledgeStore) -> np.ndarray:
 
 
 def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
-             constant_eps: bool = False) -> CondensedSet:
-    """The borderline slice of the kept samples, blended under
-    epsilon_schedule, or under eps_m throughout with constant_eps (the
-    non-adaptive variant)."""
+             constant_eps: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The borderline slice of the kept samples and their blended soft
+    labels, (aug_ids, aug_probs), blended under epsilon_schedule, or under
+    eps_m throughout with constant_eps (the non-adaptive variant)."""
     # sample ids from rank 0 down: np.argsort(labeling.ranks) by one O(N) scatter
     order = np.empty(labeling.n, dtype=np.int64)
     order[labeling.ranks] = np.arange(labeling.n)
@@ -73,8 +73,7 @@ def condense(labeling: ValueLabeling, store: KnowledgeStore, eps_m: float,
     n_low = min(members.size, discarded.size)
     border = members[members.size - n_low:]
     schedule = np.full(n_low, float(eps_m)) if constant_eps else epsilon_schedule(n_low, eps_m)
-    blended = augment(border, discarded[:n_low], schedule, store)
-    return CondensedSet(aug_ids=border, aug_probs=blended)
+    return border, augment(border, discarded[:n_low], schedule, store)
 
 
 def direct_selection(labeling: ValueLabeling) -> np.ndarray:

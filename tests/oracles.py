@@ -25,7 +25,7 @@ import numpy as np
 from kcdistill import nn
 from kcdistill.data import CSV_FLOAT_FORMAT, Dataset, DataFormatError
 from kcdistill.knowledge import SIMPLEX_ATOL, check_permutation
-from kcdistill.ogve import OgveConfig, keep_count
+from kcdistill.ogve import keep_count
 
 
 def computation_ratio(tau_list, stage_len: int, n_points: int,
@@ -280,11 +280,11 @@ class TwoArrayValues:
         self.frequencies[ids] = freq
 
 
-def cost_aware_score(record: ValueRecord, cfg: OgveConfig) -> float:
+def cost_aware_score(record: ValueRecord, alpha: float) -> float:
     """Score used for ranking: running value times frequency**alpha."""
     if record.frequency < 1:
         raise ValueError("unobserved sample: frequency is 0")
-    return float(record.value * record.frequency ** cfg.alpha)
+    return float(record.value * record.frequency ** alpha)
 
 
 def lexsort_ranks(scores) -> np.ndarray:

@@ -189,11 +189,16 @@ class TestDistill:
         assert record.cost.relative_cost == pytest.approx(0.8165, abs=5e-4)
 
     def test_stage_len_must_divide_epochs(self, workdir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(distill_args(workdir, tmp_path / "x.json",
-                              ["--epochs", "240", "--stage-len", "7"]))
-        assert exc.value.code == 2
-        assert "T must divide I" in capsys.readouterr().err
+        """A bad schedule is refused like any other bad setting: one error
+        line and exit 1, with nothing written."""
+        code = main(distill_args(workdir, tmp_path / "x.json",
+                                 ["--epochs", "240", "--stage-len", "7"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "T must divide I" in err
+        assert err == ("error: T must divide I: stage_len 7 does not divide "
+                       "total_epochs 240\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag, message", [
         ("--eps-m", "eps_m must be finite and >= 0"),
@@ -290,12 +295,11 @@ class TestDistill:
         from kcdistill.emdriver import DistillConfig, ScheduleConfig, init_student, run
         from kcdistill.knowledge import build_store
         from kcdistill.nn import TrainConfig
-        from kcdistill.ogve import OgveConfig
 
         cfg = record.config
         config = DistillConfig(
             schedule=ScheduleConfig(cfg["total_epochs"], cfg["stage_len"], cfg["rho"]),
-            ogve=OgveConfig(alpha=cfg["alpha"]),
+            alpha=cfg["alpha"],
             eps_m=cfg["eps_m"],
             train=TrainConfig(**cfg["train"]),
             seed=cfg["seed"],
@@ -746,6 +750,17 @@ class TestOutputPathCollisions:
         assert capsys.readouterr().err == f"error: {flag} {inputs / 'out'} is a directory\n"
         assert self.snapshot(inputs) == before
         assert list((inputs / "out").iterdir()) == []
+
+    def test_report_refuses_to_overwrite_a_record_it_reads(self, workdir, tmp_path, capsys):
+        records = tmp_path / "recs"
+        assert main(distill_args(workdir, records / "a.json")) == 0
+        before = self.snapshot(records)
+        capsys.readouterr()
+        record = records / "a.json"
+        assert main(["report", "--records", str(records), "--out-csv", str(record)]) == 1
+        assert capsys.readouterr().err == (f"error: --out-csv {record} is the same file as "
+                                           f"input --records {record}\n")
+        assert self.snapshot(records) == before
 
 
 class TestOutputDirectories:

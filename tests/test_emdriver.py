@@ -4,7 +4,7 @@ import json
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from kcdistill.emdriver import (
 from kcdistill.data import gen_gaussian_mixture
 from kcdistill.knowledge import ValueLabeling, build_store
 from kcdistill.nn import TrainConfig
-from kcdistill.ogve import OgveConfig, keep_count
+from kcdistill.ogve import keep_count
 from oracles import (
     TwoArrayValues,
     computation_ratio,
@@ -48,7 +48,7 @@ def make_config(seed=0, rho=0.7, epochs=12, stage_len=3, alpha=0.03, eps_m=0.3,
                 **train_overrides):
     return DistillConfig(
         schedule=ScheduleConfig(total_epochs=epochs, stage_len=stage_len, rho=rho),
-        ogve=OgveConfig(alpha=alpha),
+        alpha=alpha,
         eps_m=eps_m,
         train=TrainConfig.desk_default(epochs, **train_overrides),
         seed=seed,
@@ -145,6 +145,11 @@ class TestScheduleConfig:
 
     @pytest.mark.parametrize("config, field, value", [
         (DistillConfig, "eps_m", np.nan), (DistillConfig, "eps_m", np.inf),
+        (DistillConfig, "alpha", np.nan), (DistillConfig, "alpha", np.inf),
+        (DistillConfig, "alpha", -0.1),
+        (partial(ogve.rank, ogve.ValueState(2)), "alpha", np.nan),
+        (partial(ogve.rank, ogve.ValueState(2)), "alpha", np.inf),
+        (partial(ogve.rank, ogve.ValueState(2)), "alpha", -0.1),
         (TrainConfig, "lr", np.nan), (TrainConfig, "lr", np.inf),
         (TrainConfig, "momentum", np.nan),
         (TrainConfig, "weight_decay", np.nan), (TrainConfig, "weight_decay", np.inf),
@@ -238,7 +243,6 @@ class TestRunMechanics:
         _, rec_b = run_small(small_task, seed=4)
         assert rec_a.param_digest != rec_b.param_digest
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_context(self, small_task):
         with pytest.raises(DistillationError, match=r"stage \d+, epoch \d+"):
             run_small(small_task, lr=1e9, weight_decay=0.0)
@@ -283,7 +287,7 @@ class TestDegenerateEquivalence:
         from kcdistill.ogve import cost_aware_scores
 
         _, values = run_with_state(small_task, seed=7)  # mixed frequencies
-        scores = cost_aware_scores(values, OgveConfig(alpha=0.0))
+        scores = cost_aware_scores(values, 0.0)
         observed = values.frequencies > 0
         np.testing.assert_array_equal(scores[observed], values.values[observed])
 
@@ -743,17 +747,16 @@ class TestTrainEpoch:
         not a copy of the store's matrix."""
         _, store = small_task
         labeling = ogve.labeling_from_ranks(np.arange(store.n), 0.5)
-        condensed = vaks.condense(labeling, store, 0.3)
-        assert condensed.aug_ids.size
+        aug_ids, blended = vaks.condense(labeling, store, 0.3)
+        assert aug_ids.size
         student = init_student(store.dim, (8,), store.num_classes, 0)
         _, (aug_at, aug_probs), _, aug_count = emdriver._Run(
             store, make_config(eps_m=0.3), student, "reuse-with-vaks", labeling).stage(1)
-        assert aug_count == condensed.aug_ids.size
+        assert aug_count == aug_ids.size
         assert aug_probs.shape == (aug_count, store.num_classes)
-        np.testing.assert_array_equal(aug_at[condensed.aug_ids], np.arange(aug_count))
-        assert (np.delete(aug_at, condensed.aug_ids) == -1).all()
-        np.testing.assert_array_equal(aug_probs[aug_at[condensed.aug_ids]],
-                                      condensed.aug_probs)
+        np.testing.assert_array_equal(aug_at[aug_ids], np.arange(aug_count))
+        assert (np.delete(aug_at, aug_ids) == -1).all()
+        np.testing.assert_array_equal(aug_probs[aug_at[aug_ids]], blended)
 
     def test_blending_run_holds_no_copy_of_the_teacher_matrix(self):
         """A kcd run on a store whose C far exceeds what its data needs: its
@@ -778,6 +781,30 @@ class TestTrainEpoch:
 class TestMethodTable:
     def test_rows_are_exactly_the_methods_and_reuse_modes(self):
         assert set(emdriver._METHODS) == set(ALL_METHODS) | {f"reuse-{m}" for m in REUSE_MODES}
+
+    def test_a_row_added_to_the_table_trains_with_nothing_else_registered(
+            self, small_task, monkeypatch):
+        """A control that is only a table row, here a value ranking that
+        keeps the lowest scores, trains through run_group under its name and
+        keeps keep_count(N, rho) at its last stage."""
+        ds, store = small_task
+
+        def reversed_value(run, tau):
+            scores = ogve.cost_aware_scores(run.values, run.config.alpha)
+            return ogve.labeling_from_ranks(ogve.ranks_from_scores(-scores), tau)
+
+        monkeypatch.setitem(emdriver._METHODS, "reversed",
+                            (reversed_value, None, ogve.ValueState))
+        config = make_config(seed=5)
+        student = init_student(store.dim, (8,), store.num_classes, 5)
+        [(_, record)] = run_group(store, ds, [Job(config, student, "reversed")])
+        assert record.method == "reversed"
+        kept = keep_count(store.n, config.schedule.rho)
+        assert record.stages[-1].set_size == kept
+        assert int(np.count_nonzero(record.final_labels)) == kept
+        with pytest.raises(ValueError, match="^unknown method 'mystery'; expected one of "
+                                             r"\(.*'reversed'\)$"):
+            run_group(store, ds, [Job(config, student, "mystery")])
 
     def test_all_methods_keep_their_order(self):
         """A sweep over ALL_METHODS writes its rows, and so its digest, in this order."""
@@ -1010,7 +1037,6 @@ class TestLockstep:
             run_group(bare, ds, jobs)
         assert epochs == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_failing_job_leaves_every_student_as_it_was(self, small_task, monkeypatch,
                                                           cpus):
@@ -1085,10 +1111,10 @@ def test_keep_count_is_checked_at_every_stage_boundary(small_task, monkeypatch, 
 
 
 def with_aug_id(condensed, i, new_id):
-    """condensed with blended id i set to new_id."""
-    ids = condensed.aug_ids.copy()
+    """condensed (aug_ids, aug_probs) with blended id i set to new_id."""
+    ids = condensed[0].copy()
     ids[i] = new_id
-    return replace(condensed, aug_ids=ids)
+    return ids, condensed[1]
 
 
 def first_discarded(labeling):
@@ -1096,23 +1122,24 @@ def first_discarded(labeling):
 
 
 def off_simplex_row_1(condensed, *_):
-    probs = condensed.aug_probs.copy()
+    probs = condensed[1].copy()
     probs[1] *= 2.0
-    return replace(condensed, aug_probs=probs)
+    return condensed[0], probs
 
 
 # fault -> (corrupt(condensed, labeling, ...), the error after "stage 2: ",
-# formatted with the real stage-2 condensed set, and the runs it applies to)
+# formatted with the real stage-2 blend (aug_ids, aug_probs), and the runs it
+# applies to)
 BLEND_RUNS = ("kcd", "reuse-with-vaks")
 BOUNDARY_FAULTS = {
     "blended-id-not-kept": (
         lambda c, labeling, *_: with_aug_id(c, 0, first_discarded(labeling)),
         "a blended id is not a kept sample", BLEND_RUNS),
     "repeated-blended-id": (
-        lambda c, *_: with_aug_id(c, 0, c.aug_ids[1]),
+        lambda c, *_: with_aug_id(c, 0, c[0][1]),
         "a blended id repeats", BLEND_RUNS),
     "blended-row-missing": (
-        lambda c, *_: replace(c, aug_probs=c.aug_probs[1:]),
+        lambda c, *_: (c[0], c[1][1:]),
         "aug_probs has {rows} rows for {aug.size} blended ids", BLEND_RUNS),
     "blended-row-off-the-simplex": (
         off_simplex_row_1,
@@ -1137,9 +1164,9 @@ def test_a_faulty_condensed_set_stops_the_run_at_its_boundary(small_task, monkey
               method, labeling)
     with pytest.raises(DistillationError) as caught:
         run_group(store, ds, [job])
-    real = results[1]
+    real_ids = results[1][0]
     assert str(caught.value) == f"{method} seed 4: stage 2: " + message.format(
-        aug=real.aug_ids, rows=real.aug_ids.size - 1)
+        aug=real_ids, rows=real_ids.size - 1)
     assert len(epochs) == 3  # stage 1 only: 12 epochs in stages of 3
 
 

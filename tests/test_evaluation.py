@@ -23,7 +23,6 @@ from kcdistill.evaluation import (
     sweep_rows_to_csv,
 )
 from kcdistill.nn import TrainConfig, init_mlp
-from kcdistill.ogve import OgveConfig
 
 
 class TestAccuracy:
@@ -87,7 +86,7 @@ class TestHamming:
 def small_config(seed=0, rho=0.7, epochs=12, stage_len=3):
     return DistillConfig(
         schedule=ScheduleConfig(epochs, stage_len, rho),
-        ogve=OgveConfig(alpha=0.03),
+        alpha=0.03,
         train=TrainConfig.desk_default(epochs),
         seed=seed,
     )

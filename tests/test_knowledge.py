@@ -1,7 +1,6 @@
 import pickle
 import re
 import struct
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from kcdistill.data import DataFormatError, first_non_finite_row, gen_gaussian_mixture
 from kcdistill.knowledge import (
-    CondensedSet,
     ValueLabeling,
     build_store,
     check_permutation,
@@ -350,16 +348,6 @@ class TestLabelSerialization:
         blob[20:24] = (2 ** 20).to_bytes(4, "little")
         with pytest.raises(DataFormatError):
             import_labels(bytes(blob))
-
-
-class TestCondensedSet:
-    def test_holds_only_the_blend(self):
-        cs = CondensedSet(aug_ids=np.array([5]), aug_probs=np.array([[0.5, 0.5]]))
-        assert [f.name for f in fields(cs)] == ["aug_ids", "aug_probs"]
-        assert list(cs.aug_ids) == [5]
-        assert cs.aug_probs.shape == (1, 2)
-        with pytest.raises(TypeError):
-            CondensedSet(aug_ids=np.array([5]))
 
 
 # a ten-record stream: 16 header bytes, then 9 bytes per record

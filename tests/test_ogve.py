@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcdistill.ogve import (
-    OgveConfig,
     ValueState,
     entropy_rows,
     keep_count,
@@ -196,23 +195,23 @@ class TestCostAwareScore:
     def test_frequency_exponent_oracle(self):
         oracle = math.exp(0.03 * math.log(10))
         assert oracle == pytest.approx(1.071519, abs=1e-6)
-        got = cost_aware_score(ValueRecord(1.0, 10), OgveConfig(alpha=0.03))
+        got = cost_aware_score(ValueRecord(1.0, 10), 0.03)
         assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_alpha_zero_disables_reweighting(self):
-        assert cost_aware_score(ValueRecord(2.5, 7), OgveConfig(alpha=0.0)) == 2.5
+        assert cost_aware_score(ValueRecord(2.5, 7), 0.0) == 2.5
 
     def test_frequency_one_is_identity(self):
         for alpha in (0.0, 0.03, 1.5):
-            assert cost_aware_score(ValueRecord(2.5, 1), OgveConfig(alpha=alpha)) == 2.5
+            assert cost_aware_score(ValueRecord(2.5, 1), alpha) == 2.5
 
     def test_unobserved_rejected(self):
         with pytest.raises(ValueError, match="unobserved"):
-            cost_aware_score(ValueRecord(), OgveConfig())
+            cost_aware_score(ValueRecord(), 0.03)
 
     def test_config_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
-            OgveConfig(alpha=-0.1)
+            rank(ValueState(1), -0.1)
 
 
 def state_with_scores(values, frequencies=None):
@@ -225,17 +224,17 @@ def state_with_scores(values, frequencies=None):
 class TestRank:
     def test_descending_sort(self):
         state = state_with_scores([3.0, 1.0, 2.0])
-        assert list(rank(state, OgveConfig(alpha=0.0))) == [0, 2, 1]
+        assert list(rank(state, 0.0)) == [0, 2, 1]
 
     def test_tie_break_by_id(self):
         state = state_with_scores([1.0, 1.0])
-        assert list(rank(state, OgveConfig(alpha=0.0))) == [0, 1]
+        assert list(rank(state, 0.0)) == [0, 1]
 
     def test_unobserved_ranked_last(self):
         state = state_with_scores([0.1, 0.5, 0.9])
         state.frequencies[1] = 0
         state.values[1] = np.nan
-        ranks = rank(state, OgveConfig(alpha=0.0))
+        ranks = rank(state, 0.0)
         assert ranks[1] == 2
 
     def test_unobserved_ranked_last_in_id_order(self):
@@ -245,7 +244,7 @@ class TestRank:
         unobserved = np.flatnonzero(rng.random(40) < 0.4)
         state.frequencies[unobserved] = 0
         state.values[unobserved] = np.nan
-        ranks = rank(state, OgveConfig())
+        ranks = rank(state, 0.03)
         assert list(ranks[unobserved]) == list(range(40 - unobserved.size, 40))
         assert np.array_equal(ranks, lexsort_ranks(
             np.where(state.frequencies > 0, state.values * state.frequencies ** 0.03,
@@ -279,7 +278,7 @@ class TestRank:
             state = ValueState(2, latest=latest)
             observe_batch(state, [0, 1], [0.0, 5.5])
             observe_batch(state, [0, 1], [5.0, 0.5])
-            ranks.append(list(rank(state, OgveConfig(alpha=0.0))))
+            ranks.append(list(rank(state, 0.0)))
         assert ranks == [[1, 0], [0, 1]]
 
 
@@ -417,7 +416,7 @@ class TestRatioLabeling:
 
     def test_label_by_ratio_uses_store_scores(self):
         state = state_with_scores([0.1, 0.9, 0.5, 0.7])
-        labeling = label_by_ratio(state, OgveConfig(alpha=0.0), 0.5)
+        labeling = label_by_ratio(state, 0.0, 0.5)
         assert list(np.flatnonzero(labeling.labels)) == [1, 3]
 
     def test_threshold_matches_labeling(self):

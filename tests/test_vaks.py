@@ -47,54 +47,54 @@ class TestPartition:
             selected = direct_selection(labeling)
             assert selected.dtype == np.int64
             assert np.array_equal(selected, np.sort(kept))
-            assert np.array_equal(condense(labeling, store, 0.3).aug_ids, kept[kept.size - n_low:])
+            assert np.array_equal(condense(labeling, store, 0.3)[0], kept[kept.size - n_low:])
 
     def test_borderline_matches_discarded_size(self):
         store, labeling = labeled_store(10, 0.7)
-        condensed = condense(labeling, store, 0.3)
-        assert direct_selection(labeling).size - condensed.aug_ids.size == 4
-        assert condensed.aug_ids.size == 3
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
+        assert direct_selection(labeling).size - aug_ids.size == 4
+        assert aug_ids.size == 3
         assert oracle_split(labeling)[1].size == 3
 
     def test_all_kept_degenerates(self):
         store, labeling = labeled_store(10, 1.0)
-        condensed = condense(labeling, store, 0.3)
-        assert condensed.aug_ids.size == 0
-        assert condensed.aug_probs.shape[0] == 0
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
+        assert aug_ids.size == 0
+        assert aug_probs.shape[0] == 0
         assert np.array_equal(direct_selection(labeling), np.arange(10))
 
     def test_clamp_when_discarded_outnumbers_kept(self):
         store, labeling = labeled_store(10, 0.4)
-        condensed = condense(labeling, store, 0.3)
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
         kept, discarded, n_low = oracle_split(labeling)
         assert (kept.size, discarded.size, n_low) == (4, 6, 4)
-        assert np.array_equal(condensed.aug_ids, kept)
+        assert np.array_equal(aug_ids, kept)
         assert np.array_equal(direct_selection(labeling), np.sort(kept))
 
     def test_lists_ordered(self):
         store, labeling = labeled_store(30, 0.6, seed=3)
-        condensed = condense(labeling, store, 0.3)
-        assert np.all(np.diff(labeling.ranks[condensed.aug_ids]) > 0)  # better-to-worse
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
+        assert np.all(np.diff(labeling.ranks[aug_ids]) > 0)  # better-to-worse
         assert np.all(np.diff(direct_selection(labeling)) > 0)  # ascending ids
         # the partners, seen through the blend: the best discarded ids in order
         border, oracle = oracle_blend(store, labeling,
-                                      epsilon_schedule(condensed.aug_ids.size, 0.3))
-        assert np.array_equal(condensed.aug_ids, border)
-        np.testing.assert_allclose(condensed.aug_probs, oracle, rtol=1e-12)
+                                      epsilon_schedule(aug_ids.size, 0.3))
+        assert np.array_equal(aug_ids, border)
+        np.testing.assert_allclose(aug_probs, oracle, rtol=1e-12)
 
     def test_partition_covers_everything_disjointly(self):
         store, labeling = labeled_store(25, 0.52, seed=4)
-        condensed = condense(labeling, store, 0.3)
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
         _, discarded, _ = oracle_split(labeling)
         selected = direct_selection(labeling)
         assert np.array_equal(selected, np.flatnonzero(labeling.labels))
-        assert np.isin(condensed.aug_ids, selected).all()
+        assert np.isin(aug_ids, selected).all()
         combined = np.concatenate([selected, discarded])
         assert np.array_equal(np.sort(combined), np.arange(25))
 
     def test_borderline_has_lowest_kept_scores(self):
         store, labeling = labeled_store(20, 0.7, seed=5)
-        aug = condense(labeling, store, 0.3).aug_ids
+        aug = condense(labeling, store, 0.3)[0]
         high = np.setdiff1d(direct_selection(labeling), aug)
         assert high.size and aug.size
         assert labeling.ranks[high].max() < labeling.ranks[aug].min()
@@ -149,9 +149,9 @@ class TestAugment:
         kept, discarded, n_low = oracle_split(labeling)
         out = augment(kept[kept.size - n_low:], discarded[:n_low], np.zeros(n_low), store)
         np.testing.assert_array_equal(out, store.teacher_probs[kept[kept.size - n_low:]])
-        condensed = condense(labeling, store, 0.0)
-        np.testing.assert_array_equal(condensed.aug_probs,
-                                      store.teacher_probs[condensed.aug_ids])
+        aug_ids, aug_probs = condense(labeling, store, 0.0)
+        np.testing.assert_array_equal(aug_probs,
+                                      store.teacher_probs[aug_ids])
 
     def test_uniform_is_fixed_point(self):
         store = build_store(np.zeros((2, 3)), np.full((2, 3), 1 / 3))
@@ -232,26 +232,26 @@ class TestAugment:
 class TestSummarize:
     def test_disjoint_union_size(self):
         store, labeling = labeled_store(10, 0.7, seed=10)
-        condensed = condense(labeling, store, 0.3)
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
         selected = direct_selection(labeling)
         assert selected.size == 7
-        assert selected.size - condensed.aug_ids.size == 4
-        assert condensed.aug_ids.size == 3
-        assert condensed.aug_probs.shape == (3, 4)
-        assert np.isin(condensed.aug_ids, selected).all()
+        assert selected.size - aug_ids.size == 4
+        assert aug_ids.size == 3
+        assert aug_probs.shape == (3, 4)
+        assert np.isin(aug_ids, selected).all()
 
     def test_empty_borderline_keeps_originals(self):
         store, labeling = labeled_store(10, 1.0)
-        condensed = condense(labeling, store, 0.3)
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
         assert direct_selection(labeling).size == 10
-        assert condensed.aug_ids.size == 0
-        assert condensed.aug_probs.shape[0] == 0
+        assert aug_ids.size == 0
+        assert aug_probs.shape[0] == 0
 
     def test_clamped_case_all_augmented(self):
         store, labeling = labeled_store(10, 0.4, seed=11)
-        condensed = condense(labeling, store, 0.3)
-        assert np.array_equal(np.sort(condensed.aug_ids), direct_selection(labeling))
-        assert condensed.aug_ids.size == 4
+        aug_ids, aug_probs = condense(labeling, store, 0.3)
+        assert np.array_equal(np.sort(aug_ids), direct_selection(labeling))
+        assert aug_ids.size == 4
 
     def test_size_equals_kept_count_across_grid(self):
         rng = np.random.default_rng(13)
@@ -261,21 +261,21 @@ class TestSummarize:
             store, labeling = labeled_store(n, ratio, seed=int(rng.integers(1e6)))
             k1 = int(labeling.labels.sum())
             assert direct_selection(labeling).size == k1
-            assert condense(labeling, store, 0.3).aug_ids.size == min(k1, n - k1)
+            assert condense(labeling, store, 0.3)[0].size == min(k1, n - k1)
 
     def test_deterministic(self):
         store, labeling = labeled_store(20, 0.6, seed=14)
         a = condense(labeling, store, 0.3)
         b = condense(labeling, store, 0.3)
-        assert np.array_equal(a.aug_ids, b.aug_ids)
-        assert np.array_equal(a.aug_probs, b.aug_probs)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_constant_eps_variant(self):
         store, labeling = labeled_store(10, 0.7, seed=15)
-        condensed = condense(labeling, store, 0.3, constant_eps=True)
+        aug_ids, aug_probs = condense(labeling, store, 0.3, constant_eps=True)
         border, oracle = oracle_blend(store, labeling, [0.3] * 3)
-        assert np.array_equal(condensed.aug_ids, border)
-        np.testing.assert_allclose(condensed.aug_probs, oracle, rtol=1e-12)
+        assert np.array_equal(aug_ids, border)
+        np.testing.assert_allclose(aug_probs, oracle, rtol=1e-12)
 
     def test_direct_selection_keeps_originals(self):
         _, labeling = labeled_store(10, 0.7, seed=16)
