@@ -20,7 +20,6 @@ from .emdriver import DistillConfig, ScheduleConfig
 from .nn import TrainConfig
 
 _METHOD_ALIASES = {"random": emdriver.METHOD_RANDOM}
-CLI_METHODS = (*emdriver.ALL_METHODS, *_METHOD_ALIASES)
 
 OUT_DIR_ENV = "KCDISTILL_OUT_DIR"
 
@@ -183,9 +182,12 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     splits = [out / datamod.TRAIN_FILE, out / datamod.TEST_FILE]
     outputs = [*splits, *map(datamod.twin_path, splits), out / "meta.json"]
-    _check_paths(args, *[("--out", path) for path in outputs])
+    # generate first: a refused setting then leaves no output directory behind
     dataset = datamod.gen_gaussian_mixture(args.classes, args.dims, args.per_class,
                                            args.spread, args.seed)
+    if not dataset.test_labels.size:
+        raise ValueError(f"--classes {args.classes} --per-class {args.per_class}: empty test split")
+    _check_paths(args, *[("--out", path) for path in outputs])
     datamod.save_split_dir(out, dataset)
     n_train, n_test = dataset.train_labels.size, dataset.test_labels.size
     meta = {
@@ -260,9 +262,10 @@ def cmd_sweep(args) -> int:
     methods = [_METHOD_ALIASES.get(m, m) for m in _items(args, "methods")]
     if not methods:
         raise ValueError(f"--methods {args.methods!r} names no method")
-    unknown = [m for m in methods if m not in emdriver.ALL_METHODS]
-    if unknown:
-        raise ValueError(f"unknown --methods {unknown}; expected some of {CLI_METHODS}")
+    known = emdriver._method_names(False)
+    if unknown := [m for m in methods if m not in known]:
+        raise ValueError(f"unknown --methods {unknown}; expected some of "
+                         f"{(*known, *_METHOD_ALIASES)}")
     seeds, rho_grid = _seed_list(args), _items(args, "rho_grid", float)
     if not seeds:
         raise ValueError(f"--seeds {args.seeds!r} names no seed")
@@ -375,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distill", help="run a distillation variant")
     p.set_defaults(handler=cmd_distill)
-    p.add_argument("--method", choices=CLI_METHODS, default="kcd")
+    p.add_argument("--method", default="kcd",
+                   choices=(*emdriver._method_names(False), *_METHOD_ALIASES))
     _add_schedule_args(p)
     _add_train_args(p)
     _add_run_io_args(p)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reuse", help="retrain against an exported labeling")
     p.set_defaults(handler=cmd_reuse)
     p.add_argument("--labels", required=True)
-    p.add_argument("--mode", choices=emdriver.REUSE_MODES, required=True)
+    p.add_argument("--mode", choices=emdriver._method_names(True), required=True)
     _add_schedule_args(p)
     _add_train_args(p)
     _add_run_io_args(p)

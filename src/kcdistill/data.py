@@ -107,8 +107,8 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
         raise ValueError(f"need at least 2 classes, got {classes}")
     if dims < 1 or n_per_class < 1:
         raise ValueError("dims and n_per_class must be positive")
-    if spread < 0.0:
-        raise ValueError("spread must be >= 0")
+    if not 0.0 <= spread < np.inf:  # NaN fails both
+        raise ValueError(f"spread must be finite and >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dims))
     features = np.empty((classes * n_per_class, dims))

@@ -346,17 +346,16 @@ def _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg, lr,
     """
     order = np.stack([ids[run.train_rng.permutation(ids.size)]
                       for run, ids in zip(runs, active)])
-    unstacked = stack.params.ndim == 1  # a group of one
+    lead = stack.params.shape[:-1]  # () for a group of one, which trains unstacked
     reads = any(run.values is not None for run in runs)
-    entropies = np.empty(order.shape) if reads else None
-    step_entropies = entropies[0] if reads and unstacked else entropies
+    entropies = np.empty((*lead, order.shape[1])) if reads else None
     totals = np.zeros(len(runs))
     row_bytes = (store.features.itemsize * store.dim
                  + store.teacher_probs.itemsize * store.num_classes)
     chunk = tcfg.batch_size * max(1, _EPOCH_CHUNK_BYTES // (row_bytes * tcfg.batch_size))
     for lo in range(0, order.shape[1], chunk):
         ids = order[:, lo:lo + chunk]
-        rows = ids[0] if unstacked else ids
+        rows = ids.reshape(*lead, -1)  # a view in the step's shape
         # take gathers rows several times faster than fancy indexing, same values
         features = store.features.take(rows, axis=0)
         targets = store.teacher_probs.take(rows, axis=0)
@@ -365,13 +364,13 @@ def _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg, lr,
             if blend is not None:
                 at = blend[0].take(ids[k])
                 pos = np.flatnonzero(at >= 0)
-                (targets if unstacked else targets[k])[pos] = blend[1].take(at[pos], axis=0)
+                targets.reshape(*ids.shape, -1)[k, pos] = blend[1].take(at[pos], axis=0)
         for start in range(0, ids.shape[1], tcfg.batch_size):
             batch = slice(start, start + tcfg.batch_size)
             loss, grad, probs_1 = nn.loss_and_grads(
                 stack, features[..., batch, :], targets[..., batch, :], tcfg.temperature,
                 None if hard is None else hard[..., batch], tcfg.hard_label_weight,
-                step_entropies[..., lo:][..., batch] if reads else None, buffers)
+                entropies[..., lo:][..., batch] if reads else None, buffers)
             if not np.isfinite(loss).all():
                 bad = runs[int(np.argmin(np.isfinite(loss)))]
                 raise DistillationError(
@@ -385,7 +384,7 @@ def _train_epoch(stack, vel, buffers, runs, store, active, blends, tcfg, lr,
         del features, targets, hard  # one chunk alive at a time, not two
     for k, run in enumerate(runs):
         if run.values is not None:
-            ogve.observe_batch(run.values, order[k], entropies[k])
+            ogve.observe_batch(run.values, order[k], entropies.reshape(order.shape)[k])
     return totals / order.shape[1]
 
 
@@ -471,9 +470,9 @@ def _summary(run, labeling, constant_eps=False):
 # method -> (stage labeling(run, tau), or None to keep every sample; the
 # condenser(run, labeling) that blends the kept set, or None to train it on its
 # original soft labels; the run's ValueState(n), or None to keep none). The
-# one registry: a row added here trains. Rows that import their labeling are
-# the reuse-<mode> rows; the others, in this order, are ALL_METHODS, which
-# orders a sweep's rows.
+# one registry: a row added here trains, sweeps and reuses, as each reads it
+# when called. Rows that import their labeling are the reuse-<mode> rows; the
+# others, in this order, are ALL_METHODS, which orders a sweep's rows.
 _METHODS = {
     METHOD_KCD: (_by_value, _summary, ogve.ValueState),
     METHOD_FULL_KD: (None, None, None),
@@ -488,11 +487,12 @@ _METHODS = {
 
 
 def _method_names(imported: bool) -> tuple[str, ...]:
-    return tuple(m for m, row in _METHODS.items() if (row[0] is _imported) == imported)
+    """The methods, or with imported the reuse modes (reuse- dropped)."""
+    return tuple(m.removeprefix("reuse-") for m, row in _METHODS.items()
+                 if (row[0] is _imported) == imported)
 
 
-ALL_METHODS = _method_names(False)
-REUSE_MODES = tuple(m.removeprefix("reuse-") for m in _method_names(True))
+ALL_METHODS, REUSE_MODES = _method_names(False), _method_names(True)  # as at import
 
 
 # each step checks its own loss and gradient, so numpy's overflow and
@@ -504,9 +504,8 @@ def _execute(store: KnowledgeStore, dataset: Dataset, runs: list[_Run]) -> list[
     as it was; wall_time_s is the group's."""
     started = time.perf_counter()
     sched, tcfg, n = runs[0].config.schedule, runs[0].config.train, store.n
-    # a group of one trains an unstacked copy: as a stack of one, a train step
-    # at batch 512 took 1.01-1.03x as long, and a lone big-store run 1.00x
-    # (kcd) to 1.02x (ogve-only), on one CPU
+    # a group of one trains an unstacked copy, the one place that choice is
+    # made: as a stack of one, a lone big-task run took 1.05x as long
     stack = runs[0].student.copy() if len(runs) == 1 else nn.stack_models(
         [r.student for r in runs])
     vel, buffers = np.zeros_like(stack.params), nn.StepBuffers(stack, min(tcfg.batch_size, n))
@@ -597,10 +596,11 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
     starts: only a reuse row takes a labeling, and one must, a hard-label
     weight needs a store with hard labels, a student takes the store's
     feature and class counts, and no two jobs share one student object. Jobs
-    with one _shape_key train in lockstep, in the chunks _chunks cuts, which
-    _pool_map spreads over worker processes. Students take their trained
-    parameters only after every chunk has returned, so a failing job leaves
-    every student as it was, on any CPU count. Records and parameters are
+    with one _shape_key train in lockstep as one stack (a chunk of one job
+    unstacked), in the chunks _chunks cuts, which _pool_map spreads over
+    worker processes. Students take their trained parameters only after
+    every chunk has returned, so a failing job leaves every student as it
+    was, on any CPU count. Records and parameters are
     bit-identical to training each job alone.
     """
     jobs = [Job(*job) for job in jobs]
@@ -642,26 +642,18 @@ def run_group(store: KnowledgeStore, dataset: Dataset, jobs) -> list:
 
 def _chunks(groups: dict[tuple, list[int]], cpus: int) -> list[list[int]]:
     """The job indices of the shape groups (key -> indices) cut into chunks,
-    largest first. A chunk's work is its run count times the sum of its
-    group's stage sizes, the key's last element. From whole groups, the
-    largest chunk of two or more runs is halved while it holds more than
-    1/cpus of the total work: a stack trains faster whole than in parts,
-    so a group splits only to keep the workers busy. With one CPU nothing
-    splits."""
-    def work(chunk):
-        size, ids = chunk
-        return size * len(ids)
-
-    chunks = [(sum(key[-1]), group) for key, group in groups.items()]
-    total = sum(map(work, chunks))
-    while True:
-        big = max((c for c in chunks if len(c[1]) > 1), key=work, default=None)
-        if big is None or work(big) * cpus <= total:
-            break
-        size, ids = chunks.pop(chunks.index(big))
-        half = (len(ids) + 1) // 2
-        chunks += [(size, ids[:half]), (size, ids[half:])]
-    chunks.sort(key=work, reverse=True)
+    largest first by work. Of total work W, a group of n runs, each of work w
+    (the sum of its stage sizes, the key's last element), splits into ceil(n
+    / max(1, W // (w * cpus))) chunks whose sizes differ by at most one: the
+    fewest in which no chunk of two or more runs holds more than W / cpus, as
+    a stack trains faster whole than in parts. With one CPU nothing splits."""
+    total = sum(sum(key[-1]) * len(ids) for key, ids in groups.items())
+    chunks = []
+    for key, ids in groups.items():
+        work = sum(key[-1])
+        parts = np.array_split(ids, -(-len(ids) // max(1, total // (work * cpus))))
+        chunks += [(work * part.size, part.tolist()) for part in parts]
+    chunks.sort(key=lambda chunk: chunk[0], reverse=True)
     return [ids for _, ids in chunks]
 
 
@@ -729,6 +721,6 @@ def run_with_fixed_labels(config: DistillConfig, store: KnowledgeStore,
                           labeling: ValueLabeling, mode: str):
     """Retrain against an imported labeling applied at every stage (no value
     estimation); mode picks plain selection or selection plus summary."""
-    if mode not in REUSE_MODES:
-        raise ValueError(f"unknown reuse mode {mode!r}; expected one of {REUSE_MODES}")
+    if mode not in (modes := _method_names(True)):
+        raise ValueError(f"unknown reuse mode {mode!r}; expected one of {modes}")
     return run_group(store, dataset, [Job(config, student, f"reuse-{mode}", labeling)])[0]

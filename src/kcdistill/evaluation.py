@@ -57,8 +57,8 @@ def ratio_sweep(store: KnowledgeStore, dataset: Dataset, base_config, student_hi
     """
     schedules = {rho: replace(base_config.schedule, rho=rho) for rho in rho_grid}
     for method in methods:  # a row at rho 1.0 alone would train no run of its method
-        if method not in emdriver.ALL_METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {emdriver.ALL_METHODS}")
+        if method not in (known := emdriver._method_names(False)):
+            raise ValueError(f"unknown method {method!r}; expected one of {known}")
     grid = list(itertools.product(rho_grid, seeds, methods))
     jobs: dict[tuple, emdriver.Job] = {}
     for rho, seed, method in grid:

@@ -61,6 +61,20 @@ class TestGenData:
             f"error: --out {tmp_path / 'out' / blocked} is a directory\n")
         assert os.listdir(tmp_path / "out") == [blocked]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--spread", "nan"], "spread must be finite and >= 0, got nan"),
+        (["--spread", "inf"], "spread must be finite and >= 0, got inf"),
+        (["--classes", "2", "--per-class", "1"], "--classes 2 --per-class 1: empty test split"),
+    ])
+    def test_a_refused_setting_is_one_line_and_writes_nothing(self, tmp_path, capsys, flags,
+                                                              message):
+        """A spread that is not finite, or sizes that leave the test split
+        empty (which every later command refuses), exit 1 with one error
+        line, no warning and no output directory."""
+        assert main(["gen-data", "--dims", "2", *flags, "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_deterministic_regeneration(self, workdir, tmp_path):
         again = tmp_path / "data2"
         main(["gen-data", "--classes", "3", "--dims", "4", "--per-class", "20",

@@ -55,6 +55,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match="classes"):
             gen_gaussian_mixture(1, 4, 10, 1.0, seed=0)
 
+    @pytest.mark.parametrize("spread", [math.nan, math.inf, -0.5])
+    def test_rejects_a_spread_that_is_not_finite_and_non_negative(self, spread):
+        with pytest.raises(ValueError, match=rf"^spread must be finite and >= 0, got {spread}$"):
+            gen_gaussian_mixture(3, 4, 10, spread, seed=0)
+
     @settings(max_examples=40, deadline=None)
     @given(classes=st.integers(2, 10), dims=st.integers(1, 16),
            per_class=st.integers(1, 3000), spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32))

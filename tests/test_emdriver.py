@@ -806,6 +806,27 @@ class TestMethodTable:
                                              r"\(.*'reversed'\)$"):
             run_group(store, ds, [Job(config, student, "mystery")])
 
+    def test_a_reuse_row_added_to_the_table_reuses(self, small_task, monkeypatch):
+        """A reuse row registered after import is a mode run_with_fixed_labels
+        takes, and the unknown-mode message lists it."""
+        ds, store = small_task
+        monkeypatch.setitem(emdriver._METHODS, "reuse-copy",
+                            emdriver._METHODS["reuse-direct-select"])
+        labeling = random_labeling(store.n, 0.7)
+
+        def reuse(mode):
+            student = init_student(store.dim, (8,), store.num_classes, 6)
+            return run_with_fixed_labels(make_config(seed=6), store, student, ds, labeling,
+                                         mode)[1]
+
+        copy, direct = reuse("copy"), reuse("direct-select")
+        assert copy.method == "reuse-copy"
+        assert copy.param_digest == direct.param_digest
+        assert copy.epochs == direct.epochs and copy.stages == direct.stages
+        with pytest.raises(ValueError, match=r"^unknown reuse mode 'paste'; expected one of "
+                                             r"\('direct-select', 'with-vaks', 'copy'\)$"):
+            reuse("paste")
+
     def test_all_methods_keep_their_order(self):
         """A sweep over ALL_METHODS writes its rows, and so its digest, in this order."""
         assert ALL_METHODS == ("kcd", "full-kd", "random-subset", "ogve-only", "no-ovr",
@@ -946,6 +967,44 @@ class TestLockstep:
         assert all(w * cpus <= total for w, chunk in zip(work, chunks) if len(chunk) > 1)
         if cpus == 1:
             assert sorted(chunks) == sorted(groups.values())
+        for key, group in groups.items():
+            sizes = [len(chunk) for chunk in chunks if group_of[chunk[0]] == key]
+            assert max(sizes) - min(sizes) <= 1
+            # one chunk fewer would leave a chunk of two or more runs over the bound
+            fewer = -(-len(group) // (len(sizes) - 1)) if len(sizes) > 1 else 0
+            assert fewer < 2 or fewer * sum(key[-1]) * cpus > total
+
+    @pytest.mark.parametrize("cpus, sizes", [(1, [12, 12, 2]), (2, [12, 12, 2]),
+                                             (4, [6, 6, 6, 6, 2])])
+    def test_chunks_of_the_reference_sweep(self, monkeypatch, cpus, sizes):
+        """bench's ref-suite sweep (N = 800, 60 epochs in stages of 10, every
+        method at rho 0.5 and 0.7 over two seeds) trains three shape groups:
+        12 runs at each rho and full-kd's 2. They split only on 4 CPUs, each
+        rho's group in halves, and go out in this order."""
+        rng = np.random.default_rng(0)
+        probs = rng.random((800, 10))
+        store = build_store(rng.standard_normal((800, 16)), probs / probs.sum(1, keepdims=True))
+        got = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(fn, jobs, context):
+            got.extend([[(job.config.schedule.rho, job.config.seed, job.method) for job in chunk]
+                        for chunk in jobs])
+            raise Captured  # stop before any run
+
+        monkeypatch.setattr(emdriver, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(emdriver, "_pool_map", capture)
+        with pytest.raises(Captured):
+            evaluation.ratio_sweep(store, None, make_config(epochs=60, stage_len=10), (16,),
+                                   rho_grid=(0.5, 0.7), seeds=(0, 1), methods=ALL_METHODS)
+        assert [len(chunk) for chunk in got] == sizes
+        scheduled = [m for m in ALL_METHODS if m != "full-kd"]
+        by_rho = [[(rho, seed, m) for seed in (0, 1) for m in scheduled] for rho in (0.7, 0.5)]
+        whole = [*by_rho, [(0.5, seed, "full-kd") for seed in (0, 1)]]
+        assert got == (whole if cpus < 4 else [by_rho[0][:6], by_rho[0][6:], by_rho[1][:6],
+                                               by_rho[1][6:], whole[2]])
 
     @pytest.mark.parametrize("method, label_count, student, message", [
         ("telepathy", None, "copy", "unknown method 'telepathy'; expected one of"),

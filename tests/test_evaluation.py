@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from kcdistill import emdriver
+from kcdistill import emdriver, ogve
 from kcdistill.data import DataFormatError
 from kcdistill.emdriver import (
     DistillConfig,
@@ -285,6 +285,28 @@ class TestParallelSweep:
                 assert student is j.student
                 assert student.params.tobytes() == alone_student.params.tobytes()
                 assert record.fingerprint() == alone_record.fingerprint()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_row_added_to_the_table_sweeps(self, small_task, pools, monkeypatch, cpus):
+        """A control registered after import, here the value ranking read
+        backwards, sweeps: each row equals a lone run of its (rho, seed,
+        method), and its rows at rho 1.0 equal full-kd's."""
+        ds, store = small_task
+        usable_cpus(monkeypatch, cpus)
+
+        def reversed_ranks(run, tau):
+            ranks = ogve.rank(run.values, run.config.alpha)
+            return ogve.labeling_from_ranks(run.store.n - 1 - ranks, tau)
+
+        monkeypatch.setitem(emdriver._METHODS, "reversed",
+                            (reversed_ranks, None, ogve.ValueState))
+        grid = dict(rho_grid=(0.5, 1.0), seeds=(3, 4), methods=("kcd", "reversed"))
+        rows = ratio_sweep(store, ds, small_config(), (8,), **grid)
+        assert len(rows) == 8
+        assert rows == self.serial_rows(small_task, grid)
+        full_kd = self.serial_rows(small_task, dict(grid, methods=("full-kd",)))
+        assert [{**r, "method": "full-kd"} for r in rows
+                if r["method"] == "reversed" and r["rho"] == 1.0] == full_kd[2:]
 
     def serial_rows(self, small_task, grid=GRID):
         ds, store = small_task
