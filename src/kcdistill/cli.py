@@ -40,19 +40,23 @@ def _csv(values) -> str:
 
 def _seed_list(args) -> list[int]:
     seeds = _items(args, "seeds", int)
-    return seeds if "," in args.seeds or not seeds else list(range(seeds[0]))
+    if "," not in args.seeds and seeds:  # a seed count
+        return list(range(seeds[0]))
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"--seeds {args.seeds!r}: seed must be >= 0, got {seed}")
+    return seeds
 
 
 def _run_dir(tag: str) -> Path:
     """A directory no other call has returned: <stamp>-<tag>, suffixed -1, -2,
     ... when runs with the same tag start within the same second."""
     root = Path(os.environ.get(OUT_DIR_ENV, "runs"))
-    root.mkdir(parents=True, exist_ok=True)
     stem = f"{time.strftime('%Y%m%d-%H%M%S')}-{tag}"
     for k in itertools.count():
         path = root / (f"{stem}-{k}" if k else stem)
         try:
-            path.mkdir()
+            path.mkdir(parents=True)
             return path
         except FileExistsError:
             continue
@@ -151,8 +155,7 @@ def _check_paths(args, *outputs, extra_inputs=()) -> None:
     """Refuse, before any work, an output that is an existing directory, two
     outputs that resolve to one file and an output that resolves to an
     input: the --data CSVs, --teacher-probs, --labels or one of extra_inputs.
-    Then make each output's missing parent directories. outputs and
-    extra_inputs are (flag, path) pairs; a None output is skipped."""
+    outputs and extra_inputs are (flag, path) pairs; a None output is skipped."""
     inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)
               if hasattr(args, "data")]
     inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
@@ -167,8 +170,6 @@ def _check_paths(args, *outputs, extra_inputs=()) -> None:
         if real in claimed:
             raise ValueError(f"{flag} {path} is the same file as {claimed[real]}")
         claimed[real] = f"{flag} {path}"
-    for _, path in outputs:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _persist_record(record: emdriver.RunRecord, args, tag: str) -> Path:
@@ -182,7 +183,6 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     splits = [out / datamod.TRAIN_FILE, out / datamod.TEST_FILE]
     outputs = [*splits, *map(datamod.twin_path, splits), out / "meta.json"]
-    # generate first: a refused setting then leaves no output directory behind
     dataset = datamod.gen_gaussian_mixture(args.classes, args.dims, args.per_class,
                                            args.spread, args.seed)
     if not dataset.test_labels.size:
@@ -203,8 +203,9 @@ def cmd_train_teacher(args) -> int:
     # the path np.save(args.out_probs, probs) writes to
     probs_path = str(args.out_probs).removesuffix(".npy") + ".npy"
     hidden = _items(args, "hidden", int)
-    if args.epochs < 0:
-        raise ValueError(f"--epochs must be >= 0, got {args.epochs}")
+    for flag, value in (("--epochs", args.epochs), ("--seed", args.seed)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     cfg = TrainConfig.desk_default(args.epochs, lr=args.lr, batch_size=args.batch_size)
     _check_paths(args, ("--out-model", args.out_model), ("--out-probs", probs_path))
     dataset = datamod.load_split_dir(args.data)
@@ -276,6 +277,11 @@ def cmd_sweep(args) -> int:
                                ("--rho-grid", args.rho_grid, rho_grid)):
         if twice := [v for i, v in enumerate(values) if v in values[:i]]:
             raise ValueError(f"{flag} {text!r} names {twice[0]} twice")
+    for rho in rho_grid:  # the schedules ratio_sweep builds once the inputs are read
+        try:
+            ScheduleConfig(args.epochs, args.stage_len, rho)
+        except ValueError as exc:
+            raise ValueError(f"--rho-grid {args.rho_grid!r}: {exc}") from None
     hidden = _items(args, "student_hidden", int)
     _check_paths(args, ("--out", args.out))
     dataset, store = _load_run_inputs(args)

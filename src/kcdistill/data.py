@@ -109,6 +109,8 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
         raise ValueError("dims and n_per_class must be positive")
     if not 0.0 <= spread < np.inf:  # NaN fails both
         raise ValueError(f"spread must be finite and >= 0, got {spread}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dims))
     features = np.empty((classes * n_per_class, dims))
@@ -155,8 +157,10 @@ def gen_gaussian_mixture(classes: int, dims: int, n_per_class: int, spread: floa
 def write_atomic(path, payload) -> None:
     """Write payload (bytes or an iterable of bytes chunks) to path via a temp
     file in the same directory and os.replace: a reader sees the old file or
-    the whole new one, and a failed write keeps the old file and no temp file."""
+    the whole new one, and a failed write keeps the old file and no temp file.
+    The missing parent directories of path are made first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -351,7 +355,6 @@ def load_csv(path, class_count: int | None = None) -> Dataset:
 def save_split_dir(directory, dataset: Dataset) -> None:
     """Persist a dataset as train.csv + test.csv under a directory."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     save_csv(directory / TRAIN_FILE, dataset.train_features, dataset.train_labels)
     save_csv(directory / TEST_FILE, dataset.test_features, dataset.test_labels)
 

@@ -158,6 +158,8 @@ class DistillConfig:
         for name in ("alpha", "eps_m"):
             if not 0.0 <= getattr(self, name) < np.inf:  # NaN fails both
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def echo(self) -> dict:
         return {

@@ -475,7 +475,8 @@ class TestReuseAndSweep:
 
 class TestListFlags:
     """Each comma-list flag is parsed before any file is read or written; an
-    entry of the wrong type is an error that names the flag and its text."""
+    entry of the wrong type or out of range is an error that names the flag
+    and its text."""
 
     RUN = ["--data", "{d}/absent", "--teacher-probs", "{d}/absent.npy"]
     COMMANDS = {
@@ -498,6 +499,9 @@ class TestListFlags:
         ("sweep", "--seeds", "3,y", "invalid literal for int() with base 10: 'y'"),
         ("sweep", "--seeds", "two", "invalid literal for int() with base 10: 'two'"),
         ("sweep", "--student-hidden", "6,?", "invalid literal for int() with base 10: '?'"),
+        ("sweep", "--seeds", "3,-2,", "seed must be >= 0, got -2"),
+        ("sweep", "--rho-grid", "0,0.7", "rho must be in (0, 1], got 0.0"),
+        ("sweep", "--rho-grid", "1.5", "rho must be in (0, 1], got 1.5"),
     ])
     def test_bad_entry_is_named_before_any_file_is_read(self, tmp_path, capsys, command,
                                                         flag, value, fault):
@@ -506,6 +510,41 @@ class TestListFlags:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {flag} {value!r}: {fault}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRefusedBeforeAnyWrite:
+    """A negative seed and a --data directory whose splits differ in
+    dimension are refused with one error line that names the fault, before
+    any file is written."""
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("gen-data", "--seed=-1", "seed must be >= 0, got -1"),
+        ("train-teacher", "--seed=-1", "--seed must be >= 0, got -1"),
+        ("distill", "--seed=-1", "seed must be >= 0, got -1"),
+        ("reuse", "--seed=-1", "seed must be >= 0, got -1"),
+        ("sweep", "--seed=-1", "seed must be >= 0, got -1"),
+        ("sweep", "--seeds=-1,2", "--seeds '-1,2': seed must be >= 0, got -1"),
+    ], ids=["gen-data", "train-teacher", "distill", "reuse", "sweep-seed", "sweep-seeds"])
+    def test_a_negative_seed_is_named_before_any_file_is_read(self, tmp_path, capsys,
+                                                              command, flag, message):
+        # the inputs are absent: reading one would fail with another message
+        commands = dict(TestListFlags.COMMANDS, **{"gen-data": ["gen-data", "--out", "{d}/g"]})
+        assert main([a.format(d=tmp_path) for a in commands[command]] + [flag]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", list(TestListFlags.COMMANDS))
+    def test_a_train_test_dimension_mismatch_is_named(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "train.csv").write_text("f0,f1,f2,f3,label\n0,0,0,0,0\n1,1,1,1,1\n")
+        (data_dir / "test.csv").write_text("f0,f1,f2,label\n0,0,0,1\n")
+        argv = [a.format(d=tmp_path) for a in TestListFlags.COMMANDS[command]]
+        argv[argv.index("--data") + 1] = str(data_dir)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data_dir}: train/test dimension mismatch (4 vs 3)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
 
 
 class TestReport:
@@ -778,8 +817,8 @@ class TestOutputPathCollisions:
 
 
 class TestOutputDirectories:
-    """Once every refusal has passed, a command makes the missing parent
-    directories of each output it names, before any work."""
+    """A command makes the missing parent directories of an output when it
+    writes that file, so a refused or failed command leaves none behind."""
 
     def test_train_teacher_writes_into_new_directories(self, workdir, tmp_path):
         model, probs = tmp_path / "nodir" / "t.bin", tmp_path / "p" / "q" / "probs.npy"
@@ -815,4 +854,33 @@ class TestOutputDirectories:
                              "--export-labels", str(tmp_path / "b" / "m.csv")])
         assert main(argv) == 1
         assert "is the same file as" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train-teacher", ["--lr", "1e200"]),
+        ("distill", ["--lr", "1e200"]),
+        ("distill", ["--student-hidden", "0"]),
+        ("distill", ["--data", "{d}/absent"]),
+        ("reuse", ["--labels", "{d}/absent.kcl"]),
+        ("sweep", ["--rho-grid", "0,0.7"]),
+    ], ids=["teacher-diverges", "student-diverges", "no-hidden-units", "missing-data",
+            "missing-labels", "rho-grid-zero"])
+    def test_a_failed_command_makes_no_directory(self, workdir, tmp_path, capsys, command,
+                                                 extra):
+        run = ["--data", str(workdir / "data"),
+               "--teacher-probs", str(workdir / "teacher_probs.npy"),
+               "--student-hidden", "6", "--epochs", "4", "--stage-len", "2"]
+        argv = {
+            "train-teacher": ["train-teacher", "--data", str(workdir / "data"), "--hidden", "8",
+                              "--epochs", "3", "--out-model", "{d}/t/teacher.bin",
+                              "--out-probs", "{d}/p/tprobs.npy"],
+            "distill": ["distill", *run, "--out-record", "{d}/r/record.json",
+                        "--out-metrics", "{d}/m/metrics.csv", "--export-labels", "{d}/l/l.kcl"],
+            "reuse": ["reuse", "--mode", "with-vaks", *run, "--out-record", "{d}/r/record.json"],
+            "sweep": ["sweep", "--seeds", "1", "--methods", "kcd", *run,
+                      "--out", "{d}/s/sweep.csv"],
+        }[command] + extra
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []

@@ -60,6 +60,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match=rf"^spread must be finite and >= 0, got {spread}$"):
             gen_gaussian_mixture(3, 4, 10, spread, seed=0)
 
+    @pytest.mark.parametrize("dims, per_class, seed, message", [
+        (0, 10, 0, "dims and n_per_class must be positive"),
+        (4, 0, 0, "dims and n_per_class must be positive"),
+        (4, 10, -1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_an_empty_size_or_a_negative_seed(self, dims, per_class, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_gaussian_mixture(3, dims, per_class, 1.0, seed)
+
     @settings(max_examples=40, deadline=None)
     @given(classes=st.integers(2, 10), dims=st.integers(1, 16),
            per_class=st.integers(1, 3000), spread=st.floats(0.0, 3.0), seed=st.integers(0, 2**32))
@@ -661,6 +670,16 @@ class TestSplitDir:
         features = np.zeros((2, 2))
         with pytest.raises(ValueError, match=r"^test labels must lie in \[0, class_count\)"):
             Dataset(features, [0, 1], features, [0, label], 2)
+
+    @pytest.mark.parametrize("train, test, message", [
+        (np.zeros(2), np.zeros((2, 2)), "train features must be N x D with one label per row"),
+        (np.zeros((3, 2)), np.zeros((2, 2)), "train features must be N x D with one label per row"),
+        (np.zeros((2, 2)), np.zeros((1, 2)), "test features must be N x D with one label per row"),
+        (np.zeros((2, 2)), np.zeros((2, 3)), "train and test features differ in dimension"),
+    ], ids=["train-1d", "train-rows", "test-rows", "dimension"])
+    def test_dataset_rejects_splits_of_the_wrong_shape(self, train, test, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(train, [0, 1], test, [0, 1], 2)
 
     @staticmethod
     def write_split(directory, train_labels, test_labels):

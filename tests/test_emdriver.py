@@ -139,6 +139,16 @@ class TestScheduleConfig:
         with pytest.raises(ValueError):
             ScheduleConfig(60, 10, 0.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ScheduleConfig(0, 1), "total_epochs and stage_len must be positive"),
+        (lambda: ScheduleConfig(4, 0), "total_epochs and stage_len must be positive"),
+        (lambda: tau_schedule(0.7, 0), "stage_count must be >= 1, got 0"),
+        (lambda: relative_cost([]), "empty tau list"),
+    ], ids=["no-epochs", "no-stage-len", "no-stages", "no-taus"])
+    def test_rejects_an_empty_schedule(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_config_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             DistillConfig(eps_m=-0.1)
@@ -146,7 +156,7 @@ class TestScheduleConfig:
     @pytest.mark.parametrize("config, field, value", [
         (DistillConfig, "eps_m", np.nan), (DistillConfig, "eps_m", np.inf),
         (DistillConfig, "alpha", np.nan), (DistillConfig, "alpha", np.inf),
-        (DistillConfig, "alpha", -0.1),
+        (DistillConfig, "alpha", -0.1), (DistillConfig, "seed", -1),
         (partial(ogve.rank, ogve.ValueState(2)), "alpha", np.nan),
         (partial(ogve.rank, ogve.ValueState(2)), "alpha", np.inf),
         (partial(ogve.rank, ogve.ValueState(2)), "alpha", -0.1),

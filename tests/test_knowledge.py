@@ -149,6 +149,16 @@ def test_build_store_rejects_hard_label_out_of_range(label):
         build_store(np.zeros((3, 4)), np.full((3, 2), 0.5), [0, label, 1])
 
 
+@pytest.mark.parametrize("features, probs, hard_labels, message", [
+    (np.zeros(3), np.full((3, 2), 0.5), None, r"features must be a 2-d array \(N x D\)"),
+    (np.zeros((3, 4)), np.full(3, 0.5), None, r"teacher_probs must be a 2-d array \(N x C\)"),
+    (np.zeros((3, 4)), np.full((3, 2), 0.5), [0, 1], "hard_labels length does not match features"),
+], ids=["features-1d", "probs-1d", "hard-label-count"])
+def test_build_store_rejects_an_array_of_the_wrong_shape(features, probs, hard_labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_store(features, probs, hard_labels)
+
+
 def test_build_store_rejects_empty():
     with pytest.raises(ValueError, match="empty knowledge set"):
         build_store(np.zeros((0, 3)), np.zeros((0, 2)))
@@ -233,6 +243,11 @@ class TestValueLabeling:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             ValueLabeling(ranks=[0, 1], labels=[1])
+
+    @pytest.mark.parametrize("labels", [[1, 2, 0], [0, 255, 1]])
+    def test_rejects_labels_that_are_not_binary(self, labels):
+        with pytest.raises(ValueError, match="^labels must be binary$"):
+            ValueLabeling(ranks=[0, 1, 2], labels=labels)
 
 
 class TestPermutationCheck:

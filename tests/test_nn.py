@@ -102,6 +102,21 @@ class TestForwardSoftmax:
             got, want = softmax(z, temperature), oracles.softmax(z, temperature)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_softmax_refuses_a_temperature_that_is_not_positive(self, temperature):
+        with pytest.raises(ValueError, match="^temperature must be > 0$"):
+            softmax(np.zeros((2, 3)), temperature)
+
+    @pytest.mark.parametrize("targets, hard_label_weight, message", [
+        (np.full((4, 2), 0.5), 0.0, r"shape mismatch: \(4, 2\) vs \(4, 3\)"),
+        (np.full((4, 3), 1 / 3), 0.5, "hard_label_weight > 0 requires hard labels"),
+    ], ids=["target-shape", "no-hard-labels"])
+    def test_loss_and_grads_refuses_targets_that_do_not_fit(self, targets, hard_label_weight,
+                                                           message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loss_and_grads(init_mlp((2, 4, 3), 0), np.zeros((4, 2)), targets,
+                           hard_label_weight=hard_label_weight)
+
     @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("labels", [[1], [0, 1, 2, 0, 1, 2], [[0], [1], [2], [0], [1]]])
     def test_accuracy_refuses_labels_that_are_not_one_per_row(self, stacked, labels):

@@ -149,6 +149,13 @@ class TestObserveBatch:
             observe_batch(state, [0, 1], [1.0, bad])
         assert np.isnan(state.values).all() and not state.frequencies.any()
 
+    @pytest.mark.parametrize("ids, values", [([0, 1], [1.0]), ([0], [1.0, 2.0])])
+    def test_rejects_lengths_that_differ(self, ids, values):
+        state = ValueState(2)
+        with pytest.raises(ValueError, match="^sample_ids and new_values lengths differ$"):
+            observe_batch(state, ids, values)
+        assert np.isnan(state.values).all() and not state.frequencies.any()
+
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 24))
     def test_in_place_update_is_the_where_expression_bit_for_bit(self, data, n):
@@ -400,6 +407,11 @@ class TestRatioLabeling:
         assert keep_count(800, 0.9422865815358938) == 754
         assert keep_count(10, 0.04) == 1  # clamped to at least one
         assert keep_count(10, 1.0) == 10
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, np.nan])
+    def test_keep_count_rejects_a_ratio_outside_zero_to_one(self, ratio):
+        with pytest.raises(ValueError, match=rf"^keep_ratio must be in \(0, 1\], got {ratio}$"):
+            keep_count(10, ratio)
 
     def test_threshold_retains_exact_count(self):
         rng = np.random.default_rng(6)

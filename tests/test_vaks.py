@@ -126,6 +126,11 @@ class TestEpsilonSchedule:
         with pytest.raises(ValueError):
             epsilon_schedule(3, -0.1)
 
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_rejects_a_negative_length(self, n):
+        with pytest.raises(ValueError, match=f"^schedule length must be >= 0, got {n}$"):
+            epsilon_schedule(n, 0.3)
+
     def test_exact_endpoints(self):
         for n in (1, 2, 7, 49, 240):
             sched = epsilon_schedule(n, 0.3)
