@@ -52,11 +52,12 @@ def _run_dir(tag: str) -> Path:
     """A directory no other call has returned: <stamp>-<tag>, suffixed -1, -2,
     ... when runs with the same tag start within the same second."""
     root = Path(os.environ.get(OUT_DIR_ENV, "runs"))
+    root.mkdir(parents=True, exist_ok=True)
     stem = f"{time.strftime('%Y%m%d-%H%M%S')}-{tag}"
     for k in itertools.count():
         path = root / (f"{stem}-{k}" if k else stem)
         try:
-            path.mkdir(parents=True)
+            path.mkdir()
             return path
         except FileExistsError:
             continue
@@ -152,10 +153,11 @@ def _record_outputs(args) -> list:
 
 
 def _check_paths(args, *outputs, extra_inputs=()) -> None:
-    """Refuse, before any work, an output that is an existing directory, two
-    outputs that resolve to one file and an output that resolves to an
-    input: the --data CSVs, --teacher-probs, --labels or one of extra_inputs.
-    outputs and extra_inputs are (flag, path) pairs; a None output is skipped."""
+    """Refuse, before any work, an output that is an existing directory or
+    lies under a path that is not one, two outputs that resolve to one file
+    and an output that resolves to an input: the --data CSVs,
+    --teacher-probs, --labels or one of extra_inputs. outputs and
+    extra_inputs are (flag, path) pairs; a None output is skipped."""
     inputs = [("--data", Path(args.data) / n) for n in (datamod.TRAIN_FILE, datamod.TEST_FILE)
               if hasattr(args, "data")]
     inputs += [(f"--{key.replace('_', '-')}", getattr(args, key))
@@ -166,6 +168,11 @@ def _check_paths(args, *outputs, extra_inputs=()) -> None:
     for flag, path in outputs:
         if os.path.isdir(path):
             raise ValueError(f"{flag} {path} is a directory")
+        parent = Path(path).parent
+        while not os.path.lexists(parent):  # "." and "/" always exist
+            parent = parent.parent
+        if not parent.is_dir():
+            raise ValueError(f"{flag} {path}: {parent} is not a directory")
         real = os.path.realpath(path)
         if real in claimed:
             raise ValueError(f"{flag} {path} is the same file as {claimed[real]}")

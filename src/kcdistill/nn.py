@@ -383,6 +383,7 @@ def train_classifier(features: np.ndarray, labels: np.ndarray, layer_dims,
     hard_label_weight 0: hard labels are the only targets here."""
     for name, value, ok, rule in (
         ("epochs", epochs, epochs >= 0, ">= 0"),
+        ("seed", seed, seed >= 0, ">= 0"),
         ("temperature", cfg.temperature, cfg.temperature == 1.0, "1 to train on hard labels"),
         ("hard_label_weight", cfg.hard_label_weight, cfg.hard_label_weight == 0.0,
          "0 to train on hard labels"),

@@ -336,6 +336,19 @@ class TestDistill:
         records = list((tmp_path / "envruns").glob("*/record.json"))
         assert len(records) == 1
 
+    @pytest.mark.parametrize("root", ["link", "link/runs"])
+    def test_out_dir_under_a_broken_symlink_is_one_error(self, workdir, tmp_path,
+                                                         monkeypatch, capsys, root):
+        (tmp_path / "link").symlink_to(tmp_path / "absent")
+        monkeypatch.setenv("KCDISTILL_OUT_DIR", str(tmp_path / root))
+        args = ["distill", "--data", str(workdir / "data"),
+                "--teacher-probs", str(workdir / "teacher_probs.npy"),
+                "--student-hidden", "6", "--epochs", "2", "--stage-len", "1"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: [Errno 17] File exists: '{tmp_path / 'link'}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
     def test_run_dir_is_fresh_per_call(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KCDISTILL_OUT_DIR", str(tmp_path))
         first, second = _run_dir("kcd-s0"), _run_dir("kcd-s0")
@@ -855,6 +868,40 @@ class TestOutputDirectories:
         assert main(argv) == 1
         assert "is the same file as" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, path, parent", [
+        ("distill", "--export-labels", "{d}/afile/l.kcl", "{d}/afile"),
+        ("train-teacher", "--out-probs", "{d}/afile/p.npy", "{d}/afile"),
+        ("sweep", "--out", "{d}/afile/x/sweep.csv", "{d}/afile"),
+        ("gen-data", "--out", "{d}/link/data", "{d}/link"),
+        ("report", "--out-csv", "{d}/link/x/summary.csv", "{d}/link"),
+    ], ids=["export-labels", "out-probs", "sweep-out-further-up", "gen-data-broken-link",
+            "report-broken-link"])
+    def test_an_output_under_a_non_directory_is_refused_first(self, workdir, tmp_path, capsys,
+                                                              command, flag, path, parent):
+        (tmp_path / "afile").write_text("keep\n")
+        (tmp_path / "link").symlink_to(tmp_path / "absent")
+        (tmp_path / "records").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        run = ["--data", str(workdir / "data"),
+               "--teacher-probs", str(workdir / "teacher_probs.npy"),
+               "--student-hidden", "6", "--epochs", "2", "--stage-len", "1"]
+        argv = {
+            "distill": ["distill", *run, "--out-record", "{d}/ok/r.json"],
+            "train-teacher": ["train-teacher", "--data", str(workdir / "data"), "--hidden", "4",
+                              "--epochs", "1", "--out-model", "{d}/ok/t.bin"],
+            "sweep": ["sweep", "--seeds", "1", "--methods", "kcd", "--rho-grid", "1.0", *run],
+            "gen-data": ["gen-data", "--classes", "2", "--dims", "2", "--per-class", "5"],
+            "report": ["report", "--records", "{d}/records"],
+        }[command] + [flag, path]
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        path, parent = path.format(d=tmp_path), parent.format(d=tmp_path)
+        if command == "gen-data":  # the first of its five outputs names the fault
+            path += "/train.csv"
+        assert (out, err) == ("", f"error: {flag} {path}: {parent} is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "afile").read_text() == "keep\n"
 
     @pytest.mark.parametrize("command, extra", [
         ("train-teacher", ["--lr", "1e200"]),

@@ -461,6 +461,10 @@ class TestFusedTraining:
         with pytest.raises(ValueError, match=r"^epochs must be >= 0, got -2$"):
             train_classifier(np.zeros((4, 2)), np.zeros(4, int), (2, 2), TrainConfig(), -2, 0)
 
+    def test_refuses_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            train_teacher(np.zeros((4, 2)), np.zeros(4, int), (2, 2), TrainConfig(), 1, -1)
+
     @pytest.mark.parametrize("field, value", [("temperature", 2.0),
                                               ("hard_label_weight", 0.5)])
     def test_refuses_soft_target_settings(self, field, value):
